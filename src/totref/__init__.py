@@ -16,7 +16,6 @@ from .algebra import (
     ReductionChain,
     algebra_from_relations,
     artinian_reduction,
-    hilbert,
     quotient_by_linear,
     reduction_chain,
     stanley_reisner,
@@ -40,13 +39,9 @@ from .complexes import (
     FreeComplexWindow,
     Periodicity,
     WindowCertificate,
-    cokernel_presentation,
-    compose_check,
-    dual,
     ezd_complex,
     fitting_support,
     full_certification,
-    graded_exactness,
     indecomposability_certificate,
 )
 from .factory import (
@@ -86,6 +81,6 @@ from .lifting import (
     lift_matrix,
     lift_through_sequence,
 )
-from .linalg import Matrix, Subspace, subspace_equal, subspace_intersection, subspace_sum
+from .linalg import Matrix, Subspace
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ variables, matching the usual hand presentation.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from random import Random
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph
-from .linalg import Matrix, Subspace, rref_trailing
+from .linalg import Matrix, np_modulus, reduce_by_echelon, rref_trailing
 
 
 class AlgebraError(ValueError):
@@ -99,8 +98,9 @@ class AlgebraElement:
 class GradedAlgebra:
     """A standard graded algebra presented degreewise up to a cutoff.
 
-    Multiplication tables are built lazily per degree pair; over GF(p) a
-    packed int64 tensor is cached as well for fast block assembly.
+    Multiplication tables are built lazily per degree pair; where
+    ``np_modulus`` admits the field a packed int64 tensor is cached as well
+    for fast multiplication maps.
     """
 
     def __init__(self, field, cutoff, basis, mult_basis_fn, descriptor=None):
@@ -179,17 +179,14 @@ class GradedAlgebra:
         return self._tables[key]
 
     def np_table(self, d1, d2):
-        """int64 tensor T[i, j, k]: coefficient of basis_k in e_i * e_j (GF only)."""
+        """The int64 tensor T[i, j, k], the coefficient of basis_k in e_i * e_j,
+        and the largest count of nonzero T[i, j, k] over i at a fixed (j, k):
+        the number of summands in one entry of sum_i c_i T[i]."""
         key = (d1, d2)
         if key not in self._np_tables:
-            if not isinstance(self.field, PrimeField):
-                raise AlgebraError("packed tensors only exist over GF(p)")
-            t = self.table(d1, d2)
-            arr = np.zeros((self.dims[d1], self.dims[d2], self.dims[d1 + d2]), dtype=np.int64)
-            for i, row in enumerate(t):
-                for j, vec in enumerate(row):
-                    arr[i, j, :] = vec
-            self._np_tables[key] = arr
+            shape = (self.dims[d1], self.dims[d2], self.dims[d1 + d2])
+            T = np.array(self.table(d1, d2), dtype=np.int64).reshape(shape)
+            self._np_tables[key] = (T, int(np.count_nonzero(T, axis=0).max(initial=0)))
         return self._np_tables[key]
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -214,20 +211,31 @@ class GradedAlgebra:
 
     def mult_map_matrix(self, elt: AlgebraElement, t: int) -> Matrix:
         """Matrix of multiplication by elt from degree t to degree t + deg(elt)."""
-        d = elt.degree
-        if t + d > self.cutoff:
+        if t + elt.degree > self.cutoff:
             raise AlgebraError("multiplication map exceeds cutoff")
+        return Matrix(self.field, self.mult_map_rows(elt.coords, elt.degree, t), cols=self.dims[t])
+
+    def mult_map_rows(self, coords, d, t):
+        """Rows of the matrix of multiplication by the degree-d element with these
+        coordinates, from degree t to degree t + d (cutoff not checked)."""
         f = self.field
         src, dst = self.dims[t], self.dims[t + d]
-        if isinstance(f, PrimeField) and src and dst:
-            T = self.np_table(d, t)
-            arr = np.einsum("i,ijk->kj", np.array(elt.coords, dtype=np.int64), T) % f.p
-            return Matrix(f, [[int(x) for x in row] for row in arr], cols=src)
+        p = np_modulus(f)
+        if p is not None and src and dst:
+            T, terms = self.np_table(d, t)
+            c = np.array(coords, dtype=np.int64)
+            step = (2**63 - 1) // (p - 1) ** 2  # summands of size (p-1)**2 that fit in int64
+            if terms <= step:
+                return (np.einsum("i,ijk->kj", c, T) % p).tolist()
+            acc = np.zeros((dst, src), dtype=np.int64)
+            for lo in range(0, len(c), step):
+                acc = (acc + np.einsum("i,ijk->kj", c[lo : lo + step], T[lo : lo + step]) % p) % p
+            return acc.tolist()
         tab = self.table(d, t)
         cols = []
         for j in range(src):
             acc = [f.zero] * dst
-            for i, c in enumerate(elt.coords):
+            for i, c in enumerate(coords):
                 if f.is_zero(c):
                     continue
                 vec = tab[i][j]
@@ -235,33 +243,12 @@ class GradedAlgebra:
                     if not f.is_zero(vk):
                         acc[k] = f.add(acc[k], f.mul(c, vk))
             cols.append(acc)
-        return Matrix(f, [[cols[j][k] for j in range(src)] for k in range(dst)], cols=src)
-
-    def mult_map_array(self, coords, t: int):
-        """numpy form of mult_map_matrix for GF(p): shape (dim_{t+1}, dim_t)."""
-        T = self.np_table(1, t)
-        return np.einsum("i,ijk->kj", np.asarray(coords, dtype=np.int64), T) % self.field.p
+        return [[cols[j][k] for j in range(src)] for k in range(dst)]
 
     # -- presentation checks ---------------------------------------------------
 
     def is_artinian(self) -> bool:
         return self.dims[self.cutoff] == 0
-
-    def top_nonzero_degree(self) -> int:
-        d = self.cutoff
-        while d > 0 and self.dims[d] == 0:
-            d -= 1
-        return d
-
-    def same_presentation(self, other) -> bool:
-        return (
-            self.field == other.field
-            and self.cutoff == other.cutoff
-            and self.basis == other.basis
-        )
-
-    def component_subspace_full(self, degree) -> Subspace:
-        return Subspace.full(self.field, self.dims[degree])
 
     # -- serialization ---------------------------------------------------------
 
@@ -312,11 +299,6 @@ class GradedAlgebra:
             raise AlgebraError(f"serialized algebra lacks the ({d1},{d2}) table")
 
         return cls(field, cutoff, basis, mult_fn, descriptor=obj.get("descriptor"))
-
-
-def hilbert(algebra: GradedAlgebra):
-    """The dimension vector (dim_0, ..., dim_D)."""
-    return tuple(algebra.dims)
 
 
 # -- Stanley-Reisner rings of graphs ------------------------------------------
@@ -434,12 +416,8 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
     mons = [_monomials_of_degree(nv, d) for d in range(cutoff + 1)]
     midx = [{m: i for i, m in enumerate(ms)} for ms in mons]
 
-    red_rows = [None] * (cutoff + 1)
-    red_piv = [None] * (cutoff + 1)
-    keep = [None] * (cutoff + 1)
+    red = [([], [], [0])]
     labels = [["1"]]
-    keep[0] = [0]
-    red_rows[0], red_piv[0] = [], []
     for d in range(1, cutoff + 1):
         rows = []
         for r, rels in rel_by_deg.items():
@@ -452,30 +430,34 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
                         prod = tuple(a + b for a, b in zip(e, m))
                         vec[midx[d][prod]] = field.add(vec[midx[d][prod]], c)
                     rows.append(vec)
-        rr, piv = rref_trailing(field, rows, len(mons[d]))
-        red_rows[d], red_piv[d] = rr, piv
-        pivset = set(piv)
-        keep[d] = [i for i in range(len(mons[d])) if i not in pivset]
-        labels.append([_exp_label(variables, mons[d][i]) for i in keep[d]])
-
-    def normal_form(d, vec):
-        v = list(vec)
-        for row, pc in zip(red_rows[d], red_piv[d]):
-            c = v[pc]
-            if not field.is_zero(c):
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        return [v[i] for i in keep[d]]
+        red.append(_complement(field, rows, len(mons[d])))
+        labels.append([_exp_label(variables, mons[d][i]) for i in red[d][2]])
 
     def mult_fn(d1, i, d2, j):
-        e1 = mons[d1][keep[d1][i]]
-        e2 = mons[d2][keep[d2][j]]
+        e1 = mons[d1][red[d1][2][i]]
+        e2 = mons[d2][red[d2][2][j]]
         prod = tuple(a + b for a, b in zip(e1, e2))
         d = d1 + d2
         vec = [field.zero] * len(mons[d])
         vec[midx[d][prod]] = field.one
-        return normal_form(d, vec)
+        return _normal_form(field, red[d], vec)
 
     return GradedAlgebra(field, cutoff, labels, mult_fn, descriptor=descriptor)
+
+
+def _complement(field, rows, ncols):
+    """(echelon rows, pivots, kept coordinates) of the quotient of field^ncols
+    by the span of rows; the kept coordinates index the quotient basis."""
+    rr, piv = rref_trailing(field, rows, ncols)
+    pivset = set(piv)
+    return rr, piv, [c for c in range(ncols) if c not in pivset]
+
+
+def _normal_form(field, red, vec):
+    """Coordinates in the quotient basis of the class of vec."""
+    rows, piv, keep = red
+    v = reduce_by_echelon(field, rows, piv, vec)[0]
+    return [v[c] for c in keep]
 
 
 # -- quotient by a linear form -------------------------------------------------
@@ -499,19 +481,15 @@ class QuotientMap:
         self.form = form
         field = source.field
         D = source.cutoff
-        self._keep = [None] * (D + 1)
-        self._keep[0] = [0]
-        self._red = [([], [])]
+        self._red = [([], [], [0])]
         labels = [["1"]]
         for d in range(1, D + 1):
             rows = []
             for i in range(source.dims[d - 1]):
                 rows.append(list(source.multiply(form, source.basis_element(d - 1, i)).coords))
-            rr, piv = rref_trailing(field, rows, source.dims[d])
-            self._red.append((rr, piv))
-            pivset = set(piv)
-            self._keep[d] = [c for c in range(source.dims[d]) if c not in pivset]
-            labels.append([source.basis[d][c] for c in self._keep[d]])
+            self._red.append(_complement(field, rows, source.dims[d]))
+            labels.append([source.basis[d][c] for c in self._red[d][2]])
+        self._keep = [keep for _, _, keep in self._red]
 
         qmap = self
 
@@ -522,14 +500,7 @@ class QuotientMap:
         self.target = GradedAlgebra(field, D, labels, mult_fn, descriptor=descriptor)
 
     def project_vec(self, d, vec):
-        field = self.source.field
-        rows, piv = self._red[d]
-        v = list(vec)
-        for row, pc in zip(rows, piv):
-            c = v[pc]
-            if not field.is_zero(c):
-                v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-        return [v[c] for c in self._keep[d]]
+        return _normal_form(self.source.field, self._red[d], vec)
 
     def lift_vec(self, d, coords):
         field = self.source.field
@@ -573,6 +544,11 @@ class ReductionChain:
     @property
     def bottom(self) -> GradedAlgebra:
         return self.steps[1].target
+
+    def image(self, vertex) -> AlgebraElement:
+        """The image in the bottom ring of the generator of a vertex."""
+        q1, q2 = self.steps
+        return q2.project(q1.project(self.top.generator(vertex)))
 
     def expected_artinian_hilbert(self):
         n, e = self.graph.n, self.graph.e
@@ -655,7 +631,3 @@ def reduction_chain(
 def artinian_reduction(g: Graph, mode="canonical", seed=0, cutoff=3, field=None, retries=64):
     """The Artinian quotient R_Gamma/(l1, l2); see reduction_chain for modes."""
     return reduction_chain(g, mode, seed, cutoff, field, retries).bottom
-
-
-def algebra_to_json_str(algebra: GradedAlgebra) -> str:
-    return json.dumps(algebra.to_json(), indent=1)

@@ -15,8 +15,9 @@ from random import Random
 from typing import Optional
 
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
+from .complexes import fitting_support
 from .graphs import Graph
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, reduce_by_echelon
 
 
 def _require_artinian(R: GradedAlgebra):
@@ -41,21 +42,28 @@ def _stacked_mult_kernel(R: GradedAlgebra, d: int) -> Subspace:
     return Matrix(f, rows, cols=src).kernel_basis()
 
 
-def socle(R: GradedAlgebra) -> Subspace:
-    """Canonical basis of (0 : m) inside R_1 + R_2 + ... as one vector space."""
-    _require_artinian(R)
+def _graded_sum(R: GradedAlgebra, parts) -> Subspace:
+    """The span inside R_1 + R_2 + ... of vectors of single graded pieces;
+    parts maps a degree d >= 1 to vectors of R_d."""
     f = R.field
     ambient = sum(R.dims[1:])
     vecs = []
-    offset = 0
-    for d in range(1, R.cutoff + 1):
-        ker = _stacked_mult_kernel(R, d)
-        for b in ker.basis:
+    for d, part in parts.items():
+        offset = sum(R.dims[1:d])
+        for b in part:
             v = [f.zero] * ambient
             v[offset : offset + R.dims[d]] = list(b)
             vecs.append(v)
-        offset += R.dims[d]
     return Subspace.from_vectors(f, ambient, vecs)
+
+
+def _socle_sum(R: GradedAlgebra, parts) -> Subspace:
+    return _graded_sum(R, {d: k.basis for d, k in enumerate(parts, start=1)})
+
+
+def socle(R: GradedAlgebra) -> Subspace:
+    """Canonical basis of (0 : m) inside R_1 + R_2 + ... as one vector space."""
+    return _socle_sum(R, socle_degree_parts(R))
 
 
 def socle_degree_parts(R: GradedAlgebra):
@@ -67,23 +75,11 @@ def socle_degree_parts(R: GradedAlgebra):
 def m_squared_subspace(R: GradedAlgebra) -> Subspace:
     """m^2 inside R_1 + R_2 + ...; degreewise the span of products R_a * R_b."""
     _require_artinian(R)
-    f = R.field
-    ambient = sum(R.dims[1:])
-    vecs = []
-    offset = R.dims[1]
+    parts = {}
     for d in range(2, R.cutoff + 1):
-        span = []
-        for a in range(1, d):
-            tab = R.table(a, d - a)
-            for row in tab:
-                span.extend(row)
-        sub = Subspace.from_vectors(f, R.dims[d], span)
-        for b in sub.basis:
-            v = [f.zero] * ambient
-            v[offset : offset + R.dims[d]] = list(b)
-            vecs.append(v)
-        offset += R.dims[d]
-    return Subspace.from_vectors(f, ambient, vecs)
+        span = [vec for a in range(1, d) for row in R.table(a, d - a) for vec in row]
+        parts[d] = Subspace.from_vectors(R.field, R.dims[d], span).basis
+    return _graded_sum(R, parts)
 
 
 def quadratic_presentation(R: GradedAlgebra) -> bool:
@@ -174,10 +170,9 @@ def necessary_ring_conditions(R: GradedAlgebra) -> RingConditionReport:
     _require_artinian(R)
     if R.cutoff >= 4 and any(R.dims[3 : R.cutoff + 1]):
         raise AlgebraError("necessary_ring_conditions requires m^3 = 0")
-    soc = socle(R)
-    m2 = m_squared_subspace(R)
-    socle_ok = soc == m2
     parts = socle_degree_parts(R)
+    soc = _socle_sum(R, parts)
+    socle_ok = soc == m_squared_subspace(R)
     linear_part = parts[0]
     f = R.field
     linear_labels = []
@@ -311,13 +306,9 @@ def kernel_system(g: Graph, l1_coeffs, l2_coeffs, l_coeffs, field) -> KernelSyst
     if sol.dim == 4:
         # reduce the canonical solution basis against the Koszul span and keep
         # the first surviving vector, renormalized to leading coefficient one
-        piv = {next(j for j, x in enumerate(row) if not f.is_zero(x)): row for row in koszul.basis}
+        pivots = koszul.pivots
         for b in sol.basis:
-            v = list(b)
-            for pc, row in piv.items():
-                c = v[pc]
-                if not f.is_zero(c):
-                    v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
+            v = reduce_by_echelon(f, koszul.basis, pivots, b)[0]
             if any(not f.is_zero(x) for x in v):
                 lead = next(x for x in v if not f.is_zero(x))
                 inv = f.inv(lead)
@@ -375,40 +366,21 @@ def verify_ezd(R: GradedAlgebra, a: AlgebraElement, b: AlgebraElement) -> bool:
 def annihilator_linear(R: GradedAlgebra, a: AlgebraElement) -> Subspace:
     """Ann(a) as a subspace of R_1 + R_2 (direct annihilator computation)."""
     _require_artinian(R)
-    f = R.field
-    ambient = sum(R.dims[1:])
-    vecs = []
-    offset = 0
+    parts = {}
     for d in range(1, R.cutoff + 1):
         if R.dims[d] == 0:
             continue
         if d + a.degree > R.cutoff or R.dims[d + a.degree] == 0:
-            ker = Subspace.full(f, R.dims[d])
+            parts[d] = Subspace.full(R.field, R.dims[d]).basis
         else:
-            ker = R.mult_map_matrix(a, d).kernel_basis()
-        for bvec in ker.basis:
-            v = [f.zero] * ambient
-            v[offset : offset + R.dims[d]] = list(bvec)
-            vecs.append(v)
-        offset += R.dims[d]
-    return Subspace.from_vectors(f, ambient, vecs)
+            parts[d] = R.mult_map_matrix(a, d).kernel_basis().basis
+    return _graded_sum(R, parts)
 
 
 def principal_ideal_subspace(R: GradedAlgebra, b: AlgebraElement) -> Subspace:
     """(b) = span{b} + b*R_1 as a subspace of R_1 + R_2 (for linear b)."""
-    f = R.field
-    ambient = sum(R.dims[1:])
-    vecs = []
-    v = [f.zero] * ambient
-    v[: R.dims[1]] = list(b.coords)
-    vecs.append(v)
     mm = R.mult_map_matrix(b, 1)
-    for j in range(R.dims[1]):
-        col = [mm.entries[k][j] for k in range(mm.rows)]
-        v = [f.zero] * ambient
-        v[R.dims[1] : R.dims[1] + R.dims[2]] = col
-        vecs.append(v)
-    return Subspace.from_vectors(f, ambient, vecs)
+    return _graded_sum(R, {1: [b.coords], 2: mm.transpose().entries})
 
 
 def xy_split_flip(R: GradedAlgebra, z: AlgebraElement, x_labels) -> AlgebraElement:
@@ -522,18 +494,6 @@ class IdealPairReport:
         }
 
 
-def ideal_degree_parts(R: GradedAlgebra, gens):
-    """Graded pieces of the ideal generated by linear forms, for d = 1, 2."""
-    f = R.field
-    deg1 = Subspace.from_vectors(f, R.dims[1], [list(g.coords) for g in gens])
-    prods = []
-    for g in gens:
-        for i in range(R.dims[1]):
-            prods.append(list((g * R.basis_element(1, i)).coords))
-    deg2 = Subspace.from_vectors(f, R.dims[2], prods)
-    return deg1, deg2
-
-
 def ideal_pair_analysis(R: GradedAlgebra, gens_a, gens_b) -> IdealPairReport:
     """Decomposition report for m = a + b generated by two sets of linear forms.
 
@@ -542,8 +502,8 @@ def ideal_pair_analysis(R: GradedAlgebra, gens_a, gens_b) -> IdealPairReport:
     non-free totally reflexive modules at all.
     """
     _require_artinian(R)
-    a1, a2 = ideal_degree_parts(R, gens_a)
-    b1, b2 = ideal_degree_parts(R, gens_b)
+    a1, a2 = fitting_support(R, [gens_a])
+    b1, b2 = fitting_support(R, [gens_b])
     sum1 = a1.sum(b1).dim == R.dims[1]
     sum2 = a2.sum(b2).dim == R.dims[2]
     prod_zero = all((ga * gb).is_zero() for ga in gens_a for gb in gens_b)

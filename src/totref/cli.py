@@ -104,33 +104,29 @@ def emit_report(report: dict, config: RunConfig, stream=None):
         stream.write("\n".join(_render_text(report)) + "\n")
 
 
-def _vertex_image(chain, vertex):
-    q1, q2 = chain.steps
-    return q2.project(q1.project(chain.top.generator(vertex)))
-
-
 def _partition_from_pair(graph: Graph, pair):
     """Vertex components after removing the disconnecting pair: first vs rest."""
     sub = graph.induced_without(pair)
-    comps = []
-    seen = set()
-    for v in sub.vertices:
-        if v in seen:
-            continue
-        comp = [v]
-        seen.add(v)
-        queue = [v]
-        while queue:
-            u = queue.pop()
-            for w in sub.neighbors(u):
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(comp)
-    first = [v for v in sub.vertices if v in set(comps[0])]
-    rest = [v for v in sub.vertices if v not in set(comps[0])]
-    return first, rest
+    first = sub.components()[0]
+    return [v for v in sub.vertices if v in first], [v for v in sub.vertices if v not in first]
+
+
+def _reduce(graph: Graph, config: RunConfig):
+    """The reduction chain: canonical forms for a bipartite graph, else generic."""
+    mode = "canonical" if graph.is_bipartite() else "generic"
+    return reduction_chain(
+        graph, mode=mode, seed=config.seed, cutoff=3, field=config.field, retries=config.retries
+    )
+
+
+def _search_ezd(graph: Graph, R, config: RunConfig, rng):
+    """Search R for exact zero divisors, by the X/Y sign flip when bipartite."""
+    if graph.is_bipartite():
+        return find_ezd(
+            R, "bipartite-canonical", trials=config.retries, rng=rng,
+            x_labels=set(graph.bipartition[0]),
+        )
+    return find_ezd(R, "random", trials=config.retries, rng=rng)
 
 
 def cmd_analyze(args) -> int:
@@ -143,14 +139,11 @@ def cmd_analyze(args) -> int:
     conditions = necessary_conditions(graph)
     report["conditions"] = conditions.to_json()
 
-    mode = "canonical" if graph.is_bipartite() else "generic"
-    chain = reduction_chain(
-        graph, mode=mode, seed=config.seed, cutoff=3, field=config.field, retries=config.retries
-    )
+    chain = _reduce(graph, config)
     R = chain.bottom
     expected = list(chain.expected_artinian_hilbert())
     report["reduction"] = {
-        "mode": mode,
+        "mode": chain.mode,
         "hilbert": list(R.dims),
         "expected": expected,
         "hilbert_ok": list(R.dims) == expected,
@@ -161,7 +154,7 @@ def cmd_analyze(args) -> int:
     has_wlp, hits, witness = wlp_generic(R, rng, trials=8)
     report["wlp"] = {"trials": 8, "surjective_samples": hits, "has_wlp": has_wlp}
 
-    if mode == "canonical":
+    if chain.mode == "canonical":
         xs, ys = graph.bipartition
         l1c = [1 if v in set(xs) else 0 for v in graph.vertices]
         l2c = [1 if v in set(ys) else 0 for v in graph.vertices]
@@ -174,16 +167,7 @@ def cmd_analyze(args) -> int:
         ks.to_json(), wlp_equivalence_applicable=conditions.edge_count_ok
     )
 
-    if graph.is_bipartite():
-        pair = find_ezd(
-            R,
-            "bipartite-canonical",
-            trials=config.retries,
-            rng=rng,
-            x_labels=set(graph.bipartition[0]),
-        )
-    else:
-        pair = find_ezd(R, "random", trials=config.retries, rng=rng)
+    pair = _search_ezd(graph, R, config, rng)
     report["ezd"] = {"found": pair is not None}
     if pair is not None:
         report["ezd"]["pair"] = pair.to_json()
@@ -197,8 +181,8 @@ def cmd_analyze(args) -> int:
     special = None
     if graph.is_bipartite() and conditions.disconnecting_pair:
         part_a, part_b = _partition_from_pair(graph, conditions.disconnecting_pair)
-        gens_a = [_vertex_image(chain, v) for v in part_a]
-        gens_b = [_vertex_image(chain, v) for v in part_b]
+        gens_a = [chain.image(v) for v in part_a]
+        gens_b = [chain.image(v) for v in part_b]
         ideal_report = ideal_pair_analysis(R, gens_a, gens_b)
         report["ideal_pair"] = dict(
             ideal_report.to_json(), partition=[part_a, part_b]
@@ -263,18 +247,8 @@ def cmd_build(args) -> int:
     graph = _load_build_graph(args)
     rng = Random(config.seed)
     if args.mode == "ezd":
-        mode = "canonical" if graph.is_bipartite() else "generic"
-        chain = reduction_chain(
-            graph, mode=mode, seed=config.seed, cutoff=3, field=config.field, retries=config.retries
-        )
-        R = chain.bottom
-        if graph.is_bipartite():
-            pair = find_ezd(
-                R, "bipartite-canonical", trials=config.retries, rng=rng,
-                x_labels=set(graph.bipartition[0]),
-            )
-        else:
-            pair = find_ezd(R, "random", trials=config.retries, rng=rng)
+        R = _reduce(graph, config).bottom
+        pair = _search_ezd(graph, R, config, rng)
         if pair is None:
             emit_report({"mode": "ezd", "status": "no exact zero divisor found"}, config)
             return 2
@@ -294,11 +268,7 @@ def cmd_build(args) -> int:
         emit_report({"mode": "factory", "status": "graph has no disconnecting pair"}, config)
         return 2
     part_a, part_b = _partition_from_pair(graph, conditions.disconnecting_pair)
-    chain = reduction_chain(
-        graph, mode="canonical", seed=config.seed, cutoff=3, field=config.field,
-        retries=config.retries,
-    )
-    special = SpecialRing(chain, part_a, part_b)
+    special = SpecialRing(_reduce(graph, config), part_a, part_b)
     if args.canonical:
         window, frep = canonical_window(special, config.forward, config.backward)
     else:
@@ -337,6 +307,8 @@ def _rebase_window(obj: dict, algebra: GradedAlgebra) -> FreeComplexWindow:
 
 def cmd_lift(args) -> int:
     config = RunConfig.from_args(args)
+    if args.steps not in (1, 2):
+        raise ValueError("--steps must be 1 or 2 (the reduction chain has two steps)")
     with open(args.complex, "r", encoding="utf-8") as fh:
         obj = json.load(fh)
     if obj.get("format") != "complex":
@@ -362,8 +334,7 @@ def cmd_lift(args) -> int:
         field=config.field, retries=config.retries,
     )
     window = _rebase_window(obj, chain.bottom)
-    steps = min(args.steps, 2)
-    qmaps = [chain.steps[1], chain.steps[0]][:steps]
+    qmaps = [chain.steps[1], chain.steps[0]][: args.steps]
     lifted, step_reports = lift_through_sequence(window, qmaps)
     report = {
         "steps": [s.to_json() for s in step_reports],
@@ -448,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", parents=[common], help="lift a window up its reduction chain")
     p.add_argument("complex", help="complex JSON file (with chain descriptor)")
-    p.add_argument("--steps", type=int, default=2, help="how many chain steps to lift")
+    p.add_argument("--steps", type=int, default=2, help="how many chain steps to lift: 1 or 2")
     p.add_argument("--out", help="output path for the lifted complex JSON")
     p.set_defaults(func=cmd_lift)
 

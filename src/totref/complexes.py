@@ -17,10 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import AlgebraElement, GradedAlgebra
-from .fields import PrimeField
 from .linalg import Matrix, Subspace
 
 
@@ -87,48 +84,28 @@ class FreeComplexWindow:
     def block_matrix(self, i, t) -> Matrix:
         """The degree piece of d_i acting from R_t^{b_i} to R_{t+1}^{b_{i-1}}."""
         R = self.algebra
-        f = R.field
         mat = self.diff(i)
         b_out, b_in = self.rank_of(i - 1), self.rank_of(i)
         if t < 0 or t + 1 > R.cutoff:
             raise ComplexError("internal degree outside the algebra cutoff")
         src, dst = R.dims[t], R.dims[t + 1]
-        if isinstance(f, PrimeField):
-            big = np.zeros((b_out * dst, b_in * src), dtype=np.int64)
-            for r in range(b_out):
-                for c in range(b_in):
-                    e = mat[r][c]
-                    if e.is_zero() or src == 0 or dst == 0:
-                        continue
-                    big[r * dst : (r + 1) * dst, c * src : (c + 1) * src] = R.mult_map_array(
-                        e.coords, t
-                    )
-            return Matrix(f, [[int(x) for x in row] for row in big], cols=b_in * src)
-        zero = f.zero
-        big = [[zero] * (b_in * src) for _ in range(b_out * dst)]
+        big = [[R.field.zero] * (b_in * src) for _ in range(b_out * dst)]
         for r in range(b_out):
             for c in range(b_in):
-                mm = R.mult_map_matrix(mat[r][c], t)
-                for k in range(dst):
-                    row = big[r * dst + k]
-                    for j in range(src):
-                        row[c * src + j] = mm.entries[k][j]
-        return Matrix(f, big, cols=b_in * src)
+                if mat[r][c].is_zero():
+                    continue
+                for k, row in enumerate(R.mult_map_rows(mat[r][c].coords, 1, t)):
+                    big[r * dst + k][c * src : (c + 1) * src] = row
+        return Matrix(R.field, big, cols=b_in * src)
 
     def compose_check(self) -> bool:
         """All consecutive products d_i d_{i+1} vanish identically."""
-        for i in range(self.lo + 1, self.hi):
-            a = self.diff(i)
-            b = self.diff(i + 1)
-            rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
-            for r in range(rows):
-                for c in range(cols):
-                    acc = self.algebra.zero(2)
-                    for k in range(mid):
-                        acc = acc + a[r][k] * b[k][c]
-                    if not acc.is_zero():
-                        return False
-        return True
+        return all(
+            e.is_zero()
+            for i in range(self.lo + 1, self.hi)
+            for row in matrix_product(self.diff(i), self.diff(i + 1), self.algebra)
+            for e in row
+        )
 
     def graded_exactness(self, degree_bound=None) -> "ExactnessReport":
         """Per-index, per-degree exactness comparison of kernels and images."""
@@ -219,15 +196,21 @@ class FreeComplexWindow:
 
     @classmethod
     def from_json(cls, obj, algebra=None) -> "FreeComplexWindow":
-        if obj.get("format") != "complex":
+        if not isinstance(obj, dict) or obj.get("format") != "complex":
             raise ComplexError("not a complex file")
+        for key, kind in _REQUIRED_FIELDS:
+            if not isinstance(obj.get(key), kind):
+                raise ComplexError(f"complex file field {key!r} is missing or not a {kind.__name__}")
         if algebra is None:
             algebra = GradedAlgebra.from_json(obj["algebra"])
         dec = algebra.field.decode
-        diffs = [
-            [[AlgebraElement(algebra, 1, [dec(c) for c in e]) for e in row] for row in mat]
-            for mat in obj["differentials"]
-        ]
+        try:
+            diffs = [
+                [[AlgebraElement(algebra, 1, [dec(c) for c in e]) for e in row] for row in mat]
+                for mat in obj["differentials"]
+            ]
+        except TypeError as exc:
+            raise ComplexError(f"complex file differentials are malformed: {exc}") from exc
         per = obj.get("periodic")
         return cls(
             algebra,
@@ -238,6 +221,27 @@ class FreeComplexWindow:
             base_twist=obj.get("base_twist", 0),
             periodic=Periodicity(per["period"], per.get("verified", False)) if per else None,
         )
+
+
+_REQUIRED_FIELDS = (
+    ("algebra", dict), ("lo", int), ("hi", int), ("betti", list), ("differentials", list)
+)
+
+
+def matrix_product(A, B, algebra: GradedAlgebra):
+    """The product of two matrices (lists of rows) of linear forms; its
+    entries have degree 2."""
+    cols = len(B[0]) if B else 0
+    out = []
+    for row in A:
+        orow = []
+        for c in range(cols):
+            acc = algebra.zero(2)
+            for a, brow in zip(row, B):
+                acc = acc + a * brow[c]
+            orow.append(acc)
+        out.append(orow)
+    return out
 
 
 @dataclass
@@ -276,18 +280,6 @@ class ExactnessReport:
         }
 
 
-def compose_check(w: FreeComplexWindow) -> bool:
-    return w.compose_check()
-
-
-def graded_exactness(w: FreeComplexWindow, degree_bound=None) -> ExactnessReport:
-    return w.graded_exactness(degree_bound)
-
-
-def dual(w: FreeComplexWindow) -> FreeComplexWindow:
-    return w.dual()
-
-
 def ezd_complex(R: GradedAlgebra, pair, half_length: int = 3) -> FreeComplexWindow:
     """The 2-periodic complex ... -> R -a-> R -b-> R -a-> ... of a certified pair."""
     from .analysis import verify_ezd  # local import to avoid a cycle
@@ -311,13 +303,6 @@ def ezd_complex(R: GradedAlgebra, pair, half_length: int = 3) -> FreeComplexWind
     )
     w.verify_periodicity()
     return w
-
-
-def cokernel_presentation(w: FreeComplexWindow, i: int):
-    """The differential d_i viewed as a presentation matrix of its cokernel."""
-    if not (w.lo < i <= w.hi):
-        raise ComplexError("index has no differential in the window")
-    return w.diff(i)
 
 
 def fitting_support(R: GradedAlgebra, presentation):

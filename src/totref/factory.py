@@ -28,6 +28,7 @@ from .complexes import (
     WindowCertificate,
     fitting_support,
     full_certification,
+    matrix_product,
 )
 from .graphs import Graph
 from .linalg import Matrix, Subspace
@@ -87,12 +88,8 @@ class SpecialRing:
         self.part_a = tuple(part_a)
         self.part_b = tuple(part_b)
 
-        def image(vertex):
-            q1, q2 = chain.steps
-            return q2.project(q1.project(chain.top.generator(vertex)))
-
-        self.a_gens = [image(v) for v in self.part_a]
-        self.b_gens = [image(v) for v in self.part_b]
+        self.a_gens = [chain.image(v) for v in self.part_a]
+        self.b_gens = [chain.image(v) for v in self.part_b]
         self.a1 = Subspace.from_vectors(f, R.dims[1], [list(g.coords) for g in self.a_gens])
         self.b1 = Subspace.from_vectors(f, R.dims[1], [list(g.coords) for g in self.b_gens])
         if self.a1.dim != len(self.a_gens) or self.b1.dim != len(self.b_gens):
@@ -301,18 +298,6 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
     raise FactoryError(f"no injective block pair found in {max_retries} samples")
 
 
-def _compose_is_zero(ring: SpecialRing, first, second) -> bool:
-    R = ring.ring
-    for r in range(2):
-        for c in range(2):
-            acc = R.zero(2)
-            for k in range(2):
-                acc = acc + first[r][k] * second[k][c]
-            if not acc.is_zero():
-                return False
-    return True
-
-
 def _solve_columns(ring: SpecialRing, mat, side: str):
     """Columns c1, c2 with (induced mat) c_i = (delta, 0) resp. (0, delta);
     the b-side right-hand sides carry -delta, baked into delta_b."""
@@ -341,7 +326,8 @@ def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     A_next = _solve_columns(ring, block.A, "a")
     B_next = _solve_columns(ring, block.B, "b")
     new = make_block(ring, block.index + 1, A_next, B_next)
-    if not _compose_is_zero(ring, block.combined(), new.combined()):
+    product = matrix_product(block.combined(), new.combined(), ring.ring)
+    if not all(e.is_zero() for row in product for e in row):
         raise ExtensionError("extension does not compose to zero")
     return new
 
@@ -353,7 +339,8 @@ def extend_backward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     C = _solve_columns(ring, _transpose2(block.A), "a")
     D = _solve_columns(ring, _transpose2(block.B), "b")
     new = make_block(ring, block.index - 1, _transpose2(C), _transpose2(D))
-    if not _compose_is_zero(ring, new.combined(), block.combined()):
+    product = matrix_product(new.combined(), block.combined(), ring.ring)
+    if not all(e.is_zero() for row in product for e in row):
         raise ExtensionError("backward extension does not compose to zero")
     return new
 

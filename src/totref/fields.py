@@ -72,17 +72,11 @@ class PrimeField:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, -1, self.p)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a % self.p == 0
 
     def rand(self, rng):
         return rng.randrange(self.p)
-
-    def rand_nonzero(self, rng):
-        return rng.randrange(1, self.p)
 
     def encode(self, a):
         return int(a)
@@ -129,21 +123,12 @@ class RationalField:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def div(self, a, b):
-        return Fraction(a) / b
-
     def is_zero(self, a) -> bool:
         return a == 0
 
     def rand(self, rng):
         # small-height rationals; enough to realize "generic" choices in tests
         return Fraction(rng.randrange(-99, 100), rng.randrange(1, 20))
-
-    def rand_nonzero(self, rng):
-        while True:
-            a = self.rand(rng)
-            if a != 0:
-                return a
 
     def encode(self, a):
         f = Fraction(a)

@@ -56,7 +56,7 @@ class Graph:
                     raise GraphError(f"edge {u}-{v} does not cross the declared bipartition")
             self.bipartition = (xs, ys)
         else:
-            self.bipartition = detect_bipartition(self.vertices, self._adj)
+            self.bipartition = self._two_coloring()
 
     @property
     def n(self) -> int:
@@ -75,10 +75,39 @@ class Graph:
     def has_edge(self, u, v) -> bool:
         return v in self._adj[u]
 
+    def components(self):
+        """Connected components by breadth-first search from each first unseen
+        vertex in declared order.  Each is a dict mapping a vertex to the
+        parity (0 or 1) of its distance from that start vertex."""
+        comps = []
+        seen = set()
+        for start in self.vertices:
+            if start in seen:
+                continue
+            comp = {start: 0}
+            queue = [start]
+            for u in queue:  # the queue grows while it is walked
+                for w in self._adj[u]:
+                    if w not in comp:
+                        comp[w] = 1 - comp[u]
+                        queue.append(w)
+            seen.update(comp)
+            comps.append(comp)
+        return comps
+
+    def _two_coloring(self):
+        """(X-side, Y-side) in declared vertex order from the component
+        parities, or None when an edge joins two vertices of equal parity."""
+        color = {v: c for comp in self.components() for v, c in comp.items()}
+        if any(color[u] == color[v] for u, v in self.edges):
+            return None
+        return (
+            tuple(v for v in self.vertices if color[v] == 0),
+            tuple(v for v in self.vertices if color[v] == 1),
+        )
+
     def is_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        return len(_component(self._adj, self.vertices[0])) == self.n
+        return len(self.components()) <= 1
 
     def is_bipartite(self) -> bool:
         return self.bipartition is not None
@@ -97,39 +126,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, e={self.e})"
-
-
-def detect_bipartition(vertices, adj):
-    """2-coloring by BFS; returns (X-side, Y-side) in declared vertex order, or None."""
-    color = {}
-    for start in vertices:
-        if start in color:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for w in adj[u]:
-                if w not in color:
-                    color[w] = 1 - color[u]
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    return None
-    xs = tuple(v for v in vertices if color[v] == 0)
-    ys = tuple(v for v in vertices if color[v] == 1)
-    return (xs, ys)
-
-
-def _component(adj, start):
-    seen = {start}
-    queue = [start]
-    while queue:
-        u = queue.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return seen
 
 
 def parse_graph(obj: dict) -> Graph:

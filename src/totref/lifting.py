@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraElement, GradedAlgebra, QuotientMap
-from .complexes import FreeComplexWindow, WindowCertificate, full_certification
+from .complexes import FreeComplexWindow, WindowCertificate, full_certification, matrix_product
 
 
 class LiftError(ValueError):
@@ -46,24 +46,9 @@ def lift_matrix(mat, qmap: QuotientMap):
     return [[qmap.lift(e) for e in row] for row in mat]
 
 
-def _mat_mul(A, B, algebra):
-    rows, mid = len(A), len(B)
-    cols = len(B[0]) if B else 0
-    out = []
-    for r in range(rows):
-        orow = []
-        for c in range(cols):
-            acc = algebra.zero(2)
-            for k in range(mid):
-                acc = acc + A[r][k] * B[k][c]
-            orow.append(acc)
-        out.append(orow)
-    return out
-
-
 def correction_matrix(d_i, d_ip1, x: AlgebraElement, S: GradedAlgebra):
     """The unique M with  d_i d_ip1 = x * M, solved entry by entry in degree 2."""
-    prod = _mat_mul(d_i, d_ip1, S)
+    prod = matrix_product(d_i, d_ip1, S)
     xmap = S.mult_map_matrix(x, 1)  # S_1 -> S_2
     out = []
     for row in prod:
@@ -155,8 +140,8 @@ def lift_complex(w: FreeComplexWindow, qmap: QuotientMap, check: bool = True) ->
     cancellation_ok = True
     for i in range(w.lo + 2, w.hi):
         # x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = 0, entrywise in degree 3
-        lhs = _mat_mul(corrections[i], lifted[i + 1], S)
-        rhs = _mat_mul(lifted[i - 1], corrections[i + 1], S)
+        lhs = matrix_product(corrections[i], lifted[i + 1], S)
+        rhs = matrix_product(lifted[i - 1], corrections[i + 1], S)
         for r in range(len(lhs)):
             for c in range(len(lhs[0])):
                 if not (x * (lhs[r][c] - rhs[r][c])).is_zero():

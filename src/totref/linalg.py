@@ -3,8 +3,9 @@
 Everything is computed by exact Gaussian elimination; there is no tolerance
 anywhere.  Subspaces are kept in reduced row-echelon form, so two equal
 subspaces have literally identical basis matrices.  Over GF(p) large
-eliminations are routed through numpy int64 arithmetic (products of two
-representatives stay below 2**63 for p < 2**31).
+eliminations are routed through numpy int64 arithmetic when p < 2**31, so
+that a product of two representatives stays below 2**63; larger primes run
+on Python integers.  ``np_modulus`` is the one place that decides.
 """
 
 from __future__ import annotations
@@ -14,6 +15,15 @@ import numpy as np
 from .fields import PrimeField
 
 _NP_CELL_THRESHOLD = 2000  # below this many cells pure Python wins on overhead
+_NP_PRIME_BOUND = 2**31
+
+
+def np_modulus(field):
+    """p when GF(p) arithmetic may run on int64 arrays, else None (the rationals
+    and primes whose products (p-1)**2 could overflow int64)."""
+    if isinstance(field, PrimeField) and field.p < _NP_PRIME_BOUND:
+        return field.p
+    return None
 
 
 def _rref_py(field, rows, ncols, reduce_full=True):
@@ -43,7 +53,7 @@ def _rref_py(field, rows, ncols, reduce_full=True):
         r += 1
         if r == nrows:
             break
-    return rows[:r] + rows[r:], pivots
+    return rows, pivots
 
 
 def _rref_np(p, arr, reduce_full=True):
@@ -75,8 +85,35 @@ def _rref_np(p, arr, reduce_full=True):
     return A, pivots
 
 
-def _use_np(field, nrows, ncols):
-    return isinstance(field, PrimeField) and nrows * ncols >= _NP_CELL_THRESHOLD
+def _echelon(field, rows, ncols, rank_only=False):
+    """RREF rows (zero rows dropped) and pivot columns of a list of rows.
+
+    With rank_only the rows are only cleared below each pivot and None is
+    returned in place of the rows.  Large GF(p) inputs take the numpy path.
+    """
+    if not rows or ncols == 0:
+        return [], []
+    p = np_modulus(field)
+    if p is not None and len(rows) * ncols >= _NP_CELL_THRESHOLD:
+        A, piv = _rref_np(p, np.array(rows, dtype=np.int64), not rank_only)
+        return (None if rank_only else A[: len(piv)].tolist()), piv
+    out, piv = _rref_py(field, rows, ncols, not rank_only)
+    return (None if rank_only else out[: len(piv)]), piv
+
+
+def reduce_by_echelon(field, rows, pivots, vec):
+    """Clear each pivot coordinate of vec with its echelon row, in order.
+
+    Returns (remainder, multipliers): vec = remainder + sum of multiplier * row.
+    """
+    v = list(vec)
+    coords = []
+    for row, pc in zip(rows, pivots):
+        c = v[pc]
+        coords.append(c)
+        if not field.is_zero(c):
+            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+    return v, coords
 
 
 class Matrix:
@@ -117,23 +154,6 @@ class Matrix:
             cols=self.rows,
         )
 
-    def mul(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        f = self.field
-        out = Matrix.zeros(f, self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            orow = out.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if f.is_zero(a):
-                    continue
-                brow = other.entries[k]
-                for j in range(other.cols):
-                    orow[j] = f.add(orow[j], f.mul(a, brow[j]))
-        return out
-
     def mul_vec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("shape mismatch")
@@ -144,23 +164,11 @@ class Matrix:
         ]
 
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        if _use_np(self.field, self.rows, self.cols):
-            _, piv = _rref_np(self.field.p, np.array(self.entries, dtype=np.int64), reduce_full=False)
-            return len(piv)
-        _, piv = _rref_py(self.field, self.entries, self.cols, reduce_full=False)
-        return len(piv)
+        return len(_echelon(self.field, self.entries, self.cols, rank_only=True)[1])
 
     def rref(self):
         """Returns (rref rows without zero rows, pivot column list)."""
-        if self.rows == 0 or self.cols == 0:
-            return [], []
-        if _use_np(self.field, self.rows, self.cols):
-            A, piv = _rref_np(self.field.p, np.array(self.entries, dtype=np.int64))
-            return [[int(x) for x in A[i]] for i in range(len(piv))], piv
-        rows, piv = _rref_py(self.field, self.entries, self.cols)
-        return rows[: len(piv)], piv
+        return _echelon(self.field, self.entries, self.cols)
 
     def kernel_basis(self) -> "Subspace":
         """Canonical basis of the right kernel {v : self @ v = 0}."""
@@ -221,16 +229,8 @@ def rref_trailing(field, rows, ncols):
     quotient by x1+...+x5 eliminates x5 and keeps x1..x4).
     Returns (rows, pivot columns), both in the original orientation.
     """
-    if not rows or ncols == 0:
-        return [], []
-    rev = [list(reversed(r)) for r in rows]
-    if _use_np(field, len(rows), ncols):
-        A, piv = _rref_np(field.p, np.array(rev, dtype=np.int64))
-        out = [[int(x) for x in reversed(A[i])] for i in range(len(piv))]
-    else:
-        rr, piv = _rref_py(field, rev, ncols)
-        out = [list(reversed(r)) for r in rr[: len(piv)]]
-    return out, [ncols - 1 - c for c in piv]
+    rr, piv = _echelon(field, [r[::-1] for r in rows], ncols)
+    return [r[::-1] for r in rr], [ncols - 1 - c for c in piv]
 
 
 class Subspace:
@@ -248,8 +248,8 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        rows, piv = Matrix(field, list(vectors), cols=ambient).rref() if vectors else ([], [])
-        return cls(field, ambient, rows[: len(piv)])
+        rows = Matrix(field, list(vectors), cols=ambient).rref()[0] if vectors else []
+        return cls(field, ambient, rows)
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
@@ -269,18 +269,15 @@ class Subspace:
     def contains(self, vec) -> bool:
         return self.reduce(vec) is not None
 
+    @property
+    def pivots(self):
+        f = self.field
+        return [next(j for j, x in enumerate(row) if not f.is_zero(x)) for row in self.basis]
+
     def reduce(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside."""
-        f = self.field
-        v = list(vec)
-        coords = []
-        pivots = [next(j for j, x in enumerate(row) if not f.is_zero(x)) for row in self.basis]
-        for row, pc in zip(self.basis, pivots):
-            c = v[pc]
-            coords.append(c)
-            if not f.is_zero(c):
-                v = [f.sub(a, f.mul(c, b)) for a, b in zip(v, row)]
-        if any(not f.is_zero(x) for x in v):
+        v, coords = reduce_by_echelon(self.field, self.basis, self.pivots, vec)
+        if any(not self.field.is_zero(x) for x in v):
             return None
         return coords
 
@@ -331,15 +328,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a.sum(b)
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    return a.intersection(b)
-
-
-def subspace_equal(a: Subspace, b: Subspace) -> bool:
-    return a == b

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -263,3 +265,71 @@ def test_lift_rejects_field_mismatch(capsys, c4_file, tmp_path):
     main(["build", c4_file, "--mode", "ezd", "--out", src])
     capsys.readouterr()
     assert main(["lift", src, "--prime", "97", "--out", str(tmp_path / "no.json")]) == 1
+
+
+def test_analyze_ten_vertex_large_prime(capsys, ten_vertex_file):
+    # (p-1)**2 >= 2**63: eliminations must leave the int64 path
+    code, rep = run_json(capsys, ["analyze", ten_vertex_file, "--prime", "4294967311"])
+    assert code == 0
+    assert rep["verdict"] == "admits (factory witness)"
+    assert rep["wlp"]["surjective_samples"] == 0
+
+
+@pytest.mark.parametrize("steps", ["0", "-1", "5"])
+def test_lift_rejects_steps_outside_chain(capsys, c4_file, tmp_path, steps):
+    src = str(tmp_path / "src.json")
+    out = tmp_path / "lifted.json"
+    main(["build", c4_file, "--mode", "ezd", "--out", src])
+    capsys.readouterr()
+    assert main(["lift", src, "--steps", steps, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["betti", "differentials", "lo"])
+def test_verify_missing_field(capsys, c4_file, tmp_path, field):
+    src = str(tmp_path / "src.json")
+    main(["build", c4_file, "--mode", "ezd", "--out", src])
+    capsys.readouterr()
+    obj = json.loads(open(src).read())
+    del obj[field]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    from totref import ComplexError, FreeComplexWindow
+
+    with pytest.raises(ComplexError):
+        FreeComplexWindow.from_json(obj)
+
+
+GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
+
+# SHA-256 of reports recorded before the duplicated matrix products,
+# traversals and row reductions were merged; refactors must keep every byte.
+ANALYZE_JSON_SHA256 = {
+    "four_cycle.json": "fd86ce8e8d8c8bc0148717885e318311b6a7566fa616a09f6d8957fb8a91a46a",
+    "path4.json": "707280178c0bba12af5c4ecd8954b97e881272af0e8e5aef8f1aa0d484b27a10",
+    "ten_vertex.json": "0b2a4d7dd9ea7bcc0c76c43d4f423a58e72ec6ced18145077dd991843d268baa",
+    "two_blocks_hub.json": "c78a69f1883d9e366f8d54336c20140025fff95e37d820409f1c700fc7f0c7e8",
+}
+# (complex JSON on stdout, report on stderr) of `factory --canonical --json`
+FACTORY_CANONICAL_SHA256 = (
+    "2cb2c655eb7f724dd651e50e9fa3f1b7d6a5190cb7c8efe141b26e2c8ae42653",
+    "561e924a07c050d8ef0250c3c17bbdeb8a7e2f0b1657bf6db7b2c15f452b3232",
+)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_output_bytes_unchanged(capsys):
+    assert sorted(p.name for p in GRAPHS.glob("*.json")) == sorted(ANALYZE_JSON_SHA256)
+    for name, digest in ANALYZE_JSON_SHA256.items():
+        assert main(["analyze", str(GRAPHS / name), "--json"]) == 0
+        assert _sha256(capsys.readouterr().out) == digest, name
+    assert main(["factory", "--canonical", "--json"]) == 0
+    out = capsys.readouterr()
+    assert (_sha256(out.out), _sha256(out.err)) == FACTORY_CANONICAL_SHA256

@@ -7,13 +7,10 @@ from totref import (
     ComplexError,
     FreeComplexWindow,
     algebra_from_relations,
-    compose_check,
-    dual,
     ezd_complex,
     find_ezd,
     fitting_support,
     full_certification,
-    graded_exactness,
     indecomposability_certificate,
 )
 from totref.analysis import EzdPair
@@ -54,9 +51,9 @@ def test_ezd_complex_rejects_uncertified(c4_reduction, xy_pair):
 def test_compose_check_negative_control(c4_reduction, xy_pair):
     x, y = xy_pair
     good = window_from_entries(c4_reduction, [x, x, x, x])
-    assert compose_check(good)
+    assert good.compose_check()
     perturbed = window_from_entries(c4_reduction, [x, x, y, x])
-    assert not compose_check(perturbed)
+    assert not perturbed.compose_check()
 
 
 def test_exactness_negative_control_non_ezd_pair(gf):
@@ -66,8 +63,8 @@ def test_exactness_negative_control_non_ezd_pair(gf):
     )
     x = R.generator("x")
     w = window_from_entries(R, [x, x, x, x])
-    assert compose_check(w)
-    rep = graded_exactness(w)
+    assert w.compose_check()
+    rep = w.graded_exactness()
     assert not rep.exact
     assert rep.failures()
 
@@ -83,9 +80,9 @@ def test_graded_exactness_matches_naive_oracle(c4_reduction, gf):
             k = rng.randrange(3, 5)
             entries = [ring.random_linear(rng) for _ in range(k)]
             w = window_from_entries(ring, entries)
-            if not compose_check(w):
+            if not w.compose_check():
                 continue
-            rep = graded_exactness(w)
+            rep = w.graded_exactness()
             oracle = naive_exactness(w)
             got = {(r.index, r.degree): r.exact for r in rep.records}
             for key, expected in oracle.items():
@@ -97,7 +94,7 @@ def test_graded_exactness_matches_naive_oracle(c4_reduction, gf):
     d_even = [[a, z], [z, a]]
     d_odd = [[b, z], [z, b]]
     w = FreeComplexWindow(R, -2, 2, [2] * 5, [d_even, d_odd, d_even, d_odd], base_twist=-2)
-    rep = graded_exactness(w)
+    rep = w.graded_exactness()
     oracle = naive_exactness(w)
     assert rep.exact and all(oracle.values())
 
@@ -116,11 +113,11 @@ def test_dual_involution_and_symmetry(c4_reduction, xy_pair):
     x, y = xy_pair
     pair = EzdPair(x + y, x - y, True)
     w = ezd_complex(c4_reduction, pair, half_length=3)
-    dd = dual(dual(w))
+    dd = w.dual().dual()
     assert dd.to_json() == w.to_json()
     # dual of the (a, b) complex is the (b, a) complex up to reindexing:
     # the multiset of 1x1 differential entries swaps roles
-    dw = dual(w)
+    dw = w.dual()
     assert full_certification(dw).certified
     orig = [w.diff(i)[0][0] for i in range(w.lo + 1, w.hi + 1)]
     dualed = [dw.diff(j)[0][0] for j in range(dw.lo + 1, dw.hi + 1)]
@@ -130,12 +127,10 @@ def test_dual_involution_and_symmetry(c4_reduction, xy_pair):
 def test_cokernel_presentation_and_boundary(c4_reduction, xy_pair):
     x, _ = xy_pair
     w = window_from_entries(c4_reduction, [x, x, x])
-    from totref import cokernel_presentation
-
-    mat = cokernel_presentation(w, w.lo + 1)
+    mat = w.diff(w.lo + 1)  # d_i is the presentation matrix of its cokernel
     assert mat[0][0] == x
     with pytest.raises(ComplexError):
-        cokernel_presentation(w, w.lo)  # boundary index has no differential
+        w.diff(w.lo)  # boundary index has no differential
 
 
 def test_fitting_support_examples(c4_reduction, xy_pair):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totref import Matrix, PrimeField, RationalField, Subspace
-from totref.linalg import _rref_np, _rref_py, subspace_equal, subspace_intersection, subspace_sum
+from totref.linalg import _rref_np, _rref_py, np_modulus
 
 import numpy as np
 
@@ -95,11 +95,11 @@ def test_large_matrix_uses_fast_path():
 def test_subspace_same_and_complementary():
     a = Subspace.from_vectors(GF, 4, [[1, 0, 0, 0], [0, 1, 0, 0]])
     b = Subspace.from_vectors(GF, 4, [[0, 1, 0, 0], [1, 0, 0, 0]])
-    assert subspace_equal(a, b)
-    assert subspace_intersection(a, b) == a
+    assert a == b
+    assert a.intersection(b) == a
     c = Subspace.from_vectors(GF, 4, [[0, 0, 1, 0], [0, 0, 0, 1]])
-    assert subspace_intersection(a, c).dim == 0
-    assert subspace_sum(a, c).dim == 4
+    assert a.intersection(c).dim == 0
+    assert a.sum(c).dim == 4
 
 
 def test_subspace_equality_same_space_different_spanning_sets():
@@ -171,3 +171,56 @@ def test_rational_exactness():
     assert k.dim == 1
     v = list(k.basis[0])
     assert all(x == 0 for x in m.mul_vec(v))
+
+
+LARGE_PRIME = 4294967311  # above 2**32: (p-1)**2 overflows int64
+
+
+def _sympy_rref(p, entries, cols):
+    """Reference RREF mod p from sympy's DomainMatrix."""
+    from sympy import GF as SympyGF
+    from sympy.polys.matrices import DomainMatrix
+
+    K = SympyGF(p)
+    dm = DomainMatrix([[K(x) for x in row] for row in entries], (len(entries), cols), K)
+    ref, piv = dm.rref()
+    return [[K.to_int(x) % p for x in row] for row in ref.to_list()[: len(piv)]], list(piv)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([7, GF.p, LARGE_PRIME]), st.data())
+def test_rref_backends_match_sympy(p, data):
+    rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+    rank = data.draw(st.integers(0, min(rows, cols)))
+    elt = st.integers(0, p - 1)
+    left = [data.draw(st.lists(elt, min_size=rank, max_size=rank)) for _ in range(rows)]
+    right = [data.draw(st.lists(elt, min_size=cols, max_size=cols)) for _ in range(rank)]
+    entries = [
+        [sum(a * right[k][c] for k, a in enumerate(row)) % p for c in range(cols)] for row in left
+    ]
+    field = PrimeField(p)
+    expected = _sympy_rref(p, entries, cols)
+    py_rows, py_piv = _rref_py(field, entries, cols)
+    assert (py_rows[: len(py_piv)], py_piv) == expected
+    assert Matrix(field, entries).rref() == expected
+    if np_modulus(field) is None:
+        assert p >= 2**31
+    else:
+        A, np_piv = _rref_np(p, np.array(entries, dtype=np.int64))
+        assert (A[: len(np_piv)].tolist(), np_piv) == expected
+
+
+def test_large_prime_avoids_int64_path():
+    # above the cell threshold, where GF(p) with p < 2**31 would take numpy
+    field = PrimeField(LARGE_PRIME)
+    rng = Random(19)
+    left = rand_matrix(field, rng, 50, 40).entries
+    right = rand_matrix(field, rng, 40, 50).entries
+    entries = [
+        [sum(a * right[k][c] for k, a in enumerate(row)) % field.p for c in range(50)]
+        for row in left
+    ]
+    assert np_modulus(field) is None and np_modulus(GF) == GF.p
+    m = Matrix(field, entries)
+    assert m.rank() == 40
+    assert m.rref() == _sympy_rref(field.p, entries, 50)
