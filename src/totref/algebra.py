@@ -484,9 +484,9 @@ class QuotientMap:
         self._red = [([], [], [0])]
         labels = [["1"]]
         for d in range(1, D + 1):
-            rows = []
-            for i in range(source.dims[d - 1]):
-                rows.append(list(source.multiply(form, source.basis_element(d - 1, i)).coords))
+            # row i is l * (basis_i of degree d-1): a column of the mult map
+            mult = source.mult_map_rows(form.coords, 1, d - 1)
+            rows = [list(col) for col in zip(*mult)]
             self._red.append(_complement(field, rows, source.dims[d]))
             labels.append([source.basis[d][c] for c in self._red[d][2]])
         self._keep = [keep for _, _, keep in self._red]

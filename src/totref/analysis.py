@@ -10,14 +10,15 @@ which is computed independently as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from random import Random
 from typing import Optional
+
+import numpy as np
 
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
 from .complexes import fitting_support
 from .graphs import Graph
-from .linalg import Matrix, Subspace, reduce_by_echelon
+from .linalg import Matrix, Subspace, np_modulus, rank_reaches, reduce_by_echelon
 
 
 def _require_artinian(R: GradedAlgebra):
@@ -85,56 +86,61 @@ def m_squared_subspace(R: GradedAlgebra) -> Subspace:
 def quadratic_presentation(R: GradedAlgebra) -> bool:
     """Do quadrics generate the degree-3 relations of the presentation on R_1?
 
-    Relations in degree d are the kernel of Sym^d(R_1) -> R_d; the check is
-    span{x_t * (degree-2 kernel)} == degree-3 kernel.
+    Let K_2 be the kernel of Sym^2(R_1) -> R_2 and A = Sym(R_1)/(K_2).  The
+    quadrics generate the cubic relations iff dim A_3 equals r_3, the rank of
+    Sym^3(R_1) -> R_3 (taken as 0 when R_3 is zero or beyond the cutoff).
+    With m = dim R_1 and A_2 the image of Sym^2(R_1) in R_2, of dimension r_2,
+
+        A_3 = (R_1 (x) A_2) / span{x_i (x) x_j x_k - x_j (x) x_i x_k : i < j, all k},
+
+    so dim A_3 = m * r_2 - rank(Rel), with Rel spanned by those rows inside
+    R_1 (x) R_2: m * dim R_2 columns instead of C(m+2, 3).  A_3 maps onto the
+    image of Sym^3 in R_3, so rank(Rel) <= m * r_2 - r_3, with equality
+    exactly when the presentation is quadratic.  The rows are streamed one
+    block per i into a single echelon form, which stops as soon as the rank
+    reaches that bound.
     """
     f = R.field
     m = R.dims[1]
     if m == 0:
         return True
-    sym2 = list(combinations_with_replacement(range(m), 2))
-    sym3 = list(combinations_with_replacement(range(m), 3))
-    s2i = {mm: k for k, mm in enumerate(sym2)}
-    s3i = {mm: k for k, mm in enumerate(sym3)}
-
-    tab11 = R.table(1, 1)
-    rows2 = [[f.zero] * len(sym2) for _ in range(R.dims[2])]
-    for k, (i, j) in enumerate(sym2):
-        for t, c in enumerate(tab11[i][j]):
-            rows2[t][k] = c
-    k2 = Matrix(f, rows2, cols=len(sym2)).kernel_basis()
-
+    tab = R.table(1, 1)
+    image2 = Subspace.from_vectors(f, R.dims[2], [tab[i][j] for i in range(m) for j in range(i, m)])
+    r3 = 0
     if R.cutoff >= 3 and R.dims[3] > 0:
-        rows3 = [[f.zero] * len(sym3) for _ in range(R.dims[3])]
-        tab12 = R.table(1, 2)
-        for k, (i, j, l) in enumerate(sym3):
-            prod2 = tab11[j][l]
-            acc = [f.zero] * R.dims[3]
-            for t, c in enumerate(prod2):
-                if f.is_zero(c):
-                    continue
-                vec = tab12[i][t]
-                for s, v in enumerate(vec):
-                    if not f.is_zero(v):
-                        acc[s] = f.add(acc[s], f.mul(c, v))
-            for s in range(R.dims[3]):
-                rows3[s][k] = acc[s]
-        k3 = Matrix(f, rows3, cols=len(sym3)).kernel_basis()
-    else:
-        k3 = Subspace.full(f, len(sym3))
+        # the image of Sym^3 is spanned by the products x_i * b, b in A_2
+        maps = [R.mult_map_rows(b, 2, 1) for b in image2.basis]
+        r3 = Matrix(f, [[c for M in maps for c in M[s]] for s in range(R.dims[3])]).rank()
+    target = m * image2.dim - r3
+    return rank_reaches(f, _relation_blocks(R), m * R.dims[2], target)
 
-    generated = []
-    for q in k2.basis:
-        for t in range(m):
-            v = [f.zero] * len(sym3)
-            for k, (i, j) in enumerate(sym2):
-                c = q[k]
-                if f.is_zero(c):
-                    continue
-                key = tuple(sorted((t, i, j)))
-                v[s3i[key]] = f.add(v[s3i[key]], c)
-            generated.append(v)
-    return Subspace.from_vectors(f, len(sym3), generated) == k3
+
+def _relation_blocks(R: GradedAlgebra):
+    """For each i, the rows x_i (x) x_j x_k - x_j (x) x_i x_k (j > i, all k) in
+    R_1 (x) R_2 coordinates: an int64 array where ``np_modulus`` admits the
+    field, else a list of rows."""
+    f = R.field
+    m, d2 = R.dims[1], R.dims[2]
+    p = np_modulus(f)
+    if p is not None:
+        T = R.np_table(1, 1)[0]  # T[j, k] = x_j * x_k in R_2
+        for i in range(m - 1):
+            J = m - 1 - i
+            block = np.zeros((J, m, m, d2), dtype=np.int64)
+            block[:, :, i, :] = T[i + 1 :]
+            block[np.arange(J), :, np.arange(i + 1, m), :] = (-T[i]) % p
+            yield block.reshape(J * m, m * d2)
+        return
+    tab = R.table(1, 1)
+    for i in range(m - 1):
+        rows = []
+        for j in range(i + 1, m):
+            for k in range(m):
+                row = [f.zero] * (m * d2)
+                row[i * d2 : (i + 1) * d2] = tab[j][k]
+                row[j * d2 : (j + 1) * d2] = [f.neg(c) for c in tab[i][k]]
+                rows.append(row)
+        yield rows
 
 
 @dataclass

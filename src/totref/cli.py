@@ -11,6 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 from random import Random
+from typing import Optional
 
 from .algebra import AlgebraError, GradedAlgebra, reduction_chain
 from .analysis import (
@@ -37,7 +38,7 @@ from .lifting import LiftError, lift_through_sequence
 @dataclass
 class RunConfig:
     field: object
-    degree_bound: int
+    degree_bound: Optional[int]  # None: no bound was given
     seed: int
     retries: int
     forward: int
@@ -50,7 +51,7 @@ class RunConfig:
             field = RationalField()
         else:
             field = PrimeField(args.prime)
-        if args.degree_bound < 2:
+        if args.degree_bound is not None and args.degree_bound < 2:
             raise ValueError("--degree-bound must be at least 2")
         return cls(
             field=field,
@@ -197,7 +198,7 @@ def cmd_analyze(args) -> int:
     if special is not None:
         try:
             start = random_blocks(special, rng, max_retries=config.retries)
-            _, frep = build_window(special, start, forward=2, backward=2)
+            _, frep = build_window(special, start, config.forward, config.backward)
             factory_ok = frep.certified
             report["factory"] = {
                 "attempted": True,
@@ -374,12 +375,31 @@ def cmd_verify(args) -> int:
         }
         emit_report(report, config)
         return 0
-    cert = full_certification(window)
+    cert = full_certification(window, config.degree_bound)
     report = cert.to_json()
     if window.periodic is not None:
         report["periodic_verified"] = window.periodic.verified
     emit_report(report, config)
     return 0
+
+
+def _common_options() -> argparse.ArgumentParser:
+    """The options every subcommand shares, in a fresh parent parser: argparse
+    shares a parent's option objects with each parser built from it, so one
+    parent per subcommand keeps a set_defaults from leaking into the others."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--prime", type=int, default=PrimeField().p, help="prime for GF(p) mode")
+    common.add_argument("--rational", action="store_true", help="use exact rationals instead of GF(p)")
+    common.add_argument(
+        "--degree-bound", type=int, default=None,
+        help="internal degree bound for exactness checks (lift: also the cutoff, default 5)",
+    )
+    common.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
+    common.add_argument("--retries", type=int, default=64, help="resampling / search budget")
+    common.add_argument("--forward", type=int, default=4, help="window extension steps forward")
+    common.add_argument("--backward", type=int, default=4, help="window extension steps backward")
+    common.add_argument("--json", action="store_true", help="emit reports as JSON")
+    return common
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,23 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certification of totally reflexive module witnesses "
         "over Artinian reductions of graph rings.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=PrimeField().p, help="prime for GF(p) mode")
-    common.add_argument("--rational", action="store_true", help="use exact rationals instead of GF(p)")
-    common.add_argument("--degree-bound", type=int, default=5, help="internal degree bound for exactness checks")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
-    common.add_argument("--retries", type=int, default=64, help="resampling / search budget")
-    common.add_argument("--forward", type=int, default=4, help="window extension steps forward")
-    common.add_argument("--backward", type=int, default=4, help="window extension steps backward")
-    common.add_argument("--json", action="store_true", help="emit reports as JSON")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[common], help="full condition report for a graph")
+    p = sub.add_parser("analyze", parents=[_common_options()], help="full condition report for a graph")
     p.add_argument("graph", help="graph JSON file")
-    p.set_defaults(func=cmd_analyze)
+    p.set_defaults(func=cmd_analyze, forward=2, backward=2)
 
-    p = sub.add_parser("build", parents=[common], help="build a certified window")
+    p = sub.add_parser("build", parents=[_common_options()], help="build a certified window")
     p.add_argument("graph", nargs="?", help="graph JSON file")
     p.add_argument("--section4", action="store_true", help="use the built-in ten-vertex graph")
     p.add_argument("--mode", choices=("ezd", "factory"), default="ezd")
@@ -412,18 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output path for the complex JSON")
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("factory", parents=[common], help="window over the built-in special ring")
+    p = sub.add_parser("factory", parents=[_common_options()], help="window over the built-in special ring")
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--out", help="output path for the complex JSON")
     p.set_defaults(func=cmd_factory)
 
-    p = sub.add_parser("lift", parents=[common], help="lift a window up its reduction chain")
+    p = sub.add_parser("lift", parents=[_common_options()], help="lift a window up its reduction chain")
     p.add_argument("complex", help="complex JSON file (with chain descriptor)")
     p.add_argument("--steps", type=int, default=2, help="how many chain steps to lift: 1 or 2")
     p.add_argument("--out", help="output path for the lifted complex JSON")
-    p.set_defaults(func=cmd_lift)
+    p.set_defaults(func=cmd_lift, degree_bound=5)
 
-    p = sub.add_parser("verify", parents=[common], help="re-verify a complex file")
+    p = sub.add_parser("verify", parents=[_common_options()], help="re-verify a complex file")
     p.add_argument("complex", help="complex JSON file")
     p.set_defaults(func=cmd_verify)
 

@@ -7,6 +7,7 @@ object (bases, orderings, reports) is deterministic.
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass, field
 from typing import Optional
@@ -229,9 +230,17 @@ def is_valid_build_order(g: Graph, order) -> bool:
 def build_order(g: Graph):
     """An ordering where each vertex past the second sees >= 2 earlier ones.
 
-    Backtracking over all start pairs, extending with the lexicographically
-    first admissible vertex at each step.  Returns None when no ordering
-    exists (e.g. for trees, where the last leaf has a single back edge).
+    Start pairs are tried in declared order.  Placing a vertex never lowers
+    another vertex's count of placed neighbours, so a vertex that becomes
+    admissible stays admissible, and appending any admissible vertex keeps
+    every vertex that could still be placed placeable.  Hence from a start
+    pair, repeatedly appending the first admissible vertex in declared order
+    either places every vertex, giving the first ordering a backtracking
+    search would find, or gets stuck, and then no ordering starts with that
+    pair (in either order: the tail depends only on the placed set).  Costs
+    O((n + e) log n) per start pair, with no recursion.  Returns None when no
+    ordering exists (e.g. for trees, where the last leaf has a single back
+    edge).
     """
     if not g.is_connected():
         raise GraphError("graph must be connected")
@@ -239,32 +248,23 @@ def build_order(g: Graph):
     if n <= 2:
         return tuple(g.vertices)
     verts = g.vertices
-
-    def extend(order, placed):
-        if len(order) == n:
-            return order
-        for v in verts:
-            if v in placed:
-                continue
-            back = sum(1 for w in g.neighbors(v) if w in placed)
-            if back >= 2:
+    for a in range(n):
+        for b in range(a + 1, n):
+            back = dict.fromkeys(verts, 0)
+            back[verts[a]] = back[verts[b]] = 2  # the start pair goes first
+            ready = [a, b]  # heap of declared indices of admissible, unplaced vertices
+            order, placed = [], set()
+            while ready:
+                v = verts[heapq.heappop(ready)]
                 placed.add(v)
                 order.append(v)
-                got = extend(order, placed)
-                if got is not None:
-                    return got
-                order.pop()
-                placed.remove(v)
-        return None
-
-    for i, v1 in enumerate(verts):
-        for v2 in verts[i + 1 :]:
-            got = extend([v1, v2], {v1, v2})
-            if got is not None:
-                return tuple(got)
-            got = extend([v2, v1], {v1, v2})
-            if got is not None:
-                return tuple(got)
+                for w in g.neighbors(v):
+                    if w not in placed:
+                        back[w] += 1
+                        if back[w] == 2:
+                            heapq.heappush(ready, g._index[w])
+            if len(order) == n:
+                return tuple(order)
     return None
 
 

@@ -101,6 +101,39 @@ def _echelon(field, rows, ncols, rank_only=False):
     return (None if rank_only else out[: len(piv)]), piv
 
 
+def rank_reaches(field, blocks, ncols, target):
+    """Whether the rows of the blocks span a space of dimension >= target.
+
+    Blocks are int64 arrays with entries in [0, p) when ``np_modulus`` admits
+    the field, lists of rows otherwise; they are consumed and modified.  Each
+    block is reduced against the echelon rows kept so far, then put in
+    row-echelon form (cleared below the pivots only) and its nonzero rows are
+    kept: every kept row vanishes at the pivots of the rows kept before it,
+    so clearing pivots in the order kept is a complete reduction.  The stream
+    stops at the first block after which the rank reaches target.
+    """
+    if target <= 0:
+        return True
+    p = np_modulus(field)
+    echelon, pivots = [], []
+    for block in blocks:
+        if p is not None:
+            for row, c in zip(echelon, pivots):
+                sel = np.nonzero(block[:, c])[0]
+                if sel.size:
+                    block[sel] = (block[sel] - np.outer(block[sel, c], row)) % p
+            A, piv = _rref_np(p, block, reduce_full=False)
+            echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
+        else:
+            block = [reduce_by_echelon(field, echelon, pivots, v)[0] for v in block]
+            rows, piv = _rref_py(field, block, ncols, reduce_full=False)
+            echelon.extend(rows[: len(piv)])
+        pivots.extend(piv)
+        if len(pivots) >= target:
+            return True
+    return False
+
+
 def reduce_by_echelon(field, rows, pivots, vec):
     """Clear each pivot coordinate of vec with its echelon row, in order.
 

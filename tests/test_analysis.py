@@ -1,12 +1,17 @@
-from itertools import product
+import time
+from itertools import combinations_with_replacement, product
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totref import (
     AlgebraElement,
     Graph,
     PrimeField,
+    Matrix,
+    RationalField,
+    Subspace,
     algebra_from_relations,
     artinian_reduction,
     find_ezd,
@@ -14,6 +19,7 @@ from totref import (
     kernel_system,
     reduction_chain,
     socle,
+    stanley_reisner,
     verify_ezd,
     wlp_check,
     wlp_generic,
@@ -100,6 +106,140 @@ def test_quadratic_presentation_triangle(gf):
     assert not quadratic_presentation(R)
     rep = necessary_ring_conditions(R)
     assert rep.verdict == "no-non-free-TR"
+
+
+def sym3_quadratic_presentation(R):
+    """Oracle: span{x_t * (degree-2 kernel)} == degree-3 kernel, both taken
+    as explicit subspaces of Sym^3(R_1) (C(m+2, 3) columns)."""
+    f = R.field
+    m = R.dims[1]
+    if m == 0:
+        return True
+    sym2 = list(combinations_with_replacement(range(m), 2))
+    sym3 = list(combinations_with_replacement(range(m), 3))
+    s3i = {mm: k for k, mm in enumerate(sym3)}
+
+    tab11 = R.table(1, 1)
+    rows2 = [[f.zero] * len(sym2) for _ in range(R.dims[2])]
+    for k, (i, j) in enumerate(sym2):
+        for t, c in enumerate(tab11[i][j]):
+            rows2[t][k] = c
+    k2 = Matrix(f, rows2, cols=len(sym2)).kernel_basis()
+
+    if R.cutoff >= 3 and R.dims[3] > 0:
+        rows3 = [[f.zero] * len(sym3) for _ in range(R.dims[3])]
+        tab12 = R.table(1, 2)
+        for k, (i, j, l) in enumerate(sym3):
+            acc = [f.zero] * R.dims[3]
+            for t, c in enumerate(tab11[j][l]):
+                if f.is_zero(c):
+                    continue
+                for s, v in enumerate(tab12[i][t]):
+                    if not f.is_zero(v):
+                        acc[s] = f.add(acc[s], f.mul(c, v))
+            for s in range(R.dims[3]):
+                rows3[s][k] = acc[s]
+        k3 = Matrix(f, rows3, cols=len(sym3)).kernel_basis()
+    else:
+        k3 = Subspace.full(f, len(sym3))
+
+    generated = []
+    for q in k2.basis:
+        for t in range(m):
+            v = [f.zero] * len(sym3)
+            for k, (i, j) in enumerate(sym2):
+                c = q[k]
+                if f.is_zero(c):
+                    continue
+                key = tuple(sorted((t, i, j)))
+                v[s3i[key]] = f.add(v[s3i[key]], c)
+            generated.append(v)
+    return Subspace.from_vectors(f, len(sym3), generated) == k3
+
+
+FIELDS = [PrimeField(7), PrimeField(), PrimeField(4294967311), RationalField()]
+
+
+def test_quadratic_presentation_matches_sym3_oracle_on_fixtures(c4, example_ring, ten_vertex_reduction):
+    x2y3 = [{(2, 0): 1}, {(0, 3): 1}]
+    x2y2z2xyz = [{(2, 0, 0): 1}, {(0, 2, 0): 1}, {(0, 0, 2): 1}, {(1, 1, 1): 1}]
+    tri = Graph(["a", "b", "c"], [("a", "b"), ("b", "c"), ("a", "c")])
+    cases = [(example_ring, False), (ten_vertex_reduction, True)]
+    for f in FIELDS:
+        cases += [
+            (algebra_from_relations(["x", "y"], x2y3, 3, field=f), False),
+            (algebra_from_relations(["x", "y", "z"], x2y2z2xyz, 3, field=f), False),
+            # X^3 is not a multiple of the two quadrics
+            (algebra_from_relations(["X", "Y"], EXAMPLE_RING_RELATIONS, 3, field=f), False),
+            (artinian_reduction(c4, field=f), True),
+            (artinian_reduction(tri, mode="generic", seed=3, field=f), False),
+        ]
+    for R, expected in cases:
+        assert quadratic_presentation(R) == sym3_quadratic_presentation(R) == expected
+
+
+def test_quadratic_presentation_matches_sym3_oracle_on_graph_rings():
+    # Artinian reductions (R_3 = 0) and raw Stanley-Reisner rings (R_3 != 0,
+    # so the rank of Sym^3 -> R_3 is exercised), over every field path
+    rng = Random(52)
+    for f in FIELDS:
+        for _ in range(3):
+            edges = None if rng.random() < 0.5 else rng.randrange(4, 9)
+            g = random_bipartite_connected(rng, 4, 7, edge_count=edges)
+            for cutoff in (3, 4):
+                rings = [
+                    artinian_reduction(g, mode="canonical", cutoff=cutoff, field=f),
+                    artinian_reduction(g, mode="generic", seed=rng.randrange(100), cutoff=cutoff, field=f),
+                    stanley_reisner(g, cutoff, field=f),
+                ]
+                for R in rings:
+                    assert quadratic_presentation(R) == sym3_quadratic_presentation(R)
+
+
+def _random_form(rng, nvars, degree, terms):
+    """A homogeneous {exponent tuple: coefficient} form with small coefficients."""
+    mons = list(product(range(degree + 1), repeat=nvars))
+    mons = [e for e in mons if sum(e) == degree]
+    return {e: rng.choice([-3, -2, -1, 1, 2, 3]) for e in rng.sample(mons, min(terms, len(mons)))}
+
+
+def _random_relation_ring(rng, field):
+    nvars = rng.randrange(2, 5)
+    rels = [_random_form(rng, nvars, 2, rng.randrange(1, 4)) for _ in range(rng.randrange(0, 2 * nvars))]
+    rels += [_random_form(rng, nvars, 3, rng.randrange(1, 3)) for _ in range(rng.randrange(0, 3))]
+    names = ["x", "y", "z", "w"][:nvars]
+    return algebra_from_relations(names, rels, rng.choice([3, 4]), field=field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 2**32))
+def test_quadratic_presentation_matches_sym3_oracle_hypothesis(field, seed):
+    R = _random_relation_ring(Random(seed), field)
+    assert quadratic_presentation(R) == sym3_quadratic_presentation(R)
+
+
+def test_quadratic_presentation_sweep_sees_both_verdicts():
+    # graph rings are all quadratic, so the sweep must also reach the other verdict
+    rng = Random(2024)
+    verdicts = []
+    for k in range(80):
+        R = _random_relation_ring(rng, FIELDS[k % len(FIELDS)])
+        got = quadratic_presentation(R)
+        assert got == sym3_quadratic_presentation(R)
+        verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_quadratic_presentation_k2_40_is_fast(gf):
+    # the Sym^3 check needs C(42, 3) = 11480 columns here and ran out of memory
+    g = Graph(
+        ["u1", "u2"] + [f"w{j}" for j in range(1, 41)],
+        [(u, f"w{j}") for u in ("u1", "u2") for j in range(1, 41)],
+    )
+    R = artinian_reduction(g, field=gf)
+    start = time.perf_counter()
+    assert quadratic_presentation(R)
+    assert time.perf_counter() - start < 10
 
 
 def test_wlp_example_ring(example_ring, gf):

@@ -333,3 +333,48 @@ def test_output_bytes_unchanged(capsys):
     assert main(["factory", "--canonical", "--json"]) == 0
     out = capsys.readouterr()
     assert (_sha256(out.out), _sha256(out.err)) == FACTORY_CANONICAL_SHA256
+
+# `verify --json` on the `build --mode ezd` window of graphs/four_cycle.json,
+# as printed before `--degree-bound` reached verify
+VERIFY_FOUR_CYCLE_SHA256 = "74f6b1c2afecccff8ce37132bb43d70bb581711e4f10c20d1db29337cc1ea218"
+
+
+def test_verify_degree_bound(capsys, tmp_path):
+    w = str(tmp_path / "w.json")
+    assert main(["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd", "--out", w]) == 0
+    capsys.readouterr()
+    assert main(["verify", w, "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY_FOUR_CYCLE_SHA256
+    code, rep = run_json(capsys, ["verify", w, "--degree-bound", "2"])
+    assert code == 0
+    for key in ("exactness", "dual_exactness"):
+        assert not rep[key]["complete"]
+        assert rep[key]["certified_degree_bound"] <= 2
+
+
+def test_analyze_passes_forward_backward(capsys, monkeypatch, ten_vertex_file):
+    import totref.cli as cli
+
+    calls = []
+    real = cli.build_window
+
+    def spy(special, start, forward, backward):
+        calls.append((forward, backward))
+        return real(special, start, forward, backward)
+
+    monkeypatch.setattr(cli, "build_window", spy)
+    assert run_json(capsys, ["analyze", ten_vertex_file])[1]["factory"]["certified"]
+    assert run_json(capsys, ["analyze", ten_vertex_file, "--forward", "1", "--backward", "3"])[0] == 0
+    assert calls == [(2, 2), (1, 3)]
+
+
+def test_subcommand_defaults_stay_separate():
+    # analyze's and lift's own defaults must not leak into the other subcommands
+    from totref.cli import build_parser
+
+    parser = build_parser()
+    ns = {c: parser.parse_args([c, "x.json"]) for c in ("analyze", "build", "lift", "verify")}
+    assert (ns["analyze"].forward, ns["analyze"].backward) == (2, 2)
+    assert (ns["build"].forward, ns["build"].backward) == (4, 4)
+    assert ns["lift"].degree_bound == 5
+    assert ns["verify"].degree_bound is None and ns["build"].degree_bound is None

@@ -1,4 +1,5 @@
 import json
+import time
 from random import Random
 
 import pytest
@@ -142,6 +143,93 @@ def test_build_order_closure_on_random_graphs():
         order = build_order(g)
         if order is not None:
             assert is_valid_build_order(g, order)
+
+
+def backtracking_build_order(g):
+    """Oracle: backtracking over all start pairs, extending with the first
+    admissible vertex in declared order at each step (factorial worst case)."""
+    n = g.n
+    if n <= 2:
+        return tuple(g.vertices)
+    verts = g.vertices
+
+    def extend(order, placed):
+        if len(order) == n:
+            return order
+        for v in verts:
+            if v in placed:
+                continue
+            back = sum(1 for w in g.neighbors(v) if w in placed)
+            if back >= 2:
+                placed.add(v)
+                order.append(v)
+                got = extend(order, placed)
+                if got is not None:
+                    return got
+                order.pop()
+                placed.remove(v)
+        return None
+
+    for i, v1 in enumerate(verts):
+        for v2 in verts[i + 1 :]:
+            got = extend([v1, v2], {v1, v2})
+            if got is not None:
+                return tuple(got)
+            got = extend([v2, v1], {v1, v2})
+            if got is not None:
+                return tuple(got)
+    return None
+
+
+def _random_connected_graph(rng, n):
+    """A random connected graph on n shuffled vertices: a random tree plus
+    extra edges, so leaves, triangles and dense parts all occur."""
+    verts = [f"v{i}" for i in range(n)]
+    rng.shuffle(verts)
+    edges = {frozenset((verts[i], verts[rng.randrange(i)])) for i in range(1, n)}
+    pairs = [frozenset((a, b)) for i, a in enumerate(verts) for b in verts[i + 1 :]]
+    edges |= set(rng.sample(pairs, rng.randrange(0, len(pairs) // 2 + 1)))
+    edges = [tuple(sorted(e)) for e in edges]
+    rng.shuffle(edges)
+    return Graph(verts, edges)
+
+
+def test_build_order_matches_backtracking_oracle():
+    rng = Random(77)
+    graphs = [random_bipartite_connected(rng, 4, 9) for _ in range(30)]
+    graphs += [_random_connected_graph(rng, rng.randrange(1, 10)) for _ in range(60)]
+    found = 0
+    for g in graphs:
+        order = build_order(g)
+        assert order == backtracking_build_order(g)
+        if order is not None:
+            found += 1
+            assert is_valid_build_order(g, order)
+    assert 0 < found < len(graphs)
+
+
+def _k2m(m, leaf=False):
+    verts = ["u1", "u2"] + [f"w{j}" for j in range(1, m + 1)]
+    edges = [(u, f"w{j}") for u in ("u1", "u2") for j in range(1, m + 1)]
+    if leaf:
+        verts.append("leaf")
+        edges.append(("w1", "leaf"))
+    return Graph(verts, edges)
+
+
+def test_build_order_k2m_with_leaf_is_fast():
+    # no ordering exists; backtracking took about a second at m = 8, x8 per vertex
+    g = _k2m(28, leaf=True)
+    start = time.perf_counter()
+    assert build_order(g) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_build_order_has_no_recursion_limit():
+    # a recursive search needs one frame per placed vertex: RecursionError here
+    g = _k2m(1100)
+    order = build_order(g)
+    assert order is not None and is_valid_build_order(g, order)
 
 
 def test_disconnecting_pair_ten_vertex_first_in_lex_order(ten_vertex_g):
