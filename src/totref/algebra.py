@@ -21,7 +21,7 @@ import numpy as np
 
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph
-from .linalg import Matrix, np_modulus, reduce_by_echelon, rref_trailing
+from .linalg import Matrix, mod_matmul, np_modulus, reduce_by_echelon, rref_trailing
 
 
 class AlgebraError(ValueError):
@@ -179,14 +179,11 @@ class GradedAlgebra:
         return self._tables[key]
 
     def np_table(self, d1, d2):
-        """The int64 tensor T[i, j, k], the coefficient of basis_k in e_i * e_j,
-        and the largest count of nonzero T[i, j, k] over i at a fixed (j, k):
-        the number of summands in one entry of sum_i c_i T[i]."""
+        """The int64 tensor T[i, j, k], the coefficient of basis_k in e_i * e_j."""
         key = (d1, d2)
         if key not in self._np_tables:
             shape = (self.dims[d1], self.dims[d2], self.dims[d1 + d2])
-            T = np.array(self.table(d1, d2), dtype=np.int64).reshape(shape)
-            self._np_tables[key] = (T, int(np.count_nonzero(T, axis=0).max(initial=0)))
+            self._np_tables[key] = np.array(self.table(d1, d2), dtype=np.int64).reshape(shape)
         return self._np_tables[key]
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -222,15 +219,9 @@ class GradedAlgebra:
         src, dst = self.dims[t], self.dims[t + d]
         p = np_modulus(f)
         if p is not None and src and dst:
-            T, terms = self.np_table(d, t)
-            c = np.array(coords, dtype=np.int64)
-            step = (2**63 - 1) // (p - 1) ** 2  # summands of size (p-1)**2 that fit in int64
-            if terms <= step:
-                return (np.einsum("i,ijk->kj", c, T) % p).tolist()
-            acc = np.zeros((dst, src), dtype=np.int64)
-            for lo in range(0, len(c), step):
-                acc = (acc + np.einsum("i,ijk->kj", c[lo : lo + step], T[lo : lo + step]) % p) % p
-            return acc.tolist()
+            T = self.np_table(d, t).reshape(-1, src * dst)
+            c = np.array([coords], dtype=np.int64)
+            return mod_matmul(p, c, T).reshape(src, dst).T.tolist()
         tab = self.table(d, t)
         cols = []
         for j in range(src):

@@ -74,10 +74,13 @@ def socle_degree_parts(R: GradedAlgebra):
 
 
 def m_squared_subspace(R: GradedAlgebra) -> Subspace:
-    """m^2 inside R_1 + R_2 + ...; degreewise the span of products R_a * R_b."""
+    """m^2 inside R_1 + R_2 + ...; degreewise the span of products R_a * R_b.
+    A degree with R_d = 0 spans nothing, so its tables are never built."""
     _require_artinian(R)
     parts = {}
     for d in range(2, R.cutoff + 1):
+        if R.dims[d] == 0:
+            continue
         span = [vec for a in range(1, d) for row in R.table(a, d - a) for vec in row]
         parts[d] = Subspace.from_vectors(R.field, R.dims[d], span).basis
     return _graded_sum(R, parts)
@@ -123,7 +126,7 @@ def _relation_blocks(R: GradedAlgebra):
     m, d2 = R.dims[1], R.dims[2]
     p = np_modulus(f)
     if p is not None:
-        T = R.np_table(1, 1)[0]  # T[j, k] = x_j * x_k in R_2
+        T = R.np_table(1, 1)  # T[j, k] = x_j * x_k in R_2
         for i in range(m - 1):
             J = m - 1 - i
             block = np.zeros((J, m, m, d2), dtype=np.int64)

@@ -130,7 +130,14 @@ def _search_ezd(graph: Graph, R, config: RunConfig, rng):
     return find_ezd(R, "random", trials=config.retries, rng=rng)
 
 
+def _refuse_degree_bound(args) -> None:
+    """analyze, build and factory run no bounded exactness check."""
+    if args.degree_bound is not None:
+        raise ValueError("--degree-bound applies to lift and verify only")
+
+
 def cmd_analyze(args) -> int:
+    _refuse_degree_bound(args)
     config = RunConfig.from_args(args)
     graph = load_graph(args.graph)
     if not graph.is_connected():
@@ -244,6 +251,7 @@ def _load_build_graph(args) -> Graph:
 
 
 def cmd_build(args) -> int:
+    _refuse_degree_bound(args)
     config = RunConfig.from_args(args)
     graph = _load_build_graph(args)
     rng = Random(config.seed)
@@ -392,7 +400,8 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument("--rational", action="store_true", help="use exact rationals instead of GF(p)")
     common.add_argument(
         "--degree-bound", type=int, default=None,
-        help="internal degree bound for exactness checks (lift: also the cutoff, default 5)",
+        help="internal degree bound for exactness checks, lift and verify only "
+        "(lift: also the cutoff, default 5)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
     common.add_argument("--retries", type=int, default=64, help="resampling / search budget")

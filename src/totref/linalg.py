@@ -6,6 +6,12 @@ subspaces have literally identical basis matrices.  Over GF(p) large
 eliminations are routed through numpy int64 arithmetic when p < 2**31, so
 that a product of two representatives stays below 2**63; larger primes run
 on Python integers.  ``np_modulus`` is the one place that decides.
+
+A sum of such products can still overflow: ``mod_matmul`` is the one place
+that multiplies int64 arrays mod p, and it sums at most
+floor((2**63 - 1) / (p - 1)**2) products before reducing.  Every array
+matrix product of the package (multiplication maps, the graded blocks of a
+differential, products of matrices of linear forms) goes through it.
 """
 
 from __future__ import annotations
@@ -24,6 +30,32 @@ def np_modulus(field):
     if isinstance(field, PrimeField) and field.p < _NP_PRIME_BOUND:
         return field.p
     return None
+
+
+def mod_matmul(p, A, B):
+    """(A @ B) % p for 2-D int64 arrays with entries in [0, p), p < 2**31.
+
+    An entry of A @ B sums at most k products, each at most (p - 1)**2, where
+    k is the smaller of the most nonzeros in a row of A and in a column of B.
+    When k exceeds floor((2**63 - 1) / (p - 1)**2), the inner dimension is
+    cut into pieces of that many summands, each reduced mod p on its own, so
+    no int64 sum overflows.
+    """
+    step = (2**63 - 1) // (p - 1) ** 2
+    inner = A.shape[1]
+    if inner <= step or _most_products(A, B) <= step:
+        return A @ B % p
+    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for lo in range(0, inner, step):
+        acc += A[:, lo : lo + step] @ B[lo : lo + step] % p
+    return acc % p
+
+
+def _most_products(A, B) -> int:
+    """An upper bound on the nonzero products summed in one entry of A @ B."""
+    return min(
+        np.count_nonzero(A, axis=1).max(initial=0), np.count_nonzero(B, axis=0).max(initial=0)
+    )
 
 
 def _rref_py(field, rows, ncols, reduce_full=True):
@@ -99,6 +131,19 @@ def _echelon(field, rows, ncols, rank_only=False):
         return (None if rank_only else A[: len(piv)].tolist()), piv
     out, piv = _rref_py(field, rows, ncols, not rank_only)
     return (None if rank_only else out[: len(piv)]), piv
+
+
+def array_rank(field, A) -> int:
+    """Rank of a 2-D int64 array with entries in [0, p), p = np_modulus(field).
+
+    Arrays under ``_NP_CELL_THRESHOLD`` cells are eliminated as lists, as in
+    ``_echelon``; the array itself is not modified.
+    """
+    if A.size == 0:
+        return 0
+    if A.size >= _NP_CELL_THRESHOLD:
+        return len(_rref_np(np_modulus(field), A, reduce_full=False)[1])
+    return len(_rref_py(field, A.tolist(), A.shape[1], reduce_full=False)[1])
 
 
 def rank_reaches(field, blocks, ncols, target):

@@ -27,6 +27,7 @@ from totref import (
 )
 from totref.analysis import (
     annihilator_linear,
+    m_squared_subspace,
     principal_ideal_subspace,
     principal_length_linear,
     quadratic_presentation,
@@ -96,6 +97,56 @@ def test_ring_conditions_tree(path4):
     R = artinian_reduction(path4)
     rep = necessary_ring_conditions(R)
     assert rep.m2_zero and rep.verdict == "no-non-free-TR"
+
+
+def m_squared_oracle(R):
+    """m^2 spanned by every product R_a * R_b, empty degrees included."""
+    f = R.field
+    ambient = sum(R.dims[1:])
+    vecs = []
+    for d in range(2, R.cutoff + 1):
+        offset = sum(R.dims[1:d])
+        for a in range(1, d):
+            for row in R.table(a, d - a):
+                for vec in row:
+                    v = [f.zero] * ambient
+                    v[offset : offset + R.dims[d]] = list(vec)
+                    vecs.append(v)
+    return Subspace.from_vectors(f, ambient, vecs)
+
+
+def test_ring_conditions_build_no_degree3_products(gf, monkeypatch):
+    # R_3 = 0 on a graph reduction, so m^2 has no degree-3 part to span
+    g = Graph(
+        ["u1", "u2"] + [f"w{j}" for j in range(1, 7)],
+        [(u, f"w{j}") for u in ("u1", "u2") for j in range(1, 7)],
+    )
+    R = artinian_reduction(g, field=gf)
+    assert R.dims[3] == 0
+    degrees = set()
+    real = R.mult_basis
+
+    def spy(d1, i, d2, j):
+        degrees.add(d1 + d2)
+        return real(d1, i, d2, j)
+
+    monkeypatch.setattr(R, "mult_basis", spy)
+    rep = necessary_ring_conditions(R)
+    assert rep.socle_equals_m2 and rep.verdict == "admits-possible"
+    assert degrees == {2}
+
+
+def test_m_squared_matches_oracle(c4, path4, ten_vertex_reduction, example_ring, gf):
+    # k[x, y]/(x^2, y^3) has x*y^2 in degree 3; the other rings stop at degree 2
+    cube = algebra_from_relations(["x", "y"], [{(2, 0): 1}, {(0, 3): 1}], 4, field=gf)
+    assert cube.dims[3] == 1
+    rings = [artinian_reduction(c4), artinian_reduction(path4), ten_vertex_reduction,
+             example_ring, cube]
+    for R in rings:
+        assert m_squared_subspace(R) == m_squared_oracle(R)
+    assert [necessary_ring_conditions(R).socle_equals_m2 for R in rings[:4]] == [
+        True, False, True, False
+    ]
 
 
 def test_quadratic_presentation_triangle(gf):

@@ -378,3 +378,65 @@ def test_subcommand_defaults_stay_separate():
     assert (ns["build"].forward, ns["build"].backward) == (4, 4)
     assert ns["lift"].degree_bound == 5
     assert ns["verify"].degree_bound is None and ns["build"].degree_bound is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", str(GRAPHS / "four_cycle.json")],
+        ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd"],
+        ["factory", "--forward", "1", "--backward", "1"],
+    ],
+    ids=["analyze", "build", "factory"],
+)
+def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv):
+    out = tmp_path / "w.json"
+    extra = ["--out", str(out)] if argv[0] != "analyze" else []
+    assert main(argv + extra + ["--degree-bound", "3", "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --degree-bound applies to lift and verify only\n"
+    assert captured.out == "" and not out.exists()
+
+
+# SHA-256 of (stdout, --out file) of `build` and then `lift --steps 2
+# --degree-bound 4` with --json, and of stdout of `verify --json` on the lifted
+# file, recorded before the window certification moved to int64 arrays.  The
+# ten-vertex GF(p) blocks exceed the list-elimination threshold; the four_cycle
+# window over the rationals takes the list path throughout.
+LIFT_VERIFY_SHA256 = {
+    "ten_vertex": {
+        "build": ("b8b7ee45c1227a2e6ab8a3d486cc552441e4669f8bb3b2bd3b8c9e4889fba182",
+                  "7b0625ca0ddd0ab95d5b47a0916f890430e36d08980dd6b0aa19235291640fff"),
+        "lift": ("18acf04c0e1e2891e6d5a77e14eb8e6e8f8bf000fae62c50b29f5556c65d5214",
+                 "88949c8e09f9167df35bcdda0377ba468b82d19d49185ab103a85d8f39896543"),
+        "verify": "aedc64689ff33bf9e2c8e74f3ff7ef88063b64765abd5d4126b2d6f00d8b0bf5",
+    },
+    "four_cycle_rational": {
+        "build": ("722601816ff6fe96084eb6ca9b98a4bbbda89f6d7429a7dbfd4d181185bf0305",
+                  "81af06be86e4ceec5e5a2438d9d1ed42c0e3f9450aed225b14114dc57467ff64"),
+        "lift": ("6bdc97c787823aad7f733a693c376d4964e9a7a0c301015a9338a217a1971ecb",
+                 "b075ffdb46c2154e4d06275b5f54d01fbe5e7d6114d94fb5748b1edad5cb997d"),
+        "verify": "6a7dce0f830e4b867346d286a9f7586175e02c565c179dad6e49c2f17b60cfd8",
+    },
+}
+LIFT_VERIFY_SOURCES = {
+    "ten_vertex": (["build", "--section4", "--mode", "factory"], []),
+    "four_cycle_rational": (
+        ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd", "--rational"], ["--rational"]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_VERIFY_SHA256))
+def test_lift_and_verify_bytes_unchanged(capsys, tmp_path, name):
+    build_argv, field_argv = LIFT_VERIFY_SOURCES[name]
+    digests = LIFT_VERIFY_SHA256[name]
+    src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = build_argv + ["--forward", "2", "--backward", "2", "--out", str(src), "--json"]
+    assert main(argv) == 0
+    assert (_sha256(capsys.readouterr().out), _sha256(src.read_text())) == digests["build"]
+    argv = ["lift", str(src), "--steps", "2", "--degree-bound", "4", "--out", str(lifted), "--json"]
+    assert main(argv + field_argv) == 0
+    assert (_sha256(capsys.readouterr().out), _sha256(lifted.read_text())) == digests["lift"]
+    assert main(["verify", str(lifted), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == digests["verify"]

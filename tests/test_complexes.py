@@ -1,19 +1,30 @@
+import functools
 import json
+from itertools import combinations_with_replacement
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totref import (
+    DEFAULT_PRIME,
     ComplexError,
     FreeComplexWindow,
+    Graph,
+    PrimeField,
+    RationalField,
     algebra_from_relations,
     ezd_complex,
     find_ezd,
     fitting_support,
     full_certification,
     indecomposability_certificate,
+    reduction_chain,
+    stanley_reisner,
+    ten_vertex_graph,
 )
 from totref.analysis import EzdPair
+from totref.complexes import matrix_product
 
 from conftest import dump_canonical, naive_exactness
 
@@ -181,3 +192,137 @@ def test_window_shape_validation(c4_reduction, xy_pair):
         FreeComplexWindow(c4_reduction, 0, 2, [1, 1, 1], [[[x]], [[x], [x]]])
     with pytest.raises(ComplexError):
         FreeComplexWindow(c4_reduction, 0, 1, [1, 1], [[[c4_reduction.basis_element(2, 0)]]])
+
+
+# -- the int64 array paths against list-path oracles ---------------------------
+
+ARRAY_PRIMES = (7, DEFAULT_PRIME, 2**31 - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def array_test_ring(kind, p):
+    """A Stanley-Reisner ring (0/1 tables), a generic reduction (nine linear
+    forms) or a quotient by relations, whose tables hold other entries.  In
+    the dense quotient (ten variables, thirty random quadrics) an entry of a
+    block sums up to nine nonzero products, more than the eight that fit in
+    int64 at the default prime; at 2**31 - 1 two fit."""
+    field = PrimeField(p)
+    if kind == "stanley_reisner":
+        return stanley_reisner(ten_vertex_graph(), 3, field)
+    if kind == "generic_reduction":
+        g = Graph(
+            ["u1", "u2"] + [f"w{j}" for j in range(1, 10)],
+            [(u, f"w{j}") for u in ("u1", "u2") for j in range(1, 10)],
+        )
+        return reduction_chain(g, mode="generic", seed=1, cutoff=3, field=field).bottom
+    if kind == "dense_relations":
+        rng = Random(3)
+        quadrics = [tuple(int(v in (i, j)) + int(i == j == v) for v in range(10))
+                    for i, j in combinations_with_replacement(range(10), 2)]
+        relations = [{m: rng.randrange(1, 50) for m in rng.sample(quadrics, 12)} for _ in range(30)]
+        return algebra_from_relations([f"x{i}" for i in range(10)], relations, 2, field=field)
+    relations = [{(2, 0, 0): 3, (0, 1, 1): -5}, {(0, 2, 0): 2, (1, 0, 1): 7, (0, 0, 2): -1}]
+    return algebra_from_relations(["x", "y", "z"], relations, 4, field=field)
+
+
+def random_forms(R, rng, rows, cols):
+    return [
+        [R.zero(1) if rng.random() < 0.2 else R.random_linear(rng) for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+ring_kinds = st.sampled_from(
+    ("stanley_reisner", "generic_reduction", "relations", "dense_relations")
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_kinds, st.sampled_from(ARRAY_PRIMES), st.integers(0, 2**32), st.data())
+def test_array_matrix_product_matches_multiply(kind, p, seed, data):
+    R = array_test_ring(kind, p)
+    rng = Random(seed)
+    rows, inner, cols = (data.draw(st.integers(1, 4)) for _ in range(3))
+    A = random_forms(R, rng, rows, inner)
+    B = random_forms(R, rng, inner, cols)
+    expected = []
+    for r in range(rows):
+        row = []
+        for c in range(cols):
+            acc = R.zero(2)
+            for m in range(inner):
+                acc = acc + R.multiply(A[r][m], B[m][c])
+            row.append(acc)
+        expected.append(row)
+    assert matrix_product(A, B, R) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(ring_kinds, st.sampled_from(ARRAY_PRIMES), st.integers(0, 2**32), st.data())
+def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
+    R = array_test_ring(kind, p)
+    rng = Random(seed)
+    b_out, b_in = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    t = data.draw(st.integers(0, R.cutoff - 1))
+    w = FreeComplexWindow(R, 0, 1, [b_out, b_in], [random_forms(R, rng, b_out, b_in)])
+    d = w.diff(1)
+    src, dst = R.dims[t], R.dims[t + 1]
+    by_multiply = [[0] * (b_in * src) for _ in range(b_out * dst)]
+    by_mult_map = [[0] * (b_in * src) for _ in range(b_out * dst)]
+    for r in range(b_out):
+        for c in range(b_in):
+            for j in range(src):
+                prod = R.multiply(d[r][c], R.basis_element(t, j)).coords
+                for k in range(dst):
+                    by_multiply[r * dst + k][c * src + j] = prod[k]
+            for k, row in enumerate(R.mult_map_rows(d[r][c].coords, 1, t)):
+                by_mult_map[r * dst + k][c * src : (c + 1) * src] = row
+    blk = w.block_matrix(1, t)
+    assert (blk.rows, blk.cols) == (b_out * dst, b_in * src)
+    assert blk.entries == by_multiply == by_mult_map
+
+
+def _count_eliminations(monkeypatch):
+    import totref.linalg as linalg
+
+    calls = []
+    for name in ("_rref_np", "_rref_py"):
+        real = getattr(linalg, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def _distinct_blocks(w):
+    """The (i, t) blocks whose ranks an exactness check of w needs."""
+    keys = set()
+    for i in w.interior_indices():
+        for t in range(w.algebra.cutoff):
+            keys.add((i, t))
+            if t:
+                keys.add((i + 1, t - 1))
+    return keys
+
+
+def test_graded_exactness_ranks_each_block_once(monkeypatch, c4, special_ring):
+    from totref import canonical_window, lift_through_sequence
+
+    canonical, _ = canonical_window(special_ring, 2, 2)
+    rational_chain = reduction_chain(c4, cutoff=3, field=RationalField())
+    x, y = rational_chain.bottom.generators()
+    rational = ezd_complex(rational_chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
+    # lifted to the Stanley-Reisner ring at cutoff 5: blocks up to 80 x 64,
+    # above the list-elimination threshold
+    chain = reduction_chain(c4, cutoff=5)
+    x, y = chain.bottom.generators()
+    source = ezd_complex(chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
+    lifted, _ = lift_through_sequence(source, [chain.steps[1], chain.steps[0]])
+    for w in (canonical, rational, lifted):
+        calls = _count_eliminations(monkeypatch)
+        assert w.graded_exactness().exact
+        assert 0 < len(calls) <= len(_distinct_blocks(w))
+        monkeypatch.undo()

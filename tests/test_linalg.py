@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totref import Matrix, PrimeField, RationalField, Subspace
-from totref.linalg import _rref_np, _rref_py, np_modulus
+from totref.linalg import _rref_np, _rref_py, array_rank, mod_matmul, np_modulus
 
 import numpy as np
 
@@ -224,3 +224,40 @@ def test_large_prime_avoids_int64_path():
     m = Matrix(field, entries)
     assert m.rank() == 40
     assert m.rref() == _sympy_rref(field.p, entries, 50)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([7, GF.p, 2**31 - 1]), st.data())
+def test_mod_matmul_matches_python_integers(p, data):
+    n, k, m = (data.draw(st.integers(0, top)) for top in (4, 40, 4))
+    elt = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    A = [data.draw(st.lists(elt, min_size=k, max_size=k)) for _ in range(n)]
+    B = [data.draw(st.lists(elt, min_size=m, max_size=m)) for _ in range(k)]
+    got = mod_matmul(
+        p, np.array(A, dtype=np.int64).reshape(n, k), np.array(B, dtype=np.int64).reshape(k, m)
+    )
+    expected = [[sum(A[r][i] * B[i][c] for i in range(k)) % p for c in range(m)] for r in range(n)]
+    assert got.dtype == np.int64 and got.tolist() == expected
+
+
+def test_mod_matmul_all_maximal_entries():
+    # 40 products of (p-1)**2 overflow int64 unless the sum is cut into pieces
+    for p in (GF.p, 2**31 - 1):
+        A = np.full((3, 40), p - 1, dtype=np.int64)
+        assert mod_matmul(p, A, A.T.copy()).tolist() == [[40 * (p - 1) ** 2 % p] * 3] * 3
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (60, 50), (0, 4)])
+def test_array_rank_matches_matrix_rank(shape):
+    rng = Random(23)
+    rows, cols = shape
+    left = rand_matrix(GF, rng, rows, 3).entries
+    right = rand_matrix(GF, rng, 3, cols).entries
+    entries = [
+        [sum(a * right[k][c] for k, a in enumerate(row)) % GF.p for c in range(cols)]
+        for row in left
+    ]
+    A = np.array(entries, dtype=np.int64).reshape(rows, cols)
+    before = A.copy()
+    assert array_rank(GF, A) == Matrix(GF, entries, cols=cols).rank() == min(rows, 3)
+    assert (A == before).all()
