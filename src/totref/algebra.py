@@ -17,11 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-import numpy as np
-
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph
-from .linalg import Matrix, mod_matmul, np_modulus, reduce_by_echelon, rref_trailing
+from .linalg import Matrix, field_array, field_matmul, reduce_by_echelon, rref_trailing
 
 
 class AlgebraError(ValueError):
@@ -98,9 +96,11 @@ class AlgebraElement:
 class GradedAlgebra:
     """A standard graded algebra presented degreewise up to a cutoff.
 
-    Multiplication tables are built lazily per degree pair; where
-    ``np_modulus`` admits the field a packed int64 tensor is cached as well
-    for fast multiplication maps.
+    Multiplication tables are built lazily per degree pair, and each is
+    cached once more as an array over the field (``linalg.field_array``:
+    int64 or exact ``object`` entries), from which every multiplication map,
+    block matrix and product of linear-form matrices is computed.
+    ``multiply`` stays on the lists: it is the independent oracle.
     """
 
     def __init__(self, field, cutoff, basis, mult_basis_fn, descriptor=None):
@@ -179,11 +179,12 @@ class GradedAlgebra:
         return self._tables[key]
 
     def np_table(self, d1, d2):
-        """The int64 tensor T[i, j, k], the coefficient of basis_k in e_i * e_j."""
+        """The array T[i, j, k] over the field, the coefficient of basis_k in
+        e_i * e_j."""
         key = (d1, d2)
         if key not in self._np_tables:
             shape = (self.dims[d1], self.dims[d2], self.dims[d1 + d2])
-            self._np_tables[key] = np.array(self.table(d1, d2), dtype=np.int64).reshape(shape)
+            self._np_tables[key] = field_array(self.field, self.table(d1, d2)).reshape(shape)
         return self._np_tables[key]
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -215,26 +216,10 @@ class GradedAlgebra:
     def mult_map_rows(self, coords, d, t):
         """Rows of the matrix of multiplication by the degree-d element with these
         coordinates, from degree t to degree t + d (cutoff not checked)."""
-        f = self.field
         src, dst = self.dims[t], self.dims[t + d]
-        p = np_modulus(f)
-        if p is not None and src and dst:
-            T = self.np_table(d, t).reshape(-1, src * dst)
-            c = np.array([coords], dtype=np.int64)
-            return mod_matmul(p, c, T).reshape(src, dst).T.tolist()
-        tab = self.table(d, t)
-        cols = []
-        for j in range(src):
-            acc = [f.zero] * dst
-            for i, c in enumerate(coords):
-                if f.is_zero(c):
-                    continue
-                vec = tab[i][j]
-                for k, vk in enumerate(vec):
-                    if not f.is_zero(vk):
-                        acc[k] = f.add(acc[k], f.mul(c, vk))
-            cols.append(acc)
-        return [[cols[j][k] for j in range(src)] for k in range(dst)]
+        T = self.np_table(d, t).reshape(self.dims[d], src * dst)
+        c = field_array(self.field, [coords])
+        return field_matmul(self.field, c, T).reshape(src, dst).T.tolist()
 
     # -- presentation checks ---------------------------------------------------
 
@@ -271,6 +256,9 @@ class GradedAlgebra:
 
     @classmethod
     def from_json(cls, obj) -> "GradedAlgebra":
+        for key, kind in (("field", dict), ("cutoff", int), ("basis", list)):
+            if not isinstance(obj.get(key), kind):
+                raise AlgebraError(f"algebra entry {key!r} is missing or not a {kind.__name__}")
         field = field_from_json(obj["field"])
         cutoff = obj["cutoff"]
         basis = obj["basis"]

@@ -18,7 +18,7 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
 from .complexes import fitting_support
 from .graphs import Graph
-from .linalg import Matrix, Subspace, np_modulus, rank_reaches, reduce_by_echelon
+from .linalg import Matrix, Subspace, field_reduce, rank_reaches, reduce_by_echelon
 
 
 def _require_artinian(R: GradedAlgebra):
@@ -34,12 +34,8 @@ def _stacked_mult_kernel(R: GradedAlgebra, d: int) -> Subspace:
         return Subspace.zero(f, 0)
     if d + 1 > R.cutoff or R.dims[d + 1] == 0:
         return Subspace.full(f, src)
-    rows = []
-    tab = R.table(1, d)
-    for i in range(R.dims[1]):
-        # rows of multiplication by generator i, i.e. the transposed table slice
-        for k in range(R.dims[d + 1]):
-            rows.append([tab[i][j][k] for j in range(src)])
+    # rows of multiplication by generator i: the transposed table slice T[i].T
+    rows = R.np_table(1, d).transpose(0, 2, 1).reshape(-1, src).tolist()
     return Matrix(f, rows, cols=src).kernel_basis()
 
 
@@ -120,30 +116,15 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
 
 def _relation_blocks(R: GradedAlgebra):
     """For each i, the rows x_i (x) x_j x_k - x_j (x) x_i x_k (j > i, all k) in
-    R_1 (x) R_2 coordinates: an int64 array where ``np_modulus`` admits the
-    field, else a list of rows."""
-    f = R.field
+    R_1 (x) R_2 coordinates, as an array over the field (``linalg.field_array``)."""
     m, d2 = R.dims[1], R.dims[2]
-    p = np_modulus(f)
-    if p is not None:
-        T = R.np_table(1, 1)  # T[j, k] = x_j * x_k in R_2
-        for i in range(m - 1):
-            J = m - 1 - i
-            block = np.zeros((J, m, m, d2), dtype=np.int64)
-            block[:, :, i, :] = T[i + 1 :]
-            block[np.arange(J), :, np.arange(i + 1, m), :] = (-T[i]) % p
-            yield block.reshape(J * m, m * d2)
-        return
-    tab = R.table(1, 1)
+    T = R.np_table(1, 1)  # T[j, k] = x_j * x_k in R_2
     for i in range(m - 1):
-        rows = []
-        for j in range(i + 1, m):
-            for k in range(m):
-                row = [f.zero] * (m * d2)
-                row[i * d2 : (i + 1) * d2] = tab[j][k]
-                row[j * d2 : (j + 1) * d2] = [f.neg(c) for c in tab[i][k]]
-                rows.append(row)
-        yield rows
+        J = m - 1 - i
+        block = np.zeros((J, m, m, d2), dtype=T.dtype)
+        block[:, :, i, :] = T[i + 1 :]
+        block[np.arange(J), :, np.arange(i + 1, m), :] = field_reduce(R.field, -T[i])
+        yield block.reshape(J * m, m * d2)
 
 
 @dataclass

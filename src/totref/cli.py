@@ -21,7 +21,9 @@ from .analysis import (
     wlp_generic,
     necessary_ring_conditions,
 )
-from .complexes import ComplexError, FreeComplexWindow, ezd_complex, full_certification
+from .complexes import (
+    ComplexError, FreeComplexWindow, ezd_complex, full_certification, indecomposability_certificate
+)
 from .factory import (
     FactoryError,
     SpecialRing,
@@ -30,8 +32,8 @@ from .factory import (
     random_blocks,
     ten_vertex_graph,
 )
-from .fields import PrimeField, RationalField
-from .graphs import Graph, GraphError, load_graph, necessary_conditions
+from .fields import PrimeField, RationalField, field_from_json
+from .graphs import Graph, GraphError, load_graph, necessary_conditions, parse_graph
 from .lifting import LiftError, lift_through_sequence
 
 
@@ -53,6 +55,8 @@ class RunConfig:
             field = PrimeField(args.prime)
         if args.degree_bound is not None and args.degree_bound < 2:
             raise ValueError("--degree-bound must be at least 2")
+        if args.forward < 0 or args.backward < 0:
+            raise ValueError("--forward and --backward must be non-negative")
         return cls(
             field=field,
             degree_bound=args.degree_bound,
@@ -283,8 +287,6 @@ def cmd_build(args) -> int:
     else:
         start = random_blocks(special, rng, max_retries=config.retries)
         window, frep = build_window(special, start, config.forward, config.backward)
-    from .complexes import indecomposability_certificate
-
     no_ezd_cert = {"disconnecting_pair": list(conditions.disconnecting_pair)}
     indec = indecomposability_certificate(special.ring, window, 0, no_ezd_cert)
     report = {
@@ -308,6 +310,8 @@ def cmd_factory(args) -> int:
 def _rebase_window(obj: dict, algebra: GradedAlgebra) -> FreeComplexWindow:
     """Attach a loaded window to a freshly rebuilt algebra, label-checked."""
     src = obj["algebra"]
+    if not isinstance(src.get("basis"), list) or len(src["basis"]) < 3:
+        raise ComplexError("complex file algebra basis must cover degrees 0, 1 and 2")
     for d in (1, 2):
         if src["basis"][d] != algebra.basis[d]:
             raise ComplexError("complex file algebra does not match the rebuilt reduction")
@@ -322,20 +326,21 @@ def cmd_lift(args) -> int:
         obj = json.load(fh)
     if obj.get("format") != "complex":
         raise ComplexError("input is not a complex file")
-    desc = obj.get("algebra", {}).get("descriptor")
-    if not desc or desc.get("kind") != "graph_reduction" or desc.get("level") != 2:
+    algebra = obj.get("algebra")
+    desc = algebra.get("descriptor") if isinstance(algebra, dict) else None
+    if not (
+        isinstance(desc, dict) and desc.get("kind") == "graph_reduction" and desc.get("level") == 2
+    ):
         raise ComplexError(
             "lifting needs a complex over a graph reduction (missing chain descriptor)"
         )
-    from .fields import field_from_json
-
-    file_field = field_from_json(obj["algebra"]["field"])
+    if "graph" not in desc or desc.get("mode") not in ("canonical", "generic"):
+        raise ComplexError("chain descriptor lacks its graph or a valid reduction mode")
+    file_field = field_from_json(algebra.get("field"))
     if file_field != config.field:
         raise ComplexError(
             "complex file uses a different field; pass matching --prime/--rational"
         )
-    from .graphs import parse_graph
-
     graph = parse_graph(desc["graph"])
     cutoff = max(config.degree_bound, 3)
     chain = reduction_chain(

@@ -9,9 +9,9 @@ with d_i d_{i+1} = 0 is the full condition.
 
 For an Artinian algebra the finitely many nonzero internal degrees make the
 certification complete; otherwise the report carries the degree bound it was
-checked to.  Over GF(p) with p < 2**31 each graded block of a differential is
-assembled as an int64 array by one product with the multiplication table and
-ranked as such; on every field each block is ranked once per check.
+checked to.  Each graded block of a differential is assembled as an array over
+the field (``linalg.field_array``) by one product with the multiplication
+table and ranked as such, and each block is ranked once per check.
 """
 
 from __future__ import annotations
@@ -19,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
-from .linalg import Matrix, Subspace, array_rank, mod_matmul, np_modulus
+from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul
 
 
 class ComplexError(ValueError):
@@ -88,32 +86,21 @@ class FreeComplexWindow:
     def block_matrix(self, i, t) -> Matrix:
         """The degree piece of d_i acting from R_t^{b_i} to R_{t+1}^{b_{i-1}}."""
         R = self.algebra
-        mat = self.diff(i)
-        b_out, b_in = self.rank_of(i - 1), self.rank_of(i)
         if t < 0 or t + 1 > R.cutoff:
             raise ComplexError("internal degree outside the algebra cutoff")
-        src, dst = R.dims[t], R.dims[t + 1]
-        if np_modulus(R.field) is not None:
-            return Matrix(R.field, self._block_array(i, t).tolist(), cols=b_in * src)
-        big = [[R.field.zero] * (b_in * src) for _ in range(b_out * dst)]
-        for r in range(b_out):
-            for c in range(b_in):
-                if mat[r][c].is_zero():
-                    continue
-                for k, row in enumerate(R.mult_map_rows(mat[r][c].coords, 1, t)):
-                    big[r * dst + k][c * src : (c + 1) * src] = row
-        return Matrix(R.field, big, cols=b_in * src)
+        return Matrix(R.field, self._block_array(i, t).tolist(), cols=self.rank_of(i) * R.dims[t])
 
     def _block_array(self, i, t):
-        """block_matrix(i, t) as an int64 array, where ``np_modulus`` admits
-        the field: one product of the stacked entry coordinates C[r, c, :] of
-        d_i with the table of R_1 x R_t -> R_{t+1}."""
+        """block_matrix(i, t) as an array over the field: one product of the
+        stacked entry coordinates C[r, c, :] of d_i with the table of
+        R_1 x R_t -> R_{t+1}."""
         R = self.algebra
+        mat = self.diff(i)
         b_out, b_in = self.rank_of(i - 1), self.rank_of(i)
         src, dst = R.dims[t], R.dims[t + 1]
-        C = _coord_array(self.diff(i), b_out, b_in, R.dims[1])
+        C = _coord_array(R.field, mat, b_out, b_in, R.dims[1])
         T = R.np_table(1, t).reshape(R.dims[1], src * dst)
-        blocks = mod_matmul(np_modulus(R.field), C.reshape(b_out * b_in, -1), T)
+        blocks = field_matmul(R.field, C.reshape(b_out * b_in, R.dims[1]), T)
         # blocks[r, c, j, k] is the coefficient of basis_k in d_i[r][c] * basis_j
         blocks = blocks.reshape(b_out, b_in, src, dst).transpose(0, 3, 1, 2)
         return blocks.reshape(b_out * dst, b_in * src)
@@ -135,15 +122,11 @@ class FreeComplexWindow:
         """
         R = self.algebra
         max_t = R.cutoff - 1
-        on_arrays = np_modulus(R.field) is not None
         ranks = {}
 
         def rank(i, t):
             if (i, t) not in ranks:
-                if on_arrays:
-                    ranks[i, t] = array_rank(R.field, self._block_array(i, t))
-                else:
-                    ranks[i, t] = self.block_matrix(i, t).rank()
+                ranks[i, t] = array_rank(R.field, self._block_array(i, t))
             return ranks[i, t]
 
         records = []
@@ -260,43 +243,34 @@ _REQUIRED_FIELDS = (
 )
 
 
-def _coord_array(mat, rows, cols, n):
-    """int64 array C[r, c, :] of the coordinates of the linear forms mat[r][c]."""
+def _coord_array(field, mat, rows, cols, n):
+    """The array C[r, c, :] over the field of the coordinates of the linear
+    forms mat[r][c]."""
     if any(e.degree != 1 for row in mat for e in row):
         raise AlgebraError("expected a matrix of linear forms")
-    coords = [[e.coords for e in row] for row in mat]
-    return np.array(coords, dtype=np.int64).reshape(rows, cols, n)
+    return field_array(field, [[e.coords for e in row] for row in mat]).reshape(rows, cols, n)
 
 
 def matrix_product(A, B, algebra: GradedAlgebra):
     """The product of two matrices (lists of rows) of linear forms; its
     entries have degree 2.
 
-    Where ``np_modulus`` admits the field it takes two array products:
-    X[r, m, j, k] = sum_i A[r, m, i] T[i, j, k] with T the table of
-    R_1 x R_1 -> R_2, then P[r, c, k] = sum_{m, j} X[r, m, j, k] B[m, c, j].
+    It takes two array products over the field: X[r, m, j, k] =
+    sum_i A[r, m, i] T[i, j, k] with T the table of R_1 x R_1 -> R_2, then
+    P[r, c, k] = sum_{m, j} X[r, m, j, k] B[m, c, j].
     """
     cols = len(B[0]) if B else 0
-    p = np_modulus(algebra.field)
-    if p is not None and A and cols:
-        n1, n2 = algebra.dims[1], algebra.dims[2]
-        rows, inner = len(A), len(B)
-        T = algebra.np_table(1, 1).reshape(n1, n1 * n2)
-        X = mod_matmul(p, _coord_array(A, rows, inner, n1).reshape(rows * inner, n1), T)
-        X = X.reshape(rows, inner, n1, n2).transpose(0, 3, 1, 2).reshape(rows * n2, inner * n1)
-        Bc = _coord_array(B, inner, cols, n1).transpose(0, 2, 1).reshape(inner * n1, cols)
-        P = mod_matmul(p, X, Bc).reshape(rows, n2, cols).transpose(0, 2, 1).tolist()
-        return [[AlgebraElement(algebra, 2, e) for e in row] for row in P]
-    out = []
-    for row in A:
-        orow = []
-        for c in range(cols):
-            acc = algebra.zero(2)
-            for a, brow in zip(row, B):
-                acc = acc + a * brow[c]
-            orow.append(acc)
-        out.append(orow)
-    return out
+    if not A or not cols:
+        return [[] for _ in A]
+    f = algebra.field
+    n1, n2 = algebra.dims[1], algebra.dims[2]
+    rows, inner = len(A), len(B)
+    T = algebra.np_table(1, 1).reshape(n1, n1 * n2)
+    X = field_matmul(f, _coord_array(f, A, rows, inner, n1).reshape(rows * inner, n1), T)
+    X = X.reshape(rows, inner, n1, n2).transpose(0, 3, 1, 2).reshape(rows * n2, inner * n1)
+    Bc = _coord_array(f, B, inner, cols, n1).transpose(0, 2, 1).reshape(inner * n1, cols)
+    P = field_matmul(f, X, Bc).reshape(rows, n2, cols).transpose(0, 2, 1).tolist()
+    return [[AlgebraElement(algebra, 2, e) for e in row] for row in P]
 
 
 @dataclass
@@ -431,9 +405,10 @@ class WindowCertificate:
 
 
 def full_certification(w: FreeComplexWindow, degree_bound=None) -> WindowCertificate:
-    """Compose + exactness + dual exactness + minimality in one report."""
+    """Compose + exactness + dual exactness + minimality in one report.  A
+    window without an interior index has no exactness to check: never certified."""
     composes = w.compose_check()
-    if composes:
+    if composes and w.interior_indices():
         ex = w.graded_exactness(degree_bound)
         dex = w.dual().graded_exactness(degree_bound)
     else:

@@ -154,8 +154,9 @@ def field_to_json(field) -> dict:
 
 
 def field_from_json(obj) -> "PrimeField | RationalField":
-    if obj["kind"] == "gf":
+    kind = obj.get("kind") if isinstance(obj, dict) else None
+    if kind == "gf" and isinstance(obj.get("p"), int):
         return PrimeField(obj["p"])
-    if obj["kind"] == "qq":
+    if kind == "qq":
         return RationalField()
-    raise ValueError(f"unknown field kind {obj['kind']!r}")
+    raise ValueError(f"malformed field {obj!r}")

@@ -133,6 +133,7 @@ def parse_graph(obj: dict) -> Graph:
     try:
         vertices = obj["vertices"]
         edges = obj["edges"]
+        set(vertices).union(*edges)  # labels must be hashable
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph object: {exc}") from exc
     return Graph(vertices, edges, obj.get("bipartition"))

@@ -2,19 +2,22 @@
 
 Everything is computed by exact Gaussian elimination; there is no tolerance
 anywhere.  Subspaces are kept in reduced row-echelon form, so two equal
-subspaces have literally identical basis matrices.  Over GF(p) large
-eliminations are routed through numpy int64 arithmetic when p < 2**31, so
-that a product of two representatives stays below 2**63; larger primes run
-on Python integers.  ``np_modulus`` is the one place that decides.
+subspaces have literally identical basis matrices.
 
-A sum of such products can still overflow: ``mod_matmul`` is the one place
-that multiplies int64 arrays mod p, and it sums at most
-floor((2**63 - 1) / (p - 1)**2) products before reducing.  Every array
-matrix product of the package (multiplication maps, the graded blocks of a
-differential, products of matrices of linear forms) goes through it.
+Arrays over a field have one representation per field, chosen here and
+nowhere else (``np_modulus`` decides): int64 arrays for GF(p) with p < 2**31,
+so that a product of two representatives stays below 2**63, and numpy
+``object`` arrays of exact Python ints (GF(p), p >= 2**31) or Fractions (the
+rationals) otherwise.  ``field_array`` builds them, ``field_matmul`` is their
+one product and ``array_rank``/``rank_reaches`` rank them.  A sum of int64
+products can still overflow: ``mod_matmul`` sums at most
+floor((2**63 - 1) / (p - 1)**2) products before reducing.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -30,6 +33,42 @@ def np_modulus(field):
     if isinstance(field, PrimeField) and field.p < _NP_PRIME_BOUND:
         return field.p
     return None
+
+
+def field_array(field, data):
+    """data (nested lists) as an array over the field: int64 where
+    ``np_modulus`` admits the field, ``object`` otherwise."""
+    return np.array(data, dtype=np.int64 if np_modulus(field) else object)
+
+
+def field_reduce(field, A):
+    """A with its entries reduced to canonical representatives."""
+    return A % field.p if isinstance(field, PrimeField) else A
+
+
+def field_matmul(field, A, B):
+    """The product of two 2-D arrays over the field (see ``field_array``).
+    Over the rationals it is fraction-free: each side is scaled to integer
+    numerators over one common denominator, and only the nonzero entries of
+    the integer product become Fractions."""
+    p = np_modulus(field)
+    if p is not None:
+        return mod_matmul(p, A, B)
+    if isinstance(field, PrimeField):
+        return A @ B % field.p
+    (NA, da), (NB, db) = _numerators(A), _numerators(B)
+    den, zero = da * db, field.zero
+    return np.array(
+        [zero if not n else Fraction(n, den) for n in (NA @ NB).flat], dtype=object
+    ).reshape(A.shape[0], B.shape[1])
+
+
+def _numerators(A):
+    """(N, d): an object array of Python ints and a common denominator d
+    with A = N / d."""
+    d = lcm(*(x.denominator for x in A.flat))
+    N = np.array([x.numerator * (d // x.denominator) for x in A.flat], dtype=object)
+    return N.reshape(A.shape), d
 
 
 def mod_matmul(p, A, B):
@@ -134,23 +173,24 @@ def _echelon(field, rows, ncols, rank_only=False):
 
 
 def array_rank(field, A) -> int:
-    """Rank of a 2-D int64 array with entries in [0, p), p = np_modulus(field).
+    """Rank of a 2-D array over the field (see ``field_array``).
 
-    Arrays under ``_NP_CELL_THRESHOLD`` cells are eliminated as lists, as in
-    ``_echelon``; the array itself is not modified.
+    int64 arrays under ``_NP_CELL_THRESHOLD`` cells and ``object`` arrays
+    are eliminated as lists, as in ``_echelon``; the array is not modified.
     """
     if A.size == 0:
         return 0
-    if A.size >= _NP_CELL_THRESHOLD:
-        return len(_rref_np(np_modulus(field), A, reduce_full=False)[1])
+    p = np_modulus(field)
+    if p is not None and A.size >= _NP_CELL_THRESHOLD:
+        return len(_rref_np(p, A, reduce_full=False)[1])
     return len(_rref_py(field, A.tolist(), A.shape[1], reduce_full=False)[1])
 
 
 def rank_reaches(field, blocks, ncols, target):
     """Whether the rows of the blocks span a space of dimension >= target.
 
-    Blocks are int64 arrays with entries in [0, p) when ``np_modulus`` admits
-    the field, lists of rows otherwise; they are consumed and modified.  Each
+    Blocks are 2-D arrays over the field (see ``field_array``); int64 blocks
+    are consumed and modified, ``object`` blocks are reduced as lists.  Each
     block is reduced against the echelon rows kept so far, then put in
     row-echelon form (cleared below the pivots only) and its nonzero rows are
     kept: every kept row vanishes at the pivots of the rows kept before it,
@@ -170,7 +210,7 @@ def rank_reaches(field, blocks, ncols, target):
             A, piv = _rref_np(p, block, reduce_full=False)
             echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
         else:
-            block = [reduce_by_echelon(field, echelon, pivots, v)[0] for v in block]
+            block = [reduce_by_echelon(field, echelon, pivots, v)[0] for v in block.tolist()]
             rows, piv = _rref_py(field, block, ncols, reduce_full=False)
             echelon.extend(rows[: len(piv)])
         pivots.extend(piv)

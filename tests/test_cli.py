@@ -119,6 +119,10 @@ def test_analyze_error_exit(tmp_path, capsys):
         tmp_path, "disc.json", {"vertices": ["a", "b", "c", "d"], "edges": [["a", "b"], ["c", "d"]]}
     )
     assert main(["analyze", disconnected]) == 1
+    capsys.readouterr()
+    unhashable = write_graph(tmp_path, "labels.json", {"vertices": [["a"], "b"], "edges": []})
+    assert main(["analyze", unhashable]) == 1
+    assert capsys.readouterr().err.startswith("error: malformed graph object")
 
 
 def test_build_ezd_and_verify_round_trip(capsys, c4_file, tmp_path):
@@ -195,11 +199,26 @@ def test_lift_requires_descriptor(capsys, c4_file, tmp_path):
     src = str(tmp_path / "src.json")
     main(["build", c4_file, "--mode", "ezd", "--out", src])
     capsys.readouterr()
-    obj = json.loads(open(src).read())
-    del obj["algebra"]["descriptor"]
-    stripped = str(tmp_path / "stripped.json")
-    open(stripped, "w").write(json.dumps(obj))
-    assert main(["lift", stripped, "--out", str(tmp_path / "no.json")]) == 1
+
+    def truncate_basis(alg):
+        alg["basis"] = alg["basis"][:2]
+
+    breakages = [
+        lambda alg: alg.pop("descriptor"),
+        lambda alg: alg["descriptor"].pop("graph"),
+        lambda alg: alg["descriptor"].pop("mode"),
+        lambda alg: alg.pop("field"),
+        truncate_basis,
+    ]
+    for k, corrupt in enumerate(breakages):
+        obj = json.loads(open(src).read())
+        corrupt(obj["algebra"])
+        stripped = tmp_path / f"stripped{k}.json"
+        stripped.write_text(json.dumps(obj))
+        out = tmp_path / "no.json"
+        assert main(["lift", str(stripped), "--out", str(out)]) == 1, k
+        assert capsys.readouterr().err.startswith("error:"), k
+        assert not out.exists()
 
 
 def test_verify_corrupted_entry_fails(capsys, c4_file, tmp_path):
@@ -286,21 +305,25 @@ def test_lift_rejects_steps_outside_chain(capsys, c4_file, tmp_path, steps):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["betti", "differentials", "lo"])
+@pytest.mark.parametrize(
+    "field", ["betti", "differentials", "lo", "algebra.field", "algebra.cutoff", "algebra.basis"]
+)
 def test_verify_missing_field(capsys, c4_file, tmp_path, field):
     src = str(tmp_path / "src.json")
     main(["build", c4_file, "--mode", "ezd", "--out", src])
     capsys.readouterr()
     obj = json.loads(open(src).read())
-    del obj[field]
+    *path, key = field.split(".")
+    parent = obj[path[0]] if path else obj
+    del parent[key]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(obj))
     assert main(["verify", str(bad)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
-    from totref import ComplexError, FreeComplexWindow
+    assert err.startswith("error:") and key in err
+    from totref import AlgebraError, ComplexError, FreeComplexWindow
 
-    with pytest.raises(ComplexError):
+    with pytest.raises(AlgebraError if path else ComplexError):
         FreeComplexWindow.from_json(obj)
 
 
@@ -440,3 +463,40 @@ def test_lift_and_verify_bytes_unchanged(capsys, tmp_path, name):
     assert (_sha256(capsys.readouterr().out), _sha256(lifted.read_text())) == digests["lift"]
     assert main(["verify", str(lifted), "--json"]) == 0
     assert _sha256(capsys.readouterr().out) == digests["verify"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd"],
+        ["factory"],
+    ],
+    ids=["build_ezd", "factory"],
+)
+def test_window_without_interior_index_not_certified(capsys, tmp_path, argv):
+    # lo = hi (ezd) or a single differential (factory): no exactness to check
+    out = tmp_path / "w.json"
+    code, rep = run_json(capsys, argv + ["--forward", "0", "--backward", "0", "--out", str(out)])
+    assert code == 2 and rep["status"] == "failed"
+    cert = rep["certificate"] if argv[0] == "build" else rep["report"]["certificate"]
+    assert cert["certified"] is False
+    assert not cert["exactness"]["exact"] and not cert["dual_exactness"]["exact"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["factory", "--forward", "-3", "--backward", "-2"],
+        ["factory", "--forward", "0", "--backward", "-1"],
+        ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd", "--forward", "-1"],
+        ["analyze", str(GRAPHS / "ten_vertex.json"), "--forward", "-1", "--backward", "-1"],
+    ],
+    ids=["factory", "factory_backward", "build", "analyze"],
+)
+def test_negative_window_lengths_refused(capsys, tmp_path, argv):
+    out = tmp_path / "w.json"
+    extra = ["--out", str(out)] if argv[0] != "analyze" else []
+    assert main(argv + extra + ["--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --forward and --backward must be non-negative\n"
+    assert captured.out == "" and not out.exists()

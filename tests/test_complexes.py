@@ -194,9 +194,12 @@ def test_window_shape_validation(c4_reduction, xy_pair):
         FreeComplexWindow(c4_reduction, 0, 1, [1, 1], [[[c4_reduction.basis_element(2, 0)]]])
 
 
-# -- the int64 array paths against list-path oracles ---------------------------
+# -- the array paths against the list oracle GradedAlgebra.multiply ------------
 
 ARRAY_PRIMES = (7, DEFAULT_PRIME, 2**31 - 1)
+# int64 arrays at ARRAY_PRIMES; object arrays of Python ints above 2**31 and
+# of Fractions over the rationals
+ARRAY_FIELDS = ARRAY_PRIMES + (4294967311, "QQ")
 
 
 @functools.lru_cache(maxsize=None)
@@ -205,8 +208,9 @@ def array_test_ring(kind, p):
     forms) or a quotient by relations, whose tables hold other entries.  In
     the dense quotient (ten variables, thirty random quadrics) an entry of a
     block sums up to nine nonzero products, more than the eight that fit in
-    int64 at the default prime; at 2**31 - 1 two fit."""
-    field = PrimeField(p)
+    int64 at the default prime; at 2**31 - 1 two fit.  p = "QQ" gives the
+    rationals."""
+    field = RationalField() if p == "QQ" else PrimeField(p)
     if kind == "stanley_reisner":
         return stanley_reisner(ten_vertex_graph(), 3, field)
     if kind == "generic_reduction":
@@ -238,7 +242,7 @@ ring_kinds = st.sampled_from(
 
 
 @settings(max_examples=40, deadline=None)
-@given(ring_kinds, st.sampled_from(ARRAY_PRIMES), st.integers(0, 2**32), st.data())
+@given(ring_kinds, st.sampled_from(ARRAY_FIELDS), st.integers(0, 2**32), st.data())
 def test_array_matrix_product_matches_multiply(kind, p, seed, data):
     R = array_test_ring(kind, p)
     rng = Random(seed)
@@ -258,7 +262,7 @@ def test_array_matrix_product_matches_multiply(kind, p, seed, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(ring_kinds, st.sampled_from(ARRAY_PRIMES), st.integers(0, 2**32), st.data())
+@given(ring_kinds, st.sampled_from(ARRAY_FIELDS), st.integers(0, 2**32), st.data())
 def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
     R = array_test_ring(kind, p)
     rng = Random(seed)

@@ -33,6 +33,10 @@ def test_parse_errors():
     with pytest.raises(GraphError):
         parse_graph({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]})  # duplicate
     with pytest.raises(GraphError):
+        parse_graph({"vertices": [["a"], "b"], "edges": []})  # unhashable vertex label
+    with pytest.raises(GraphError):
+        parse_graph({"vertices": ["a"], "edges": [[["a"], "a"]]})  # unhashable edge label
+    with pytest.raises(GraphError):
         parse_graph(
             {
                 "vertices": ["a", "b", "c"],

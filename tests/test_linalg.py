@@ -1,11 +1,22 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import totref
 from totref import Matrix, PrimeField, RationalField, Subspace
-from totref.linalg import _rref_np, _rref_py, array_rank, mod_matmul, np_modulus
+from totref.linalg import (
+    _rref_np,
+    _rref_py,
+    array_rank,
+    field_array,
+    field_matmul,
+    mod_matmul,
+    np_modulus,
+)
 
 import numpy as np
 
@@ -261,3 +272,67 @@ def test_array_rank_matches_matrix_rank(shape):
     before = A.copy()
     assert array_rank(GF, A) == Matrix(GF, entries, cols=cols).rank() == min(rows, 3)
     assert (A == before).all()
+
+
+@st.composite
+def matmul_cases(draw):
+    field = draw(st.sampled_from([GF, PrimeField(LARGE_PRIME), QQ]))
+    if field is QQ:
+        elt = st.one_of(st.just(Fraction(0)), st.fractions(-30, 30, max_denominator=12))
+    else:
+        elt = st.one_of(st.just(0), st.just(field.p - 1), st.integers(0, field.p - 1))
+    n, k, m = (draw(st.integers(0, top)) for top in (4, 12, 4))
+    A = [draw(st.lists(elt, min_size=k, max_size=k)) for _ in range(n)]
+    B = [draw(st.lists(elt, min_size=m, max_size=m)) for _ in range(k)]
+    return field, A, B
+
+
+@settings(max_examples=80, deadline=None)
+@given(matmul_cases())
+@example((QQ, [[Fraction(1, 2), Fraction(-2, 3)]], [[Fraction(3, 4)], [Fraction(9, 8)]]))
+@example((QQ, [[Fraction(1, 3)], [Fraction(0)]], [[Fraction(3, 1), Fraction(5, 7)]]))
+@example((PrimeField(LARGE_PRIME), [[LARGE_PRIME - 1] * 3] * 2, [[LARGE_PRIME - 1]] * 3))
+@example((QQ, [[], []], []))
+@example((PrimeField(LARGE_PRIME), [[]], []))
+def test_field_matmul_matches_nested_loops(case):
+    field, A, B = case
+    n, k = len(A), len(B)
+    m = len(B[0]) if B else 3
+    expected = []
+    for r in range(n):
+        row = []
+        for c in range(m):
+            acc = field.zero
+            for i in range(k):
+                acc = field.add(acc, field.mul(A[r][i], B[i][c]))
+            row.append(acc)
+        expected.append(row)
+    got = field_matmul(
+        field, field_array(field, A).reshape(n, k), field_array(field, B).reshape(k, m)
+    )
+    assert got.shape == (n, m) and got.tolist() == expected
+    assert got.dtype == (np.int64 if np_modulus(field) else object)
+    kind = Fraction if field is QQ else int
+    assert all(type(x) is kind for row in got.tolist() for x in row)
+
+
+def test_only_linalg_names_the_int64_decision():
+    """np_modulus and mod_matmul, which choose and use the int64 arrays, are
+    imported or named in linalg.py only."""
+    decision = {"np_modulus", "mod_matmul"}
+    seen = {}
+    for path in sorted(Path(totref.__file__).parent.glob("*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(a.asname or a.name for a in node.names)
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.FunctionDef):
+                names.add(node.name)
+        if names & decision:
+            seen[path.name] = names & decision
+    assert seen == {"linalg.py": decision}
