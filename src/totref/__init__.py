@@ -16,6 +16,7 @@ from .algebra import (
     ReductionChain,
     algebra_from_relations,
     artinian_reduction,
+    chain_from_descriptor,
     quotient_by_linear,
     reduction_chain,
     stanley_reisner,

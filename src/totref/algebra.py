@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from random import Random
 
 from .fields import PrimeField, field_from_json, field_to_json
-from .graphs import Graph
+from .graphs import Graph, parse_graph
 from .linalg import Matrix, field_array, field_matmul, reduce_by_echelon, rref_trailing
 
 
@@ -228,56 +228,26 @@ class GradedAlgebra:
 
     # -- serialization ---------------------------------------------------------
 
-    def to_json(self, include_tables=True) -> dict:
-        obj = {
+    def to_json(self) -> dict:
+        """The algebra as a file names it: field, cutoff, basis and the
+        descriptor from which the ring itself is rebuilt (no tables)."""
+        if self.descriptor is None:
+            raise AlgebraError("an algebra without a descriptor cannot be written")
+        return {
             "format": "algebra",
             "field": field_to_json(self.field),
             "cutoff": self.cutoff,
             "dims": list(self.dims),
             "basis": [list(b) for b in self.basis],
+            "descriptor": self.descriptor,
         }
-        if self.descriptor is not None:
-            obj["descriptor"] = self.descriptor
-        if include_tables:
-            enc = self.field.encode
-            tables = []
-            for d1 in range(1, self.cutoff + 1):
-                for d2 in range(d1, self.cutoff + 1 - d1):
-                    tab = self.table(d1, d2)
-                    tables.append(
-                        {
-                            "d1": d1,
-                            "d2": d2,
-                            "table": [[[enc(x) for x in vec] for vec in row] for row in tab],
-                        }
-                    )
-            obj["mult"] = tables
-        return obj
 
     @classmethod
-    def from_json(cls, obj) -> "GradedAlgebra":
-        for key, kind in (("field", dict), ("cutoff", int), ("basis", list)):
-            if not isinstance(obj.get(key), kind):
-                raise AlgebraError(f"algebra entry {key!r} is missing or not a {kind.__name__}")
-        field = field_from_json(obj["field"])
-        cutoff = obj["cutoff"]
-        basis = obj["basis"]
-        dec = field.decode
-        tables = {}
-        for entry in obj.get("mult", []):
-            d1, d2 = entry["d1"], entry["d2"]
-            tables[(d1, d2)] = [
-                [tuple(dec(x) for x in vec) for vec in row] for row in entry["table"]
-            ]
-
-        def mult_fn(d1, i, d2, j):
-            if (d1, d2) in tables:
-                return tables[(d1, d2)][i][j]
-            if (d2, d1) in tables:
-                return tables[(d2, d1)][j][i]
-            raise AlgebraError(f"serialized algebra lacks the ({d1},{d2}) table")
-
-        return cls(field, cutoff, basis, mult_fn, descriptor=obj.get("descriptor"))
+    def from_json(cls, obj, retries=64) -> "GradedAlgebra":
+        """The ring a serialized algebra names, rebuilt from its descriptor at
+        its own cutoff.  A ``mult`` entry (written by earlier versions) is ignored."""
+        chain, level = chain_from_json(obj, retries=retries)
+        return chain.ring(level)
 
 
 # -- Stanley-Reisner rings of graphs ------------------------------------------
@@ -524,6 +494,10 @@ class ReductionChain:
     def bottom(self) -> GradedAlgebra:
         return self.steps[1].target
 
+    def ring(self, level) -> GradedAlgebra:
+        """The ring at a level of the chain: 0 top, 1 mid, 2 bottom."""
+        return (self.top, self.mid, self.bottom)[level]
+
     def image(self, vertex) -> AlgebraElement:
         """The image in the bottom ring of the generator of a vertex."""
         q1, q2 = self.steps
@@ -535,7 +509,7 @@ class ReductionChain:
         return tuple(out[: self.top.cutoff + 1])
 
 
-def canonical_bipartite_forms(g: Graph, algebra: GradedAlgebra):
+def canonical_bipartite_forms(g: Graph):
     """l1 = sum of X-side vertices, l2 = sum of Y-side vertices (as labels)."""
     if not g.is_bipartite():
         raise AlgebraError("canonical forms require a bipartite graph")
@@ -584,7 +558,7 @@ def reduction_chain(
     last = None
     for _ in range(attempts):
         if mode == "canonical":
-            c1, c2 = canonical_bipartite_forms(g, top)
+            c1, c2 = canonical_bipartite_forms(g)
             l1 = top.linear_form(c1)
         else:
             l1 = top.random_linear(rng)
@@ -605,6 +579,38 @@ def reduction_chain(
         if mode == "canonical":
             break
     raise AlgebraError(f"no regular reduction found ({last})")
+
+
+def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
+    """The reduction chain a ``graph_reduction`` descriptor names, rebuilt at the cutoff."""
+    if not isinstance(desc, dict) or desc.get("kind") != "graph_reduction":
+        raise AlgebraError("algebra has no graph-reduction descriptor to rebuild its ring from")
+    seed, level = desc.get("seed", 0), desc.get("level")
+    if not isinstance(desc.get("graph"), dict) or desc.get("mode") not in ("canonical", "generic"):
+        raise AlgebraError("chain descriptor needs a graph and a mode, canonical or generic")
+    if not (isinstance(seed, int) and isinstance(level, int) and level in (0, 1, 2)):
+        raise AlgebraError("chain descriptor needs an integer seed and a level 0, 1 or 2")
+    return reduction_chain(parse_graph(desc["graph"]), desc["mode"], seed, cutoff, field, retries)
+
+
+def chain_from_json(obj, cutoff=None, retries=64):
+    """(chain, level): the chain a serialized algebra names, rebuilt at the
+    cutoff (default: the algebra's own), and the level of the algebra in it.
+    The basis must match the rebuilt ring in the degrees both cover."""
+    if not isinstance(obj, dict):
+        raise AlgebraError("algebra entry is not an object")
+    for key, kind in (("field", dict), ("cutoff", int), ("basis", list)):
+        if not isinstance(obj.get(key), kind):
+            raise AlgebraError(f"algebra entry {key!r} is missing or not a {kind.__name__}")
+    basis = obj["basis"]
+    if len(basis) != obj["cutoff"] + 1:
+        raise AlgebraError("algebra basis must cover degrees 0..cutoff")
+    desc, field = obj.get("descriptor"), field_from_json(obj["field"])
+    chain = chain_from_descriptor(desc, field, obj["cutoff"] if cutoff is None else cutoff, retries)
+    shared = min(len(basis), chain.top.cutoff + 1)
+    if basis[:shared] != chain.ring(desc["level"]).basis[:shared]:
+        raise AlgebraError("algebra basis does not match the ring its descriptor names")
+    return chain, desc["level"]
 
 
 def artinian_reduction(g: Graph, mode="canonical", seed=0, cutoff=3, field=None, retries=64):

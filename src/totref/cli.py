@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Optional
 
-from .algebra import AlgebraError, GradedAlgebra, reduction_chain
+from .algebra import AlgebraError, chain_from_json, reduction_chain
 from .analysis import (
     find_ezd,
     ideal_pair_analysis,
@@ -32,8 +32,8 @@ from .factory import (
     random_blocks,
     ten_vertex_graph,
 )
-from .fields import PrimeField, RationalField, field_from_json
-from .graphs import Graph, GraphError, load_graph, necessary_conditions, parse_graph
+from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_json
+from .graphs import Graph, GraphError, load_graph, necessary_conditions
 from .lifting import LiftError, lift_through_sequence
 
 
@@ -49,10 +49,12 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        if getattr(args, "rational", False):
+        if args.rational and args.prime is not None:
+            raise ValueError("--prime and --rational exclude each other")
+        if args.rational:
             field = RationalField()
         else:
-            field = PrimeField(args.prime)
+            field = PrimeField(DEFAULT_PRIME if args.prime is None else args.prime)
         if args.degree_bound is not None and args.degree_bound < 2:
             raise ValueError("--degree-bound must be at least 2")
         if args.forward < 0 or args.backward < 0:
@@ -307,47 +309,30 @@ def cmd_factory(args) -> int:
     return cmd_build(args)
 
 
-def _rebase_window(obj: dict, algebra: GradedAlgebra) -> FreeComplexWindow:
-    """Attach a loaded window to a freshly rebuilt algebra, label-checked."""
-    src = obj["algebra"]
-    if not isinstance(src.get("basis"), list) or len(src["basis"]) < 3:
-        raise ComplexError("complex file algebra basis must cover degrees 0, 1 and 2")
-    for d in (1, 2):
-        if src["basis"][d] != algebra.basis[d]:
-            raise ComplexError("complex file algebra does not match the rebuilt reduction")
-    return FreeComplexWindow.from_json(obj, algebra=algebra)
+def _read_complex(args, config: RunConfig) -> dict:
+    """The JSON of a complex file.  Its field comes from the file: an explicit
+    --prime or --rational must name the same one."""
+    with open(args.complex, "r", encoding="utf-8") as fh:
+        obj = json.load(fh)
+    if not isinstance(obj, dict) or obj.get("format") != "complex":
+        raise ComplexError("input is not a complex file")
+    entry = obj.get("algebra")
+    if (args.rational or args.prime is not None) and isinstance(entry, dict) and "field" in entry:
+        field = field_from_json(entry["field"])
+        if field != config.field:
+            raise ComplexError(f"complex file is over {field}, not {config.field}")
+    return obj
 
 
 def cmd_lift(args) -> int:
     config = RunConfig.from_args(args)
     if args.steps not in (1, 2):
         raise ValueError("--steps must be 1 or 2 (the reduction chain has two steps)")
-    with open(args.complex, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != "complex":
-        raise ComplexError("input is not a complex file")
-    algebra = obj.get("algebra")
-    desc = algebra.get("descriptor") if isinstance(algebra, dict) else None
-    if not (
-        isinstance(desc, dict) and desc.get("kind") == "graph_reduction" and desc.get("level") == 2
-    ):
-        raise ComplexError(
-            "lifting needs a complex over a graph reduction (missing chain descriptor)"
-        )
-    if "graph" not in desc or desc.get("mode") not in ("canonical", "generic"):
-        raise ComplexError("chain descriptor lacks its graph or a valid reduction mode")
-    file_field = field_from_json(algebra.get("field"))
-    if file_field != config.field:
-        raise ComplexError(
-            "complex file uses a different field; pass matching --prime/--rational"
-        )
-    graph = parse_graph(desc["graph"])
-    cutoff = max(config.degree_bound, 3)
-    chain = reduction_chain(
-        graph, mode=desc["mode"], seed=desc.get("seed", 0), cutoff=cutoff,
-        field=config.field, retries=config.retries,
-    )
-    window = _rebase_window(obj, chain.bottom)
+    obj = _read_complex(args, config)
+    chain, level = chain_from_json(obj.get("algebra"), max(config.degree_bound, 3), config.retries)
+    if level != 2:
+        raise ComplexError("lifting needs a complex over the bottom ring of its chain (level 2)")
+    window = FreeComplexWindow.from_json(obj, algebra=chain.bottom)
     qmaps = [chain.steps[1], chain.steps[0]][: args.steps]
     lifted, step_reports = lift_through_sequence(window, qmaps)
     report = {
@@ -373,9 +358,8 @@ def _constants_nonzero(obj, field) -> bool:
 
 def cmd_verify(args) -> int:
     config = RunConfig.from_args(args)
-    with open(args.complex, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    window = FreeComplexWindow.from_json(obj)
+    obj = _read_complex(args, config)
+    window = FreeComplexWindow.from_json(obj, retries=config.retries)
     has_units = _constants_nonzero(obj, window.algebra.field)
     if has_units:
         # constant terms make the stored linear matrices a different complex;
@@ -401,7 +385,10 @@ def _common_options() -> argparse.ArgumentParser:
     shares a parent's option objects with each parser built from it, so one
     parent per subcommand keeps a set_defaults from leaking into the others."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--prime", type=int, default=PrimeField().p, help="prime for GF(p) mode")
+    common.add_argument(
+        "--prime", type=int, default=None,
+        help=f"prime for GF(p) mode (default {DEFAULT_PRIME}; lift and verify: the file's field)",
+    )
     common.add_argument("--rational", action="store_true", help="use exact rationals instead of GF(p)")
     common.add_argument(
         "--degree-bound", type=int, default=None,

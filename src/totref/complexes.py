@@ -155,7 +155,7 @@ class FreeComplexWindow:
                 bound = min(bound, degree_bound)
         return ExactnessReport(
             records=tuple(records),
-            exact=all_ok,
+            exact=all_ok and bool(records),  # no record: every degree lay above the bound
             certified_degree_bound=bound,
             complete=complete,
         )
@@ -194,11 +194,14 @@ class FreeComplexWindow:
 
     # -- serialization ----------------------------------------------------------
 
-    def to_json(self, include_algebra_tables=True) -> dict:
+    def to_json(self) -> dict:
+        """The window as a complex file, whose ring is named by its descriptor."""
+        if self.algebra.descriptor is None:
+            raise ComplexError("a window over a ring without a descriptor cannot be written")
         enc = self.algebra.field.encode
         return {
             "format": "complex",
-            "algebra": self.algebra.to_json(include_tables=include_algebra_tables),
+            "algebra": self.algebra.to_json(),
             "lo": self.lo,
             "hi": self.hi,
             "base_twist": self.base_twist,
@@ -210,14 +213,16 @@ class FreeComplexWindow:
         }
 
     @classmethod
-    def from_json(cls, obj, algebra=None) -> "FreeComplexWindow":
+    def from_json(cls, obj, algebra=None, retries=64) -> "FreeComplexWindow":
+        """A window from a complex file, over `algebra` when given, else over
+        the ring its algebra entry names (``GradedAlgebra.from_json``)."""
         if not isinstance(obj, dict) or obj.get("format") != "complex":
             raise ComplexError("not a complex file")
         for key, kind in _REQUIRED_FIELDS:
             if not isinstance(obj.get(key), kind):
                 raise ComplexError(f"complex file field {key!r} is missing or not a {kind.__name__}")
         if algebra is None:
-            algebra = GradedAlgebra.from_json(obj["algebra"])
+            algebra = GradedAlgebra.from_json(obj["algebra"], retries=retries)
         dec = algebra.field.decode
         try:
             diffs = [

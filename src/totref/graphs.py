@@ -73,9 +73,6 @@ class Graph:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u, v) -> bool:
-        return v in self._adj[u]
-
     def components(self):
         """Connected components by breadth-first search from each first unseen
         vertex in declared order.  Each is a dict mapping a vertex to the

@@ -17,8 +17,6 @@ up to the cutoff, minimality) is re-verified rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from .algebra import AlgebraElement, GradedAlgebra, QuotientMap
 from .complexes import FreeComplexWindow, WindowCertificate, full_certification, matrix_product
 
@@ -27,12 +25,11 @@ class LiftError(ValueError):
     pass
 
 
-def certify_regular(S: GradedAlgebra, x: AlgebraElement, top: Optional[int] = None) -> bool:
+def certify_regular(S: GradedAlgebra, x: AlgebraElement) -> bool:
     """Multiplication by x is injective on every graded piece below the cutoff."""
     if x.degree != 1 or x.is_zero():
         return False
-    top = S.cutoff - 1 if top is None else top
-    for t in range(0, top + 1):
+    for t in range(0, S.cutoff):
         if S.dims[t] == 0:
             continue
         m = S.mult_map_matrix(x, t)

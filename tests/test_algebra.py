@@ -11,6 +11,7 @@ from totref import (
     QuotientMap,
     algebra_from_relations,
     artinian_reduction,
+    chain_from_descriptor,
     quotient_by_linear,
     reduction_chain,
     stanley_reisner,
@@ -241,6 +242,59 @@ def test_algebra_json_round_trip(c4_reduction):
     y1 = back.generator("y1")
     orig = c4_reduction.generator("x1") * c4_reduction.generator("y1")
     assert (x1 * y1).coords == orig.coords
+
+
+def test_from_json_rebuilds_the_ring_and_ignores_tables(c4_chain5):
+    for level in (0, 1, 2):
+        ring = c4_chain5.ring(level)
+        obj = json.loads(json.dumps(ring.to_json()))
+        assert "mult" not in obj and obj["descriptor"]["level"] == level
+        # a table entry, as earlier versions wrote them, is not read
+        obj["mult"] = [{"d1": 1, "d2": 1, "table": [[[7] * ring.dims[2]] * ring.dims[1]] * ring.dims[1]}]
+        back = GradedAlgebra.from_json(obj)
+        assert back.to_json() == ring.to_json()
+        for d1 in range(1, ring.cutoff):
+            for d2 in range(1, ring.cutoff + 1 - d1):
+                assert back.table(d1, d2) == ring.table(d1, d2), (level, d1, d2)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda o: o.pop("descriptor"),
+        lambda o: o["descriptor"].update(kind="other"),
+        lambda o: o["descriptor"].pop("graph"),
+        lambda o: o["descriptor"].update(mode="random"),
+        lambda o: o["descriptor"].update(level=3),
+        lambda o: o["descriptor"].update(seed=None),
+        lambda o: o["basis"].pop(),
+        lambda o: o["basis"][1].reverse(),
+        lambda o: o.update(cutoff=4),
+    ],
+    ids=["no_descriptor", "kind", "no_graph", "mode", "level", "seed", "basis_length",
+         "basis_labels", "cutoff"],
+)
+def test_from_json_refuses_a_ring_its_descriptor_does_not_name(c4_reduction, corrupt):
+    obj = json.loads(json.dumps(c4_reduction.to_json()))
+    corrupt(obj)
+    with pytest.raises(AlgebraError):
+        GradedAlgebra.from_json(obj)
+
+
+def test_algebra_without_descriptor_is_not_written(gf):
+    R = algebra_from_relations(["X", "Y"], EXAMPLE_RING_RELATIONS, 3, field=gf)
+    with pytest.raises(AlgebraError):
+        R.to_json()
+
+
+def test_chain_from_descriptor_matches_reduction_chain(c4, ten_vertex_g, qq):
+    for g, mode, field in ((c4, "canonical", None), (ten_vertex_g, "generic", qq)):
+        chain = reduction_chain(g, mode=mode, seed=3, cutoff=4, field=field)
+        again = chain_from_descriptor(chain.bottom.descriptor, chain.top.field, 4)
+        assert [r.basis for r in (again.top, again.mid, again.bottom)] == [
+            r.basis for r in (chain.top, chain.mid, chain.bottom)
+        ]
+        assert again.steps[1].form.coords == chain.steps[1].form.coords
 
 
 def test_rational_mode_reduction(c4, qq):

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from totref import ten_vertex_graph
+from totref import GradedAlgebra, ten_vertex_graph
 from totref.cli import main
+from totref.fields import DEFAULT_PRIME
 
 
 def write_graph(tmp_path, name, obj):
@@ -337,15 +338,35 @@ ANALYZE_JSON_SHA256 = {
     "ten_vertex.json": "0b2a4d7dd9ea7bcc0c76c43d4f423a58e72ec6ced18145077dd991843d268baa",
     "two_blocks_hub.json": "c78a69f1883d9e366f8d54336c20140025fff95e37d820409f1c700fc7f0c7e8",
 }
-# (complex JSON on stdout, report on stderr) of `factory --canonical --json`
+# (complex JSON on stdout, report on stderr) of `factory --canonical --json`.
+# The complex JSON names its ring by descriptor; with the multiplication
+# tables put back (`_with_tables`) it is the file earlier versions wrote.
 FACTORY_CANONICAL_SHA256 = (
-    "2cb2c655eb7f724dd651e50e9fa3f1b7d6a5190cb7c8efe141b26e2c8ae42653",
+    "f8bb25a36810691fda12de7ae606f71da2130df88a0adb341ce0cf3445c7e2c2",
     "561e924a07c050d8ef0250c3c17bbdeb8a7e2f0b1657bf6db7b2c15f452b3232",
+)
+FACTORY_CANONICAL_WITH_TABLES_SHA256 = (
+    "2cb2c655eb7f724dd651e50e9fa3f1b7d6a5190cb7c8efe141b26e2c8ae42653"
 )
 
 
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _with_tables(text):
+    """A complex file as earlier versions wrote it: its algebra entry also
+    carries the multiplication tables of the ring, laid out from R.table."""
+    obj = json.loads(text)
+    R = GradedAlgebra.from_json(obj["algebra"])
+    enc = R.field.encode
+    obj["algebra"]["mult"] = [
+        {"d1": d1, "d2": d2,
+         "table": [[[enc(x) for x in vec] for vec in row] for row in R.table(d1, d2)]}
+        for d1 in range(1, R.cutoff + 1)
+        for d2 in range(d1, R.cutoff + 1 - d1)
+    ]
+    return json.dumps(obj, indent=1) + "\n"
 
 
 def test_output_bytes_unchanged(capsys):
@@ -356,6 +377,8 @@ def test_output_bytes_unchanged(capsys):
     assert main(["factory", "--canonical", "--json"]) == 0
     out = capsys.readouterr()
     assert (_sha256(out.out), _sha256(out.err)) == FACTORY_CANONICAL_SHA256
+    assert "mult" not in json.loads(out.out)["algebra"]
+    assert _sha256(_with_tables(out.out)) == FACTORY_CANONICAL_WITH_TABLES_SHA256
 
 # `verify --json` on the `build --mode ezd` window of graphs/four_cycle.json,
 # as printed before `--degree-bound` reached verify
@@ -425,21 +448,34 @@ def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv):
 # --degree-bound 4` with --json, and of stdout of `verify --json` on the lifted
 # file, recorded before the window certification moved to int64 arrays.  The
 # ten-vertex GF(p) blocks exceed the list-elimination threshold; the four_cycle
-# window over the rationals takes the list path throughout.
+# window over the rationals takes the list path throughout.  The files no
+# longer carry multiplication tables: LIFT_VERIFY_WITH_TABLES_SHA256 holds the
+# digests recorded for them, which `_with_tables` of each file reproduces, and
+# `verify` of the lifted file with its tables put back prints the same bytes.
 LIFT_VERIFY_SHA256 = {
     "ten_vertex": {
         "build": ("b8b7ee45c1227a2e6ab8a3d486cc552441e4669f8bb3b2bd3b8c9e4889fba182",
-                  "7b0625ca0ddd0ab95d5b47a0916f890430e36d08980dd6b0aa19235291640fff"),
+                  "dfb826de130626c8d561adc4bb958a6127aef26660250f0878dfb20f04daf7b0"),
         "lift": ("18acf04c0e1e2891e6d5a77e14eb8e6e8f8bf000fae62c50b29f5556c65d5214",
-                 "88949c8e09f9167df35bcdda0377ba468b82d19d49185ab103a85d8f39896543"),
+                 "fa3b55a7584933f403328ca925811082b5a70eeef62776f3ea3c0920b36338eb"),
         "verify": "aedc64689ff33bf9e2c8e74f3ff7ef88063b64765abd5d4126b2d6f00d8b0bf5",
     },
     "four_cycle_rational": {
         "build": ("722601816ff6fe96084eb6ca9b98a4bbbda89f6d7429a7dbfd4d181185bf0305",
-                  "81af06be86e4ceec5e5a2438d9d1ed42c0e3f9450aed225b14114dc57467ff64"),
+                  "a32c700e35bab7b6270022945b811624861dc01821f781af1c1309dfebddeffc"),
         "lift": ("6bdc97c787823aad7f733a693c376d4964e9a7a0c301015a9338a217a1971ecb",
-                 "b075ffdb46c2154e4d06275b5f54d01fbe5e7d6114d94fb5748b1edad5cb997d"),
+                 "6417afff2b9246560d1301f93e31f3ca3c31406f025cda4db1274dcf16098766"),
         "verify": "6a7dce0f830e4b867346d286a9f7586175e02c565c179dad6e49c2f17b60cfd8",
+    },
+}
+LIFT_VERIFY_WITH_TABLES_SHA256 = {
+    "ten_vertex": {
+        "build": "7b0625ca0ddd0ab95d5b47a0916f890430e36d08980dd6b0aa19235291640fff",
+        "lift": "88949c8e09f9167df35bcdda0377ba468b82d19d49185ab103a85d8f39896543",
+    },
+    "four_cycle_rational": {
+        "build": "81af06be86e4ceec5e5a2438d9d1ed42c0e3f9450aed225b14114dc57467ff64",
+        "lift": "b075ffdb46c2154e4d06275b5f54d01fbe5e7d6114d94fb5748b1edad5cb997d",
     },
 }
 LIFT_VERIFY_SOURCES = {
@@ -453,15 +489,21 @@ LIFT_VERIFY_SOURCES = {
 @pytest.mark.parametrize("name", sorted(LIFT_VERIFY_SHA256))
 def test_lift_and_verify_bytes_unchanged(capsys, tmp_path, name):
     build_argv, field_argv = LIFT_VERIFY_SOURCES[name]
-    digests = LIFT_VERIFY_SHA256[name]
+    digests, with_tables = LIFT_VERIFY_SHA256[name], LIFT_VERIFY_WITH_TABLES_SHA256[name]
     src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
     argv = build_argv + ["--forward", "2", "--backward", "2", "--out", str(src), "--json"]
     assert main(argv) == 0
     assert (_sha256(capsys.readouterr().out), _sha256(src.read_text())) == digests["build"]
+    assert _sha256(_with_tables(src.read_text())) == with_tables["build"]
     argv = ["lift", str(src), "--steps", "2", "--degree-bound", "4", "--out", str(lifted), "--json"]
     assert main(argv + field_argv) == 0
     assert (_sha256(capsys.readouterr().out), _sha256(lifted.read_text())) == digests["lift"]
+    assert _sha256(_with_tables(lifted.read_text())) == with_tables["lift"]
     assert main(["verify", str(lifted), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == digests["verify"]
+    old = tmp_path / "with_tables.json"
+    old.write_text(_with_tables(lifted.read_text()))
+    assert main(["verify", str(old), "--json"]) == 0
     assert _sha256(capsys.readouterr().out) == digests["verify"]
 
 
@@ -500,3 +542,119 @@ def test_negative_window_lengths_refused(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     assert captured.err == "error: --forward and --backward must be non-negative\n"
     assert captured.out == "" and not out.exists()
+
+
+def _four_cycle_window(capsys, tmp_path, *extra):
+    src = tmp_path / "src.json"
+    argv = ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd", "--out", str(src), *extra]
+    assert main(argv) == 0
+    capsys.readouterr()
+    return src
+
+
+def test_verify_bound_above_every_twist_not_certified(capsys, tmp_path):
+    # every interior twist of the primal exceeds the bound: no degree of it
+    # is checked, so the primal side is not exact and nothing is certified
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(src.read_text())
+    obj["base_twist"] = 10
+    src.write_text(json.dumps(obj))
+    code, rep = run_json(capsys, ["verify", str(src), "--degree-bound", "2"])
+    assert code == 0
+    assert rep["certified"] is False
+    assert rep["exactness"] == {
+        "exact": False, "complete": False, "certified_degree_bound": 2, "failures": []
+    }
+    assert rep["dual_exactness"]["exact"] is True
+    assert rep["dual_exactness"]["certified_degree_bound"] == -15
+
+
+def test_verify_ignores_tampered_tables(capsys, tmp_path):
+    # the ring is rebuilt from the descriptor: tables a file carries change nothing
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(_with_tables(src.read_text()))
+    for entry in obj["algebra"]["mult"]:
+        if (entry["d1"], entry["d2"]) == (1, 1):
+            entry["table"][0][0] = [1] * len(entry["table"][0][0])
+            entry["table"][1][1] = [0] * len(entry["table"][1][1])
+    bad = tmp_path / "tampered.json"
+    bad.write_text(json.dumps(obj, indent=1) + "\n")
+    assert main(["verify", str(bad), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY_FOUR_CYCLE_SHA256
+
+
+def _swap_degree_one_labels(alg):
+    alg["basis"][1] = alg["basis"][1][::-1]
+
+
+@pytest.mark.parametrize("command", ["lift", "verify"])
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda alg: alg.pop("descriptor"),
+        lambda alg: alg["descriptor"].update(kind="polynomial_quotient"),
+        lambda alg: alg["descriptor"].update(level=3),
+        lambda alg: alg["descriptor"].update(level="2"),
+        lambda alg: alg["descriptor"].update(level=1),
+        lambda alg: alg["descriptor"].update(seed="0"),
+        _swap_degree_one_labels,
+        lambda alg: alg["basis"][2].append("x1*y1"),
+    ],
+    ids=["no_descriptor", "kind", "level_3", "level_str", "level_1", "seed_str",
+         "basis_order", "basis_extra"],
+)
+def test_ring_not_named_by_descriptor_refused(capsys, tmp_path, command, corrupt):
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(src.read_text())
+    corrupt(obj["algebra"])
+    src.write_text(json.dumps(obj))
+    out = tmp_path / "lifted.json"
+    extra = ["--out", str(out)] if command == "lift" else []
+    assert main([command, str(src), "--json", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field_argv", [["--prime", "7"], ["--rational"]], ids=["prime", "rational"]
+)
+def test_lift_and_verify_refuse_a_field_the_file_does_not_use(capsys, tmp_path, field_argv):
+    src = _four_cycle_window(capsys, tmp_path)
+    for command in ("lift", "verify"):
+        assert main([command, str(src), "--json", *field_argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: complex file is over GF(1073741789), not"), err
+    assert main(["verify", str(src), "--json", "--prime", str(DEFAULT_PRIME)]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY_FOUR_CYCLE_SHA256
+
+
+def test_lift_takes_the_field_from_the_file(capsys, tmp_path):
+    src = _four_cycle_window(capsys, tmp_path, "--rational")
+    lifted = tmp_path / "lifted.json"
+    code, rep = run_json(capsys, ["lift", str(src), "--degree-bound", "4", "--out", str(lifted)])
+    assert code == 0 and rep["status"] == "certified"
+    assert json.loads(lifted.read_text())["algebra"]["field"] == {"kind": "qq"}
+
+
+def test_prime_and_rational_exclude_each_other(capsys):
+    argv = ["analyze", str(GRAPHS / "four_cycle.json"), "--prime", "7", "--rational"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --prime and --rational exclude each other\n"
+
+
+def test_verify_passes_retries_to_the_rebuild(capsys, monkeypatch, tmp_path):
+    import totref.algebra as algebra
+
+    src = _four_cycle_window(capsys, tmp_path)
+    seen = []
+    real = algebra.reduction_chain
+
+    def spy(*args):
+        seen.append(args[-1])
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "reduction_chain", spy)
+    assert main(["verify", str(src), "--json", "--retries", "5"]) == 0
+    assert _sha256(capsys.readouterr().out) == VERIFY_FOUR_CYCLE_SHA256
+    assert seen == [5]

@@ -186,6 +186,16 @@ def test_json_round_trip_bit_exact(c4_reduction, xy_pair):
     assert full_certification(w2).certified
 
 
+def test_window_over_a_ring_without_descriptor_is_not_written(gf):
+    from conftest import EXAMPLE_RING_RELATIONS
+
+    R = algebra_from_relations(["X", "Y"], EXAMPLE_RING_RELATIONS, 3, field=gf)
+    x, y = R.generators()
+    w = FreeComplexWindow(R, 0, 2, [1, 1, 1], [[[x]], [[x - y]]])
+    with pytest.raises(ComplexError):
+        w.to_json()
+
+
 def test_window_shape_validation(c4_reduction, xy_pair):
     x, _ = xy_pair
     with pytest.raises(ComplexError):
