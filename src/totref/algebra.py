@@ -114,6 +114,9 @@ class GradedAlgebra:
         self.dims = [len(labels) for labels in self.basis]
         self._mult_basis_fn = mult_basis_fn
         self.descriptor = descriptor
+        # the QuotientMap to R/(x) for a linear form x certified regular on R,
+        # so that a window is exact where its reduction is; set by reduction_chain only
+        self.reduction = None
         self._tables = {}
         self._np_tables = {}
         self._gen_index = {lab: i for i, lab in enumerate(self.basis[1])} if cutoff >= 1 else {}
@@ -574,6 +577,10 @@ def reduction_chain(
         q2 = QuotientMap(mid, l2, descriptor=dict(descriptor_base, level=2))
         bottom = q2.target
         if list(bottom.dims) == expected:
+            # The ring of a connected graph with an edge is Cohen-Macaulay of
+            # dimension 2 (Reisner), and an Artinian bottom makes (l1, l2) a
+            # system of parameters, hence a regular sequence.
+            top.reduction, mid.reduction = q1, q2
             return ReductionChain(graph=g, top=top, steps=[q1, q2], mode=mode, seed=seed)
         last = f"Hilbert function {tuple(bottom.dims)} != {tuple(expected)}"
         if mode == "canonical":

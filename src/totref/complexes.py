@@ -8,8 +8,13 @@ window is exact iff dim ker (d_i)_d equals rank (d_{i+1})_d, which together
 with d_i d_{i+1} = 0 is the full condition.
 
 For an Artinian algebra the finitely many nonzero internal degrees make the
-certification complete; otherwise the report carries the degree bound it was
-checked to.  Each graded block of a differential is assembled as an array over
+certification complete.  A window over the top or middle ring of a reduction
+chain is certified through its reduction E/xE over R/(x), down to the Artinian
+bottom ring: x is regular, so exactness of E/xE at i gives H_i(E) = x H_i(E),
+and H_i(E) = 0 in every degree by graded Nakayama; the same holds for the dual,
+since Hom(E, R)/x = Hom(E/xE, R/x).  A window checked with a degree bound, or
+over a ring with neither property, carries the degree bound it was checked to.
+Each graded block of a differential is assembled as an array over
 the field (``linalg.field_array``) by one product with the multiplication
 table and ranked as such, and each block is ranked once per check.
 """
@@ -114,13 +119,26 @@ class FreeComplexWindow:
             for e in row
         )
 
+    def reduce(self) -> "FreeComplexWindow":
+        """The window E/xE over R/(x) for the reduction of its ring: every
+        entry projected through ``R.reduction``."""
+        q = self.algebra.reduction
+        if q is None:
+            raise ComplexError("the window's ring has no certified reduction")
+        diffs = [[[q.project(e) for e in row] for row in mat] for mat in self.diffs]
+        return FreeComplexWindow(q.target, self.lo, self.hi, self.betti, diffs, self.base_twist)
+
     def graded_exactness(self, degree_bound=None) -> "ExactnessReport":
         """Per-index, per-degree exactness comparison of kernels and images.
 
-        The block of d_{i+1} in degree t - 1 gives the incoming rank at (i, t)
-        and the kernel at (i + 1, t - 1), so each block is ranked once.
+        Without a bound, a ring with a certified reduction is checked through
+        ``reduce()``, complete in every degree.  Otherwise the block of d_{i+1}
+        in degree t - 1 gives the incoming rank at (i, t) and the kernel at
+        (i + 1, t - 1), so each block is ranked once.
         """
         R = self.algebra
+        if degree_bound is None and R.reduction is not None:
+            return self.reduce().graded_exactness()
         max_t = R.cutoff - 1
         ranks = {}
 
@@ -131,11 +149,13 @@ class FreeComplexWindow:
 
         records = []
         all_ok = True
+        cut = False  # the bound skipped a nonzero graded piece
         for i in self.interior_indices():
             n_i = self.twist(i)
             for t in range(0, max_t + 1):
                 d = n_i + t
                 if degree_bound is not None and d > degree_bound:
+                    cut = cut or any(R.dims[t : max_t + 1])
                     break
                 cols = self.rank_of(i) * R.dims[t]
                 ker = cols - rank(i, t) if cols else 0
@@ -143,7 +163,7 @@ class FreeComplexWindow:
                 ok = ker == inc
                 all_ok = all_ok and ok
                 records.append(ExactnessRecord(i, d, ker, inc, ok))
-        complete = R.is_artinian() and degree_bound is None
+        complete = R.is_artinian() and not cut
         if complete:
             bound = None  # every nonzero graded piece was covered
         else:
@@ -292,7 +312,9 @@ class ExactnessReport:
     records: tuple
     exact: bool
     certified_degree_bound: Optional[int]  # None when every nonzero degree was covered
-    complete: bool  # True when the algebra is Artinian: all degrees were covered
+    # True when every nonzero degree was covered: over an Artinian ring when
+    # no bound skipped a nonzero piece, and through a certified reduction
+    complete: bool
 
     def failures(self):
         return [r for r in self.records if not r.exact]

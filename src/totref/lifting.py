@@ -10,8 +10,11 @@ homological parity:
     even i:  [[d_i, x*I], [M_i, d_{i-1}]]     odd i: [[d_i, -x*I], [-M_i, d_{i-1}]]
 
 Betti numbers double along the way; everything the construction promises
-(composition zero, the x-cancellation identity, exactness and dual exactness
-up to the cutoff, minimality) is re-verified rather than trusted.
+(composition zero, the x-cancellation identity, exactness and dual exactness,
+minimality) is re-verified rather than trusted.  The rings of a reduction
+chain carry their certified reductions, so both the source gate and the lifted
+window's exactness are decided on the Artinian bottom ring, in every degree
+(``FreeComplexWindow.graded_exactness``).
 """
 
 from __future__ import annotations

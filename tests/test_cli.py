@@ -446,26 +446,33 @@ def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv):
 
 # SHA-256 of (stdout, --out file) of `build` and then `lift --steps 2
 # --degree-bound 4` with --json, and of stdout of `verify --json` on the lifted
-# file, recorded before the window certification moved to int64 arrays.  The
-# ten-vertex GF(p) blocks exceed the list-elimination threshold; the four_cycle
-# window over the rationals takes the list path throughout.  The files no
-# longer carry multiplication tables: LIFT_VERIFY_WITH_TABLES_SHA256 holds the
-# digests recorded for them, which `_with_tables` of each file reproduces, and
-# `verify` of the lifted file with its tables put back prints the same bytes.
+# file.  The ten-vertex GF(p) blocks exceed the list-elimination threshold; the
+# four_cycle window over the rationals takes the list path throughout.  The
+# files no longer carry multiplication tables: LIFT_VERIFY_WITH_TABLES_SHA256
+# holds the digests recorded for them, which `_with_tables` of each file
+# reproduces, and `verify` of the lifted file with its tables put back prints
+# the same bytes.  The lifted windows live over the top ring of their chain and
+# are certified through its Artinian reduction: the `lift` and `verify` reports
+# say `complete: true, certified_degree_bound: null` where they said `false`
+# and a degree before.  "verify_truncated" is the `verify` digest recorded
+# before that, which `verify --degree-bound 1000` (the check on the window's
+# own ring, up to its cutoff) still prints.
 LIFT_VERIFY_SHA256 = {
     "ten_vertex": {
         "build": ("b8b7ee45c1227a2e6ab8a3d486cc552441e4669f8bb3b2bd3b8c9e4889fba182",
                   "dfb826de130626c8d561adc4bb958a6127aef26660250f0878dfb20f04daf7b0"),
-        "lift": ("18acf04c0e1e2891e6d5a77e14eb8e6e8f8bf000fae62c50b29f5556c65d5214",
+        "lift": ("cded885e368444bf58096755118c899bdaaf6acdabf5f8a08430bbff0a554046",
                  "fa3b55a7584933f403328ca925811082b5a70eeef62776f3ea3c0920b36338eb"),
-        "verify": "aedc64689ff33bf9e2c8e74f3ff7ef88063b64765abd5d4126b2d6f00d8b0bf5",
+        "verify": "8b939b91efd0b2f0094fe4c4335ef5837cf584da7001a6823e6be4406fc8fb70",
+        "verify_truncated": "aedc64689ff33bf9e2c8e74f3ff7ef88063b64765abd5d4126b2d6f00d8b0bf5",
     },
     "four_cycle_rational": {
         "build": ("722601816ff6fe96084eb6ca9b98a4bbbda89f6d7429a7dbfd4d181185bf0305",
                   "a32c700e35bab7b6270022945b811624861dc01821f781af1c1309dfebddeffc"),
-        "lift": ("6bdc97c787823aad7f733a693c376d4964e9a7a0c301015a9338a217a1971ecb",
+        "lift": ("33153c44b0a535c8f7b46d277741b315af34c15bf7e2ab8c40048c8f5687c8e7",
                  "6417afff2b9246560d1301f93e31f3ca3c31406f025cda4db1274dcf16098766"),
-        "verify": "6a7dce0f830e4b867346d286a9f7586175e02c565c179dad6e49c2f17b60cfd8",
+        "verify": "8b939b91efd0b2f0094fe4c4335ef5837cf584da7001a6823e6be4406fc8fb70",
+        "verify_truncated": "6a7dce0f830e4b867346d286a9f7586175e02c565c179dad6e49c2f17b60cfd8",
     },
 }
 LIFT_VERIFY_WITH_TABLES_SHA256 = {
@@ -501,6 +508,8 @@ def test_lift_and_verify_bytes_unchanged(capsys, tmp_path, name):
     assert _sha256(_with_tables(lifted.read_text())) == with_tables["lift"]
     assert main(["verify", str(lifted), "--json"]) == 0
     assert _sha256(capsys.readouterr().out) == digests["verify"]
+    assert main(["verify", str(lifted), "--json", "--degree-bound", "1000"]) == 0
+    assert _sha256(capsys.readouterr().out) == digests["verify_truncated"]
     old = tmp_path / "with_tables.json"
     old.write_text(_with_tables(lifted.read_text()))
     assert main(["verify", str(old), "--json"]) == 0
@@ -565,8 +574,44 @@ def test_verify_bound_above_every_twist_not_certified(capsys, tmp_path):
     assert rep["exactness"] == {
         "exact": False, "complete": False, "certified_degree_bound": 2, "failures": []
     }
-    assert rep["dual_exactness"]["exact"] is True
-    assert rep["dual_exactness"]["certified_degree_bound"] == -15
+    # the dual's interior twists are -17..-11 and R_3 = 0: the bound skipped
+    # no nonzero graded piece, so its check covered every degree
+    assert rep["dual_exactness"] == {
+        "exact": True, "complete": True, "certified_degree_bound": None, "failures": []
+    }
+
+
+@pytest.mark.parametrize("corruption", ["coefficient", "zero_differential"])
+def test_verify_refuses_a_corrupted_lifted_file(capsys, tmp_path, corruption):
+    # the lifted window lives over the top ring and is checked through its
+    # reduction (no bound) or on its own ring (with a bound); both refuse it
+    src, lifted = _four_cycle_window(capsys, tmp_path), tmp_path / "lifted.json"
+    assert main(["lift", str(src), "--degree-bound", "4", "--out", str(lifted)]) == 0
+    capsys.readouterr()
+    obj = json.loads(lifted.read_text())
+    mat = obj["differentials"][2]
+    if corruption == "coefficient":
+        mat[0][0][0] = (mat[0][0][0] + 1) % DEFAULT_PRIME
+    else:  # d_i = 0 still composes with its neighbours, and is not exact
+        obj["differentials"][2] = [[[0] * len(e) for e in row] for row in mat]
+    lifted.write_text(json.dumps(obj))
+    for bound in ([], ["--degree-bound", "4"]):
+        code, rep = run_json(capsys, ["verify", str(lifted), *bound])
+        assert code == 0 and rep["certified"] is False, bound
+        if corruption == "zero_differential":
+            assert rep["composes"] and not rep["exactness"]["exact"], bound
+
+
+def test_rational_ten_vertex_lift_is_certified(capsys, tmp_path):
+    # the smallest ten-vertex factory window that lifts twice, over Q
+    src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = ["factory", "--rational", "--forward", "2", "--backward", "1", "--out", str(src)]
+    assert run_json(capsys, argv)[1]["status"] == "certified"
+    code, rep = run_json(capsys, ["lift", str(src), "--degree-bound", "3", "--out", str(lifted)])
+    assert code == 0 and rep["status"] == "certified" and len(rep["steps"]) == 2
+    code, rep = run_json(capsys, ["verify", str(lifted)])
+    assert code == 0 and rep["certified"] is True
+    assert rep["exactness"]["complete"] and rep["dual_exactness"]["complete"]
 
 
 def test_verify_ignores_tampered_tables(capsys, tmp_path):

@@ -329,14 +329,15 @@ def test_graded_exactness_ranks_each_block_once(monkeypatch, c4, special_ring):
     rational_chain = reduction_chain(c4, cutoff=3, field=RationalField())
     x, y = rational_chain.bottom.generators()
     rational = ezd_complex(rational_chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
-    # lifted to the Stanley-Reisner ring at cutoff 5: blocks up to 80 x 64,
-    # above the list-elimination threshold
+    # lifted to the Stanley-Reisner ring at cutoff 5 and checked there (a bound
+    # above the cutoff): blocks up to 80 x 64, above the list-elimination
+    # threshold; without a bound it is checked on its Artinian reduction
     chain = reduction_chain(c4, cutoff=5)
     x, y = chain.bottom.generators()
     source = ezd_complex(chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
     lifted, _ = lift_through_sequence(source, [chain.steps[1], chain.steps[0]])
-    for w in (canonical, rational, lifted):
+    for w, bound in ((canonical, None), (rational, None), (lifted, None), (lifted, 1000)):
         calls = _count_eliminations(monkeypatch)
-        assert w.graded_exactness().exact
+        assert w.graded_exactness(bound).exact
         assert 0 < len(calls) <= len(_distinct_blocks(w))
         monkeypatch.undo()
