@@ -10,7 +10,10 @@ one-dimensional overlap (delta) in degree two.  Pairs of 2x2 matrices
     negatives, the new columns spanning ker(A_n + B_n) on (R_1)^2;
   * backward, by running the forward step on the transposes and transposing.
 
-Every step re-verifies the injectivity of all four induced maps and the
+Each side's linear algebra is built once per ring (``Side``), so that every
+induced map is one array product over the field.  Every step still
+re-verifies that each entry lies in its side and each product in the side's
+degree-two piece, the injectivity of all four induced maps and the
 vanishing of the composition, so a finished window certifies itself; the
 explicit even/odd block pair gives a genuinely periodic window, and random
 coefficient choices give fresh ones (distinguished by their entry ideals).
@@ -20,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+
+import numpy as np
 
 from .algebra import AlgebraElement, ReductionChain, reduction_chain
 from .complexes import (
@@ -31,7 +36,7 @@ from .complexes import (
     matrix_product,
 )
 from .graphs import Graph
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce
 
 
 class FactoryError(ValueError):
@@ -76,6 +81,30 @@ def _greedy_basis(field, ambient, vectors):
     return chosen
 
 
+@dataclass
+class Side:
+    """One side's linear algebra, built once per ring.
+
+    basis1 holds the generators g_1..g_m of side_1 (their coordinates are
+    the rows of coords, an m x n1 array over the field) and cols2 the side_2
+    basis as the columns of an n2 x m matrix C2.  maps is the n1-row array
+    [Res1 | Res2 | Phi]: for an entry e of R_1,
+      * e . Res1 = 0 iff e lies in side_1 (Res1 = I - X G, X a right inverse
+        of G = coords);
+      * e . Res2 = 0 iff every product e g_k lies in side_2 (Res2 = Psi -
+        Phi C2^t, with Psi[i, k, :] = e_i g_k);
+      * e . Phi is then (L2 (e g_k))_k, the side_2 coordinates of the
+        products (Phi = Psi L2^t, L2 a left inverse of C2).
+    delta holds the side_2 coordinates of delta (a side) or -delta (b side).
+    """
+
+    basis1: list
+    cols2: Matrix
+    coords: object
+    maps: object
+    delta: list
+
+
 class SpecialRing:
     """An Artinian graph reduction with a certified a/b ideal decomposition."""
 
@@ -97,12 +126,10 @@ class SpecialRing:
         if self.a1.dim + self.b1.dim != R.dims[1]:
             raise FactoryError("a_1 + b_1 does not decompose R_1")
 
-        self.a1_basis = list(self.a_gens)
-        self.b1_basis = list(self.b_gens)
-        self.a2_basis = self._degree2_basis(self.a1_basis)
-        self.b2_basis = self._degree2_basis(self.b1_basis)
-        self.a2 = Subspace.from_vectors(f, R.dims[2], [list(e.coords) for e in self.a2_basis])
-        self.b2 = Subspace.from_vectors(f, R.dims[2], [list(e.coords) for e in self.b2_basis])
+        a2_basis = self._degree2_basis(self.a_gens)
+        b2_basis = self._degree2_basis(self.b_gens)
+        self.a2 = Subspace.from_vectors(f, R.dims[2], [list(e.coords) for e in a2_basis])
+        self.b2 = Subspace.from_vectors(f, R.dims[2], [list(e.coords) for e in b2_basis])
         if self.a2.dim != self.a1.dim or self.b2.dim != self.b1.dim:
             raise FactoryError("degree-two pieces do not match the degree-one dimensions")
         if self.a2.sum(self.b2).dim != R.dims[2]:
@@ -116,18 +143,11 @@ class SpecialRing:
         if overlap.dim != 1:
             raise FactoryError(f"a_2 and b_2 overlap in dimension {overlap.dim}, expected 1")
         self.delta = AlgebraElement(R, 2, overlap.basis[0])
-
-        self._a2_cols = Matrix(
-            f, [[e.coords[k] for e in self.a2_basis] for k in range(R.dims[2])],
-            cols=len(self.a2_basis),
-        )
-        self._b2_cols = Matrix(
-            f, [[e.coords[k] for e in self.b2_basis] for k in range(R.dims[2])],
-            cols=len(self.b2_basis),
-        )
-        self.delta_a = self._a2_cols.solve(list(self.delta.coords))
-        self.delta_b = self._b2_cols.solve([f.neg(c) for c in self.delta.coords])
-        if self.delta_a is None or self.delta_b is None:
+        self._sides = {
+            "a": self._side(self.a_gens, a2_basis, self.delta),
+            "b": self._side(self.b_gens, b2_basis, -self.delta),
+        }
+        if any(s.delta is None for s in self._sides.values()):
             raise FactoryError("delta is not expressible on both sides")
 
     def _degree2_basis(self, gens):
@@ -139,22 +159,37 @@ class SpecialRing:
         idx = _greedy_basis(R.field, R.dims[2], [list(e.coords) for e in prods])
         return [prods[k] for k in idx]
 
-    def side(self, which):
-        if which == "a":
-            return self.a1_basis, self.a2_basis, self._a2_cols
-        if which == "b":
-            return self.b1_basis, self.b2_basis, self._b2_cols
-        raise FactoryError("side must be 'a' or 'b'")
+    def _side(self, gens, basis2, delta) -> Side:
+        """The arrays of ``Side``; G and C2 have full rank, checked above."""
+        R = self.ring
+        f = R.field
+        n1, n2, m = R.dims[1], R.dims[2], len(gens)
+        G = Matrix(f, [list(g.coords) for g in gens], cols=n1)
+        cols2 = Matrix(f, [[e.coords[k] for e in basis2] for k in range(n2)], cols=m)
+        coords = field_array(f, G.entries)
+        X = field_array(f, G.transpose().left_inverse().entries).T
+        L2 = field_array(f, cols2.left_inverse().entries)
+        # psi[(i, k), :] = e_i g_k, from T[i, j, :] = e_i e_j
+        T = R.np_table(1, 1).transpose(0, 2, 1).reshape(n1 * n2, n1)
+        psi = field_matmul(f, T, coords.T).reshape(n1, n2, m).transpose(0, 2, 1)
+        psi = psi.reshape(n1 * m, n2)
+        phi = field_matmul(f, psi, L2.T)
+        eye = field_array(f, Matrix.identity(f, n1).entries)
+        res1 = field_reduce(f, eye - field_matmul(f, X, coords))
+        res2 = field_reduce(f, psi - field_matmul(f, phi, field_array(f, cols2.entries).T))
+        maps = np.hstack([res1, res2.reshape(n1, m * n2), phi.reshape(n1, m * m)])
+        return Side(gens, cols2, coords, maps, cols2.solve(list(delta.coords)))
 
-    def side_subspace(self, which):
-        return self.a1 if which == "a" else self.b1
+    def side(self, which) -> Side:
+        if which not in self._sides:
+            raise FactoryError("side must be 'a' or 'b'")
+        return self._sides[which]
 
     def element_from_side_coords(self, which, coords):
-        basis1, _, _ = self.side(which)
-        out = self.ring.zero(1)
-        for c, g in zip(coords, basis1):
-            out = out + g.scale(c)
-        return out
+        """The degree-one element sum_k coords[k] g_k of the side, as one product."""
+        f = self.ring.field
+        c = field_array(f, [[f.coerce(x) for x in coords]])
+        return AlgebraElement(self.ring, 1, field_matmul(f, c, self.side(which).coords)[0].tolist())
 
     def to_json(self):
         f = self.ring.field
@@ -205,30 +240,25 @@ def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False) -
 
     Since the two sides annihilate each other, a wrong-side component would
     act as zero and go unnoticed; membership is checked explicitly instead.
+    The four entries' coordinates E (4 x n1) meet the side's maps in one
+    product: its Res1 and Res2 parts must vanish (every entry in side_1,
+    every product with a g_k in side_2), and its Phi part B[r, slot, k, l]
+    is the entry at row r*m + l, column slot*m + k.
     """
-    basis1, _, cols2 = ring.side(side)
-    m = len(basis1)
-    f = ring.ring.field
-    sub = ring.side_subspace(side)
-    for row in mat:
-        for e in row:
-            if not sub.contains(list(e.coords)):
-                raise FactoryError(f"block entry lies outside side {side!r}")
+    s = ring.side(side)
+    R = ring.ring
+    f, n1, n2, m = R.field, R.dims[1], R.dims[2], len(s.basis1)
     if transpose:
         mat = _transpose2(mat)
-    columns = []
-    for slot in range(2):
-        for k in range(m):
-            vec = basis1[k]
-            outs = []
-            for r in range(2):
-                prod = mat[r][slot] * vec
-                coords = cols2.solve(list(prod.coords))
-                if coords is None:
-                    raise FactoryError(f"block entry ({r},{slot}) lies outside side {side!r}")
-                outs.extend(coords)
-            columns.append(outs)
-    return Matrix(f, [[columns[j][i] for j in range(2 * m)] for i in range(2 * m)], cols=2 * m)
+    P = field_matmul(f, field_array(f, [e.coords for row in mat for e in row]), s.maps)
+    if (P[:, :n1] != 0).any():
+        raise FactoryError(f"block entry lies outside side {side!r}")
+    outside = (P[:, n1 : n1 + m * n2] != 0).any(axis=1).nonzero()[0]
+    if outside.size:
+        r, slot = divmod(int(outside[0]), 2)
+        raise FactoryError(f"block entry ({r},{slot}) lies outside side {side!r}")
+    B = P[:, n1 + m * n2 :].reshape(2, 2, m, m).transpose(0, 3, 1, 2)
+    return Matrix(f, B.reshape(2 * m, 2 * m).tolist(), cols=2 * m)
 
 
 def injectivity_check(ring: SpecialRing, mat, side: str, transpose: bool = False) -> bool:
@@ -282,7 +312,7 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
     """Uniform coefficients on both sides, resampled until all four maps are
     bijective (a determinant condition, so failures are rare over a big field)."""
     f = ring.ring.field
-    m = len(ring.a1_basis)
+    m = ring.a1.dim
     for _ in range(max_retries):
         A = [
             [ring.element_from_side_coords("a", [f.rand(rng) for _ in range(m)]) for _ in range(2)]
@@ -299,23 +329,25 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
 
 
 def _solve_columns(ring: SpecialRing, mat, side: str):
-    """Columns c1, c2 with (induced mat) c_i = (delta, 0) resp. (0, delta);
-    the b-side right-hand sides carry -delta, baked into delta_b."""
-    basis1, _, _ = ring.side(side)
-    m = len(basis1)
+    """Columns c1, c2 with (induced mat) c_i = (delta, 0) resp. (0, delta),
+    both read off one elimination of [M | rhs1 rhs2]; the b-side right-hand
+    sides carry -delta, baked into the side's delta."""
+    s = ring.side(side)
+    m = len(s.basis1)
+    f = ring.ring.field
     M = induced_matrix(ring, mat, side)
-    target = ring.delta_a if side == "a" else ring.delta_b
-    zeros = [ring.ring.field.zero] * m
-    rhs1 = list(target) + zeros
-    rhs2 = zeros + list(target)
+    zeros = [f.zero] * m
+    rhs = zip(s.delta + zeros, zeros + s.delta)
+    rows, piv = Matrix(f, [row + list(b) for row, b in zip(M.entries, rhs)]).rref()
+    if piv and piv[-1] >= 2 * m:
+        raise ExtensionError(f"side {side!r} system is singular")
     out = []
-    for rhs in (rhs1, rhs2):
-        sol = M.solve(rhs)
-        if sol is None:
-            raise ExtensionError(f"side {side!r} system is singular")
-        f_elt = ring.element_from_side_coords(side, sol[:m])
-        g_elt = ring.element_from_side_coords(side, sol[m:])
-        out.append((f_elt, g_elt))
+    for j in (2 * m, 2 * m + 1):
+        sol = [f.zero] * (2 * m)
+        for row, pc in zip(rows, piv):
+            sol[pc] = row[j]
+        out.append((ring.element_from_side_coords(side, sol[:m]),
+                    ring.element_from_side_coords(side, sol[m:])))
     return [[out[0][0], out[1][0]], [out[0][1], out[1][1]]]  # columns c1 | c2
 
 
@@ -390,8 +422,8 @@ def _certify(ring: SpecialRing, blocks, window, mode) -> FactoryReport:
     cert = full_certification(window)
     kernel_dims = {}
     for n in sorted(blocks):
-        blk = window.block_matrix(n, 1)
-        kernel_dims[n] = blk.cols - blk.rank()
+        blk = window._block_array(n, 1)
+        kernel_dims[n] = blk.shape[1] - array_rank(ring.ring.field, blk)
     return FactoryReport(blocks=blocks, certificate=cert, kernel_dims=kernel_dims, mode=mode)
 
 

@@ -319,6 +319,17 @@ class Matrix:
             x[pc] = row[self.cols]
         return x
 
+    def left_inverse(self) -> "Matrix":
+        """A left inverse L (L @ self = I), read off the RREF of [self | I];
+        the columns must be independent (ValueError otherwise)."""
+        f = self.field
+        n, m = self.rows, self.cols
+        eye = Matrix.identity(f, n).entries
+        rows, piv = Matrix(f, [row + e for row, e in zip(self.entries, eye)], cols=m + n).rref()
+        if piv[:m] != list(range(m)):
+            raise ValueError("columns are linearly dependent")
+        return Matrix(f, [row[m:] for row in rows[:m]], cols=n)
+
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 from totref import (
+    DEFAULT_PRIME,
     Graph,
     PrimeField,
     RationalField,
@@ -13,6 +14,14 @@ from totref import (
     reduction_chain,
     ten_vertex_graph,
 )
+
+# int64 arrays at the first three primes; object arrays of Python ints above
+# 2**31 and of Fractions over the rationals ("QQ")
+ARRAY_FIELDS = (7, DEFAULT_PRIME, 2**31 - 1, 4294967311, "QQ")
+
+
+def array_field(p):
+    return RationalField() if p == "QQ" else PrimeField(p)
 
 EXAMPLE_RING_RELATIONS = [
     {(2, 0): 1, (0, 2): -1},  # X^2 - Y^2

@@ -380,6 +380,35 @@ def test_output_bytes_unchanged(capsys):
     assert "mult" not in json.loads(out.out)["algebra"]
     assert _sha256(_with_tables(out.out)) == FACTORY_CANONICAL_WITH_TABLES_SHA256
 
+
+# (report on stdout, complex file) of seeded random factory windows, recorded
+# while each induced map still took one multiply and one solve per column.
+# The report holds no coefficients, so the GF(p) reports agree.
+_FACTORY_REPORT_SHA256 = "dd13f88814bc29d03580e104b3de2fa9938dbba91279c60658ea64c316509025"
+FACTORY_RANDOM_SHA256 = {
+    "default": (["--seed", "3", "--forward", "4", "--backward", "4"], _FACTORY_REPORT_SHA256,
+                "8541fe18258042d55dd8d9983b920a7fdb789454ccc797225e30c8a93b50aa3d"),
+    "p7": (["--seed", "3", "--forward", "4", "--backward", "4", "--prime", "7"],
+           _FACTORY_REPORT_SHA256,
+           "f78841367b73d8b51ee81d83347491b8bd5ac3539a8a174220c4819a04f9de8f"),
+    "p4294967311": (["--seed", "3", "--forward", "4", "--backward", "4", "--prime", "4294967311"],
+                    _FACTORY_REPORT_SHA256,
+                    "eca2bd480770360fcf9ea4c2b007a4f571a207df53da60d5787aabda80f84669"),
+    "rational": (["--rational", "--seed", "3", "--forward", "2", "--backward", "2"],
+                 "00bc7dca34238728522d6db05e7762eb53b2bcde5d938d1b7fc294e17007a70d",
+                 "33a96a06bac49dc2b94f77df0512adce7de294a48fc0578e9d26fe7f5dcf2638"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORY_RANDOM_SHA256))
+def test_random_factory_bytes_unchanged(capsys, tmp_path, name):
+    argv, report, complex_file = FACTORY_RANDOM_SHA256[name]
+    out = tmp_path / "w.json"
+    assert main(["factory"] + argv + ["--out", str(out), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert (_sha256(captured.out), captured.err) == (report, "")
+    assert _sha256(out.read_text()) == complex_file
+
 # `verify --json` on the `build --mode ezd` window of graphs/four_cycle.json,
 # as printed before `--degree-bound` reached verify
 VERIFY_FOUR_CYCLE_SHA256 = "74f6b1c2afecccff8ce37132bb43d70bb581711e4f10c20d1db29337cc1ea218"

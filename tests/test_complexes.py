@@ -7,11 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totref import (
-    DEFAULT_PRIME,
     ComplexError,
     FreeComplexWindow,
     Graph,
-    PrimeField,
     RationalField,
     algebra_from_relations,
     ezd_complex,
@@ -26,7 +24,7 @@ from totref import (
 from totref.analysis import EzdPair
 from totref.complexes import matrix_product
 
-from conftest import dump_canonical, naive_exactness
+from conftest import ARRAY_FIELDS, array_field, dump_canonical, naive_exactness
 
 
 @pytest.fixture(scope="module")
@@ -206,12 +204,6 @@ def test_window_shape_validation(c4_reduction, xy_pair):
 
 # -- the array paths against the list oracle GradedAlgebra.multiply ------------
 
-ARRAY_PRIMES = (7, DEFAULT_PRIME, 2**31 - 1)
-# int64 arrays at ARRAY_PRIMES; object arrays of Python ints above 2**31 and
-# of Fractions over the rationals
-ARRAY_FIELDS = ARRAY_PRIMES + (4294967311, "QQ")
-
-
 @functools.lru_cache(maxsize=None)
 def array_test_ring(kind, p):
     """A Stanley-Reisner ring (0/1 tables), a generic reduction (nine linear
@@ -220,7 +212,7 @@ def array_test_ring(kind, p):
     block sums up to nine nonzero products, more than the eight that fit in
     int64 at the default prime; at 2**31 - 1 two fit.  p = "QQ" gives the
     rationals."""
-    field = RationalField() if p == "QQ" else PrimeField(p)
+    field = array_field(p)
     if kind == "stanley_reisner":
         return stanley_reisner(ten_vertex_graph(), 3, field)
     if kind == "generic_reduction":

@@ -1,10 +1,13 @@
+import functools
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totref import (
     FactoryError,
+    Matrix,
     RationalField,
     Subspace,
     build_special_ring,
@@ -20,7 +23,7 @@ from totref import (
 )
 from totref.factory import ExtensionError, PartialWindowError, induced_matrix, make_block
 
-from conftest import fraction_det
+from conftest import ARRAY_FIELDS, array_field, fraction_det
 
 
 def test_special_ring_properties(special_ring):
@@ -121,8 +124,86 @@ def test_injectivity_fails_for_equal_columns(special_ring):
 def test_injectivity_rejects_wrong_side_entry(special_ring):
     R = special_ring.ring
     A = [[R.generator("x3"), R.generator("x1")], [R.generator("y1"), R.generator("y2")]]
-    with pytest.raises(FactoryError):
-        injectivity_check(special_ring, A, "a")  # x3 is a b-side generator
+    B = [
+        [R.generator("x3"), R.generator("x4")],
+        [R.generator("y3") + R.generator("y1"), R.generator("y4")],
+    ]
+    for transpose in (False, True):
+        with pytest.raises(FactoryError):
+            injectivity_check(special_ring, A, "a", transpose)  # x3 is a b-side generator
+        with pytest.raises(FactoryError):
+            injectivity_check(special_ring, B, "b", transpose)  # y1 is an a-side generator
+
+
+def induced_matrix_oracle(ring, mat, side, transpose=False):
+    """induced_matrix column by column: one multiply and one solve per
+    column and output row, after a Subspace membership test of every entry."""
+    s = ring.side(side)
+    m = len(s.basis1)
+    sub = ring.a1 if side == "a" else ring.b1
+    if not all(sub.contains(list(e.coords)) for row in mat for e in row):
+        raise FactoryError("entry outside side_1")
+    if transpose:
+        mat = [[mat[c][r] for c in range(2)] for r in range(2)]
+    columns = []
+    for slot in range(2):
+        for g in s.basis1:
+            outs = []
+            for r in range(2):
+                coords = s.cols2.solve(list((mat[r][slot] * g).coords))
+                if coords is None:
+                    raise FactoryError("product outside side_2")
+                outs.extend(coords)
+            columns.append(outs)
+    f = ring.ring.field
+    return Matrix(f, [[columns[j][i] for j in range(2 * m)] for i in range(2 * m)], cols=2 * m)
+
+
+@functools.lru_cache(maxsize=None)
+def special_ring_over(p):
+    return build_special_ring(field=array_field(p))
+
+
+def side_element(ring, side, coords):
+    """sum_k coords[k] g_k by element arithmetic, independent of the arrays."""
+    out = ring.ring.zero(1)
+    for c, g in zip(coords, ring.side(side).basis1):
+        out = out + g.scale(c)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(ARRAY_FIELDS),
+    st.sampled_from("ab"),
+    st.booleans(),
+    st.integers(0, 2**32),
+    st.sampled_from([None, 0, 1, 2, 3]),
+)
+def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stray):
+    """Random side elements, on both sides, with and without transpose; with
+    stray set, that entry also gets a component on the other side, which
+    both constructions must refuse."""
+    ring = special_ring_over(p)
+    f, rng = ring.ring.field, Random(seed)
+    m = len(ring.side(side).basis1)
+    coords = [[f.zero if rng.random() < 0.2 else f.rand(rng) for _ in range(m)] for _ in range(4)]
+    entries = [side_element(ring, side, c) for c in coords]
+    assert entries == [ring.element_from_side_coords(side, c) for c in coords]
+    if stray is not None:
+        other = "b" if side == "a" else "a"
+        extra = [f.rand(rng) or f.one for _ in range(len(ring.side(other).basis1))]
+        entries[stray] = entries[stray] + side_element(ring, other, extra)
+    mat = [entries[:2], entries[2:]]
+    if stray is not None:
+        with pytest.raises(FactoryError):
+            induced_matrix_oracle(ring, mat, side, transpose)
+        with pytest.raises(FactoryError):
+            induced_matrix(ring, mat, side, transpose)
+    else:
+        assert induced_matrix(ring, mat, side, transpose) == induced_matrix_oracle(
+            ring, mat, side, transpose
+        )
 
 
 def test_random_blocks_pass_and_deterministic(special_ring):

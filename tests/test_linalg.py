@@ -74,6 +74,25 @@ def test_solve_round_trip():
         assert m.mul_vec(got) == b
 
 
+@pytest.mark.parametrize("field", [GF, GF5, QQ, PrimeField(4294967311)])
+def test_left_inverse(field):
+    rng = Random(8)
+    for _ in range(25):
+        cols = rng.randrange(1, 6)
+        m = rand_matrix(field, rng, cols + rng.randrange(0, 4), cols)
+        if m.rank() < cols:
+            with pytest.raises(ValueError):
+                m.left_inverse()
+            continue
+        L = m.left_inverse()
+        assert (L.rows, L.cols) == (cols, m.rows)
+        assert [L.mul_vec([row[j] for row in m.entries]) for j in range(cols)] == (
+            Matrix.identity(field, cols).entries
+        )
+    with pytest.raises(ValueError):
+        Matrix(GF, [[1, 2], [2, 4], [3, 6]]).left_inverse()
+
+
 def test_kernel_vectors_annihilate():
     rng = Random(3)
     m = rand_matrix(GF, rng, 4, 7)
