@@ -1,15 +1,19 @@
 """Degreewise presentations of standard graded algebras.
 
 An algebra is stored as its graded components up to a cutoff D: basis labels
-and dimensions per degree plus multiplication tables between degrees.  Three
-construction routes are provided: Stanley-Reisner rings of graphs (monomial
-arithmetic, no elimination needed), quotients of a polynomial ring by
-homogeneous relations (degreewise normal forms), and quotients by a linear
-form (used twice to produce Artinian reductions).
+and dimensions per degree plus multiplication tables between degrees, each an
+array over the field built once per degree pair.  Three construction routes
+are provided: Stanley-Reisner rings of graphs (monomial arithmetic, no
+elimination needed), quotients of a polynomial ring by homogeneous relations,
+and quotients by a linear form (used twice to produce Artinian reductions).
 
-Quotient complements are chosen by echelon pivoting on the *trailing*
-coordinate, so quotienting by x1+...+xk eliminates xk and keeps the earlier
-variables, matching the usual hand presentation.
+A quotient is given per degree by one projection array P
+(``linalg.quotient_projection``): the class of a vector v has coordinates
+v P.  A quotient table is then a source table restricted to the kept labels
+times P, one product per degree pair.  Quotient complements are chosen by
+echelon pivoting on the *trailing* coordinate, so quotienting by x1+...+xk
+eliminates xk and keeps the earlier variables, matching the usual hand
+presentation.
 """
 
 from __future__ import annotations
@@ -17,9 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
+import numpy as np
+
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph, parse_graph
-from .linalg import Matrix, field_array, field_matmul, reduce_by_echelon, rref_trailing
+from .linalg import Matrix, field_array, field_matmul, field_zeros, quotient_projection
 
 
 class AlgebraError(ValueError):
@@ -96,14 +102,15 @@ class AlgebraElement:
 class GradedAlgebra:
     """A standard graded algebra presented degreewise up to a cutoff.
 
-    Multiplication tables are built lazily per degree pair, and each is
-    cached once more as an array over the field (``linalg.field_array``:
-    int64 or exact ``object`` entries), from which every multiplication map,
-    block matrix and product of linear-form matrices is computed.
-    ``multiply`` stays on the lists: it is the independent oracle.
+    table_fn(d1, d2) returns the multiplication table of two positive
+    degrees as an array over the field (``linalg.field_array``: int64 or
+    exact ``object`` entries); ``np_table`` calls it once per degree pair,
+    and every multiplication map, block matrix and product of linear-form
+    matrices is computed from these arrays.  ``multiply`` stays on their
+    list view: it is the independent oracle.
     """
 
-    def __init__(self, field, cutoff, basis, mult_basis_fn, descriptor=None):
+    def __init__(self, field, cutoff, basis, table_fn, descriptor=None):
         self.field = field
         self.cutoff = cutoff
         self.basis = [list(labels) for labels in basis]
@@ -112,7 +119,7 @@ class GradedAlgebra:
         if len(self.basis[0]) != 1:
             raise AlgebraError("degree-0 component must be one dimensional")
         self.dims = [len(labels) for labels in self.basis]
-        self._mult_basis_fn = mult_basis_fn
+        self._table_fn = table_fn
         self.descriptor = descriptor
         # the QuotientMap to R/(x) for a linear form x certified regular on R,
         # so that a window is exact where its reduction is; set by reduction_chain only
@@ -162,32 +169,26 @@ class GradedAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def mult_basis(self, d1, i, d2, j):
-        """Coordinates of (basis_i of degree d1) * (basis_j of degree d2)."""
-        if d1 + d2 > self.cutoff:
-            raise AlgebraError(f"product degree {d1 + d2} exceeds cutoff {self.cutoff}")
-        if d1 == 0:
-            return self.basis_element(d2, j).coords
-        if d2 == 0:
-            return self.basis_element(d1, i).coords
-        return self._mult_basis_fn(d1, i, d2, j)
-
     def table(self, d1, d2):
+        """The list view T[i][j][k] of ``np_table``, kept for ``multiply``."""
         key = (d1, d2)
         if key not in self._tables:
-            self._tables[key] = [
-                [tuple(self.mult_basis(d1, i, d2, j)) for j in range(self.dims[d2])]
-                for i in range(self.dims[d1])
-            ]
+            self._tables[key] = self.np_table(d1, d2).tolist()
         return self._tables[key]
 
     def np_table(self, d1, d2):
         """The array T[i, j, k] over the field, the coefficient of basis_k in
         e_i * e_j."""
+        if d1 + d2 > self.cutoff:
+            raise AlgebraError(f"product degree {d1 + d2} exceeds cutoff {self.cutoff}")
         key = (d1, d2)
         if key not in self._np_tables:
             shape = (self.dims[d1], self.dims[d2], self.dims[d1 + d2])
-            self._np_tables[key] = field_array(self.field, self.table(d1, d2)).reshape(shape)
+            if d1 == 0 or d2 == 0:
+                table = Matrix.identity(self.field, self.dims[d1 + d2]).array.reshape(shape)
+            else:
+                table = self._table_fn(d1, d2)
+            self._np_tables[key] = table
         return self._np_tables[key]
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -214,15 +215,15 @@ class GradedAlgebra:
         """Matrix of multiplication by elt from degree t to degree t + deg(elt)."""
         if t + elt.degree > self.cutoff:
             raise AlgebraError("multiplication map exceeds cutoff")
-        return Matrix(self.field, self.mult_map_rows(elt.coords, elt.degree, t), cols=self.dims[t])
+        return Matrix(self.field, self.mult_map_array(elt.coords, elt.degree, t))
 
-    def mult_map_rows(self, coords, d, t):
-        """Rows of the matrix of multiplication by the degree-d element with these
-        coordinates, from degree t to degree t + d (cutoff not checked)."""
+    def mult_map_array(self, coords, d, t):
+        """The array (dims[t + d] x dims[t]) of multiplication by the degree-d
+        element with these coordinates, from degree t to degree t + d."""
         src, dst = self.dims[t], self.dims[t + d]
         T = self.np_table(d, t).reshape(self.dims[d], src * dst)
-        c = field_array(self.field, [coords])
-        return field_matmul(self.field, c, T).reshape(src, dst).T.tolist()
+        c = field_array(self.field, [coords]).reshape(1, self.dims[d])
+        return field_matmul(self.field, c, T).reshape(src, dst).T
 
     # -- presentation checks ---------------------------------------------------
 
@@ -296,25 +297,23 @@ def stanley_reisner(g: Graph, cutoff: int, field=None, descriptor=None) -> Grade
             labs.append("*".join(_mono_label(g.vertices[v], a) for v, a in m))
         labels.append(labs)
 
-    one = field.one
-    zero = field.zero
-
-    def mult_fn(d1, i, d2, j):
-        m1, m2 = monomials[d1][i], monomials[d2][j]
-        powers = {}
-        for v, a in m1 + m2:
-            powers[v] = powers.get(v, 0) + a
-        support = sorted(powers)
+    def table_fn(d1, d2):
         d = d1 + d2
-        out = [zero] * len(monomials[d])
-        if len(support) == 1:
-            out[index[d][((support[0], d),)]] = one
-        elif len(support) == 2 and frozenset(support) in edge_set:
-            key = ((support[0], powers[support[0]]), (support[1], powers[support[1]]))
-            out[index[d][key]] = one
-        return out
+        T = field_zeros(field, (len(monomials[d1]), len(monomials[d2]), len(monomials[d])))
+        for i, m1 in enumerate(monomials[d1]):
+            for j, m2 in enumerate(monomials[d2]):
+                powers = {}
+                for v, a in m1 + m2:
+                    powers[v] = powers.get(v, 0) + a
+                support = sorted(powers)
+                if len(support) == 1:
+                    T[i, j, index[d][((support[0], d),)]] = field.one
+                elif len(support) == 2 and frozenset(support) in edge_set:
+                    key = ((support[0], powers[support[0]]), (support[1], powers[support[1]]))
+                    T[i, j, index[d][key]] = field.one
+        return T
 
-    return GradedAlgebra(field, cutoff, labels, mult_fn, descriptor=descriptor)
+    return GradedAlgebra(field, cutoff, labels, table_fn, descriptor=descriptor)
 
 
 # -- quotients of a polynomial ring by homogeneous relations -------------------
@@ -348,7 +347,8 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
     Each relation is a {exponent tuple: coefficient} dict.  The degree-d
     component is the monomial span modulo span{relation * monomial}; the basis
     is the canonical complement picked by trailing-pivot echelon on the
-    descending-lex monomial order.
+    descending-lex monomial order, and the table entry of two basis monomials
+    is the row of their product in the degree's projection array.
     """
     if field is None:
         field = PrimeField()
@@ -368,7 +368,7 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
     mons = [_monomials_of_degree(nv, d) for d in range(cutoff + 1)]
     midx = [{m: i for i, m in enumerate(ms)} for ms in mons]
 
-    red = [([], [], [0])]
+    proj = [([0], None)]
     labels = [["1"]]
     for d in range(1, cutoff + 1):
         rows = []
@@ -382,34 +382,19 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
                         prod = tuple(a + b for a, b in zip(e, m))
                         vec[midx[d][prod]] = field.add(vec[midx[d][prod]], c)
                     rows.append(vec)
-        red.append(_complement(field, rows, len(mons[d])))
-        labels.append([_exp_label(variables, mons[d][i]) for i in red[d][2]])
+        relations = field_array(field, rows).reshape(len(rows), len(mons[d]))
+        proj.append(quotient_projection(field, relations))
+        labels.append([_exp_label(variables, mons[d][i]) for i in proj[d][0]])
 
-    def mult_fn(d1, i, d2, j):
-        e1 = mons[d1][red[d1][2][i]]
-        e2 = mons[d2][red[d2][2][j]]
-        prod = tuple(a + b for a, b in zip(e1, e2))
-        d = d1 + d2
-        vec = [field.zero] * len(mons[d])
-        vec[midx[d][prod]] = field.one
-        return _normal_form(field, red[d], vec)
+    def table_fn(d1, d2):
+        (k1, _), (k2, _), (_, P) = proj[d1], proj[d2], proj[d1 + d2]
+        idx = [
+            [midx[d1 + d2][tuple(a + b for a, b in zip(mons[d1][i], mons[d2][j]))] for j in k2]
+            for i in k1
+        ]
+        return P[np.array(idx, dtype=np.intp).reshape(len(k1), len(k2))]
 
-    return GradedAlgebra(field, cutoff, labels, mult_fn, descriptor=descriptor)
-
-
-def _complement(field, rows, ncols):
-    """(echelon rows, pivots, kept coordinates) of the quotient of field^ncols
-    by the span of rows; the kept coordinates index the quotient basis."""
-    rr, piv = rref_trailing(field, rows, ncols)
-    pivset = set(piv)
-    return rr, piv, [c for c in range(ncols) if c not in pivset]
-
-
-def _normal_form(field, red, vec):
-    """Coordinates in the quotient basis of the class of vec."""
-    rows, piv, keep = red
-    v = reduce_by_echelon(field, rows, piv, vec)[0]
-    return [v[c] for c in keep]
+    return GradedAlgebra(field, cutoff, labels, table_fn, descriptor=descriptor)
 
 
 # -- quotient by a linear form -------------------------------------------------
@@ -418,10 +403,12 @@ def _normal_form(field, red, vec):
 class QuotientMap:
     """The data of B = A/(l) for a degree-one form l, with a canonical section.
 
-    Keeps, per degree, the trailing-pivot echelon rows of span{l * A_(d-1)}
-    and the complement columns; provides the projection A_d -> B_d and the
-    section B_d -> A_d (each kept basis label maps to the parent basis
-    monomial of the same label).
+    Keeps, per degree, the complement columns of the trailing-pivot echelon
+    form of span{l * A_(d-1)} and the projection array P_d
+    (``linalg.quotient_projection``): A_d -> B_d is v -> v P_d, and the
+    section B_d -> A_d maps each kept basis label to the parent basis
+    monomial of the same label.  The table of B for (d1, d2) is the table of
+    A restricted to the kept labels, times P_(d1+d2).
     """
 
     def __init__(self, source: GradedAlgebra, form: AlgebraElement, descriptor=None):
@@ -432,44 +419,40 @@ class QuotientMap:
         self.source = source
         self.form = form
         field = source.field
-        D = source.cutoff
-        self._red = [([], [], [0])]
+        self._keep = [[0]]
+        self._proj = [Matrix.identity(field, 1).array]
         labels = [["1"]]
-        for d in range(1, D + 1):
+        for d in range(1, source.cutoff + 1):
             # row i is l * (basis_i of degree d-1): a column of the mult map
-            mult = source.mult_map_rows(form.coords, 1, d - 1)
-            rows = [list(col) for col in zip(*mult)]
-            self._red.append(_complement(field, rows, source.dims[d]))
-            labels.append([source.basis[d][c] for c in self._red[d][2]])
-        self._keep = [keep for _, _, keep in self._red]
+            keep, P = quotient_projection(field, source.mult_map_array(form.coords, 1, d - 1).T)
+            self._keep.append(keep)
+            self._proj.append(P)
+            labels.append([source.basis[d][c] for c in keep])
+        self.target = GradedAlgebra(field, source.cutoff, labels, self._table, descriptor=descriptor)
 
-        qmap = self
+    def _table(self, d1, d2):
+        k1, k2, d = self._keep[d1], self._keep[d2], d1 + d2
+        S = self.source.np_table(d1, d2)[np.ix_(k1, k2)]
+        S = S.reshape(len(k1) * len(k2), self.source.dims[d])
+        return self.project_rows(d, S).reshape(len(k1), len(k2), len(self._keep[d]))
 
-        def mult_fn(d1, i, d2, j):
-            vec = source.mult_basis(d1, qmap._keep[d1][i], d2, qmap._keep[d2][j])
-            return qmap.project_vec(d1 + d2, vec)
-
-        self.target = GradedAlgebra(field, D, labels, mult_fn, descriptor=descriptor)
-
-    def project_vec(self, d, vec):
-        return _normal_form(self.source.field, self._red[d], vec)
-
-    def lift_vec(self, d, coords):
-        field = self.source.field
-        v = [field.zero] * self.source.dims[d]
-        for c, col in zip(coords, self._keep[d]):
-            v[col] = c
-        return v
+    def project_rows(self, d, V):
+        """The rows of V (vectors of A_d, an array over the field) projected to B_d."""
+        return field_matmul(self.source.field, V, self._proj[d])
 
     def project(self, elt: AlgebraElement) -> AlgebraElement:
         if elt.algebra is not self.source:
             raise AlgebraError("element does not live in the source algebra")
-        return AlgebraElement(self.target, elt.degree, self.project_vec(elt.degree, elt.coords))
+        v = field_array(self.source.field, [elt.coords])
+        return AlgebraElement(self.target, elt.degree, self.project_rows(elt.degree, v)[0].tolist())
 
     def lift(self, elt: AlgebraElement) -> AlgebraElement:
         if elt.algebra is not self.target:
             raise AlgebraError("element does not live in the quotient algebra")
-        return AlgebraElement(self.source, elt.degree, self.lift_vec(elt.degree, elt.coords))
+        coords = [self.source.field.zero] * self.source.dims[elt.degree]
+        for c, col in zip(elt.coords, self._keep[elt.degree]):
+            coords[col] = c
+        return AlgebraElement(self.source, elt.degree, coords)
 
 
 def quotient_by_linear(algebra: GradedAlgebra, form: AlgebraElement) -> GradedAlgebra:

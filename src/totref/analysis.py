@@ -18,7 +18,10 @@ import numpy as np
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
 from .complexes import fitting_support
 from .graphs import Graph
-from .linalg import Matrix, Subspace, field_reduce, rank_reaches, reduce_by_echelon
+from .linalg import (
+    Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros,
+    rank_reaches, reduce_rref,
+)
 
 
 def _require_artinian(R: GradedAlgebra):
@@ -35,27 +38,25 @@ def _stacked_mult_kernel(R: GradedAlgebra, d: int) -> Subspace:
     if d + 1 > R.cutoff or R.dims[d + 1] == 0:
         return Subspace.full(f, src)
     # rows of multiplication by generator i: the transposed table slice T[i].T
-    rows = R.np_table(1, d).transpose(0, 2, 1).reshape(-1, src).tolist()
-    return Matrix(f, rows, cols=src).kernel_basis()
+    return Matrix(f, R.np_table(1, d).transpose(0, 2, 1).reshape(-1, src)).kernel_basis()
 
 
 def _graded_sum(R: GradedAlgebra, parts) -> Subspace:
     """The span inside R_1 + R_2 + ... of vectors of single graded pieces;
-    parts maps a degree d >= 1 to vectors of R_d."""
+    parts maps a degree d >= 1 to an array whose rows are vectors of R_d."""
     f = R.field
     ambient = sum(R.dims[1:])
-    vecs = []
+    blocks = [field_zeros(f, (0, ambient))]
     for d, part in parts.items():
         offset = sum(R.dims[1:d])
-        for b in part:
-            v = [f.zero] * ambient
-            v[offset : offset + R.dims[d]] = list(b)
-            vecs.append(v)
-    return Subspace.from_vectors(f, ambient, vecs)
+        block = field_zeros(f, (part.shape[0], ambient))
+        block[:, offset : offset + R.dims[d]] = part
+        blocks.append(block)
+    return Subspace.from_vectors(f, ambient, np.vstack(blocks))
 
 
 def _socle_sum(R: GradedAlgebra, parts) -> Subspace:
-    return _graded_sum(R, {d: k.basis for d, k in enumerate(parts, start=1)})
+    return _graded_sum(R, {d: k.rows for d, k in enumerate(parts, start=1)})
 
 
 def socle(R: GradedAlgebra) -> Subspace:
@@ -77,8 +78,8 @@ def m_squared_subspace(R: GradedAlgebra) -> Subspace:
     for d in range(2, R.cutoff + 1):
         if R.dims[d] == 0:
             continue
-        span = [vec for a in range(1, d) for row in R.table(a, d - a) for vec in row]
-        parts[d] = Subspace.from_vectors(R.field, R.dims[d], span).basis
+        span = np.vstack([R.np_table(a, d - a).reshape(-1, R.dims[d]) for a in range(1, d)])
+        parts[d] = Subspace.from_vectors(R.field, R.dims[d], span).rows
     return _graded_sum(R, parts)
 
 
@@ -103,15 +104,14 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
     m = R.dims[1]
     if m == 0:
         return True
-    tab = R.table(1, 1)
-    image2 = Subspace.from_vectors(f, R.dims[2], [tab[i][j] for i in range(m) for j in range(i, m)])
+    image2 = Subspace.from_vectors(f, R.dims[2], R.np_table(1, 1)[np.triu_indices(m)])
     r3 = 0
     if R.cutoff >= 3 and R.dims[3] > 0:
-        # the image of Sym^3 is spanned by the products x_i * b, b in A_2
-        maps = [R.mult_map_rows(b, 2, 1) for b in image2.basis]
-        r3 = Matrix(f, [[c for M in maps for c in M[s]] for s in range(R.dims[3])]).rank()
+        # the image of Sym^3 is spanned by the products b * x_i, b in A_2
+        T = R.np_table(2, 1).reshape(R.dims[2], m * R.dims[3])
+        r3 = array_rank(f, field_matmul(f, image2.rows, T).reshape(-1, R.dims[3]))
     target = m * image2.dim - r3
-    return rank_reaches(f, _relation_blocks(R), m * R.dims[2], target)
+    return rank_reaches(f, _relation_blocks(R), target)
 
 
 def _relation_blocks(R: GradedAlgebra):
@@ -296,9 +296,7 @@ def kernel_system(g: Graph, l1_coeffs, l2_coeffs, l_coeffs, field) -> KernelSyst
     if sol.dim == 4:
         # reduce the canonical solution basis against the Koszul span and keep
         # the first surviving vector, renormalized to leading coefficient one
-        pivots = koszul.pivots
-        for b in sol.basis:
-            v = reduce_by_echelon(f, koszul.basis, pivots, b)[0]
+        for v in reduce_rref(f, koszul.rows, koszul.pivots, sol.rows).tolist():
             if any(not f.is_zero(x) for x in v):
                 lead = next(x for x in v if not f.is_zero(x))
                 inv = f.inv(lead)
@@ -361,16 +359,16 @@ def annihilator_linear(R: GradedAlgebra, a: AlgebraElement) -> Subspace:
         if R.dims[d] == 0:
             continue
         if d + a.degree > R.cutoff or R.dims[d + a.degree] == 0:
-            parts[d] = Subspace.full(R.field, R.dims[d]).basis
+            parts[d] = Subspace.full(R.field, R.dims[d]).rows
         else:
-            parts[d] = R.mult_map_matrix(a, d).kernel_basis().basis
+            parts[d] = R.mult_map_matrix(a, d).kernel_basis().rows
     return _graded_sum(R, parts)
 
 
 def principal_ideal_subspace(R: GradedAlgebra, b: AlgebraElement) -> Subspace:
     """(b) = span{b} + b*R_1 as a subspace of R_1 + R_2 (for linear b)."""
     mm = R.mult_map_matrix(b, 1)
-    return _graded_sum(R, {1: [b.coords], 2: mm.transpose().entries})
+    return _graded_sum(R, {1: field_array(R.field, [b.coords]), 2: mm.array.T})
 
 
 def xy_split_flip(R: GradedAlgebra, z: AlgebraElement, x_labels) -> AlgebraElement:

@@ -93,7 +93,7 @@ class FreeComplexWindow:
         R = self.algebra
         if t < 0 or t + 1 > R.cutoff:
             raise ComplexError("internal degree outside the algebra cutoff")
-        return Matrix(R.field, self._block_array(i, t).tolist(), cols=self.rank_of(i) * R.dims[t])
+        return Matrix(R.field, self._block_array(i, t))
 
     def _block_array(self, i, t):
         """block_matrix(i, t) as an array over the field: one product of the
@@ -120,13 +120,20 @@ class FreeComplexWindow:
         )
 
     def reduce(self) -> "FreeComplexWindow":
-        """The window E/xE over R/(x) for the reduction of its ring: every
-        entry projected through ``R.reduction``."""
+        """The window E/xE over R/(x) for the reduction of its ring: the
+        entries of each differential projected through ``R.reduction`` in
+        one product."""
         q = self.algebra.reduction
         if q is None:
             raise ComplexError("the window's ring has no certified reduction")
-        diffs = [[[q.project(e) for e in row] for row in mat] for mat in self.diffs]
-        return FreeComplexWindow(q.target, self.lo, self.hi, self.betti, diffs, self.base_twist)
+        R, B = self.algebra, q.target
+        diffs = []
+        for k, mat in enumerate(self.diffs):
+            rows, cols = self.rank_of(self.lo + k), self.rank_of(self.lo + k + 1)
+            C = _coord_array(R.field, mat, rows, cols, R.dims[1]).reshape(rows * cols, R.dims[1])
+            P = q.project_rows(1, C).reshape(rows, cols, B.dims[1]).tolist()
+            diffs.append([[AlgebraElement(B, 1, e) for e in row] for row in P])
+        return FreeComplexWindow(B, self.lo, self.hi, self.betti, diffs, self.base_twist)
 
     def graded_exactness(self, degree_bound=None) -> "ExactnessReport":
         """Per-index, per-degree exactness comparison of kernels and images.
@@ -368,13 +375,11 @@ def fitting_support(R: GradedAlgebra, presentation):
     for e in entries:
         if e.degree != 1:
             raise ComplexError("fitting support expects degree-1 entries")
-    deg1 = Subspace.from_vectors(f, R.dims[1], [list(e.coords) for e in entries])
-    prods = []
-    for e in entries:
-        for i in range(R.dims[1]):
-            prods.append(list((R.basis_element(1, i) * e).coords))
-    deg2 = Subspace.from_vectors(f, R.dims[2], prods)
-    return deg1, deg2
+    C = field_array(f, [e.coords for e in entries]).reshape(len(entries), R.dims[1])
+    # row (e, i) of the product is e * basis_i
+    T = R.np_table(1, 1).reshape(R.dims[1], R.dims[1] * R.dims[2])
+    prods = field_matmul(f, C, T).reshape(len(entries) * R.dims[1], R.dims[2])
+    return Subspace.from_vectors(f, R.dims[1], C), Subspace.from_vectors(f, R.dims[2], prods)
 
 
 @dataclass

@@ -36,7 +36,7 @@ from .complexes import (
     matrix_product,
 )
 from .graphs import Graph
-from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce
+from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros
 
 
 class FactoryError(ValueError):
@@ -164,19 +164,18 @@ class SpecialRing:
         R = self.ring
         f = R.field
         n1, n2, m = R.dims[1], R.dims[2], len(gens)
-        G = Matrix(f, [list(g.coords) for g in gens], cols=n1)
-        cols2 = Matrix(f, [[e.coords[k] for e in basis2] for k in range(n2)], cols=m)
-        coords = field_array(f, G.entries)
-        X = field_array(f, G.transpose().left_inverse().entries).T
-        L2 = field_array(f, cols2.left_inverse().entries)
+        coords = field_array(f, [g.coords for g in gens]).reshape(m, n1)
+        cols2 = Matrix(f, field_array(f, [e.coords for e in basis2]).reshape(m, n2).T)
+        X = Matrix(f, coords.T).left_inverse().array.T
+        L2 = cols2.left_inverse().array
         # psi[(i, k), :] = e_i g_k, from T[i, j, :] = e_i e_j
         T = R.np_table(1, 1).transpose(0, 2, 1).reshape(n1 * n2, n1)
         psi = field_matmul(f, T, coords.T).reshape(n1, n2, m).transpose(0, 2, 1)
         psi = psi.reshape(n1 * m, n2)
         phi = field_matmul(f, psi, L2.T)
-        eye = field_array(f, Matrix.identity(f, n1).entries)
+        eye = Matrix.identity(f, n1).array
         res1 = field_reduce(f, eye - field_matmul(f, X, coords))
-        res2 = field_reduce(f, psi - field_matmul(f, phi, field_array(f, cols2.entries).T))
+        res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.array.T))
         maps = np.hstack([res1, res2.reshape(n1, m * n2), phi.reshape(n1, m * m)])
         return Side(gens, cols2, coords, maps, cols2.solve(list(delta.coords)))
 
@@ -258,7 +257,7 @@ def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False) -
         r, slot = divmod(int(outside[0]), 2)
         raise FactoryError(f"block entry ({r},{slot}) lies outside side {side!r}")
     B = P[:, n1 + m * n2 :].reshape(2, 2, m, m).transpose(0, 3, 1, 2)
-    return Matrix(f, B.reshape(2 * m, 2 * m).tolist(), cols=2 * m)
+    return Matrix(f, B.reshape(2 * m, 2 * m))
 
 
 def injectivity_check(ring: SpecialRing, mat, side: str, transpose: bool = False) -> bool:
@@ -337,17 +336,16 @@ def _solve_columns(ring: SpecialRing, mat, side: str):
     f = ring.ring.field
     M = induced_matrix(ring, mat, side)
     zeros = [f.zero] * m
-    rhs = zip(s.delta + zeros, zeros + s.delta)
-    rows, piv = Matrix(f, [row + list(b) for row, b in zip(M.entries, rhs)]).rref()
+    rhs = field_array(f, [s.delta + zeros, zeros + s.delta]).T
+    rows, piv = Matrix(f, np.hstack([M.array, rhs])).rref()
     if piv and piv[-1] >= 2 * m:
         raise ExtensionError(f"side {side!r} system is singular")
-    out = []
-    for j in (2 * m, 2 * m + 1):
-        sol = [f.zero] * (2 * m)
-        for row, pc in zip(rows, piv):
-            sol[pc] = row[j]
-        out.append((ring.element_from_side_coords(side, sol[:m]),
-                    ring.element_from_side_coords(side, sol[m:])))
+    sol = field_zeros(f, (2 * m, 2))
+    sol[piv] = rows[:, 2 * m :]
+    out = [
+        (ring.element_from_side_coords(side, c[:m]), ring.element_from_side_coords(side, c[m:]))
+        for c in sol.T.tolist()
+    ]
     return [[out[0][0], out[1][0]], [out[0][1], out[1][1]]]  # columns c1 | c2
 
 

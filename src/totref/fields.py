@@ -70,7 +70,7 @@ class PrimeField:
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, -1, self.p)
+        return pow(int(a), -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

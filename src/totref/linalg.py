@@ -9,9 +9,15 @@ nowhere else (``np_modulus`` decides): int64 arrays for GF(p) with p < 2**31,
 so that a product of two representatives stays below 2**63, and numpy
 ``object`` arrays of exact Python ints (GF(p), p >= 2**31) or Fractions (the
 rationals) otherwise.  ``field_array`` builds them, ``field_matmul`` is their
-one product and ``array_rank``/``rank_reaches`` rank them.  A sum of int64
-products can still overflow: ``mod_matmul`` sums at most
-floor((2**63 - 1) / (p - 1)**2) products before reducing.
+one product and ``rref``/``array_rank``/``rank_reaches`` eliminate them;
+``Matrix`` and ``Subspace`` hold them.  A sum of int64 products can still
+overflow: ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2)
+products before reducing.
+
+Size alone decides how an array is eliminated: under ``_NP_CELL_THRESHOLD``
+cells as a list of rows (``_rref_py``), where numpy's per-call overhead
+dominates, and otherwise as the array itself (``_rref_array``), whatever the
+field.
 """
 
 from __future__ import annotations
@@ -23,7 +29,10 @@ import numpy as np
 
 from .fields import PrimeField
 
-_NP_CELL_THRESHOLD = 2000  # below this many cells pure Python wins on overhead
+# below this many cells list elimination wins on numpy's per-call overhead (an
+# 8x8 rank: about 100 us as lists, 185 us as an array); from about 12x12 on
+# the array wins on every field
+_NP_CELL_THRESHOLD = 100
 _NP_PRIME_BOUND = 2**31
 
 
@@ -39,6 +48,11 @@ def field_array(field, data):
     """data (nested lists) as an array over the field: int64 where
     ``np_modulus`` admits the field, ``object`` otherwise."""
     return np.array(data, dtype=np.int64 if np_modulus(field) else object)
+
+
+def field_zeros(field, shape):
+    """The zero array of a shape over the field (see ``field_array``)."""
+    return np.full(shape, field.zero, dtype=np.int64 if np_modulus(field) else object)
 
 
 def field_reduce(field, A):
@@ -127,9 +141,9 @@ def _rref_py(field, rows, ncols, reduce_full=True):
     return rows, pivots
 
 
-def _rref_np(p, arr, reduce_full=True):
-    """numpy RREF mod p; returns (array, pivot columns)."""
-    A = arr % p
+def _rref_array(field, A, reduce_full=True):
+    """In-place RREF of a 2-D array over the field (canonical entries), int64
+    or ``object`` alike; returns (A, pivot columns)."""
     m, n = A.shape
     pivots = []
     r = 0
@@ -140,15 +154,14 @@ def _rref_np(p, arr, reduce_full=True):
         i = r + int(nz[0])
         if i != r:
             A[[r, i]] = A[[i, r]]
-        inv = pow(int(A[r, c]), -1, p)
-        A[r] = A[r] * inv % p
+        A[r] = field_reduce(field, A[r] * field.inv(A[r, c]))
         if reduce_full:
             sel = np.nonzero(A[:, c])[0]
             sel = sel[sel != r]
         else:
             sel = r + 1 + np.nonzero(A[r + 1 :, c])[0]
         if sel.size:
-            A[sel] = (A[sel] - np.outer(A[sel, c], A[r])) % p
+            A[sel] = field_reduce(field, A[sel] - np.outer(A[sel, c], A[r]))
         pivots.append(c)
         r += 1
         if r == m:
@@ -156,201 +169,60 @@ def _rref_np(p, arr, reduce_full=True):
     return A, pivots
 
 
-def _echelon(field, rows, ncols, rank_only=False):
-    """RREF rows (zero rows dropped) and pivot columns of a list of rows.
-
-    With rank_only the rows are only cleared below each pivot and None is
-    returned in place of the rows.  Large GF(p) inputs take the numpy path.
-    """
-    if not rows or ncols == 0:
-        return [], []
-    p = np_modulus(field)
-    if p is not None and len(rows) * ncols >= _NP_CELL_THRESHOLD:
-        A, piv = _rref_np(p, np.array(rows, dtype=np.int64), not rank_only)
-        return (None if rank_only else A[: len(piv)].tolist()), piv
-    out, piv = _rref_py(field, rows, ncols, not rank_only)
-    return (None if rank_only else out[: len(piv)]), piv
+def rref(field, A):
+    """(rows, pivots): the nonzero rows of the RREF of a 2-D array over the
+    field, as an array, and their pivot columns.  Arrays under
+    ``_NP_CELL_THRESHOLD`` cells are eliminated as lists; A is not modified."""
+    if A.size >= _NP_CELL_THRESHOLD:
+        R, piv = _rref_array(field, A.copy())
+        return R[: len(piv)], piv
+    rows, piv = _rref_py(field, A.tolist(), A.shape[1])
+    return field_array(field, rows[: len(piv)]).reshape(len(piv), A.shape[1]), piv
 
 
 def array_rank(field, A) -> int:
-    """Rank of a 2-D array over the field (see ``field_array``).
-
-    int64 arrays under ``_NP_CELL_THRESHOLD`` cells and ``object`` arrays
-    are eliminated as lists, as in ``_echelon``; the array is not modified.
-    """
-    if A.size == 0:
-        return 0
-    p = np_modulus(field)
-    if p is not None and A.size >= _NP_CELL_THRESHOLD:
-        return len(_rref_np(p, A, reduce_full=False)[1])
+    """Rank of a 2-D array over the field (see ``field_array``), eliminated
+    below the pivots only, by size as in ``rref``; A is not modified."""
+    if A.size >= _NP_CELL_THRESHOLD:
+        return len(_rref_array(field, A.copy(), reduce_full=False)[1])
     return len(_rref_py(field, A.tolist(), A.shape[1], reduce_full=False)[1])
 
 
-def rank_reaches(field, blocks, ncols, target):
+def rank_reaches(field, blocks, target):
     """Whether the rows of the blocks span a space of dimension >= target.
 
-    Blocks are 2-D arrays over the field (see ``field_array``); int64 blocks
-    are consumed and modified, ``object`` blocks are reduced as lists.  Each
-    block is reduced against the echelon rows kept so far, then put in
-    row-echelon form (cleared below the pivots only) and its nonzero rows are
-    kept: every kept row vanishes at the pivots of the rows kept before it,
-    so clearing pivots in the order kept is a complete reduction.  The stream
-    stops at the first block after which the rank reaches target.
+    Blocks are 2-D arrays over the field (see ``field_array``); they are
+    consumed and modified.  Each block is reduced against the echelon rows
+    kept so far, then put in row-echelon form (cleared below the pivots only)
+    and its nonzero rows are kept: every kept row vanishes at the pivots of
+    the rows kept before it, so clearing pivots in the order kept is a
+    complete reduction.  The stream stops at the first block after which the
+    rank reaches target.
     """
     if target <= 0:
         return True
-    p = np_modulus(field)
     echelon, pivots = [], []
     for block in blocks:
-        if p is not None:
-            for row, c in zip(echelon, pivots):
-                sel = np.nonzero(block[:, c])[0]
-                if sel.size:
-                    block[sel] = (block[sel] - np.outer(block[sel, c], row)) % p
-            A, piv = _rref_np(p, block, reduce_full=False)
-            echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
-        else:
-            block = [reduce_by_echelon(field, echelon, pivots, v)[0] for v in block.tolist()]
-            rows, piv = _rref_py(field, block, ncols, reduce_full=False)
-            echelon.extend(rows[: len(piv)])
+        for row, c in zip(echelon, pivots):
+            sel = np.nonzero(block[:, c])[0]
+            if sel.size:
+                block[sel] = field_reduce(field, block[sel] - np.outer(block[sel, c], row))
+        A, piv = _rref_array(field, block, reduce_full=False)
+        echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
         pivots.extend(piv)
         if len(pivots) >= target:
             return True
     return False
 
 
-def reduce_by_echelon(field, rows, pivots, vec):
-    """Clear each pivot coordinate of vec with its echelon row, in order.
-
-    Returns (remainder, multipliers): vec = remainder + sum of multiplier * row.
-    """
-    v = list(vec)
-    coords = []
-    for row, pc in zip(rows, pivots):
-        c = v[pc]
-        coords.append(c)
-        if not field.is_zero(c):
-            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
-    return v, coords
+def reduce_rref(field, rows, pivots, V):
+    """The rows of V with every pivot coordinate cleared by the RREF rows:
+    V - V[:, pivots] rows, one product.  RREF rows vanish at each other's
+    pivots, so this equals clearing the pivots one row at a time."""
+    return field_reduce(field, V - field_matmul(field, V[:, pivots], rows))
 
 
-class Matrix:
-    """Dense matrix over an exact field; entries stored as a list of rows."""
-
-    __slots__ = ("field", "rows", "cols", "entries")
-
-    def __init__(self, field, entries, cols=None):
-        self.field = field
-        self.entries = [list(r) for r in entries]
-        self.rows = len(self.entries)
-        if self.rows:
-            self.cols = len(self.entries[0])
-            for r in self.entries:
-                if len(r) != self.cols:
-                    raise ValueError("ragged rows")
-        else:
-            if cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            self.cols = cols
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], cols=cols)
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.entries[i][i] = field.one
-        return m
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            cols=self.rows,
-        )
-
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("shape mismatch")
-        f = self.field
-        return [
-            _dot(f, row, vec)
-            for row in self.entries
-        ]
-
-    def rank(self) -> int:
-        return len(_echelon(self.field, self.entries, self.cols, rank_only=True)[1])
-
-    def rref(self):
-        """Returns (rref rows without zero rows, pivot column list)."""
-        return _echelon(self.field, self.entries, self.cols)
-
-    def kernel_basis(self) -> "Subspace":
-        """Canonical basis of the right kernel {v : self @ v = 0}."""
-        f = self.field
-        n = self.cols
-        rows, piv = self.rref()
-        free = [c for c in range(n) if c not in set(piv)]
-        vecs = []
-        for c in free:
-            v = [f.zero] * n
-            v[c] = f.one
-            for row, pc in zip(rows, piv):
-                v[pc] = f.neg(row[c])
-            vecs.append(v)
-        return Subspace.from_vectors(f, n, vecs)
-
-    def solve(self, rhs):
-        """Some x with self @ x = rhs, or None when inconsistent."""
-        if len(rhs) != self.rows:
-            raise ValueError("shape mismatch")
-        f = self.field
-        aug = Matrix(f, [row + [b] for row, b in zip(self.entries, rhs)], cols=self.cols + 1)
-        if self.rows == 0:
-            return [f.zero] * self.cols
-        rows, piv = aug.rref()
-        x = [f.zero] * self.cols
-        for row, pc in zip(rows, piv):
-            if pc == self.cols:
-                return None  # pivot in the augmented column: inconsistent
-            x[pc] = row[self.cols]
-        return x
-
-    def left_inverse(self) -> "Matrix":
-        """A left inverse L (L @ self = I), read off the RREF of [self | I];
-        the columns must be independent (ValueError otherwise)."""
-        f = self.field
-        n, m = self.rows, self.cols
-        eye = Matrix.identity(f, n).entries
-        rows, piv = Matrix(f, [row + e for row, e in zip(self.entries, eye)], cols=m + n).rref()
-        if piv[:m] != list(range(m)):
-            raise ValueError("columns are linearly dependent")
-        return Matrix(f, [row[m:] for row in rows[:m]], cols=n)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.entries == self.entries
-            and other.cols == self.cols
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
-
-
-def _dot(field, row, vec):
-    acc = field.zero
-    for a, b in zip(row, vec):
-        if not (field.is_zero(a) or field.is_zero(b)):
-            acc = field.add(acc, field.mul(a, b))
-    return acc
-
-
-def rref_trailing(field, rows, ncols):
+def rref_trailing(field, A):
     """Echelon form pivoting on the *last* nonzero coordinate of each row.
 
     Equivalent to ordinary RREF after reversing the coordinate order.  Used to
@@ -358,87 +230,185 @@ def rref_trailing(field, rows, ncols):
     quotient by x1+...+x5 eliminates x5 and keeps x1..x4).
     Returns (rows, pivot columns), both in the original orientation.
     """
-    rr, piv = _echelon(field, [r[::-1] for r in rows], ncols)
-    return [r[::-1] for r in rr], [ncols - 1 - c for c in piv]
+    n = A.shape[1]
+    R, piv = rref(field, A[:, ::-1])
+    return R[:, ::-1], [n - 1 - c for c in piv]
+
+
+def quotient_projection(field, A):
+    """(keep, P) for the quotient of field^n by the row span of A.
+
+    keep lists the coordinates not pivoted on by ``rref_trailing``; they index
+    the quotient basis.  The class of a row vector v has coordinates v P,
+    where P is n x len(keep) with P[keep] = I and P[pivots] = -rows[:, keep].
+    """
+    rows, piv = rref_trailing(field, A)
+    pivset = set(piv)
+    keep = [c for c in range(A.shape[1]) if c not in pivset]
+    P = field_zeros(field, (A.shape[1], len(keep)))
+    P[keep, range(len(keep))] = field.one
+    P[piv] = field_reduce(field, -rows[:, keep])
+    return keep, P
+
+
+class Matrix:
+    """Dense matrix over an exact field, held as one array over the field
+    (see ``field_array``); ``entries`` is its list view."""
+
+    __slots__ = ("field", "array", "rows", "cols")
+
+    def __init__(self, field, entries, cols=None):
+        """entries: a 2-D array over the field, or a list of rows (an empty
+        list needs the column count)."""
+        self.field = field
+        if not isinstance(entries, np.ndarray):
+            rows = [list(r) for r in entries]
+            if not rows and cols is None:
+                raise ValueError("empty matrix needs an explicit column count")
+            width = len(rows[0]) if rows else cols
+            if any(len(r) != width for r in rows):
+                raise ValueError("ragged rows")
+            entries = field_array(field, rows).reshape(len(rows), width)
+        self.array = entries
+        self.rows, self.cols = entries.shape
+
+    @property
+    def entries(self):
+        return self.array.tolist()
+
+    @classmethod
+    def zeros(cls, field, rows, cols):
+        return cls(field, field_zeros(field, (rows, cols)))
+
+    @classmethod
+    def identity(cls, field, n):
+        m = cls.zeros(field, n, n)
+        m.array[range(n), range(n)] = field.one
+        return m
+
+    def transpose(self) -> "Matrix":
+        return Matrix(self.field, self.array.T)
+
+    def rank(self) -> int:
+        return array_rank(self.field, self.array)
+
+    def rref(self):
+        """Returns (rref rows without zero rows, as an array; pivot column list)."""
+        return rref(self.field, self.array)
+
+    def kernel_basis(self) -> "Subspace":
+        """Canonical basis of the right kernel {v : self @ v = 0}."""
+        f = self.field
+        R, piv = self.rref()
+        pivset = set(piv)
+        free = [c for c in range(self.cols) if c not in pivset]
+        K = field_zeros(f, (len(free), self.cols))
+        K[range(len(free)), free] = f.one
+        K[:, piv] = field_reduce(f, -R[:, free].T)
+        return Subspace.from_vectors(f, self.cols, K)
+
+    def solve(self, rhs):
+        """Some x with self @ x = rhs, or None when inconsistent."""
+        if len(rhs) != self.rows:
+            raise ValueError("shape mismatch")
+        f = self.field
+        if self.rows == 0:
+            return [f.zero] * self.cols
+        b = field_array(f, list(rhs)).reshape(self.rows, 1)
+        R, piv = rref(f, np.hstack([self.array, b]))
+        if piv and piv[-1] == self.cols:
+            return None  # pivot in the augmented column: inconsistent
+        x = field_zeros(f, self.cols)
+        x[piv] = R[:, self.cols]
+        return x.tolist()
+
+    def left_inverse(self) -> "Matrix":
+        """A left inverse L (L @ self = I), read off the RREF of [self | I];
+        the columns must be independent (ValueError otherwise)."""
+        f = self.field
+        n, m = self.rows, self.cols
+        R, piv = rref(f, np.hstack([self.array, Matrix.identity(f, n).array]))
+        if piv[:m] != list(range(m)):
+            raise ValueError("columns are linearly dependent")
+        return Matrix(f, R[:m, m:])
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Matrix)
+            and other.field == self.field
+            and other.cols == self.cols
+            and other.entries == self.entries
+        )
+
+    def __repr__(self):
+        return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
 class Subspace:
-    """A subspace of field^ambient with a canonical (RREF) basis."""
+    """A subspace of field^ambient with a canonical (RREF) basis: the array
+    ``rows`` with pivot columns ``pivots``; ``basis`` is its tuple view, which
+    equality and hashing use."""
 
-    __slots__ = ("field", "ambient", "basis")
+    __slots__ = ("field", "ambient", "rows", "pivots", "basis")
 
-    def __init__(self, field, ambient, canonical_rows):
+    def __init__(self, field, ambient, rows, pivots):
         self.field = field
         self.ambient = ambient
-        self.basis = tuple(tuple(r) for r in canonical_rows)
+        self.rows = rows
+        self.pivots = list(pivots)
+        self.basis = tuple(map(tuple, rows.tolist()))
 
     @classmethod
     def from_vectors(cls, field, ambient, vectors) -> "Subspace":
-        for v in vectors:
-            if len(v) != ambient:
+        """The span of vectors: a 2-D array over the field or a list of rows."""
+        if not isinstance(vectors, np.ndarray):
+            if any(len(v) != ambient for v in vectors):
                 raise ValueError("vector length does not match ambient dimension")
-        rows = Matrix(field, list(vectors), cols=ambient).rref()[0] if vectors else []
-        return cls(field, ambient, rows)
+            vectors = Matrix(field, vectors, cols=ambient).array
+        elif vectors.shape[1] != ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        return cls(field, ambient, *rref(field, vectors))
 
     @classmethod
     def zero(cls, field, ambient) -> "Subspace":
-        return cls(field, ambient, [])
+        return cls(field, ambient, field_zeros(field, (0, ambient)), [])
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
-        return cls.from_vectors(field, ambient, Matrix.identity(field, ambient).entries)
+        return cls(field, ambient, Matrix.identity(field, ambient).array, range(ambient))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.pivots
 
     def contains(self, vec) -> bool:
         return self.reduce(vec) is not None
 
-    @property
-    def pivots(self):
-        f = self.field
-        return [next(j for j, x in enumerate(row) if not f.is_zero(x)) for row in self.basis]
-
     def reduce(self, vec):
         """Coordinates of vec in the canonical basis, or None if outside."""
-        v, coords = reduce_by_echelon(self.field, self.basis, self.pivots, vec)
-        if any(not self.field.is_zero(x) for x in v):
+        f = self.field
+        v = field_array(f, [list(vec)])
+        if np.count_nonzero(reduce_rref(f, self.rows, self.pivots, v)):
             return None
-        return coords
+        return v[0, self.pivots].tolist()
 
     def sum(self, other: "Subspace") -> "Subspace":
         self._check(other)
-        return Subspace.from_vectors(self.field, self.ambient, list(self.basis) + list(other.basis))
+        return Subspace.from_vectors(self.field, self.ambient, np.vstack([self.rows, other.rows]))
 
     def intersection(self, other: "Subspace") -> "Subspace":
         """Exact intersection via the kernel of [A^t | -B^t]."""
         self._check(other)
         f = self.field
-        a, b = self.dim, other.dim
-        if a == 0 or b == 0:
+        if self.dim == 0 or other.dim == 0:
             return Subspace.zero(f, self.ambient)
-        m = Matrix(
-            f,
-            [
-                [self.basis[j][i] for j in range(a)]
-                + [f.neg(other.basis[j][i]) for j in range(b)]
-                for i in range(self.ambient)
-            ],
-            cols=a + b,
+        ker = Matrix(f, np.hstack([self.rows.T, field_reduce(f, -other.rows.T)])).kernel_basis()
+        return Subspace.from_vectors(
+            f, self.ambient, field_matmul(f, ker.rows[:, : self.dim], self.rows)
         )
-        ker = m.kernel_basis()
-        vecs = []
-        for kv in ker.basis:
-            v = [f.zero] * self.ambient
-            for j in range(a):
-                if not f.is_zero(kv[j]):
-                    v = [f.add(x, f.mul(kv[j], y)) for x, y in zip(v, self.basis[j])]
-            vecs.append(v)
-        return Subspace.from_vectors(f, self.ambient, vecs)
 
     def _check(self, other):
         if self.ambient != other.ambient or self.field != other.field:

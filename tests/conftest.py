@@ -155,7 +155,6 @@ def naive_exactness(w):
                 img = Subspace.zero(f, src)
             else:
                 inc = w.block_matrix(i + 1, t - 1)
-                cols = [[inc.entries[r][c] for r in range(inc.rows)] for c in range(inc.cols)]
-                img = Subspace.from_vectors(f, src, cols)
+                img = Subspace.from_vectors(f, src, inc.transpose().entries)
             verdicts[(i, w.twist(i) + t)] = img == ker
     return verdicts

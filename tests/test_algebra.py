@@ -17,6 +17,9 @@ from totref import (
     stanley_reisner,
 )
 
+from totref.fields import PrimeField, RationalField
+from totref.linalg import _rref_py, field_array
+
 from conftest import EXAMPLE_RING_RELATIONS, random_bipartite_connected
 
 
@@ -308,10 +311,117 @@ def test_mult_map_matrix_many_summands_do_not_overflow(gf):
     # 12 summands of (p-1)**2 ~ 2**60 each exceed int64 in a single einsum
     p = gf.p
     labels = [f"a{i}" for i in range(12)]
-    A = GradedAlgebra(gf, 2, [["1"], labels, ["u", "v"]], lambda *_: [p - 1, p - 1])
+    table = field_array(gf, [[[p - 1, p - 1]] * 12] * 12)
+    A = GradedAlgebra(gf, 2, [["1"], labels, ["u", "v"]], lambda d1, d2: table)
     elt = A.element(1, [p - 1] * 12)
     got = A.mult_map_matrix(elt, 1)
     # exact list-path reference: column j is elt * e_j computed by multiply()
     columns = [(elt * A.basis_element(1, j)).coords for j in range(12)]
     assert got.entries == [[col[k] for col in columns] for k in range(2)]
     assert got.entries == [[12] * 12, [12] * 12]
+
+
+# -- differential test of the quotient tables ------------------------------------
+# The oracle is the per-entry normal form: trailing-pivot list elimination of
+# the relation rows, then each vector cleared pivot by pivot in list arithmetic.
+
+
+def _complement_oracle(field, rows, ncols):
+    """(echelon rows, pivots, kept coordinates) of field^ncols modulo the span
+    of rows, pivoting on the trailing coordinate."""
+    rr, piv = _rref_py(field, [list(r)[::-1] for r in rows], ncols)
+    rr = [r[::-1] for r in rr[: len(piv)]]
+    piv = [ncols - 1 - c for c in piv]
+    return rr, piv, [c for c in range(ncols) if c not in set(piv)]
+
+
+def _normal_form_oracle(field, red, vec):
+    """Coordinates in the quotient basis of the class of vec."""
+    rows, piv, keep = red
+    v = list(vec)
+    for row, pc in zip(rows, piv):
+        c = v[pc]
+        if not field.is_zero(c):
+            v = [field.sub(a, field.mul(c, b)) for a, b in zip(v, row)]
+    return [v[c] for c in keep]
+
+
+def _check_tables(R, red, source_entry):
+    """Every table of R against the normal forms of the source products."""
+    f = R.field
+    for d1 in range(1, R.cutoff):
+        for d2 in range(1, R.cutoff + 1 - d1):
+            expected = [
+                [_normal_form_oracle(f, red[d1 + d2], source_entry(d1, i, d2, j)) for j in red[d2][2]]
+                for i in red[d1][2]
+            ]
+            assert R.table(d1, d2) == expected, (d1, d2)
+
+
+def _check_quotient_map(q, rng):
+    S, B, f = q.source, q.target, q.source.field
+    red = [([], [], [0])]
+    for d in range(1, S.cutoff + 1):
+        # the relations l * basis_i of degree d-1, by list multiplication
+        rows = [(q.form * S.basis_element(d - 1, i)).coords for i in range(S.dims[d - 1])]
+        red.append(_complement_oracle(f, rows, S.dims[d]))
+    for d in range(S.cutoff + 1):
+        assert B.basis[d] == [S.basis[d][c] for c in red[d][2]]
+        for _ in range(3):
+            v = [f.rand(rng) for _ in range(S.dims[d])]
+            assert list(q.project(S.element(d, v)).coords) == _normal_form_oracle(f, red[d], v)
+    _check_tables(B, red, lambda d1, i, d2, j: S.table(d1, d2)[i][j])
+
+
+@pytest.mark.parametrize(
+    "mode, field",
+    [("canonical", PrimeField()), ("canonical", PrimeField(4294967311)), ("generic", RationalField())],
+    ids=["canonical-default", "canonical-4294967311", "generic-QQ"],
+)
+def test_quotient_tables_match_per_entry_normal_forms(c4, ten_vertex_g, mode, field):
+    rng = Random(37)
+    for g in (c4, ten_vertex_g):
+        chain = reduction_chain(g, mode=mode, seed=5, cutoff=4, field=field)
+        for q in chain.steps:
+            _check_quotient_map(q, rng)
+
+
+def _descending_monomials(nvars, d):
+    return sorted((e for e in product(range(d + 1), repeat=nvars) if sum(e) == d), reverse=True)
+
+
+@pytest.mark.parametrize("field", [PrimeField(), RationalField()], ids=["default", "QQ"])
+def test_relation_tables_match_per_entry_normal_forms(field):
+    cases = [
+        (["X", "Y"], EXAMPLE_RING_RELATIONS, 3),
+        (["x", "y"], [{(2, 0): 1}, {(0, 3): 1}], 4),
+        (["a", "b", "c"], [{(1, 1, 0): 1, (0, 0, 2): -1}, {(2, 0, 0): 2, (0, 1, 1): 3}], 4),
+    ]
+    for variables, relations, cutoff in cases:
+        R = algebra_from_relations(variables, relations, cutoff, field=field)
+        mons = [_descending_monomials(len(variables), d) for d in range(cutoff + 1)]
+        red = [([], [], [0])]
+        for d in range(1, cutoff + 1):
+            rows = []
+            for rel in relations:
+                r = sum(next(iter(rel)))
+                for m in mons[d - r] if r <= d else []:
+                    vec = [field.zero] * len(mons[d])
+                    for e, c in rel.items():
+                        k = mons[d].index(tuple(a + b for a, b in zip(e, m)))
+                        vec[k] = field.add(vec[k], field.coerce(c))
+                    rows.append(vec)
+            red.append(_complement_oracle(field, rows, len(mons[d])))
+            labels = [
+                "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(variables, mons[d][c]) if e)
+                for c in red[d][2]
+            ]
+            assert R.basis[d] == labels
+
+        def entry(d1, i, d2, j):
+            prod = tuple(a + b for a, b in zip(mons[d1][i], mons[d2][j]))
+            vec = [field.zero] * len(mons[d1 + d2])
+            vec[mons[d1 + d2].index(prod)] = field.one
+            return vec
+
+        _check_tables(R, red, entry)

@@ -281,7 +281,7 @@ def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
                 prod = R.multiply(d[r][c], R.basis_element(t, j)).coords
                 for k in range(dst):
                     by_multiply[r * dst + k][c * src + j] = prod[k]
-            for k, row in enumerate(R.mult_map_rows(d[r][c].coords, 1, t)):
+            for k, row in enumerate(R.mult_map_array(d[r][c].coords, 1, t).tolist()):
                 by_mult_map[r * dst + k][c * src : (c + 1) * src] = row
     blk = w.block_matrix(1, t)
     assert (blk.rows, blk.cols) == (b_out * dst, b_in * src)
@@ -292,7 +292,7 @@ def _count_eliminations(monkeypatch):
     import totref.linalg as linalg
 
     calls = []
-    for name in ("_rref_np", "_rref_py"):
+    for name in ("_rref_array", "_rref_py"):
         real = getattr(linalg, name)
 
         def counted(*args, _real=real, **kwargs):

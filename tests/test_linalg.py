@@ -7,18 +7,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import totref
+import totref.linalg as linalg
 from totref import Matrix, PrimeField, RationalField, Subspace
 from totref.linalg import (
-    _rref_np,
+    _rref_array,
     _rref_py,
     array_rank,
     field_array,
     field_matmul,
     mod_matmul,
     np_modulus,
+    rank_reaches,
 )
 
 import numpy as np
+
+from conftest import ARRAY_FIELDS, array_field
 
 GF = PrimeField()
 GF5 = PrimeField(5)
@@ -27,6 +31,23 @@ QQ = RationalField()
 
 def rand_matrix(field, rng, rows, cols):
     return Matrix(field, [[field.rand(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+def field_dot(field, a, b):
+    acc = field.zero
+    for x, y in zip(a, b):
+        acc = field.add(acc, field.mul(x, y))
+    return acc
+
+
+def apply(m, vec):
+    """m @ vec by field operations on the list view."""
+    return [field_dot(m.field, row, vec) for row in m.entries]
+
+
+def list_product(field, left, right, cols):
+    """left @ right (lists of rows; right has cols columns) by field operations."""
+    return [[field_dot(field, row, [r[c] for r in right]) for c in range(cols)] for row in left]
 
 
 def test_rank_identity_and_zero():
@@ -68,10 +89,10 @@ def test_solve_round_trip():
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         m = rand_matrix(GF, rng, rows, cols)
         x = [GF.rand(rng) for _ in range(cols)]
-        b = m.mul_vec(x)
+        b = apply(m, x)
         got = m.solve(b)
         assert got is not None
-        assert m.mul_vec(got) == b
+        assert apply(m, got) == b
 
 
 @pytest.mark.parametrize("field", [GF, GF5, QQ, PrimeField(4294967311)])
@@ -86,7 +107,7 @@ def test_left_inverse(field):
             continue
         L = m.left_inverse()
         assert (L.rows, L.cols) == (cols, m.rows)
-        assert [L.mul_vec([row[j] for row in m.entries]) for j in range(cols)] == (
+        assert [apply(L, [row[j] for row in m.entries]) for j in range(cols)] == (
             Matrix.identity(field, cols).entries
         )
     with pytest.raises(ValueError):
@@ -99,19 +120,7 @@ def test_kernel_vectors_annihilate():
     ker = m.kernel_basis()
     assert ker.dim == 7 - m.rank()
     for v in ker.basis:
-        assert all(x == 0 for x in m.mul_vec(list(v)))
-
-
-def test_np_and_py_elimination_agree():
-    rng = Random(11)
-    for _ in range(20):
-        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
-        entries = [[GF.rand(rng) for _ in range(cols)] for _ in range(rows)]
-        py_rows, py_piv = _rref_py(GF, entries, cols)
-        np_arr, np_piv = _rref_np(GF.p, np.array(entries, dtype=np.int64))
-        assert py_piv == np_piv
-        for i in range(len(py_piv)):
-            assert py_rows[i] == [int(x) for x in np_arr[i]]
+        assert all(x == 0 for x in apply(m, list(v)))
 
 
 def test_large_matrix_uses_fast_path():
@@ -200,44 +209,68 @@ def test_rational_exactness():
     k = m.kernel_basis()
     assert k.dim == 1
     v = list(k.basis[0])
-    assert all(x == 0 for x in m.mul_vec(v))
+    assert all(x == 0 for x in apply(m, v))
 
 
 LARGE_PRIME = 4294967311  # above 2**32: (p-1)**2 overflows int64
 
 
-def _sympy_rref(p, entries, cols):
-    """Reference RREF mod p from sympy's DomainMatrix."""
-    from sympy import GF as SympyGF
+def _sympy_rref(field, entries, cols):
+    """Reference RREF from sympy's DomainMatrix, over GF(p) or QQ."""
+    from sympy import GF as SympyGF, QQ as SympyQQ
     from sympy.polys.matrices import DomainMatrix
 
-    K = SympyGF(p)
-    dm = DomainMatrix([[K(x) for x in row] for row in entries], (len(entries), cols), K)
+    if field.kind == "qq":
+        K = SympyQQ
+        to_k = lambda x: K(Fraction(x).numerator, Fraction(x).denominator)
+        back = lambda x: Fraction(int(K.numer(x)), int(K.denom(x)))
+    else:
+        K = SympyGF(field.p)
+        to_k, back = K, lambda x: K.to_int(x) % field.p
+    dm = DomainMatrix([[to_k(x) for x in row] for row in entries], (len(entries), cols), K)
     ref, piv = dm.rref()
-    return [[K.to_int(x) % p for x in row] for row in ref.to_list()[: len(piv)]], list(piv)
+    return [[back(x) for x in row] for row in ref.to_list()[: len(piv)]], list(piv)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from([7, GF.p, LARGE_PRIME]), st.data())
+def field_elements(field):
+    if field.kind == "qq":
+        return st.one_of(st.just(Fraction(0)), st.fractions(-30, 30, max_denominator=12))
+    return st.one_of(st.just(0), st.just(field.p - 1), st.integers(0, field.p - 1))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(ARRAY_FIELDS), st.data())
 def test_rref_backends_match_sympy(p, data):
+    """Both eliminations, the list one and the array one, and Matrix.rref
+    against sympy on every field: int64 and object arrays alike."""
+    field = array_field(p)
     rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     rank = data.draw(st.integers(0, min(rows, cols)))
-    elt = st.integers(0, p - 1)
+    elt = field_elements(field)
     left = [data.draw(st.lists(elt, min_size=rank, max_size=rank)) for _ in range(rows)]
     right = [data.draw(st.lists(elt, min_size=cols, max_size=cols)) for _ in range(rank)]
-    entries = [
-        [sum(a * right[k][c] for k, a in enumerate(row)) % p for c in range(cols)] for row in left
-    ]
-    field = PrimeField(p)
-    expected = _sympy_rref(p, entries, cols)
+    entries = list_product(field, left, right, cols)
+    expected = _sympy_rref(field, entries, cols)
     py_rows, py_piv = _rref_py(field, entries, cols)
     assert (py_rows[: len(py_piv)], py_piv) == expected
-    assert Matrix(field, entries).rref() == expected
-    if np_modulus(field) is None:
-        assert p >= 2**31
-    else:
-        A, np_piv = _rref_np(p, np.array(entries, dtype=np.int64))
-        assert (A[: len(np_piv)].tolist(), np_piv) == expected
+    A, np_piv = _rref_array(field, field_array(field, entries))
+    assert (A[: len(np_piv)].tolist(), np_piv) == expected
+    R, piv = Matrix(field, entries).rref()
+    assert (R.tolist(), piv) == expected
+
+
+def test_rational_array_elimination_above_threshold():
+    # above the cell threshold an object array of Fractions is eliminated as an array
+    rng = Random(29)
+    small = lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
+    left = [[small() for _ in range(12)] for _ in range(20)]
+    right = [[small() for _ in range(18)] for _ in range(12)]
+    entries = list_product(QQ, left, right, 18)
+    m = Matrix(QQ, entries)
+    assert m.array.size >= linalg._NP_CELL_THRESHOLD and m.array.dtype == object
+    assert m.rank() == 12
+    R, piv = m.rref()
+    assert (R.tolist(), piv) == _sympy_rref(QQ, entries, 18)
 
 
 def test_large_prime_avoids_int64_path():
@@ -253,7 +286,8 @@ def test_large_prime_avoids_int64_path():
     assert np_modulus(field) is None and np_modulus(GF) == GF.p
     m = Matrix(field, entries)
     assert m.rank() == 40
-    assert m.rref() == _sympy_rref(field.p, entries, 50)
+    R, piv = m.rref()
+    assert (R.tolist(), piv) == _sympy_rref(field, entries, 50)
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,10 +369,49 @@ def test_field_matmul_matches_nested_loops(case):
     assert all(type(x) is kind for row in got.tolist() for x in row)
 
 
+@pytest.mark.parametrize("p", ARRAY_FIELDS)
+def test_rank_reaches_matches_array_rank(p):
+    """rank_reaches(f, blocks, t) == (rank of all the rows >= t) for t around
+    the rank, and the block stream is consumed only up to the first block
+    after which the rank reaches t."""
+    field = array_field(p)
+    rng = Random(31)
+    for _ in range(12):
+        nrows, ncols = rng.randrange(1, 13), rng.randrange(1, 10)
+        r = rng.randrange(0, min(nrows, ncols) + 1)
+        left = [[field.rand(rng) for _ in range(r)] for _ in range(nrows)]
+        right = [[field.rand(rng) for _ in range(ncols)] for _ in range(r)]
+        full = field_array(field, list_product(field, left, right, ncols)).reshape(nrows, ncols)
+        cuts = sorted(rng.sample(range(1, nrows), rng.randrange(0, nrows))) if nrows > 1 else []
+        blocks = np.split(full, cuts)
+        rank = array_rank(field, full)
+        for t in (rank - 1, rank, rank + 1):
+            consumed = []
+
+            def stream():
+                for k, block in enumerate(blocks):
+                    consumed.append(k)
+                    yield block.copy()
+
+            reached = rank_reaches(field, stream(), t)
+            assert reached == (rank >= t)
+            if t <= 0:
+                assert not consumed
+            elif reached:
+                first = next(
+                    k for k in range(1, len(blocks) + 1)
+                    if array_rank(field, np.vstack(blocks[:k])) >= t
+                )
+                assert len(consumed) == first
+            else:
+                assert len(consumed) == len(blocks)
+
+
 def test_only_linalg_names_the_int64_decision():
-    """np_modulus and mod_matmul, which choose and use the int64 arrays, are
-    imported or named in linalg.py only."""
-    decision = {"np_modulus", "mod_matmul"}
+    """np_modulus and mod_matmul, which choose and use the int64 arrays, and
+    the list-or-array elimination choice (_NP_CELL_THRESHOLD, _rref_py,
+    _rref_array) are imported or named in linalg.py only."""
+    decision = {"np_modulus", "mod_matmul", "_NP_CELL_THRESHOLD", "_rref_py", "_rref_array"}
     seen = {}
     for path in sorted(Path(totref.__file__).parent.glob("*.py")):
         names = set()
