@@ -123,6 +123,18 @@ def test_kernel_vectors_annihilate():
         assert all(x == 0 for x in apply(m, list(v)))
 
 
+def test_np_and_py_elimination_agree():
+    rng = Random(11)
+    for _ in range(20):
+        rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
+        entries = [[GF.rand(rng) for _ in range(cols)] for _ in range(rows)]
+        py_rows, py_piv = _rref_py(GF, entries, cols)
+        np_arr, np_piv = _rref_array(GF, np.array(entries, dtype=np.int64))
+        assert py_piv == np_piv
+        for i in range(len(py_piv)):
+            assert py_rows[i] == [int(x) for x in np_arr[i]]
+
+
 def test_large_matrix_uses_fast_path():
     rng = Random(13)
     m = rand_matrix(GF, rng, 60, 60)  # above the cell threshold
