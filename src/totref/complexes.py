@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
-from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul
+from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul, rank_bound
 
 
 class ComplexError(ValueError):
@@ -141,18 +141,43 @@ class FreeComplexWindow:
         Without a bound, a ring with a certified reduction is checked through
         ``reduce()``, complete in every degree.  Otherwise the block of d_{i+1}
         in degree t - 1 gives the incoming rank at (i, t) and the kernel at
-        (i + 1, t - 1), so each block is ranked once.
+        (i + 1, t - 1), so each block is assembled and bounded once.
+
+        Each block gets a lower bound on its rank (``rank_bound``; over GF(p)
+        the rank itself).  At (i, t) the two blocks share cols = b_i dim R_t
+        columns, and when the window composes, rank (i, t) + rank (i + 1,
+        t - 1) <= cols.  So two lower bounds that sum to cols are both the
+        ranks, and the record is exact; only a block whose bound is neither
+        the rank nor so confirmed is ranked exactly.
         """
         R = self.algebra
         if degree_bound is None and R.reduction is not None:
             return self.reduce().graded_exactness()
         max_t = R.cutoff - 1
-        ranks = {}
+        bounds = {}  # (i, t) -> (lower bound on the block's rank, whether it is the rank)
+        composes = None
+
+        def lower(i, t):
+            if (i, t) not in bounds:
+                bounds[i, t] = rank_bound(R.field, self._block_array(i, t))
+            return bounds[i, t]
 
         def rank(i, t):
-            if (i, t) not in ranks:
-                ranks[i, t] = array_rank(R.field, self._block_array(i, t))
-            return ranks[i, t]
+            if not lower(i, t)[1]:
+                bounds[i, t] = array_rank(R.field, self._block_array(i, t)), True
+            return bounds[i, t][0]
+
+        def certify_pair(i, t, cols):
+            """Mark the bounds at (i, t) and (i + 1, t - 1) as the ranks when
+            they sum to cols and the window composes (checked once)."""
+            nonlocal composes
+            (r, exact), (r_in, exact_in) = lower(i, t), lower(i + 1, t - 1)
+            if r + r_in != cols or (exact and exact_in):
+                return
+            if composes is None:
+                composes = self.compose_check()
+            if composes:
+                bounds[i, t], bounds[i + 1, t - 1] = (r, True), (r_in, True)
 
         records = []
         all_ok = True
@@ -165,6 +190,8 @@ class FreeComplexWindow:
                     cut = cut or any(R.dims[t : max_t + 1])
                     break
                 cols = self.rank_of(i) * R.dims[t]
+                if t and cols:
+                    certify_pair(i, t, cols)
                 ker = cols - rank(i, t) if cols else 0
                 inc = 0 if t == 0 else rank(i + 1, t - 1)
                 ok = ker == inc
@@ -448,11 +475,11 @@ def full_certification(w: FreeComplexWindow, degree_bound=None) -> WindowCertifi
         ex = dex = empty
     if w.periodic is not None:
         w.verify_periodicity()
-    # entries are degree-1 by construction, hence in the maximal ideal
     return WindowCertificate(
         composes=composes,
         exactness=ex,
         dual_exactness=dex,
-        minimal=True,
+        # every entry homogeneous of degree >= 1, hence in the maximal ideal
+        minimal=all(e.degree >= 1 for mat in w.diffs for row in mat for e in row),
         periodic=w.periodic,
     )

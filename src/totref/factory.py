@@ -417,11 +417,19 @@ def _window_from_blocks(ring: SpecialRing, blocks, periodic=None) -> FreeComplex
 
 
 def _certify(ring: SpecialRing, blocks, window, mode) -> FactoryReport:
+    """The window's certificate and dim ker of each block (n, 1).  For an
+    interior n that kernel is the primal exactness record at degree
+    twist(n) + 1 (the Artinian ring has no reduction, so the records are the
+    window's own); only the others, n = hi among them, are ranked here."""
     cert = full_certification(window)
+    kernels = {(r.index, r.degree): r.kernel_dim for r in cert.exactness.records}
     kernel_dims = {}
     for n in sorted(blocks):
-        blk = window._block_array(n, 1)
-        kernel_dims[n] = blk.shape[1] - array_rank(ring.ring.field, blk)
+        ker = kernels.get((n, window.twist(n) + 1))
+        if ker is None:
+            blk = window._block_array(n, 1)
+            ker = blk.shape[1] - array_rank(ring.ring.field, blk)
+        kernel_dims[n] = ker
     return FactoryReport(blocks=blocks, certificate=cert, kernel_dims=kernel_dims, mode=mode)
 
 

@@ -18,22 +18,36 @@ Size alone decides how an array is eliminated: under ``_NP_CELL_THRESHOLD``
 cells as a list of rows (``_rref_py``), where numpy's per-call overhead
 dominates, and otherwise as the array itself (``_rref_array``), whatever the
 field.
+
+Over the rationals a rank is first taken modulo one check prime p
+(``DEFAULT_PRIME``, so on int64; ``rank_bound``).  Write A = N / d with N an
+integer array over one common denominator d.  A minor of N that is nonzero
+mod p is a nonzero integer, so rank_Q(A) = rank_Q(N) >= rank_p(N mod p),
+whatever p and d are; since rank_Q(A) <= min(rows, cols), a mod-p rank of
+min(rows, cols) is the exact rank.  Otherwise (A is rank-deficient, or p
+divides every maximal minor of N, as it may when p divides an entry or a
+denominator of A) ``array_rank`` eliminates A exactly in Fractions: an
+unlucky prime costs time, never a wrong rank.  ``rank_bound`` hands the
+lower bound itself to callers that can certify it otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 
 import numpy as np
 
-from .fields import PrimeField
+from .fields import DEFAULT_PRIME, PrimeField, RationalField
 
 # below this many cells list elimination wins on numpy's per-call overhead (an
 # 8x8 rank: about 100 us as lists, 185 us as an array); from about 12x12 on
 # the array wins on every field
 _NP_CELL_THRESHOLD = 100
 _NP_PRIME_BOUND = 2**31
+# the modulus of the rational rank bound in ``rank_bound``
+_CHECK_FIELD = PrimeField(DEFAULT_PRIME)
 
 
 def np_modulus(field):
@@ -80,9 +94,14 @@ def field_matmul(field, A, B):
 def _numerators(A):
     """(N, d): an object array of Python ints and a common denominator d
     with A = N / d."""
-    d = lcm(*(x.denominator for x in A.flat))
-    N = np.array([x.numerator * (d // x.denominator) for x in A.flat], dtype=object)
-    return N.reshape(A.shape), d
+    den = _DENOMINATORS(A)
+    d = lcm(*set(den.flat))
+    N = _NUMERATORS(A)
+    return (N if d == 1 else N * (d // den)), d
+
+
+_NUMERATORS = np.frompyfunc(attrgetter("numerator"), 1, 1)
+_DENOMINATORS = np.frompyfunc(attrgetter("denominator"), 1, 1)
 
 
 def mod_matmul(p, A, B):
@@ -180,9 +199,27 @@ def rref(field, A):
     return field_array(field, rows[: len(piv)]).reshape(len(piv), A.shape[1]), piv
 
 
+def rank_bound(field, A):
+    """(r, exact): a lower bound r on the rank of a 2-D array over the field,
+    equal to the rank when exact; A is not modified.  Over the rationals r is
+    the rank mod the check prime (see the module docstring), exact when it
+    is min(rows, cols); over GF(p) it is the rank."""
+    if isinstance(field, RationalField):
+        r = _elimination_rank(_CHECK_FIELD, (_numerators(A)[0] % _CHECK_FIELD.p).astype(np.int64))
+        return r, r == min(A.shape)
+    return _elimination_rank(field, A), True
+
+
 def array_rank(field, A) -> int:
-    """Rank of a 2-D array over the field (see ``field_array``), eliminated
-    below the pivots only, by size as in ``rref``; A is not modified."""
+    """Rank of a 2-D array over the field (see ``field_array``); A is not
+    modified.  Over the rationals a full rank is certified by one rank mod
+    the check prime (``rank_bound``); any other is eliminated exactly."""
+    r, exact = rank_bound(field, A)
+    return r if exact else _elimination_rank(field, A)
+
+
+def _elimination_rank(field, A) -> int:
+    """Rank by elimination below the pivots only, by size as in ``rref``."""
     if A.size >= _NP_CELL_THRESHOLD:
         return len(_rref_array(field, A.copy(), reduce_full=False)[1])
     return len(_rref_py(field, A.tolist(), A.shape[1], reduce_full=False)[1])

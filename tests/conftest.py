@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -127,6 +128,28 @@ def fraction_det(rows):
         return total
 
     return minor(0, 0)
+
+
+def count_eliminations(monkeypatch, rational_ranks_only=False):
+    """A list that grows by one per elimination (``_rref_py``/``_rref_array``);
+    with rational_ranks_only, per exact elimination over Q run by
+    ``array_rank`` (not its mod-p bound, nor ``rref``)."""
+    import totref.linalg as linalg
+
+    calls = []
+    for name in ("_rref_array", "_rref_py"):
+        real = getattr(linalg, name)
+
+        def counted(field, *args, _real=real, **kwargs):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code.co_name != "array_rank":
+                frame = frame.f_back
+            if not rational_ranks_only or (field.kind == "qq" and frame is not None):
+                calls.append(1)
+            return _real(field, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, name, counted)
+    return calls
 
 
 def dump_canonical(obj) -> str:

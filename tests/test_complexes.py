@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from totref import (
+    DEFAULT_PRIME,
     ComplexError,
     FreeComplexWindow,
     Graph,
@@ -24,7 +25,7 @@ from totref import (
 from totref.analysis import EzdPair
 from totref.complexes import matrix_product
 
-from conftest import ARRAY_FIELDS, array_field, dump_canonical, naive_exactness
+from conftest import ARRAY_FIELDS, array_field, count_eliminations, dump_canonical, naive_exactness
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +64,19 @@ def test_compose_check_negative_control(c4_reduction, xy_pair):
     assert good.compose_check()
     perturbed = window_from_entries(c4_reduction, [x, x, y, x])
     assert not perturbed.compose_check()
+
+
+def test_minimal_is_read_off_the_entries(c4_reduction, xy_pair):
+    """minimal holds exactly when every entry lies in the maximal ideal, i.e.
+    has degree >= 1; a unit entry (put in past the constructor, which takes
+    linear forms only) makes the window non-minimal."""
+    x, y = xy_pair
+    assert full_certification(window_from_entries(c4_reduction, [x, y, x])).minimal
+    w = window_from_entries(c4_reduction, [x], lo=0)  # no interior index
+    assert full_certification(w).minimal
+    w.diffs[0][0][0] = c4_reduction.one()
+    cert = full_certification(w)
+    assert not cert.minimal and not cert.certified
 
 
 def test_exactness_negative_control_non_ezd_pair(gf):
@@ -106,6 +120,42 @@ def test_graded_exactness_matches_naive_oracle(c4_reduction, gf):
     rep = w.graded_exactness()
     oracle = naive_exactness(w)
     assert rep.exact and all(oracle.values())
+
+
+@pytest.mark.parametrize(
+    "second, composes, exact, fallback",
+    [
+        ({"y": 1}, True, True, False),
+        ({"y": DEFAULT_PRIME}, True, True, True),
+        ({"x": DEFAULT_PRIME, "y": 1}, False, False, True),
+    ],
+    ids=["exact", "vanishes-mod-p", "composes-only-mod-p"],
+)
+def test_rational_pairwise_ranks_match_exact_ranks(monkeypatch, second, composes, exact, fallback):
+    """Over Q[x, y]/(xy), which is not Artinian, the window x, y, x, y is exact
+    and every block of degree >= 1 is rank-deficient: each record is certified
+    by two mod-p lower bounds summing to cols, with no Fraction elimination.
+    With p*y for the second entry the window is still exact, but that entry
+    vanishes mod p, so the bounds fall short and the pairs are ranked exactly.
+    With y + p*x the window is the same mod p but does not compose over Q; the
+    bounds still sum to cols, and only the composition check sends those
+    pairs to the exact ranks that see the failure.  Every time the records
+    are those of exact ranks."""
+    import totref.complexes as complexes
+    import totref.linalg as linalg
+
+    R = algebra_from_relations(["x", "y"], [{(1, 1): 1}], 5, field=RationalField())
+    x, y = R.generator("x"), R.generator("y")
+    w = window_from_entries(R, [x, R.linear_form(second), x, y])
+    assert w.compose_check() is composes
+    exact_only = lambda field, A: (linalg.array_rank(field, A), True)
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "rank_bound", exact_only)
+        expected = w.graded_exactness()
+    calls = count_eliminations(monkeypatch, rational_ranks_only=True)
+    rep = w.graded_exactness()
+    assert rep.records == expected.records and rep.exact is exact
+    assert bool(calls) is fallback
 
 
 def test_rank_nullity_per_block(c4_reduction, xy_pair):
@@ -288,21 +338,6 @@ def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
     assert blk.entries == by_multiply == by_mult_map
 
 
-def _count_eliminations(monkeypatch):
-    import totref.linalg as linalg
-
-    calls = []
-    for name in ("_rref_array", "_rref_py"):
-        real = getattr(linalg, name)
-
-        def counted(*args, _real=real, **kwargs):
-            calls.append(1)
-            return _real(*args, **kwargs)
-
-        monkeypatch.setattr(linalg, name, counted)
-    return calls
-
-
 def _distinct_blocks(w):
     """The (i, t) blocks whose ranks an exactness check of w needs."""
     keys = set()
@@ -329,7 +364,7 @@ def test_graded_exactness_ranks_each_block_once(monkeypatch, c4, special_ring):
     source = ezd_complex(chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
     lifted, _ = lift_through_sequence(source, [chain.steps[1], chain.steps[0]])
     for w, bound in ((canonical, None), (rational, None), (lifted, None), (lifted, 1000)):
-        calls = _count_eliminations(monkeypatch)
+        calls = count_eliminations(monkeypatch)
         assert w.graded_exactness(bound).exact
         assert 0 < len(calls) <= len(_distinct_blocks(w))
         monkeypatch.undo()

@@ -5,7 +5,10 @@ from random import Random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import totref.factory as factory
+import totref.linalg as linalg
 from totref import (
+    DEFAULT_PRIME,
     FactoryError,
     Matrix,
     RationalField,
@@ -23,7 +26,7 @@ from totref import (
 )
 from totref.factory import ExtensionError, PartialWindowError, induced_matrix, make_block
 
-from conftest import ARRAY_FIELDS, array_field, fraction_det
+from conftest import ARRAY_FIELDS, array_field, count_eliminations, fraction_det
 
 
 def test_special_ring_properties(special_ring):
@@ -298,6 +301,47 @@ def test_build_window_random_certified(special_ring):
     assert rep.certified
     assert list(w.betti) == [2] * 6
     assert w.lo == -3 and w.hi == 2
+
+
+def test_rational_factory_ranks_no_full_rank_block_in_fractions(monkeypatch):
+    """Every block a rational factory window ranks is full rank (the 8 x 8
+    induced maps of the sampled and extended blocks, and the window blocks),
+    so the check prime certifies each one and array_rank never eliminates in
+    Fractions."""
+    ring = special_ring_over("QQ")
+    exact = count_eliminations(monkeypatch, rational_ranks_only=True)
+    w, rep = build_window(ring, random_blocks(ring, Random(3)), 2, 2)
+    assert rep.certified and w.algebra.field.kind == "qq"
+    assert exact == []
+
+
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME, "QQ"])
+def test_certify_reads_kernel_dims_off_the_exactness_records(monkeypatch, p):
+    """kernel_dims equal the rank of every block (n, 1), with one array_rank
+    call in _certify: the block of the last differential, the only one that
+    no exactness record ranked."""
+    ring = special_ring_over(p)
+    f = ring.ring.field
+    calls = []
+
+    def counting(field, A):
+        calls.append(A.shape)
+        return linalg.array_rank(field, A)
+
+    monkeypatch.setattr(factory, "array_rank", counting)
+    for make in (
+        lambda: canonical_window(ring, 2, 2),
+        lambda: build_window(ring, random_blocks(ring, Random(14)), 2, 1),
+        lambda: build_window(ring, random_blocks(ring, Random(15)), 1, 3),
+    ):
+        calls.clear()
+        w, rep = make()
+        assert len(calls) == 1
+        expected = {}
+        for n in range(w.lo + 1, w.hi + 1):
+            blk = w._block_array(n, 1)
+            expected[n] = blk.shape[1] - linalg.array_rank(f, blk)
+        assert rep.kernel_dims == expected
 
 
 def test_distinct_modules(special_ring):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import totref
 import totref.linalg as linalg
-from totref import Matrix, PrimeField, RationalField, Subspace
+from totref import DEFAULT_PRIME, Matrix, PrimeField, RationalField, Subspace
 from totref.linalg import (
     _rref_array,
     _rref_py,
@@ -419,11 +419,101 @@ def test_rank_reaches_matches_array_rank(p):
                 assert len(consumed) == len(blocks)
 
 
+def _sympy_rank(entries, cols):
+    """Reference rank from sympy's DomainMatrix over QQ."""
+    from sympy import QQ as SympyQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[SympyQQ(x.numerator, x.denominator) for x in row] for row in entries]
+    return DomainMatrix(rows, (len(entries), cols), SympyQQ).rank()
+
+
+def _rational_array(entries, cols):
+    rows = [[Fraction(x) for x in row] for row in entries]
+    return field_array(QQ, rows).reshape(len(entries), cols)
+
+
+# entries that a reduction mod the check prime loses (multiples of it) or
+# cannot take (a multiple of it in a denominator)
+P = DEFAULT_PRIME
+_MODULAR_TRAPS = [Fraction(P), Fraction(2 * P, 3), Fraction(1, P), Fraction(5, 2 * P)]
+
+
+@st.composite
+def rational_rank_cases(draw):
+    """A product L R of rational matrices, so the rank is at most the inner
+    dimension; both dimensions at most 9 (under _NP_CELL_THRESHOLD cells) or
+    at least 10 (over it)."""
+    lo, hi = draw(st.sampled_from([(0, 9), (10, 13)]))
+    rows, cols = draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+    inner = draw(st.integers(0, min(rows, cols)))
+    elt = st.one_of(
+        st.just(Fraction(0)),
+        st.sampled_from(_MODULAR_TRAPS),
+        st.fractions(-9, 9, max_denominator=9),
+    )
+    left = [[draw(elt) for _ in range(inner)] for _ in range(rows)]
+    right = [[draw(elt) for _ in range(cols)] for _ in range(inner)]
+    return list_product(QQ, left, right, cols), cols
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_rank_cases())
+@example(([[Fraction(P), Fraction(0)], [Fraction(0), Fraction(1)]], 2))
+@example(([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], 2))
+@example(([[Fraction(1), Fraction(1)], [Fraction(1), Fraction(1 + P)]], 2))
+def test_rational_rank_matches_sympy(case):
+    entries, cols = case
+    A = _rational_array(entries, cols)
+    before = A.copy()
+    assert array_rank(QQ, A) == _sympy_rank(entries, cols)
+    assert (A == before).all()
+
+
+def test_rational_rank_falls_back_when_the_check_prime_drops_it():
+    """Full-rank integer matrices whose rank drops mod the check prime: the
+    exact elimination still gives the rational rank."""
+    small = [[P, 0], [0, 1]]
+    assert array_rank(GF, field_array(GF, [[x % P for x in r] for r in small])) == 1
+    assert array_rank(QQ, _rational_array(small, 2)) == 2
+    # 11 x 11 (over _NP_CELL_THRESHOLD cells): a unit lower-triangular U times
+    # an upper-triangular T with one pivot P, so det = P
+    rng, n = Random(41), 11
+
+    def triangular(diagonal, filled):
+        return [
+            [Fraction(diagonal(i) if i == j else rng.randrange(-5, 6) if filled(i, j) else 0)
+             for j in range(n)]
+            for i in range(n)
+        ]
+
+    U = triangular(lambda i: 1, lambda i, j: i > j)
+    T = triangular(lambda i: P if i == 4 else 1, lambda i, j: i < j)
+    big = list_product(QQ, U, T, n)
+    assert array_rank(GF, field_array(GF, [[int(x) % P for x in r] for r in big])) == n - 1
+    A = _rational_array(big, n)
+    assert A.size >= linalg._NP_CELL_THRESHOLD
+    assert array_rank(QQ, A) == _sympy_rank(big, n) == n
+
+
+def test_rational_rank_falls_back_when_the_check_prime_divides_a_denominator():
+    entries = [[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]]
+    assert array_rank(QQ, _rational_array(entries, 2)) == 2
+    # the same on the array path, one entry 1/P in an otherwise unimodular matrix
+    n = 12
+    entries = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    entries[3][3] = Fraction(1, P)
+    assert array_rank(QQ, _rational_array(entries, n)) == n
+
+
 def test_only_linalg_names_the_int64_decision():
-    """np_modulus and mod_matmul, which choose and use the int64 arrays, and
-    the list-or-array elimination choice (_NP_CELL_THRESHOLD, _rref_py,
-    _rref_array) are imported or named in linalg.py only."""
-    decision = {"np_modulus", "mod_matmul", "_NP_CELL_THRESHOLD", "_rref_py", "_rref_array"}
+    """np_modulus and mod_matmul, which choose and use the int64 arrays, the
+    list-or-array elimination choice (_NP_CELL_THRESHOLD, _rref_py,
+    _rref_array) and the check prime of rational ranks (_CHECK_FIELD) are
+    imported or named in linalg.py only."""
+    decision = {
+        "np_modulus", "mod_matmul", "_NP_CELL_THRESHOLD", "_rref_py", "_rref_array", "_CHECK_FIELD"
+    }
     seen = {}
     for path in sorted(Path(totref.__file__).parent.glob("*.py")):
         names = set()
