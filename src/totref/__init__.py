@@ -44,6 +44,7 @@ from .complexes import (
     fitting_support,
     full_certification,
     indecomposability_certificate,
+    linear_matrix,
 )
 from .factory import (
     FactoryError,

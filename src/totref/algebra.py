@@ -440,6 +440,13 @@ class QuotientMap:
         """The rows of V (vectors of A_d, an array over the field) projected to B_d."""
         return field_matmul(self.source.field, V, self._proj[d])
 
+    def lift_rows(self, d, V):
+        """The rows of V (vectors of B_d) lifted through the section to A_d:
+        each coordinate scattered to the parent label it keeps."""
+        out = field_zeros(self.source.field, (V.shape[0], self.source.dims[d]))
+        out[:, self._keep[d]] = V
+        return out
+
     def project(self, elt: AlgebraElement) -> AlgebraElement:
         if elt.algebra is not self.source:
             raise AlgebraError("element does not live in the source algebra")

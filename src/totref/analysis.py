@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
-from .complexes import fitting_support
+from .complexes import fitting_support, linear_matrix
 from .graphs import Graph
 from .linalg import (
     Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros,
@@ -490,8 +490,8 @@ def ideal_pair_analysis(R: GradedAlgebra, gens_a, gens_b) -> IdealPairReport:
     non-free totally reflexive modules at all.
     """
     _require_artinian(R)
-    a1, a2 = fitting_support(R, [gens_a])
-    b1, b2 = fitting_support(R, [gens_b])
+    a1, a2 = fitting_support(R, linear_matrix(R, [gens_a]))
+    b1, b2 = fitting_support(R, linear_matrix(R, [gens_b]))
     sum1 = a1.sum(b1).dim == R.dims[1]
     sum2 = a2.sum(b2).dim == R.dims[2]
     prod_zero = all((ga * gb).is_zero() for ga in gens_a for gb in gens_b)

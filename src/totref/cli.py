@@ -393,7 +393,7 @@ def _common_options() -> argparse.ArgumentParser:
     common.add_argument(
         "--degree-bound", type=int, default=None,
         help="internal degree bound for exactness checks, lift and verify only "
-        "(lift: also the cutoff, default 5)",
+        "(lift: only the cutoff of the written ring, default 5)",
     )
     common.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
     common.add_argument("--retries", type=int, default=64, help="resampling / search budget")

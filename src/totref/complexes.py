@@ -14,9 +14,12 @@ bottom ring: x is regular, so exactness of E/xE at i gives H_i(E) = x H_i(E),
 and H_i(E) = 0 in every degree by graded Nakayama; the same holds for the dual,
 since Hom(E, R)/x = Hom(E/xE, R/x).  A window checked with a degree bound, or
 over a ring with neither property, carries the degree bound it was checked to.
-Each graded block of a differential is assembled as an array over
-the field (``linalg.field_array``) by one product with the multiplication
-table and ranked as such, and each block is ranked once per check.
+A matrix of linear forms has one representation: the array D[r, c, :] over
+the field (``linalg.field_array``) of the R_1 coordinates of its entries.
+Lists of degree-one elements become such arrays in one place,
+``linear_matrix``; products, reductions, duals, periodicity and the JSON
+round trip all work on the arrays.  Each graded block of a differential is
+one product of D with the multiplication table, ranked once per check.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
-from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul, rank_bound
+import numpy as np
+
+from .algebra import AlgebraElement, GradedAlgebra
+from .linalg import Subspace, array_rank, field_array, field_matmul, rank_bound
 
 
 class ComplexError(ValueError):
@@ -45,8 +50,9 @@ class FreeComplexWindow:
     """A finite window of a complex of graded free modules over one algebra."""
 
     def __init__(self, algebra, lo, hi, betti, differentials, base_twist=0, periodic=None):
-        """betti: list of ranks for i = lo..hi; differentials: list of matrices
-        (each a list of rows of degree-1 AlgebraElements) for i = lo+1..hi."""
+        """betti: list of ranks for i = lo..hi; differentials: for i = lo+1..hi,
+        each an array D[r, c, :] of linear forms (see ``linear_matrix``) or
+        a list of rows of degree-1 AlgebraElements."""
         if hi < lo:
             raise ComplexError("empty window")
         self.algebra = algebra
@@ -55,22 +61,19 @@ class FreeComplexWindow:
         self.betti = list(betti)
         if len(self.betti) != hi - lo + 1:
             raise ComplexError("betti list does not match the index range")
-        self.diffs = list(differentials)
-        if len(self.diffs) != hi - lo:
+        if len(differentials) != hi - lo:
             raise ComplexError("expected one differential per index above lo")
         self.base_twist = base_twist
         self.periodic = periodic
-        for k, mat in enumerate(self.diffs):
+        self.diffs = []
+        for k, mat in enumerate(differentials):
             i = lo + 1 + k
-            rows, cols = self.rank_of(i - 1), self.rank_of(i)
-            if len(mat) != rows or any(len(r) != cols for r in mat):
+            shape = (self.rank_of(i - 1), self.rank_of(i), algebra.dims[1])
+            D = linear_matrix(algebra, mat) if isinstance(mat, list) else mat
+            # (an empty list of rows carries no column count)
+            if D.shape != shape and not (len(D) == shape[0] == 0):
                 raise ComplexError(f"differential at {i} has the wrong shape")
-            for r in mat:
-                for e in r:
-                    if not isinstance(e, AlgebraElement) or e.algebra is not algebra:
-                        raise ComplexError("entries must be elements of the window's algebra")
-                    if e.degree != 1:
-                        raise ComplexError("differential entries must be homogeneous of degree 1")
+            self.diffs.append(D.reshape(shape))
 
     def rank_of(self, i) -> int:
         return self.betti[i - self.lo]
@@ -88,52 +91,38 @@ class FreeComplexWindow:
 
     # -- exact verification ----------------------------------------------------
 
-    def block_matrix(self, i, t) -> Matrix:
-        """The degree piece of d_i acting from R_t^{b_i} to R_{t+1}^{b_{i-1}}."""
-        R = self.algebra
-        if t < 0 or t + 1 > R.cutoff:
-            raise ComplexError("internal degree outside the algebra cutoff")
-        return Matrix(R.field, self._block_array(i, t))
-
     def _block_array(self, i, t):
-        """block_matrix(i, t) as an array over the field: one product of the
-        stacked entry coordinates C[r, c, :] of d_i with the table of
-        R_1 x R_t -> R_{t+1}."""
-        R = self.algebra
-        mat = self.diff(i)
-        b_out, b_in = self.rank_of(i - 1), self.rank_of(i)
+        """The degree piece of d_i from R_t^{b_i} to R_{t+1}^{b_{i-1}}, as an
+        array over the field: one product of the entry coordinates D[r, c, :]
+        of d_i with the table of R_1 x R_t -> R_{t+1}."""
+        R, D = self.algebra, self.diff(i)
+        b_out, b_in, n1 = D.shape
         src, dst = R.dims[t], R.dims[t + 1]
-        C = _coord_array(R.field, mat, b_out, b_in, R.dims[1])
-        T = R.np_table(1, t).reshape(R.dims[1], src * dst)
-        blocks = field_matmul(R.field, C.reshape(b_out * b_in, R.dims[1]), T)
+        T = R.np_table(1, t).reshape(n1, src * dst)
+        blocks = field_matmul(R.field, D.reshape(b_out * b_in, n1), T)
         # blocks[r, c, j, k] is the coefficient of basis_k in d_i[r][c] * basis_j
         blocks = blocks.reshape(b_out, b_in, src, dst).transpose(0, 3, 1, 2)
         return blocks.reshape(b_out * dst, b_in * src)
 
     def compose_check(self) -> bool:
         """All consecutive products d_i d_{i+1} vanish identically."""
-        return all(
-            e.is_zero()
+        return not any(
+            matrix_product(self.diff(i), self.diff(i + 1), self.algebra).any()
             for i in range(self.lo + 1, self.hi)
-            for row in matrix_product(self.diff(i), self.diff(i + 1), self.algebra)
-            for e in row
         )
 
     def reduce(self) -> "FreeComplexWindow":
-        """The window E/xE over R/(x) for the reduction of its ring: the
-        entries of each differential projected through ``R.reduction`` in
-        one product."""
+        """The window E/xE over R/(x) for the reduction of its ring: each
+        differential projected through ``R.reduction`` in one product."""
         q = self.algebra.reduction
         if q is None:
             raise ComplexError("the window's ring has no certified reduction")
-        R, B = self.algebra, q.target
-        diffs = []
-        for k, mat in enumerate(self.diffs):
-            rows, cols = self.rank_of(self.lo + k), self.rank_of(self.lo + k + 1)
-            C = _coord_array(R.field, mat, rows, cols, R.dims[1]).reshape(rows * cols, R.dims[1])
-            P = q.project_rows(1, C).reshape(rows, cols, B.dims[1]).tolist()
-            diffs.append([[AlgebraElement(B, 1, e) for e in row] for row in P])
-        return FreeComplexWindow(B, self.lo, self.hi, self.betti, diffs, self.base_twist)
+        n1, m1 = self.algebra.dims[1], q.target.dims[1]
+        diffs = [
+            q.project_rows(1, D.reshape(D.shape[0] * D.shape[1], n1)).reshape(D.shape[:2] + (m1,))
+            for D in self.diffs
+        ]
+        return FreeComplexWindow(q.target, self.lo, self.hi, self.betti, diffs, self.base_twist)
 
     def graded_exactness(self, degree_bound=None) -> "ExactnessReport":
         """Per-index, per-degree exactness comparison of kernels and images.
@@ -218,11 +207,7 @@ class FreeComplexWindow:
         """Apply Hom(-, R): reverse indices, transpose matrices, negate twists."""
         lo2, hi2 = -self.hi, -self.lo
         betti2 = [self.rank_of(-j) for j in range(lo2, hi2 + 1)]
-        diffs2 = []
-        for j in range(lo2 + 1, hi2 + 1):
-            mat = self.diff(-j + 1)
-            rows, cols = len(mat), len(mat[0]) if mat else 0
-            diffs2.append([[mat[r][c] for r in range(rows)] for c in range(cols)])
+        diffs2 = [self.diff(-j + 1).transpose(1, 0, 2) for j in range(lo2 + 1, hi2 + 1)]
         per = self.periodic
         return FreeComplexWindow(
             self.algebra,
@@ -235,14 +220,14 @@ class FreeComplexWindow:
         )
 
     def verify_periodicity(self) -> bool:
+        """d_i = d_{i+k} for the claimed period k >= 1, at every i where both
+        lie in the window; false when no such pair exists (nothing was
+        compared) or k < 1 (d_i = d_i compares nothing either)."""
         if self.periodic is None:
             return False
         k = self.periodic.period
-        ok = True
-        for i in range(self.lo + 1, self.hi + 1 - k):
-            a, b = self.diff(i), self.diff(i + k)
-            if a != b:
-                ok = False
+        pairs = range(self.lo + 1, self.hi + 1 - k) if k >= 1 else ()
+        ok = bool(pairs) and all(np.array_equal(self.diff(i), self.diff(i + k)) for i in pairs)
         self.periodic.verified = ok
         return ok
 
@@ -261,7 +246,7 @@ class FreeComplexWindow:
             "base_twist": self.base_twist,
             "betti": list(self.betti),
             "differentials": [
-                [[[enc(c) for c in e.coords] for e in row] for row in mat] for mat in self.diffs
+                [[[enc(c) for c in e] for e in row] for row in D.tolist()] for D in self.diffs
             ],
             "periodic": self.periodic.to_json() if self.periodic else None,
         }
@@ -277,13 +262,13 @@ class FreeComplexWindow:
                 raise ComplexError(f"complex file field {key!r} is missing or not a {kind.__name__}")
         if algebra is None:
             algebra = GradedAlgebra.from_json(obj["algebra"], retries=retries)
-        dec = algebra.field.decode
+        f = algebra.field
         try:
             diffs = [
-                [[AlgebraElement(algebra, 1, [dec(c) for c in e]) for e in row] for row in mat]
+                field_array(f, [[[f.decode(c) for c in e] for e in row] for row in mat])
                 for mat in obj["differentials"]
             ]
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ComplexError(f"complex file differentials are malformed: {exc}") from exc
         per = obj.get("periodic")
         return cls(
@@ -302,34 +287,36 @@ _REQUIRED_FIELDS = (
 )
 
 
-def _coord_array(field, mat, rows, cols, n):
-    """The array C[r, c, :] over the field of the coordinates of the linear
-    forms mat[r][c]."""
-    if any(e.degree != 1 for row in mat for e in row):
-        raise AlgebraError("expected a matrix of linear forms")
-    return field_array(field, [[e.coords for e in row] for row in mat]).reshape(rows, cols, n)
+def linear_matrix(R: GradedAlgebra, rows):
+    """The array D[r, c, :] over the field of the R_1 coordinates of a
+    matrix given as a list of rows of degree-1 elements of R."""
+    width = len(rows[0]) if rows else 0
+    if any(len(row) != width for row in rows):
+        raise ComplexError("ragged rows")
+    for e in (e for row in rows for e in row):
+        if not isinstance(e, AlgebraElement) or e.algebra is not R:
+            raise ComplexError("entries must be elements of the given algebra")
+        if e.degree != 1:
+            raise ComplexError("entries must be homogeneous of degree 1")
+    coords = [[e.coords for e in row] for row in rows]
+    return field_array(R.field, coords).reshape(len(rows), width, R.dims[1])
 
 
 def matrix_product(A, B, algebra: GradedAlgebra):
-    """The product of two matrices (lists of rows) of linear forms; its
-    entries have degree 2.
+    """The product P[r, c, :] (entries in R_2) of two matrices of linear
+    forms A[r, m, :] and B[m, c, :].
 
     It takes two array products over the field: X[r, m, j, k] =
     sum_i A[r, m, i] T[i, j, k] with T the table of R_1 x R_1 -> R_2, then
     P[r, c, k] = sum_{m, j} X[r, m, j, k] B[m, c, j].
     """
-    cols = len(B[0]) if B else 0
-    if not A or not cols:
-        return [[] for _ in A]
     f = algebra.field
-    n1, n2 = algebra.dims[1], algebra.dims[2]
-    rows, inner = len(A), len(B)
+    (rows, inner, n1), cols, n2 = A.shape, B.shape[1], algebra.dims[2]
     T = algebra.np_table(1, 1).reshape(n1, n1 * n2)
-    X = field_matmul(f, _coord_array(f, A, rows, inner, n1).reshape(rows * inner, n1), T)
+    X = field_matmul(f, A.reshape(rows * inner, n1), T)
     X = X.reshape(rows, inner, n1, n2).transpose(0, 3, 1, 2).reshape(rows * n2, inner * n1)
-    Bc = _coord_array(f, B, inner, cols, n1).transpose(0, 2, 1).reshape(inner * n1, cols)
-    P = field_matmul(f, X, Bc).reshape(rows, n2, cols).transpose(0, 2, 1).tolist()
-    return [[AlgebraElement(algebra, 2, e) for e in row] for row in P]
+    Bc = B.transpose(0, 2, 1).reshape(inner * n1, cols)
+    return field_matmul(f, X, Bc).reshape(rows, n2, cols).transpose(0, 2, 1)
 
 
 @dataclass
@@ -395,18 +382,15 @@ def ezd_complex(R: GradedAlgebra, pair, half_length: int = 3) -> FreeComplexWind
     return w
 
 
-def fitting_support(R: GradedAlgebra, presentation):
-    """Graded pieces (degree 1 and 2) of the ideal generated by the entries."""
-    f = R.field
-    entries = [e for row in presentation for e in row]
-    for e in entries:
-        if e.degree != 1:
-            raise ComplexError("fitting support expects degree-1 entries")
-    C = field_array(f, [e.coords for e in entries]).reshape(len(entries), R.dims[1])
+def fitting_support(R: GradedAlgebra, D):
+    """Graded pieces (degree 1 and 2) of the ideal generated by the entries
+    of a matrix of linear forms D[r, c, :]."""
+    f, n1, n2 = R.field, R.dims[1], R.dims[2]
+    C = D.reshape(D.shape[0] * D.shape[1], n1)
     # row (e, i) of the product is e * basis_i
-    T = R.np_table(1, 1).reshape(R.dims[1], R.dims[1] * R.dims[2])
-    prods = field_matmul(f, C, T).reshape(len(entries) * R.dims[1], R.dims[2])
-    return Subspace.from_vectors(f, R.dims[1], C), Subspace.from_vectors(f, R.dims[2], prods)
+    T = R.np_table(1, 1).reshape(n1, n1 * n2)
+    prods = field_matmul(f, C, T).reshape(C.shape[0] * n1, n2)
+    return Subspace.from_vectors(f, n1, C), Subspace.from_vectors(f, n2, prods)
 
 
 @dataclass
@@ -479,7 +463,9 @@ def full_certification(w: FreeComplexWindow, degree_bound=None) -> WindowCertifi
         composes=composes,
         exactness=ex,
         dual_exactness=dex,
-        # every entry homogeneous of degree >= 1, hence in the maximal ideal
-        minimal=all(e.degree >= 1 for mat in w.diffs for row in mat for e in row),
+        # by construction: a differential holds only the coordinates of linear
+        # forms (``linear_matrix`` refuses any other degree), so every entry
+        # lies in the maximal ideal
+        minimal=True,
         periodic=w.periodic,
     )

@@ -10,8 +10,10 @@ one-dimensional overlap (delta) in degree two.  Pairs of 2x2 matrices
     negatives, the new columns spanning ker(A_n + B_n) on (R_1)^2;
   * backward, by running the forward step on the transposes and transposing.
 
-Each side's linear algebra is built once per ring (``Side``), so that every
-induced map is one array product over the field.  Every step still
+Each side's linear algebra is built once per ring (``Side``), and a block is
+an array of linear-form coordinates (see ``complexes.linear_matrix``), so
+every induced map, every sampled or solved block and every composition check
+is one array product over the field.  Every step still
 re-verifies that each entry lies in its side and each product in the side's
 degree-two piece, the injectivity of all four induced maps and the
 vanishing of the composition, so a finished window certifies itself; the
@@ -33,6 +35,7 @@ from .complexes import (
     WindowCertificate,
     fitting_support,
     full_certification,
+    linear_matrix,
     matrix_product,
 )
 from .graphs import Graph
@@ -184,11 +187,10 @@ class SpecialRing:
             raise FactoryError("side must be 'a' or 'b'")
         return self._sides[which]
 
-    def element_from_side_coords(self, which, coords):
-        """The degree-one element sum_k coords[k] g_k of the side, as one product."""
-        f = self.ring.field
-        c = field_array(f, [[f.coerce(x) for x in coords]])
-        return AlgebraElement(self.ring, 1, field_matmul(f, c, self.side(which).coords)[0].tolist())
+    def side_forms(self, which, coeffs):
+        """The linear forms sum_k coeffs[e, k] g_k of the side, one per row of
+        the coefficient array, as one product."""
+        return field_matmul(self.ring.field, coeffs, self.side(which).coords)
 
     def to_json(self):
         f = self.ring.field
@@ -212,11 +214,12 @@ def build_special_ring(field=None, partition=TEN_VERTEX_PARTITION, graph=None, s
 
 @dataclass
 class PairBlock:
-    """A pair of 2x2 matrices with entries in a_1 and b_1, plus their flags."""
+    """A pair of 2x2 matrices of linear forms (arrays, see
+    ``complexes.linear_matrix``) with entries in a_1 and b_1, plus their flags."""
 
     index: int
-    A: list
-    B: list
+    A: object
+    B: object
     inj_a: bool
     inj_at: bool
     inj_b: bool
@@ -226,12 +229,8 @@ class PairBlock:
     def all_injective(self) -> bool:
         return self.inj_a and self.inj_at and self.inj_b and self.inj_bt
 
-    def combined(self):
-        return [[self.A[r][c] + self.B[r][c] for c in range(2)] for r in range(2)]
-
-
-def _transpose2(mat):
-    return [[mat[c][r] for c in range(2)] for r in range(2)]
+    def combined(self, field):
+        return field_reduce(field, self.A + self.B)
 
 
 def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False) -> Matrix:
@@ -248,8 +247,8 @@ def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False) -
     R = ring.ring
     f, n1, n2, m = R.field, R.dims[1], R.dims[2], len(s.basis1)
     if transpose:
-        mat = _transpose2(mat)
-    P = field_matmul(f, field_array(f, [e.coords for row in mat for e in row]), s.maps)
+        mat = mat.transpose(1, 0, 2)
+    P = field_matmul(f, mat.reshape(4, n1), s.maps)
     if (P[:, :n1] != 0).any():
         raise FactoryError(f"block entry lies outside side {side!r}")
     outside = (P[:, n1 : n1 + m * n2] != 0).any(axis=1).nonzero()[0]
@@ -304,23 +303,23 @@ def canonical_blocks(ring: SpecialRing, index: int) -> PairBlock:
         B = [[R.linear_form(d) for d in row] for row in B_coeffs]
     except Exception as exc:
         raise FactoryError(f"canonical blocks need the ten-vertex ring labels: {exc}") from exc
-    return make_block(ring, index, A, B)
+    return make_block(ring, index, linear_matrix(R, A), linear_matrix(R, B))
 
 
 def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: int = 64) -> PairBlock:
     """Uniform coefficients on both sides, resampled until all four maps are
-    bijective (a determinant condition, so failures are rare over a big field)."""
-    f = ring.ring.field
-    m = ring.a1.dim
+    bijective (a determinant condition, so failures are rare over a big field).
+    Coefficients are drawn for A's entries row by row, then for B's."""
+    f, n1 = ring.ring.field, ring.ring.dims[1]
+
+    def sample(side):
+        m = len(ring.side(side).basis1)
+        coeffs = field_array(f, [[f.rand(rng) for _ in range(m)] for _ in range(4)])
+        return ring.side_forms(side, coeffs).reshape(2, 2, n1)
+
     for _ in range(max_retries):
-        A = [
-            [ring.element_from_side_coords("a", [f.rand(rng) for _ in range(m)]) for _ in range(2)]
-            for _ in range(2)
-        ]
-        B = [
-            [ring.element_from_side_coords("b", [f.rand(rng) for _ in range(m)]) for _ in range(2)]
-            for _ in range(2)
-        ]
+        A = sample("a")
+        B = sample("b")
         block = make_block(ring, index, A, B)
         if block.all_injective:
             return block
@@ -330,7 +329,9 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
 def _solve_columns(ring: SpecialRing, mat, side: str):
     """Columns c1, c2 with (induced mat) c_i = (delta, 0) resp. (0, delta),
     both read off one elimination of [M | rhs1 rhs2]; the b-side right-hand
-    sides carry -delta, baked into the side's delta."""
+    sides carry -delta, baked into the side's delta.  The solution holds the
+    side coordinates of c1 and c2, whose forms are one product with the
+    side generators."""
     s = ring.side(side)
     m = len(s.basis1)
     f = ring.ring.field
@@ -342,11 +343,9 @@ def _solve_columns(ring: SpecialRing, mat, side: str):
         raise ExtensionError(f"side {side!r} system is singular")
     sol = field_zeros(f, (2 * m, 2))
     sol[piv] = rows[:, 2 * m :]
-    out = [
-        (ring.element_from_side_coords(side, c[:m]), ring.element_from_side_coords(side, c[m:]))
-        for c in sol.T.tolist()
-    ]
-    return [[out[0][0], out[1][0]], [out[0][1], out[1][1]]]  # columns c1 | c2
+    # sol.T[slot, r*m:(r+1)*m] are the coordinates of the entry (r, slot)
+    forms = ring.side_forms(side, sol.T.reshape(4, m)).reshape(2, 2, ring.ring.dims[1])
+    return forms.transpose(1, 0, 2)
 
 
 def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
@@ -356,8 +355,8 @@ def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     A_next = _solve_columns(ring, block.A, "a")
     B_next = _solve_columns(ring, block.B, "b")
     new = make_block(ring, block.index + 1, A_next, B_next)
-    product = matrix_product(block.combined(), new.combined(), ring.ring)
-    if not all(e.is_zero() for row in product for e in row):
+    f = ring.ring.field
+    if matrix_product(block.combined(f), new.combined(f), ring.ring).any():
         raise ExtensionError("extension does not compose to zero")
     return new
 
@@ -366,11 +365,11 @@ def extend_backward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     """Run the forward step on the transposes, then transpose the result."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    C = _solve_columns(ring, _transpose2(block.A), "a")
-    D = _solve_columns(ring, _transpose2(block.B), "b")
-    new = make_block(ring, block.index - 1, _transpose2(C), _transpose2(D))
-    product = matrix_product(new.combined(), block.combined(), ring.ring)
-    if not all(e.is_zero() for row in product for e in row):
+    C = _solve_columns(ring, block.A.transpose(1, 0, 2), "a")
+    D = _solve_columns(ring, block.B.transpose(1, 0, 2), "b")
+    new = make_block(ring, block.index - 1, C.transpose(1, 0, 2), D.transpose(1, 0, 2))
+    f = ring.ring.field
+    if matrix_product(new.combined(f), block.combined(f), ring.ring).any():
         raise ExtensionError("backward extension does not compose to zero")
     return new
 
@@ -412,7 +411,7 @@ def _window_from_blocks(ring: SpecialRing, blocks, periodic=None) -> FreeComplex
     ns = sorted(blocks)
     lo, hi = ns[0] - 1, ns[-1]
     betti = [2] * (hi - lo + 1)
-    diffs = [blocks[n].combined() for n in ns]
+    diffs = [blocks[n].combined(ring.ring.field) for n in ns]
     return FreeComplexWindow(ring.ring, lo, hi, betti, diffs, base_twist=lo, periodic=periodic)
 
 

@@ -9,83 +9,89 @@ homological parity:
 
     even i:  [[d_i, x*I], [M_i, d_{i-1}]]     odd i: [[d_i, -x*I], [-M_i, d_{i-1}]]
 
+Every matrix here is an array D[r, c, :] of linear-form coordinates (see
+``complexes.linear_matrix``): a lift is a scatter into the kept labels, each
+correction one elimination and each block differential a concatenation.
 Betti numbers double along the way; everything the construction promises
-(composition zero, the x-cancellation identity, exactness and dual exactness,
-minimality) is re-verified rather than trusted.  The rings of a reduction
-chain carry their certified reductions, so both the source gate and the lifted
-window's exactness are decided on the Artinian bottom ring, in every degree
-(``FreeComplexWindow.graded_exactness``).
+(composition zero, the x-cancellation identity, exactness and dual exactness)
+is re-verified rather than trusted.  The rings of a reduction chain carry
+their certified reductions, so x is regular in every degree, and both the
+source gate and the lifted window's exactness are decided on the Artinian
+bottom ring, in every degree (``FreeComplexWindow.graded_exactness``); no
+check reads a degree above 3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .algebra import AlgebraElement, GradedAlgebra, QuotientMap
-from .complexes import FreeComplexWindow, WindowCertificate, full_certification, matrix_product
+
+import numpy as np
+
+from .algebra import GradedAlgebra, QuotientMap
+from .complexes import (
+    FreeComplexWindow,
+    WindowCertificate,
+    full_certification,
+    linear_matrix,
+    matrix_product,
+)
+from .linalg import field_matmul, field_reduce, field_zeros, rref
 
 
 class LiftError(ValueError):
     pass
 
 
-def certify_regular(S: GradedAlgebra, x: AlgebraElement) -> bool:
-    """Multiplication by x is injective on every graded piece below the cutoff."""
-    if x.degree != 1 or x.is_zero():
-        return False
-    for t in range(0, S.cutoff):
-        if S.dims[t] == 0:
-            continue
-        m = S.mult_map_matrix(x, t)
-        if m.rank() != S.dims[t]:
-            return False
-    return True
+def certify_regular(qmap: QuotientMap) -> bool:
+    """The form of the map is regular on its source in every degree.
+
+    ``reduction_chain`` sets ``source.reduction`` to the map only after
+    certifying (l1, l2) as a regular sequence: a system of parameters on a
+    Cohen-Macaulay ring, by the Artinian bottom's Hilbert function."""
+    return qmap.source.reduction is qmap
 
 
-def lift_matrix(mat, qmap: QuotientMap):
-    """Entrywise application of the canonical section R_1 -> S_1."""
-    return [[qmap.lift(e) for e in row] for row in mat]
+def _flat(D):
+    """The rows D[r, c, :] of a matrix of forms, one per entry."""
+    return D.reshape(D.shape[0] * D.shape[1], D.shape[2])
 
 
-def correction_matrix(d_i, d_ip1, x: AlgebraElement, S: GradedAlgebra):
-    """The unique M with  d_i d_ip1 = x * M, solved entry by entry in degree 2."""
-    prod = matrix_product(d_i, d_ip1, S)
-    xmap = S.mult_map_matrix(x, 1)  # S_1 -> S_2
-    out = []
-    for row in prod:
-        orow = []
-        for e in row:
-            sol = xmap.solve(list(e.coords))
-            if sol is None:
-                raise LiftError(
-                    "product is not divisible by x (is x regular, and the source a complex?)"
-                )
-            orow.append(AlgebraElement(S, 1, sol))
-        out.append(orow)
-    # uniqueness and correctness: x * M must reproduce the product exactly
-    for r, row in enumerate(out):
-        for c, m in enumerate(row):
-            if not (x * m - prod[r][c]).is_zero():
-                raise LiftError("correction solve failed to reproduce the product")
-    return out
+def lift_matrix(D, qmap: QuotientMap):
+    """The canonical section R_1 -> S_1 applied to every entry."""
+    S = qmap.source
+    return qmap.lift_rows(1, _flat(D)).reshape(D.shape[:2] + (S.dims[1],))
 
 
-def assemble_epsilon(d_i, d_im1, M_i, x: AlgebraElement, index: int):
+def correction_matrix(d_i, d_ip1, x, S: GradedAlgebra):
+    """The unique M with  d_i d_ip1 = x * M (x given by its S_1 coordinates):
+    one elimination of [x· | every entry of the product] from S_1 to S_2,
+    then one exact check that x * M reproduces the product."""
+    f, n1 = S.field, S.dims[1]
+    P = matrix_product(d_i, d_ip1, S)
+    X = S.mult_map_array(x, 1, 1)  # S_1 -> S_2
+    R, piv = rref(f, np.hstack([X, _flat(P).T]))
+    if piv and piv[-1] >= n1:
+        raise LiftError("product is not divisible by x (is x regular, and the source a complex?)")
+    M = field_zeros(f, (n1, P.shape[0] * P.shape[1]))
+    M[piv] = R[:, n1:]
+    if (field_matmul(f, M.T, X.T) != _flat(P)).any():
+        raise LiftError("correction solve failed to reproduce the product")
+    return M.T.reshape(P.shape[:2] + (n1,))
+
+
+def assemble_epsilon(d_i, d_im1, M_i, x, S: GradedAlgebra, index: int):
     """The 2x2 block differential at homological index `index`."""
-    S = x.algebra
-    sign = 1 if index % 2 == 0 else -1
-    b_i = len(d_i[0]) if d_i else 0
-    b_im1 = len(d_i)
-    b_im2 = len(d_im1)
-    if len(d_im1[0]) != b_im1 or len(M_i) != b_im2 or (M_i and len(M_i[0]) != b_i):
+    f = S.field
+    b_im1, b_i, n1 = d_i.shape
+    b_im2 = d_im1.shape[0]
+    if d_im1.shape[1] != b_im1 or M_i.shape != (b_im2, b_i, n1):
         raise LiftError("block shapes are inconsistent")
-    zero1 = S.zero(1)
-    sx = x if sign == 1 else -x
-    top = [list(d_i[r]) + [sx if c == r else zero1 for c in range(b_im1)] for r in range(b_im1)]
-    bottom = [
-        [(M_i[r][c] if sign == 1 else -M_i[r][c]) for c in range(b_i)] + list(d_im1[r])
-        for r in range(b_im2)
-    ]
-    return top + bottom
+    sign = 1 if index % 2 == 0 else -1
+    xI = field_zeros(f, (b_im1, b_im1, n1))
+    xI[range(b_im1), range(b_im1)] = field_reduce(f, sign * x)
+    top = np.concatenate([d_i, xI], axis=1)
+    bottom = np.concatenate([field_reduce(f, sign * M_i), d_im1], axis=1)
+    return np.concatenate([top, bottom])
 
 
 @dataclass
@@ -94,7 +100,7 @@ class LiftStep:
 
     source: GradedAlgebra
     target: GradedAlgebra
-    form: AlgebraElement
+    form: object  # the S_1 coordinates of x
     window: FreeComplexWindow
     regular_ok: bool
     cancellation_ok: bool
@@ -106,7 +112,7 @@ class LiftStep:
 
     def to_json(self):
         return {
-            "form": [self.form.algebra.field.encode(c) for c in self.form.coords],
+            "form": [self.target.field.encode(c) for c in self.form.tolist()],
             "regular": self.regular_ok,
             "cancellation": self.cancellation_ok,
             "certificate": self.certificate.to_json(),
@@ -115,42 +121,40 @@ class LiftStep:
 
 def lift_complex(w: FreeComplexWindow, qmap: QuotientMap, check: bool = True) -> LiftStep:
     """Lift a window over R = S/(x) to a window over S with doubled betti."""
-    R = qmap.target
-    S = qmap.source
-    x = qmap.form
+    R, S = qmap.target, qmap.source
     if w.algebra is not R:
         raise LiftError("window does not live over the quotient ring of the map")
     if w.hi - w.lo < 2:
         raise LiftError("window is too short to lift (needs two differentials)")
+    regular_ok = certify_regular(qmap)
     if check:
+        if not regular_ok:
+            raise LiftError("the quotient form is not certified regular by a reduction chain")
         if not w.compose_check():
             raise LiftError("source window is not a complex")
-        ex = w.graded_exactness()
-        if not ex.exact:
+        if not w.graded_exactness().exact:
             raise LiftError("source window is not exact; refusing to lift")
-    regular_ok = certify_regular(S, x)
-    if check and not regular_ok:
-        raise LiftError("the quotient form is not regular up to the cutoff")
 
+    x = linear_matrix(S, [[qmap.form]])[0, 0]
     lifted = {i: lift_matrix(w.diff(i), qmap) for i in range(w.lo + 1, w.hi + 1)}
     corrections = {
         i: correction_matrix(lifted[i - 1], lifted[i], x, S) for i in range(w.lo + 2, w.hi + 1)
     }
-
-    cancellation_ok = True
-    for i in range(w.lo + 2, w.hi):
-        # x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = 0, entrywise in degree 3
-        lhs = matrix_product(corrections[i], lifted[i + 1], S)
-        rhs = matrix_product(lifted[i - 1], corrections[i + 1], S)
-        for r in range(len(lhs)):
-            for c in range(len(lhs[0])):
-                if not (x * (lhs[r][c] - rhs[r][c])).is_zero():
-                    cancellation_ok = False
+    # x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = 0: every entry of degree 2
+    # stacked, then one product with x: S_2 -> S_3
+    gaps = [
+        _flat(matrix_product(corrections[i], lifted[i + 1], S))
+        - _flat(matrix_product(lifted[i - 1], corrections[i + 1], S))
+        for i in range(w.lo + 2, w.hi)
+    ]
+    cancellation_ok = not gaps or not field_matmul(
+        S.field, field_reduce(S.field, np.vstack(gaps)), S.mult_map_array(x, 1, 2).T
+    ).any()
 
     new_lo = w.lo + 1
     betti = [w.rank_of(i) + w.rank_of(i - 1) for i in range(new_lo, w.hi + 1)]
     diffs = [
-        assemble_epsilon(lifted[i], lifted[i - 1], corrections[i], x, i)
+        assemble_epsilon(lifted[i], lifted[i - 1], corrections[i], x, S, i)
         for i in range(new_lo + 1, w.hi + 1)
     ]
     window = FreeComplexWindow(S, new_lo, w.hi, betti, diffs, base_twist=w.base_twist + 1)

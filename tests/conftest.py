@@ -152,6 +152,14 @@ def count_eliminations(monkeypatch, rational_ranks_only=False):
     return calls
 
 
+def element_rows(R, D, degree=1):
+    """A matrix of forms D[r, c, :] (an array over R's field) as rows of
+    AlgebraElements of the degree, for oracles built on ``multiply``."""
+    from totref import AlgebraElement
+
+    return [[AlgebraElement(R, degree, e) for e in row] for row in D.tolist()]
+
+
 def dump_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True)
 
@@ -162,7 +170,7 @@ def naive_exactness(w):
     Returns {(index, degree): exact} computed from span comparisons, never
     from rank bookkeeping.
     """
-    from totref import Subspace
+    from totref import Matrix, Subspace
 
     R = w.algebra
     f = R.field
@@ -172,12 +180,12 @@ def naive_exactness(w):
             if t + 1 > R.cutoff:
                 continue
             src = R.dims[t] * w.rank_of(i)
-            blk = w.block_matrix(i, t)
+            blk = Matrix(f, w._block_array(i, t))
             ker = blk.kernel_basis()
             if t == 0:
                 img = Subspace.zero(f, src)
             else:
-                inc = w.block_matrix(i + 1, t - 1)
-                img = Subspace.from_vectors(f, src, inc.transpose().entries)
+                inc = w._block_array(i + 1, t - 1)
+                img = Subspace.from_vectors(f, src, inc.T)
             verdicts[(i, w.twist(i) + t)] = img == ker
     return verdicts

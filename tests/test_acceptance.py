@@ -136,15 +136,14 @@ def test_criterion_5_lifting_pipeline(c4_chain5):
         assert [set(s.window.betti) for s in steps] == [{2}, {4}]
         for s in steps:
             # epsilon compositions vanish identically, exactness both ways,
-            # minimality: every entry is homogeneous linear
+            # minimality: every entry is homogeneous linear, an S_1 coordinate vector
             assert s.certificate.composes
             assert s.certificate.exactness.exact
             assert s.certificate.dual_exactness.exact
-            assert s.cancellation_ok and s.regular_ok
-            for i in range(s.window.lo + 1, s.window.hi + 1):
-                for row in s.window.diff(i):
-                    for e in row:
-                        assert e.degree == 1
+            assert s.cancellation_ok and s.regular_ok and s.certificate.minimal
+            w = s.window
+            for i in range(w.lo + 1, w.hi + 1):
+                assert w.diff(i).shape == (w.rank_of(i - 1), w.rank_of(i), s.target.dims[1])
         # negative control: a composing but non-exact source fails after lift
         from totref import Graph
 

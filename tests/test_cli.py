@@ -476,7 +476,9 @@ def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv):
 # SHA-256 of (stdout, --out file) of `build` and then `lift --steps 2
 # --degree-bound 4` with --json, and of stdout of `verify --json` on the lifted
 # file.  The ten-vertex GF(p) blocks exceed the list-elimination threshold; the
-# four_cycle window over the rationals takes the list path throughout.  The
+# four_cycle window over the rationals takes the list path throughout, and the
+# one over GF(4294967311) the exact-int ``object`` arrays of a prime above
+# 2**31 (its digests were recorded before linear-form matrices became arrays).  The
 # files no longer carry multiplication tables: LIFT_VERIFY_WITH_TABLES_SHA256
 # holds the digests recorded for them, which `_with_tables` of each file
 # reproduces, and `verify` of the lifted file with its tables put back prints
@@ -503,6 +505,14 @@ LIFT_VERIFY_SHA256 = {
         "verify": "8b939b91efd0b2f0094fe4c4335ef5837cf584da7001a6823e6be4406fc8fb70",
         "verify_truncated": "6a7dce0f830e4b867346d286a9f7586175e02c565c179dad6e49c2f17b60cfd8",
     },
+    "four_cycle_4294967311": {
+        "build": ("097d3762208af6f13cce16899e4e9b86add83e8f8b643700784aa6eee4c0123f",
+                  "9478031127dfd1a0b2b10a8de616b88a4eded065e9b77d920cbaab685558b59c"),
+        "lift": ("e045fa51005c3e2d2d989b1cf375864e5edd66910dff32cab40ec1fc5206672b",
+                 "abe929b5643d1b5e4c9e0e81165549d0895dc0c9cd639b7d73cb58ce7bd705a4"),
+        "verify": "8b939b91efd0b2f0094fe4c4335ef5837cf584da7001a6823e6be4406fc8fb70",
+        "verify_truncated": "6a7dce0f830e4b867346d286a9f7586175e02c565c179dad6e49c2f17b60cfd8",
+    },
 }
 LIFT_VERIFY_WITH_TABLES_SHA256 = {
     "ten_vertex": {
@@ -513,11 +523,20 @@ LIFT_VERIFY_WITH_TABLES_SHA256 = {
         "build": "81af06be86e4ceec5e5a2438d9d1ed42c0e3f9450aed225b14114dc57467ff64",
         "lift": "b075ffdb46c2154e4d06275b5f54d01fbe5e7d6114d94fb5748b1edad5cb997d",
     },
+    "four_cycle_4294967311": {
+        "build": "25299b451635344e9c60d772ed9c11d4acdab91f1228a893c65f3458483041e0",
+        "lift": "516191645a0d58d3c95f15d306ca0be17805bc9688f5b45d035df6618502da39",
+    },
 }
 LIFT_VERIFY_SOURCES = {
     "ten_vertex": (["build", "--section4", "--mode", "factory"], []),
     "four_cycle_rational": (
         ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd", "--rational"], ["--rational"]
+    ),
+    # a prime above 2**31: exact Python ints in object arrays
+    "four_cycle_4294967311": (
+        ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd", "--prime", "4294967311"],
+        ["--prime", "4294967311"],
     ),
 }
 
@@ -608,6 +627,27 @@ def test_verify_bound_above_every_twist_not_certified(capsys, tmp_path):
     assert rep["dual_exactness"] == {
         "exact": True, "complete": True, "certified_degree_bound": None, "failures": []
     }
+
+
+def test_verify_does_not_verify_a_vacuous_period(capsys, tmp_path):
+    # the four_cycle ezd window (a = b, period 1) cut to indices -1..1 has two
+    # differentials: a claimed period 2 compares no pair d_i, d_{i+2} and is
+    # not verified, while period 1 compares d_0 with d_1; a period below 1
+    # would compare d_i with itself or step backwards, and is refused
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(src.read_text())
+    k = -1 - obj["lo"]  # position of the differential at index 0
+    obj.update(
+        lo=-1, hi=1, betti=[1, 1, 1], base_twist=obj["base_twist"] + k,
+        differentials=obj["differentials"][k : k + 2],
+    )
+    for period, verified in ((2, False), (1, True), (0, False), (-1, False)):
+        obj["periodic"] = {"period": period, "verified": True}
+        src.write_text(json.dumps(obj))
+        code, rep = run_json(capsys, ["verify", str(src)])
+        assert code == 0 and rep["certified"]
+        assert rep["periodic"] == {"period": period, "verified": verified}
+        assert rep["periodic_verified"] is verified
 
 
 @pytest.mark.parametrize("corruption", ["coefficient", "zero_differential"])

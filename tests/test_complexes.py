@@ -11,6 +11,7 @@ from totref import (
     ComplexError,
     FreeComplexWindow,
     Graph,
+    Matrix,
     RationalField,
     algebra_from_relations,
     ezd_complex,
@@ -18,6 +19,7 @@ from totref import (
     fitting_support,
     full_certification,
     indecomposability_certificate,
+    linear_matrix,
     reduction_chain,
     stanley_reisner,
     ten_vertex_graph,
@@ -25,7 +27,14 @@ from totref import (
 from totref.analysis import EzdPair
 from totref.complexes import matrix_product
 
-from conftest import ARRAY_FIELDS, array_field, count_eliminations, dump_canonical, naive_exactness
+from conftest import (
+    ARRAY_FIELDS,
+    array_field,
+    count_eliminations,
+    dump_canonical,
+    element_rows,
+    naive_exactness,
+)
 
 
 @pytest.fixture(scope="module")
@@ -66,17 +75,19 @@ def test_compose_check_negative_control(c4_reduction, xy_pair):
     assert not perturbed.compose_check()
 
 
-def test_minimal_is_read_off_the_entries(c4_reduction, xy_pair):
-    """minimal holds exactly when every entry lies in the maximal ideal, i.e.
-    has degree >= 1; a unit entry (put in past the constructor, which takes
-    linear forms only) makes the window non-minimal."""
+def test_minimal_holds_by_construction(c4_reduction, xy_pair):
+    """A differential holds only the coordinates of linear forms, so every
+    window is minimal: the boundary that turns elements into arrays refuses a
+    unit (degree-0) entry, and one of degree 2."""
     x, y = xy_pair
-    assert full_certification(window_from_entries(c4_reduction, [x, y, x])).minimal
-    w = window_from_entries(c4_reduction, [x], lo=0)  # no interior index
-    assert full_certification(w).minimal
-    w.diffs[0][0][0] = c4_reduction.one()
-    cert = full_certification(w)
-    assert not cert.minimal and not cert.certified
+    R = c4_reduction
+    assert full_certification(window_from_entries(R, [x, y, x])).minimal
+    assert full_certification(window_from_entries(R, [x], lo=0)).minimal  # no interior index
+    for entry in (R.one(), x * y):
+        with pytest.raises(ComplexError, match="degree 1"):
+            window_from_entries(R, [entry], lo=0)
+        with pytest.raises(ComplexError, match="degree 1"):
+            linear_matrix(R, [[x], [entry]])
 
 
 def test_exactness_negative_control_non_ezd_pair(gf):
@@ -164,7 +175,7 @@ def test_rank_nullity_per_block(c4_reduction, xy_pair):
     R = c4_reduction
     for i in w.interior_indices():
         for t in range(0, R.cutoff):
-            blk = w.block_matrix(i, t)
+            blk = Matrix(R.field, w._block_array(i, t))
             assert blk.kernel_basis().dim + blk.rank() == w.rank_of(i) * R.dims[t]
 
 
@@ -178,16 +189,16 @@ def test_dual_involution_and_symmetry(c4_reduction, xy_pair):
     # the multiset of 1x1 differential entries swaps roles
     dw = w.dual()
     assert full_certification(dw).certified
-    orig = [w.diff(i)[0][0] for i in range(w.lo + 1, w.hi + 1)]
-    dualed = [dw.diff(j)[0][0] for j in range(dw.lo + 1, dw.hi + 1)]
-    assert set(e.coords for e in orig) == set(e.coords for e in dualed)
+    orig = {tuple(w.diff(i)[0, 0].tolist()) for i in range(w.lo + 1, w.hi + 1)}
+    dualed = {tuple(dw.diff(j)[0, 0].tolist()) for j in range(dw.lo + 1, dw.hi + 1)}
+    assert orig == dualed
 
 
 def test_cokernel_presentation_and_boundary(c4_reduction, xy_pair):
     x, _ = xy_pair
     w = window_from_entries(c4_reduction, [x, x, x])
     mat = w.diff(w.lo + 1)  # d_i is the presentation matrix of its cokernel
-    assert mat[0][0] == x
+    assert element_rows(c4_reduction, mat) == [[x]]
     with pytest.raises(ComplexError):
         w.diff(w.lo)  # boundary index has no differential
 
@@ -195,11 +206,11 @@ def test_cokernel_presentation_and_boundary(c4_reduction, xy_pair):
 def test_fitting_support_examples(c4_reduction, xy_pair):
     x, y = xy_pair
     R = c4_reduction
-    d1, d2 = fitting_support(R, [[x]])
+    d1, d2 = fitting_support(R, linear_matrix(R, [[x]]))
     assert d1.dim == 1 and d2.dim == 1  # (span{x}, span{xy})
     assert d1.contains(list(x.coords))
     assert d2.contains(list((x * y).coords))
-    z1, z2 = fitting_support(R, [[R.zero(1)]])
+    z1, z2 = fitting_support(R, linear_matrix(R, [[R.zero(1)]]))
     assert z1.dim == 0 and z2.dim == 0
 
 
@@ -250,6 +261,14 @@ def test_window_shape_validation(c4_reduction, xy_pair):
         FreeComplexWindow(c4_reduction, 0, 2, [1, 1, 1], [[[x]], [[x], [x]]])
     with pytest.raises(ComplexError):
         FreeComplexWindow(c4_reduction, 0, 1, [1, 1], [[[c4_reduction.basis_element(2, 0)]]])
+    with pytest.raises(ComplexError, match="ragged"):
+        FreeComplexWindow(c4_reduction, 0, 1, [2, 2], [[[x, x], [x]]])
+    other = algebra_from_relations(["X", "Y", "Z"], [], 2, field=c4_reduction.field)
+    z = other.generators()[0]
+    with pytest.raises(ComplexError, match="algebra"):
+        FreeComplexWindow(c4_reduction, 0, 1, [1, 1], [[[z]]])
+    with pytest.raises(ComplexError, match="shape"):  # coordinates in another R_1
+        FreeComplexWindow(c4_reduction, 0, 1, [1, 1], [linear_matrix(other, [[z]])])
 
 
 # -- the array paths against the list oracle GradedAlgebra.multiply ------------
@@ -310,7 +329,8 @@ def test_array_matrix_product_matches_multiply(kind, p, seed, data):
                 acc = acc + R.multiply(A[r][m], B[m][c])
             row.append(acc)
         expected.append(row)
-    assert matrix_product(A, B, R) == expected
+    P = matrix_product(linear_matrix(R, A), linear_matrix(R, B), R)
+    assert element_rows(R, P, degree=2) == expected
 
 
 @settings(max_examples=40, deadline=None)
@@ -321,7 +341,7 @@ def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
     b_out, b_in = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
     t = data.draw(st.integers(0, R.cutoff - 1))
     w = FreeComplexWindow(R, 0, 1, [b_out, b_in], [random_forms(R, rng, b_out, b_in)])
-    d = w.diff(1)
+    d = element_rows(R, w.diff(1))
     src, dst = R.dims[t], R.dims[t + 1]
     by_multiply = [[0] * (b_in * src) for _ in range(b_out * dst)]
     by_mult_map = [[0] * (b_in * src) for _ in range(b_out * dst)]
@@ -333,9 +353,9 @@ def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
                     by_multiply[r * dst + k][c * src + j] = prod[k]
             for k, row in enumerate(R.mult_map_array(d[r][c].coords, 1, t).tolist()):
                 by_mult_map[r * dst + k][c * src : (c + 1) * src] = row
-    blk = w.block_matrix(1, t)
-    assert (blk.rows, blk.cols) == (b_out * dst, b_in * src)
-    assert blk.entries == by_multiply == by_mult_map
+    blk = w._block_array(1, t)
+    assert blk.shape == (b_out * dst, b_in * src)
+    assert blk.tolist() == by_multiply == by_mult_map
 
 
 def _distinct_blocks(w):

@@ -2,6 +2,7 @@ import functools
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,11 +23,12 @@ from totref import (
     extend_forward,
     full_certification,
     injectivity_check,
+    linear_matrix,
     random_blocks,
 )
 from totref.factory import ExtensionError, PartialWindowError, induced_matrix, make_block
 
-from conftest import ARRAY_FIELDS, array_field, count_eliminations, fraction_det
+from conftest import ARRAY_FIELDS, array_field, count_eliminations, element_rows, fraction_det
 
 
 def test_special_ring_properties(special_ring):
@@ -120,17 +122,17 @@ def test_induced_matrix_det_matches_independent_oracle(special_ring):
 def test_injectivity_fails_for_equal_columns(special_ring):
     R = special_ring.ring
     col = [R.generator("x1") + R.generator("y1"), R.generator("x2")]
-    A = [[col[0], col[0]], [col[1], col[1]]]
+    A = linear_matrix(R, [[col[0], col[0]], [col[1], col[1]]])
     assert not injectivity_check(special_ring, A, "a")
 
 
 def test_injectivity_rejects_wrong_side_entry(special_ring):
     R = special_ring.ring
-    A = [[R.generator("x3"), R.generator("x1")], [R.generator("y1"), R.generator("y2")]]
-    B = [
+    A = linear_matrix(R, [[R.generator("x3"), R.generator("x1")], [R.generator("y1"), R.generator("y2")]])
+    B = linear_matrix(R, [
         [R.generator("x3"), R.generator("x4")],
         [R.generator("y3") + R.generator("y1"), R.generator("y4")],
-    ]
+    ])
     for transpose in (False, True):
         with pytest.raises(FactoryError):
             injectivity_check(special_ring, A, "a", transpose)  # x3 is a b-side generator
@@ -188,11 +190,13 @@ def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stra
     stray set, that entry also gets a component on the other side, which
     both constructions must refuse."""
     ring = special_ring_over(p)
-    f, rng = ring.ring.field, Random(seed)
+    R = ring.ring
+    f, rng = R.field, Random(seed)
     m = len(ring.side(side).basis1)
     coords = [[f.zero if rng.random() < 0.2 else f.rand(rng) for _ in range(m)] for _ in range(4)]
     entries = [side_element(ring, side, c) for c in coords]
-    assert entries == [ring.element_from_side_coords(side, c) for c in coords]
+    forms = ring.side_forms(side, linalg.field_array(f, coords).reshape(4, m))
+    assert element_rows(R, forms.reshape(2, 2, R.dims[1])) == [entries[:2], entries[2:]]
     if stray is not None:
         other = "b" if side == "a" else "a"
         extra = [f.rand(rng) or f.one for _ in range(len(ring.side(other).basis1))]
@@ -202,9 +206,9 @@ def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stra
         with pytest.raises(FactoryError):
             induced_matrix_oracle(ring, mat, side, transpose)
         with pytest.raises(FactoryError):
-            induced_matrix(ring, mat, side, transpose)
+            induced_matrix(ring, linear_matrix(R, mat), side, transpose)
     else:
-        assert induced_matrix(ring, mat, side, transpose) == induced_matrix_oracle(
+        assert induced_matrix(ring, linear_matrix(R, mat), side, transpose) == induced_matrix_oracle(
             ring, mat, side, transpose
         )
 
@@ -213,18 +217,14 @@ def test_random_blocks_pass_and_deterministic(special_ring):
     b1 = random_blocks(special_ring, Random(5))
     b2 = random_blocks(special_ring, Random(5))
     assert b1.all_injective
-    for r in range(2):
-        for c in range(2):
-            assert b1.A[r][c] == b2.A[r][c] and b1.B[r][c] == b2.B[r][c]
+    assert np.array_equal(b1.A, b2.A) and np.array_equal(b1.B, b2.B)
 
 
 def block_column_span(ring, block):
+    """The span of the two columns of A + B, each in (R_1)^2."""
     f = ring.ring.field
     n1 = ring.ring.dims[1]
-    cols = []
-    comb = block.combined()
-    for c in range(2):
-        cols.append(list(comb[0][c].coords) + list(comb[1][c].coords))
+    cols = block.combined(f).transpose(1, 0, 2).reshape(2, 2 * n1)
     return Subspace.from_vectors(f, 2 * n1, cols)
 
 
@@ -235,11 +235,8 @@ def test_extension_matches_odd_blocks_up_to_column_scaling(special_ring):
     assert ext.all_injective
     assert block_column_span(special_ring, ext) == block_column_span(special_ring, odd)
     # but not the literal matrices: columns come out rescaled
-    assert any(
-        (ext.combined()[r][c] - odd.combined()[r][c]).is_zero() is False
-        for r in range(2)
-        for c in range(2)
-    )
+    f = special_ring.ring.field
+    assert not np.array_equal(ext.combined(f), odd.combined(f))
 
 
 def test_extension_kernel_dimension_two(special_ring):
@@ -247,7 +244,7 @@ def test_extension_kernel_dimension_two(special_ring):
     from totref.factory import _window_from_blocks
 
     w = _window_from_blocks(special_ring, {0: even, 1: extend_forward(special_ring, even)})
-    blk = w.block_matrix(0, 1)  # (R_1)^2 -> (R_2)^2
+    blk = Matrix(special_ring.ring.field, w._block_array(0, 1))  # (R_1)^2 -> (R_2)^2
     assert blk.cols - blk.rank() == 2
     # the extension's columns land in that kernel
     ext = extend_forward(special_ring, even)
@@ -274,7 +271,9 @@ def test_backward_then_forward_round_trip(special_ring):
 def test_extension_requires_flags(special_ring):
     R = special_ring.ring
     # a block with singular B (two equal columns)
-    B = [[R.generator("x3"), R.generator("x3")], [R.generator("x4"), R.generator("x4")]]
+    B = linear_matrix(
+        R, [[R.generator("x3"), R.generator("x3")], [R.generator("x4"), R.generator("x4")]]
+    )
     A = canonical_blocks(special_ring, 0).A
     blk = make_block(special_ring, 0, A, B)
     assert not blk.all_injective
