@@ -25,7 +25,7 @@ import numpy as np
 
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph, parse_graph
-from .linalg import Matrix, field_array, field_matmul, field_zeros, quotient_projection
+from .linalg import Matrix, field_array, field_matmul, field_zeros, freeze, quotient_projection
 
 
 class AlgebraError(ValueError):
@@ -178,7 +178,7 @@ class GradedAlgebra:
 
     def np_table(self, d1, d2):
         """The array T[i, j, k] over the field, the coefficient of basis_k in
-        e_i * e_j."""
+        e_i * e_j; built once and frozen (``linalg.freeze``)."""
         if d1 + d2 > self.cutoff:
             raise AlgebraError(f"product degree {d1 + d2} exceeds cutoff {self.cutoff}")
         key = (d1, d2)
@@ -188,7 +188,7 @@ class GradedAlgebra:
                 table = Matrix.identity(self.field, self.dims[d1 + d2]).array.reshape(shape)
             else:
                 table = self._table_fn(d1, d2)
-            self._np_tables[key] = table
+            self._np_tables[key] = freeze(table)
         return self._np_tables[key]
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -404,7 +404,7 @@ class QuotientMap:
     """The data of B = A/(l) for a degree-one form l, with a canonical section.
 
     Keeps, per degree, the complement columns of the trailing-pivot echelon
-    form of span{l * A_(d-1)} and the projection array P_d
+    form of span{l * A_(d-1)} and the frozen projection array P_d
     (``linalg.quotient_projection``): A_d -> B_d is v -> v P_d, and the
     section B_d -> A_d maps each kept basis label to the parent basis
     monomial of the same label.  The table of B for (d1, d2) is the table of
@@ -420,13 +420,13 @@ class QuotientMap:
         self.form = form
         field = source.field
         self._keep = [[0]]
-        self._proj = [Matrix.identity(field, 1).array]
+        self._proj = [freeze(Matrix.identity(field, 1).array)]
         labels = [["1"]]
         for d in range(1, source.cutoff + 1):
             # row i is l * (basis_i of degree d-1): a column of the mult map
             keep, P = quotient_projection(field, source.mult_map_array(form.coords, 1, d - 1).T)
             self._keep.append(keep)
-            self._proj.append(P)
+            self._proj.append(freeze(P))
             labels.append([source.basis[d][c] for c in keep])
         self.target = GradedAlgebra(field, source.cutoff, labels, self._table, descriptor=descriptor)
 

@@ -348,12 +348,11 @@ def _constants_nonzero(obj, field) -> bool:
     consts = obj.get("constants")
     if not consts:
         return False
-    for mat in consts:
-        for row in mat:
-            for c in row:
-                if not field.is_zero(field.decode(c)):
-                    return True
-    return False
+    try:
+        values = [field.decode(c) for mat in consts for row in mat for c in row]
+    except (TypeError, ValueError) as exc:
+        raise ComplexError(f"complex file differentials are malformed: constants: {exc}") from exc
+    return any(not field.is_zero(c) for c in values)
 
 
 def cmd_verify(args) -> int:

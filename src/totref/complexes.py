@@ -18,8 +18,11 @@ A matrix of linear forms has one representation: the array D[r, c, :] over
 the field (``linalg.field_array``) of the R_1 coordinates of its entries.
 Lists of degree-one elements become such arrays in one place,
 ``linear_matrix``; products, reductions, duals, periodicity and the JSON
-round trip all work on the arrays.  Each graded block of a differential is
-one product of D with the multiplication table, ranked once per check.
+round trip all work on the arrays.  A window freezes its differentials
+(``linalg.freeze``).  Each graded block of a differential is one product of
+D with the multiplication table; its rank bound is read off the product of
+the two factors' check images (``linalg.image_matmul``), and only a block
+that needs an exact rank is assembled over the field.
 """
 
 from __future__ import annotations
@@ -30,7 +33,10 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, GradedAlgebra
-from .linalg import Subspace, array_rank, field_array, field_matmul, rank_bound
+from .linalg import (
+    Subspace, array_rank, field_array, field_matmul, freeze, image_matmul, rank_bound,
+    structure_product,
+)
 
 
 class ComplexError(ValueError):
@@ -73,7 +79,7 @@ class FreeComplexWindow:
             # (an empty list of rows carries no column count)
             if D.shape != shape and not (len(D) == shape[0] == 0):
                 raise ComplexError(f"differential at {i} has the wrong shape")
-            self.diffs.append(D.reshape(shape))
+            self.diffs.append(freeze(D.reshape(shape)))
 
     def rank_of(self, i) -> int:
         return self.betti[i - self.lo]
@@ -95,11 +101,17 @@ class FreeComplexWindow:
         """The degree piece of d_i from R_t^{b_i} to R_{t+1}^{b_{i-1}}, as an
         array over the field: one product of the entry coordinates D[r, c, :]
         of d_i with the table of R_1 x R_t -> R_{t+1}."""
+        return self._block(i, t, field_matmul)
+
+    def _block(self, i, t, product):
+        """The block of d_i at t from product(field, D, T) of the entry
+        coordinates and the table: ``field_matmul`` gives the block itself,
+        ``image_matmul`` the image its rank bound is read off."""
         R, D = self.algebra, self.diff(i)
         b_out, b_in, n1 = D.shape
         src, dst = R.dims[t], R.dims[t + 1]
         T = R.np_table(1, t).reshape(n1, src * dst)
-        blocks = field_matmul(R.field, D.reshape(b_out * b_in, n1), T)
+        blocks = product(R.field, D.reshape(b_out * b_in, n1), T)
         # blocks[r, c, j, k] is the coefficient of basis_k in d_i[r][c] * basis_j
         blocks = blocks.reshape(b_out, b_in, src, dst).transpose(0, 3, 1, 2)
         return blocks.reshape(b_out * dst, b_in * src)
@@ -132,12 +144,14 @@ class FreeComplexWindow:
         in degree t - 1 gives the incoming rank at (i, t) and the kernel at
         (i + 1, t - 1), so each block is assembled and bounded once.
 
-        Each block gets a lower bound on its rank (``rank_bound``; over GF(p)
-        the rank itself).  At (i, t) the two blocks share cols = b_i dim R_t
-        columns, and when the window composes, rank (i, t) + rank (i + 1,
-        t - 1) <= cols.  So two lower bounds that sum to cols are both the
-        ranks, and the record is exact; only a block whose bound is neither
-        the rank nor so confirmed is ranked exactly.
+        Each block gets a lower bound on its rank (``rank_bound`` of the
+        product of the check images of D and the table, ``image_matmul``;
+        over GF(p) the rank itself).  At (i, t) the two blocks share
+        cols = b_i dim R_t columns, and when the window composes,
+        rank (i, t) + rank (i + 1, t - 1) <= cols.  So two lower bounds that
+        sum to cols are both the ranks, and the record is exact; only a
+        block whose bound is neither the rank nor so confirmed is assembled
+        over the field and ranked exactly.
         """
         R = self.algebra
         if degree_bound is None and R.reduction is not None:
@@ -148,7 +162,7 @@ class FreeComplexWindow:
 
         def lower(i, t):
             if (i, t) not in bounds:
-                bounds[i, t] = rank_bound(R.field, self._block_array(i, t))
+                bounds[i, t] = rank_bound(R.field, self._block(i, t, image_matmul))
             return bounds[i, t]
 
         def rank(i, t):
@@ -304,19 +318,9 @@ def linear_matrix(R: GradedAlgebra, rows):
 
 def matrix_product(A, B, algebra: GradedAlgebra):
     """The product P[r, c, :] (entries in R_2) of two matrices of linear
-    forms A[r, m, :] and B[m, c, :].
-
-    It takes two array products over the field: X[r, m, j, k] =
-    sum_i A[r, m, i] T[i, j, k] with T the table of R_1 x R_1 -> R_2, then
-    P[r, c, k] = sum_{m, j} X[r, m, j, k] B[m, c, j].
-    """
-    f = algebra.field
-    (rows, inner, n1), cols, n2 = A.shape, B.shape[1], algebra.dims[2]
-    T = algebra.np_table(1, 1).reshape(n1, n1 * n2)
-    X = field_matmul(f, A.reshape(rows * inner, n1), T)
-    X = X.reshape(rows, inner, n1, n2).transpose(0, 3, 1, 2).reshape(rows * n2, inner * n1)
-    Bc = B.transpose(0, 2, 1).reshape(inner * n1, cols)
-    return field_matmul(f, X, Bc).reshape(rows, n2, cols).transpose(0, 2, 1)
+    forms A[r, m, :] and B[m, c, :]: ``linalg.structure_product`` with the
+    table of R_1 x R_1 -> R_2."""
+    return structure_product(algebra.field, A, algebra.np_table(1, 1), B)
 
 
 @dataclass

@@ -39,7 +39,9 @@ from .complexes import (
     matrix_product,
 )
 from .graphs import Graph
-from .linalg import Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros
+from .linalg import (
+    Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros, freeze,
+)
 
 
 class FactoryError(ValueError):
@@ -99,6 +101,7 @@ class Side:
       * e . Phi is then (L2 (e g_k))_k, the side_2 coordinates of the
         products (Phi = Psi L2^t, L2 a left inverse of C2).
     delta holds the side_2 coordinates of delta (a side) or -delta (b side).
+    coords and maps are frozen (``linalg.freeze``).
     """
 
     basis1: list
@@ -180,7 +183,7 @@ class SpecialRing:
         res1 = field_reduce(f, eye - field_matmul(f, X, coords))
         res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.array.T))
         maps = np.hstack([res1, res2.reshape(n1, m * n2), phi.reshape(n1, m * m)])
-        return Side(gens, cols2, coords, maps, cols2.solve(list(delta.coords)))
+        return Side(gens, cols2, freeze(coords), freeze(maps), cols2.solve(list(delta.coords)))
 
     def side(self, which) -> Side:
         if which not in self._sides:

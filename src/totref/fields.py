@@ -82,7 +82,10 @@ class PrimeField:
         return int(a)
 
     def decode(self, obj):
-        return int(obj) % self.p
+        """A JSON integer, as ``encode`` writes it; ValueError otherwise."""
+        if type(obj) is not int:
+            raise ValueError(f"GF({self.p}) coordinate {obj!r} is not an integer")
+        return obj % self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -135,7 +138,17 @@ class RationalField:
         return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
     def decode(self, obj):
-        return Fraction(obj)
+        """A JSON integer or an "n" or "n/d" string, as ``encode`` writes it;
+        ValueError otherwise (a float, a bool, a zero denominator)."""
+        if type(obj) is int:
+            return Fraction(obj)
+        if isinstance(obj, str):
+            num, slash, den = obj.partition("/")
+            if _digits(num.removeprefix("-")) and (not slash or _digits(den)):
+                if slash and not int(den):
+                    raise ValueError(f"rational coordinate {obj!r} has a zero denominator")
+                return Fraction(int(num), int(den) if slash else 1)
+        raise ValueError(f"rational coordinate {obj!r} is not an integer or an 'n/d' string")
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -145,6 +158,11 @@ class RationalField:
 
     def __repr__(self):
         return "QQ"
+
+
+def _digits(s) -> bool:
+    """s is a nonempty string of ASCII decimal digits."""
+    return s.isascii() and s.isdigit()
 
 
 def field_to_json(field) -> dict:

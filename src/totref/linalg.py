@@ -14,27 +14,43 @@ one product and ``rref``/``array_rank``/``rank_reaches`` eliminate them;
 overflow: ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2)
 products before reducing.
 
-Size alone decides how an array is eliminated: under ``_NP_CELL_THRESHOLD``
-cells as a list of rows (``_rref_py``), where numpy's per-call overhead
-dominates, and otherwise as the array itself (``_rref_array``), whatever the
-field.
+Over GF(p) size alone decides how an array is eliminated: under
+``_NP_CELL_THRESHOLD`` cells as a list of rows (``_rref_py``), where numpy's
+per-call overhead dominates, and otherwise as the array itself
+(``_rref_array``).
 
-Over the rationals a rank is first taken modulo one check prime p
-(``DEFAULT_PRIME``, so on int64; ``rank_bound``).  Write A = N / d with N an
-integer array over one common denominator d.  A minor of N that is nonzero
-mod p is a nonzero integer, so rank_Q(A) = rank_Q(N) >= rank_p(N mod p),
-whatever p and d are; since rank_Q(A) <= min(rows, cols), a mod-p rank of
-min(rows, cols) is the exact rank.  Otherwise (A is rank-deficient, or p
-divides every maximal minor of N, as it may when p divides an entry or a
-denominator of A) ``array_rank`` eliminates A exactly in Fractions: an
-unlucky prime costs time, never a wrong rank.  ``rank_bound`` hands the
-lower bound itself to callers that can certify it otherwise.
+Over the rationals nothing is eliminated in Fractions.  A rational array A is
+N / d, N an integer array over one common denominator d (its integer form).
+``rref``, exact ranks and ``rank_reaches`` scale each row to a primitive
+integer row, which keeps the row space, and eliminate fraction-free
+(``_rref_int``): a row operation replaces a row by the primitive part of an
+integer combination, so entries stay integers and their contents are divided
+out as they appear.  Fractions are built only for what leaves this module:
+the RREF rows (each fraction-free row over its pivot entry; the RREF is
+unique) and the nonzero entries of a product (``field_matmul`` multiplies
+the integer forms).  An owner freezes an array it keeps for its lifetime
+(``freeze``: tables, projections); the integer form and check image of a
+frozen array are computed once and dropped with the array.
+
+A rational rank is first taken modulo one check prime p (``DEFAULT_PRIME``,
+so on int64; ``rank_bound``) from the check image N mod p.  A minor of N
+that is nonzero mod p is a nonzero integer, so rank_Q(A) = rank_Q(N) >=
+rank_p(N mod p), whatever p and d are; since rank_Q(A) <= min(rows, cols), a
+mod-p rank of min(rows, cols) is the exact rank.  Otherwise (A is
+rank-deficient, or p divides every maximal minor of N, as it may when p
+divides an entry or a denominator of A) ``array_rank`` eliminates N exactly:
+an unlucky prime costs time, never a wrong rank.  The bound of a product
+A @ B is read off the product of the factors' images (``image_matmul``):
+N_A N_B = d_A d_B (A @ B), so the same argument holds without assembling
+A @ B in Fractions.  ``rank_bound`` hands the lower bound itself to callers
+that can certify it otherwise.
 """
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter
 
 import numpy as np
@@ -76,19 +92,87 @@ def field_reduce(field, A):
 
 def field_matmul(field, A, B):
     """The product of two 2-D arrays over the field (see ``field_array``).
-    Over the rationals it is fraction-free: each side is scaled to integer
-    numerators over one common denominator, and only the nonzero entries of
-    the integer product become Fractions."""
+    Over the rationals it is fraction-free: the integer forms of the two
+    sides are multiplied, and only the nonzero entries of the integer
+    product become Fractions."""
     p = np_modulus(field)
     if p is not None:
         return mod_matmul(p, A, B)
     if isinstance(field, PrimeField):
         return A @ B % field.p
-    (NA, da), (NB, db) = _numerators(A), _numerators(B)
-    den, zero = da * db, field.zero
+    (NA, da), (NB, db) = _integer_form(A), _integer_form(B)
+    return _fractions(field, NA @ NB, da * db)
+
+
+def _fractions(field, N, den):
+    """The rational array N / den of an integer array N: only its nonzero
+    entries become new Fractions."""
+    zero = field.zero
     return np.array(
-        [zero if not n else Fraction(n, den) for n in (NA @ NB).flat], dtype=object
-    ).reshape(A.shape[0], B.shape[1])
+        [zero if not n else Fraction(n, den) for n in N.flat], dtype=object
+    ).reshape(N.shape)
+
+
+def structure_product(field, A, T, B):
+    """The array P[r, c, k] = sum over m, i, j of A[r, m, i] B[m, c, j]
+    T[i, j, k] over the field: the product of two matrices whose entries
+    are vectors (A[r, m, :] and B[m, c, :]) of an algebra with structure
+    constants T[i, j, :].  It takes two array products, X = A T, then X
+    times B; over the rationals both run on the integer forms, and only P
+    becomes Fractions."""
+    (rows, inner, n1), (_, cols, n2), n3 = A.shape, B.shape, T.shape[2]
+    rational = isinstance(field, RationalField)
+    if rational:
+        (A, da), (T, dt), (B, db) = _integer_form(A), _integer_form(T), _integer_form(B)
+        product = np.matmul
+    else:
+        product = lambda X, Y: field_matmul(field, X, Y)
+    X = product(A.reshape(rows * inner, n1), T.reshape(n1, n2 * n3))
+    X = X.reshape(rows, inner, n2, n3).transpose(0, 3, 1, 2).reshape(rows * n3, inner * n2)
+    P = product(X, B.transpose(0, 2, 1).reshape(inner * n2, cols))
+    P = P.reshape(rows, n3, cols).transpose(0, 2, 1)
+    return _fractions(field, P, da * dt * db) if rational else P
+
+
+def freeze(A):
+    """A read-only array with the entries of A that owns its data (A itself
+    when it owns its data): what an owner keeps for its lifetime.  Over the
+    rationals the integer form and check image of a frozen array are
+    computed once, for it and its reshapes alike, and dropped with it."""
+    if A.base is not None:
+        A = A.copy()
+    A.flags.writeable = False
+    return A
+
+
+# id of a frozen array -> its integer form (N, d), resp. its check image; an
+# entry is removed when its array is collected (``_kept``)
+_FORMS = {}
+_IMAGES = {}
+
+
+def _kept(memo, A, build):
+    """build(A), computed once per frozen array: when A is a frozen array
+    (``freeze``) or a reshape of one, build(owner) is kept in memo while the
+    owner lives and returned, and the caller reshapes it to A's shape."""
+    owner = A if A.base is None else A.base  # numpy's base is the owner of the data
+    if (
+        owner.flags.writeable
+        or owner.size != A.size
+        or not (A.flags.c_contiguous and owner.flags.c_contiguous)
+    ):
+        return build(A)
+    key = id(owner)
+    if key not in memo:
+        memo[key] = build(owner)
+        weakref.finalize(owner, memo.pop, key, None)
+    return memo[key]
+
+
+def _integer_form(A):
+    """(N, d) for a rational array, as ``_numerators``; kept for frozen arrays."""
+    N, d = _kept(_FORMS, A, _numerators)
+    return N.reshape(A.shape), d
 
 
 def _numerators(A):
@@ -102,6 +186,26 @@ def _numerators(A):
 
 _NUMERATORS = np.frompyfunc(attrgetter("numerator"), 1, 1)
 _DENOMINATORS = np.frompyfunc(attrgetter("denominator"), 1, 1)
+
+
+def _check_image(field, A):
+    """The image of a 2-D array over the field that ``rank_bound`` ranks:
+    over the rationals its integer form mod the check prime, as int64 (kept
+    for frozen arrays); over GF(p) the array itself."""
+    if isinstance(field, RationalField):
+        build = lambda B: (_integer_form(B)[0] % _CHECK_FIELD.p).astype(np.int64)
+        return _kept(_IMAGES, A, build).reshape(A.shape)
+    return A
+
+
+def image_matmul(field, A, B):
+    """The image of A @ B (2-D arrays over the field) that ``rank_bound``
+    ranks, from the check images of the factors: over the rationals
+    N_A N_B mod the check prime, which is d_A d_B (A @ B) mod p (see the
+    module docstring); over GF(p) the product itself."""
+    if isinstance(field, RationalField):
+        return mod_matmul(_CHECK_FIELD.p, _check_image(field, A), _check_image(field, B))
+    return field_matmul(field, A, B)
 
 
 def mod_matmul(p, A, B):
@@ -188,10 +292,63 @@ def _rref_array(field, A, reduce_full=True):
     return A, pivots
 
 
+def _integer_rows(A):
+    """The rows of a rational array as primitive integer rows (lists of
+    ints), each with the row space of the original row."""
+    return [_primitive(row) for row in _integer_form(A)[0].tolist()]
+
+
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [u // g for u in row] if g > 1 else row
+
+
+def _rref_int(rows, ncols, reduce_full=True):
+    """In-place fraction-free elimination of integer rows (lists of ints),
+    the kernel of the rationals; returns (rows, pivot columns).
+
+    Clearing column c of a row by the pivot row replaces it by the primitive
+    part of x * row - y * pivot row, with y / x the row's entry over the
+    pivot in lowest terms: an integer row with the same span over Q
+    together with the pivot row.  The first len(pivots) rows are a row
+    echelon form, reduced (zero at every other row's pivot) when
+    reduce_full; dividing each by its pivot entry gives the RREF over Q."""
+    pivots = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        for i in range(r, nrows):
+            if rows[i][c]:
+                break
+        else:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        top = rows[r]
+        a = top[c]
+        for i in range(nrows) if reduce_full else range(r + 1, nrows):
+            b = rows[i][c]
+            if b and i != r:
+                g = gcd(a, b)
+                x, y = a // g, b // g
+                rows[i] = _primitive([x * u - y * v for u, v in zip(rows[i], top)])
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
 def rref(field, A):
     """(rows, pivots): the nonzero rows of the RREF of a 2-D array over the
-    field, as an array, and their pivot columns.  Arrays under
-    ``_NP_CELL_THRESHOLD`` cells are eliminated as lists; A is not modified."""
+    field, as an array, and their pivot columns.  Over GF(p), arrays under
+    ``_NP_CELL_THRESHOLD`` cells are eliminated as lists; over the rationals
+    by ``_rref_int``.  A is not modified."""
+    if isinstance(field, RationalField):
+        rows, piv = _rref_int(_integer_rows(A), A.shape[1])
+        zero = field.zero
+        R = [[Fraction(u, row[c]) if u else zero for u in row] for row, c in zip(rows, piv)]
+        return np.array(R, dtype=object).reshape(len(piv), A.shape[1]), piv
     if A.size >= _NP_CELL_THRESHOLD:
         R, piv = _rref_array(field, A.copy())
         return R[: len(piv)], piv
@@ -199,27 +356,31 @@ def rref(field, A):
     return field_array(field, rows[: len(piv)]).reshape(len(piv), A.shape[1]), piv
 
 
-def rank_bound(field, A):
+def rank_bound(field, image):
     """(r, exact): a lower bound r on the rank of a 2-D array over the field,
-    equal to the rank when exact; A is not modified.  Over the rationals r is
-    the rank mod the check prime (see the module docstring), exact when it
-    is min(rows, cols); over GF(p) it is the rank."""
+    equal to the rank when exact, read off its image (``_check_image``, or
+    ``image_matmul`` for a product); the image is not modified.  Over the
+    rationals r is the rank mod the check prime (see the module docstring),
+    exact when it is min(rows, cols); over GF(p) it is the rank."""
     if isinstance(field, RationalField):
-        r = _elimination_rank(_CHECK_FIELD, (_numerators(A)[0] % _CHECK_FIELD.p).astype(np.int64))
-        return r, r == min(A.shape)
-    return _elimination_rank(field, A), True
+        r = _elimination_rank(_CHECK_FIELD, image)
+        return r, r == min(image.shape)
+    return _elimination_rank(field, image), True
 
 
 def array_rank(field, A) -> int:
     """Rank of a 2-D array over the field (see ``field_array``); A is not
     modified.  Over the rationals a full rank is certified by one rank mod
     the check prime (``rank_bound``); any other is eliminated exactly."""
-    r, exact = rank_bound(field, A)
+    r, exact = rank_bound(field, _check_image(field, A))
     return r if exact else _elimination_rank(field, A)
 
 
 def _elimination_rank(field, A) -> int:
-    """Rank by elimination below the pivots only, by size as in ``rref``."""
+    """Rank by elimination below the pivots only, by field and size as in
+    ``rref``."""
+    if isinstance(field, RationalField):
+        return len(_rref_int(_integer_rows(A), A.shape[1], reduce_full=False)[1])
     if A.size >= _NP_CELL_THRESHOLD:
         return len(_rref_array(field, A.copy(), reduce_full=False)[1])
     return len(_rref_py(field, A.tolist(), A.shape[1], reduce_full=False)[1])
@@ -234,22 +395,46 @@ def rank_reaches(field, blocks, target):
     and its nonzero rows are kept: every kept row vanishes at the pivots of
     the rows kept before it, so clearing pivots in the order kept is a
     complete reduction.  The stream stops at the first block after which the
-    rank reaches target.
+    rank reaches target.  Over the rationals the rows are primitive integer
+    rows, cleared as in ``_rref_int``.
     """
     if target <= 0:
         return True
+    rational = isinstance(field, RationalField)
     echelon, pivots = [], []
     for block in blocks:
+        if rational:
+            block = np.array(_integer_rows(block), dtype=object).reshape(block.shape)
         for row, c in zip(echelon, pivots):
             sel = np.nonzero(block[:, c])[0]
-            if sel.size:
+            if not sel.size:
+                continue
+            if rational:
+                block[sel] = _clear_int(block[sel], row, c)
+            else:
                 block[sel] = field_reduce(field, block[sel] - np.outer(block[sel, c], row))
-        A, piv = _rref_array(field, block, reduce_full=False)
-        echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
+        if rational:
+            rows = [r for r in block.tolist() if any(r)]
+            rows, piv = _rref_int(rows, block.shape[1], reduce_full=False)
+            echelon.extend(np.array(r, dtype=object) for r in rows[: len(piv)])
+        else:
+            A, piv = _rref_array(field, block, reduce_full=False)
+            echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
         pivots.extend(piv)
         if len(pivots) >= target:
             return True
     return False
+
+
+def _clear_int(B, top, c):
+    """The integer rows B with column c cleared by the integer row top, each
+    row the primitive part of x * row - y * top as in ``_rref_int``."""
+    a, b = top[c], B[:, c]
+    g = np.gcd(b, a)
+    M = B * (a // g)[:, None] - np.outer(b // g, top)
+    h = np.gcd.reduce(M, axis=1)
+    h[h == 0] = 1
+    return M // h[:, None]
 
 
 def reduce_rref(field, rows, pivots, V):

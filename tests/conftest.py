@@ -131,22 +131,24 @@ def fraction_det(rows):
 
 
 def count_eliminations(monkeypatch, rational_ranks_only=False):
-    """A list that grows by one per elimination (``_rref_py``/``_rref_array``);
-    with rational_ranks_only, per exact elimination over Q run by
-    ``array_rank`` (not its mod-p bound, nor ``rref``)."""
+    """A list that grows by one per elimination (``_rref_py``/``_rref_array``
+    and the rational kernel ``_rref_int``); with rational_ranks_only, per
+    exact elimination over Q run by ``array_rank`` (not its mod-p bound, nor
+    ``rref``)."""
     import totref.linalg as linalg
 
     calls = []
-    for name in ("_rref_array", "_rref_py"):
+    for name in ("_rref_array", "_rref_py", "_rref_int"):
         real = getattr(linalg, name)
 
-        def counted(field, *args, _real=real, **kwargs):
+        def counted(*args, _real=real, _name=name, **kwargs):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code.co_name != "array_rank":
                 frame = frame.f_back
-            if not rational_ranks_only or (field.kind == "qq" and frame is not None):
+            rational = _name == "_rref_int" or args[0].kind == "qq"
+            if not rational_ranks_only or (rational and frame is not None):
                 calls.append(1)
-            return _real(field, *args, **kwargs)
+            return _real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, counted)
     return calls

@@ -259,6 +259,40 @@ def test_verify_malformed_file(tmp_path):
     assert main(["verify", str(bad)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, key, value",
+    [
+        ([], "differentials", 1.5),
+        ([], "differentials", True),
+        (["--rational"], "differentials", "1/0"),
+        (["--rational"], "differentials", 1.5),
+        (["--rational"], "differentials", True),
+        ([], "constants", 0.0),
+        (["--rational"], "constants", "0/0"),
+    ],
+    ids=["gf_float", "gf_bool", "qq_zero_denominator", "qq_float", "qq_bool",
+         "gf_constant_float", "qq_constant_zero_denominator"],
+)
+def test_verify_refuses_malformed_coordinates(capsys, c4_file, tmp_path, field, key, value):
+    """A coordinate encode never writes (a float, a bool, a zero denominator)
+    is refused, in the differentials and in the constants: it was read as
+    int(1.5) == int(True) == 1, or ended in a ZeroDivisionError traceback."""
+    src = str(tmp_path / "src.json")
+    assert main(["build", c4_file, "--mode", "ezd", "--out", src] + field) == 0
+    capsys.readouterr()
+    obj = json.loads(open(src).read())
+    if key == "differentials":
+        obj["differentials"][0][0][0][0] = value
+    else:
+        obj["constants"] = [[[0] * len(row) for row in mat] for mat in obj["differentials"]]
+        obj["constants"][0][0][0] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    assert main(["verify", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: complex file differentials are malformed: "), err
+
+
 def test_text_report_renders(capsys, c4_file):
     code = main(["analyze", c4_file])
     out = capsys.readouterr().out
@@ -397,6 +431,11 @@ FACTORY_RANDOM_SHA256 = {
     "rational": (["--rational", "--seed", "3", "--forward", "2", "--backward", "2"],
                  "00bc7dca34238728522d6db05e7762eb53b2bcde5d938d1b7fc294e17007a70d",
                  "33a96a06bac49dc2b94f77df0512adce7de294a48fc0578e9d26fe7f5dcf2638"),
+    # the shape of the benchmark's rational windows: numerators and denominators of
+    # about 200 digits
+    "rational_4x4": (["--rational", "--seed", "3", "--forward", "4", "--backward", "4"],
+                     "42805bf10391404b5b9f904e1afe2c704df6020a12d18594a71213cdd295ce3c",
+                     "95fb3f8b2f9390d4334c05f6c9f1c9cfc009fea89336c00fd6f8420000d400f2"),
 }
 
 

@@ -470,6 +470,62 @@ def test_rational_rank_matches_sympy(case):
     assert (A == before).all()
 
 
+_HUGE = 10**60
+
+
+@st.composite
+def fraction_free_cases(draw):
+    """A rational matrix of at most 7 x 7, empty shapes included: entries
+    drawn directly (numerators and denominators up to 10**60) or as a product
+    L R of such entries (rank at most the inner dimension), then some rows
+    and columns zeroed."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    elt = st.one_of(
+        st.just(Fraction(0)),
+        st.sampled_from(_MODULAR_TRAPS),
+        st.fractions(-9, 9, max_denominator=9),
+        st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE)),
+    )
+    if draw(st.booleans()):
+        entries = [[draw(elt) for _ in range(cols)] for _ in range(rows)]
+    else:
+        inner = draw(st.integers(0, min(rows, cols)))
+        left = [[draw(elt) for _ in range(inner)] for _ in range(rows)]
+        right = [[draw(elt) for _ in range(cols)] for _ in range(inner)]
+        entries = list_product(QQ, left, right, cols)
+    zero_rows = draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows))
+    zero_cols = draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols))
+    entries = [
+        [Fraction(0) if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)]
+        for i, row in enumerate(entries)
+    ]
+    return entries, cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(fraction_free_cases())
+@example(([[Fraction(P), Fraction(0)], [Fraction(0), Fraction(1)]], 2))
+@example(([[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]], 2))
+@example(([], 0))
+@example(([], 3))
+@example(([[], []], 0))
+def test_fraction_free_kernel_matches_sympy(case):
+    """The rational kernel against sympy's DomainMatrix over QQ: the RREF rows
+    and pivots of rref, the exact elimination rank, array_rank (check prime
+    first) and rank_reaches at the rank and one above it."""
+    entries, cols = case
+    A = _rational_array(entries, cols)
+    before = A.copy()
+    rank = _sympy_rank(entries, cols)
+    R, piv = linalg.rref(QQ, A)
+    assert (R.tolist(), piv) == _sympy_rref(QQ, entries, cols)
+    assert all(type(x) is Fraction for row in R.tolist() for x in row)
+    assert linalg._elimination_rank(QQ, A) == array_rank(QQ, A) == rank
+    assert (A == before).all()
+    assert rank_reaches(QQ, [A.copy()], rank)
+    assert not rank_reaches(QQ, np.array_split(A.copy(), 2), rank + 1)
+
+
 def test_rational_rank_falls_back_when_the_check_prime_drops_it():
     """Full-rank integer matrices whose rank drops mod the check prime: the
     exact elimination still gives the rational rank."""
@@ -530,3 +586,33 @@ def test_only_linalg_names_the_int64_decision():
         if names & decision:
             seen[path.name] = names & decision
     assert seen == {"linalg.py": decision}
+
+
+def test_frozen_arrays_keep_their_integer_forms_only_while_they_live(c4):
+    """Tables, quotient projections and window differentials are frozen:
+    they refuse assignment.  Over Q their integer forms and check images are
+    kept while they live and dropped with them: nothing is left once the
+    ring and the window are collected."""
+    import gc
+
+    from totref import EzdPair, ezd_complex, reduction_chain
+
+    kept = set(linalg._FORMS) | set(linalg._IMAGES)
+    chain = reduction_chain(c4, cutoff=3, field=QQ)
+    R = chain.bottom
+    x, y = R.generators()
+    w = ezd_complex(R, EzdPair(x + y, x - y, True), half_length=3)
+    frozen = [R.np_table(1, 1), chain.steps[0]._proj[1], w.diff(w.lo + 1)]
+    for A in frozen:
+        with pytest.raises(ValueError, match="read-only"):
+            A[(0,) * A.ndim] = QQ.one
+    assert w.graded_exactness().exact
+    new = (set(linalg._FORMS) | set(linalg._IMAGES)) - kept
+    assert {id(R.np_table(1, 1)), id(w.diff(w.lo + 1))} <= new
+    # the integer form of a frozen array is built once, reshapes included
+    T = R.np_table(1, 1)
+    N, d = linalg._integer_form(T.reshape(T.shape[0], -1))
+    assert N.base is linalg._FORMS[id(T)][0] and d == 1
+    del chain, R, x, y, w, frozen, A, T, N
+    gc.collect()
+    assert not (set(linalg._FORMS) | set(linalg._IMAGES)) - kept
