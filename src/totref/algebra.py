@@ -585,7 +585,7 @@ def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
     seed, level = desc.get("seed", 0), desc.get("level")
     if not isinstance(desc.get("graph"), dict) or desc.get("mode") not in ("canonical", "generic"):
         raise AlgebraError("chain descriptor needs a graph and a mode, canonical or generic")
-    if not (isinstance(seed, int) and isinstance(level, int) and level in (0, 1, 2)):
+    if not (type(seed) is int and type(level) is int and level in (0, 1, 2)):
         raise AlgebraError("chain descriptor needs an integer seed and a level 0, 1 or 2")
     return reduction_chain(parse_graph(desc["graph"]), desc["mode"], seed, cutoff, field, retries)
 

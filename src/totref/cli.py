@@ -37,18 +37,30 @@ from .graphs import Graph, GraphError, load_graph, necessary_conditions
 from .lifting import LiftError, lift_through_sequence
 
 
+# the subcommands that read each of these shared options; the others refuse it
+_READ_BY = {
+    "degree_bound": ("lift", "verify"),
+    **dict.fromkeys(("seed", "forward", "backward"), ("analyze", "build", "factory")),
+}
+
+
 @dataclass
 class RunConfig:
     field: object
     degree_bound: Optional[int]  # None: no bound was given
-    seed: int
+    seed: Optional[int]  # None (like forward and backward) where not read
     retries: int
-    forward: int
-    backward: int
+    forward: Optional[int]
+    backward: Optional[int]
     as_json: bool
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
+        for name, commands in _READ_BY.items():
+            if args.command not in commands and getattr(args, name) is not None:
+                option = "--" + name.replace("_", "-")
+                listed = ", ".join(commands[:-1]) + " and " + commands[-1]
+                raise ValueError(f"{option} applies to {listed} only")
         if args.rational and args.prime is not None:
             raise ValueError("--prime and --rational exclude each other")
         if args.rational:
@@ -57,7 +69,7 @@ class RunConfig:
             field = PrimeField(DEFAULT_PRIME if args.prime is None else args.prime)
         if args.degree_bound is not None and args.degree_bound < 2:
             raise ValueError("--degree-bound must be at least 2")
-        if args.forward < 0 or args.backward < 0:
+        if any(n is not None and n < 0 for n in (args.forward, args.backward)):
             raise ValueError("--forward and --backward must be non-negative")
         return cls(
             field=field,
@@ -136,14 +148,7 @@ def _search_ezd(graph: Graph, R, config: RunConfig, rng):
     return find_ezd(R, "random", trials=config.retries, rng=rng)
 
 
-def _refuse_degree_bound(args) -> None:
-    """analyze, build and factory run no bounded exactness check."""
-    if args.degree_bound is not None:
-        raise ValueError("--degree-bound applies to lift and verify only")
-
-
 def cmd_analyze(args) -> int:
-    _refuse_degree_bound(args)
     config = RunConfig.from_args(args)
     graph = load_graph(args.graph)
     if not graph.is_connected():
@@ -257,7 +262,6 @@ def _load_build_graph(args) -> Graph:
 
 
 def cmd_build(args) -> int:
-    _refuse_degree_bound(args)
     config = RunConfig.from_args(args)
     graph = _load_build_graph(args)
     rng = Random(config.seed)
@@ -394,10 +398,10 @@ def _common_options() -> argparse.ArgumentParser:
         help="internal degree bound for exactness checks, lift and verify only "
         "(lift: only the cutoff of the written ring, default 5)",
     )
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
+    common.add_argument("--seed", type=int, help="seed for all randomized choices (default 0)")
     common.add_argument("--retries", type=int, default=64, help="resampling / search budget")
-    common.add_argument("--forward", type=int, default=4, help="window extension steps forward")
-    common.add_argument("--backward", type=int, default=4, help="window extension steps backward")
+    common.add_argument("--forward", type=int, help="window extension steps forward (default 4)")
+    common.add_argument("--backward", type=int, help="window extension steps backward (default 4)")
     common.add_argument("--json", action="store_true", help="emit reports as JSON")
     return common
 
@@ -412,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", parents=[_common_options()], help="full condition report for a graph")
     p.add_argument("graph", help="graph JSON file")
-    p.set_defaults(func=cmd_analyze, forward=2, backward=2)
+    p.set_defaults(func=cmd_analyze, seed=0, forward=2, backward=2)
 
     p = sub.add_parser("build", parents=[_common_options()], help="build a certified window")
     p.add_argument("graph", nargs="?", help="graph JSON file")
@@ -420,12 +424,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("ezd", "factory"), default="ezd")
     p.add_argument("--canonical", action="store_true", help="use the explicit periodic blocks")
     p.add_argument("--out", help="output path for the complex JSON")
-    p.set_defaults(func=cmd_build)
+    p.set_defaults(func=cmd_build, seed=0, forward=4, backward=4)
 
     p = sub.add_parser("factory", parents=[_common_options()], help="window over the built-in special ring")
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--out", help="output path for the complex JSON")
-    p.set_defaults(func=cmd_factory)
+    p.set_defaults(func=cmd_factory, seed=0, forward=4, backward=4)
 
     p = sub.add_parser("lift", parents=[_common_options()], help="lift a window up its reduction chain")
     p.add_argument("complex", help="complex JSON file (with chain descriptor)")

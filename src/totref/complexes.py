@@ -271,9 +271,20 @@ class FreeComplexWindow:
         the ring its algebra entry names (``GradedAlgebra.from_json``)."""
         if not isinstance(obj, dict) or obj.get("format") != "complex":
             raise ComplexError("not a complex file")
+        # exact types, as JSON gives them: a bool is no int
         for key, kind in _REQUIRED_FIELDS:
-            if not isinstance(obj.get(key), kind):
+            if type(obj.get(key)) is not kind:
                 raise ComplexError(f"complex file field {key!r} is missing or not a {kind.__name__}")
+        if type(obj.get("base_twist", 0)) is not int:
+            raise ComplexError("complex file field 'base_twist' is not an int")
+        if any(type(b) is not int for b in obj["betti"]):
+            raise ComplexError("complex file field 'betti' is not a list of ints")
+        per = obj.get("periodic")
+        if per is not None and not (
+            type(per) is dict and type(per.get("period")) is int
+            and type(per.get("verified", False)) is bool
+        ):
+            raise ComplexError("complex file field 'periodic' is not null or an int period")
         if algebra is None:
             algebra = GradedAlgebra.from_json(obj["algebra"], retries=retries)
         f = algebra.field
@@ -284,7 +295,6 @@ class FreeComplexWindow:
             ]
         except (TypeError, ValueError) as exc:
             raise ComplexError(f"complex file differentials are malformed: {exc}") from exc
-        per = obj.get("periodic")
         return cls(
             algebra,
             obj["lo"],

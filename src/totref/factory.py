@@ -40,7 +40,7 @@ from .complexes import (
 )
 from .graphs import Graph
 from .linalg import (
-    Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros, freeze,
+    Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, freeze, rref, solve,
 )
 
 
@@ -75,15 +75,9 @@ TEN_VERTEX_PARTITION = (("x1", "x2", "y1", "y2"), ("x3", "x4", "y3", "y4"))
 
 
 def _greedy_basis(field, ambient, vectors):
-    """First vectors (in order) that enlarge the span; returns their indices."""
-    chosen = []
-    span = Subspace.zero(field, ambient)
-    for k, v in enumerate(vectors):
-        bigger = span.sum(Subspace.from_vectors(field, ambient, [v]))
-        if bigger.dim > span.dim:
-            chosen.append(k)
-            span = bigger
-    return chosen
+    """Indices of the first vectors (in order) that enlarge the span: the
+    pivot columns of the vectors taken as columns."""
+    return rref(field, field_array(field, vectors).reshape(len(vectors), ambient).T)[1]
 
 
 @dataclass
@@ -331,7 +325,7 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
 
 def _solve_columns(ring: SpecialRing, mat, side: str):
     """Columns c1, c2 with (induced mat) c_i = (delta, 0) resp. (0, delta),
-    both read off one elimination of [M | rhs1 rhs2]; the b-side right-hand
+    both from one ``linalg.solve`` of M X = [rhs1 rhs2]; the b-side right-hand
     sides carry -delta, baked into the side's delta.  The solution holds the
     side coordinates of c1 and c2, whose forms are one product with the
     side generators."""
@@ -341,11 +335,9 @@ def _solve_columns(ring: SpecialRing, mat, side: str):
     M = induced_matrix(ring, mat, side)
     zeros = [f.zero] * m
     rhs = field_array(f, [s.delta + zeros, zeros + s.delta]).T
-    rows, piv = Matrix(f, np.hstack([M.array, rhs])).rref()
-    if piv and piv[-1] >= 2 * m:
+    sol = solve(f, M.array, rhs)
+    if sol is None:
         raise ExtensionError(f"side {side!r} system is singular")
-    sol = field_zeros(f, (2 * m, 2))
-    sol[piv] = rows[:, 2 * m :]
     # sol.T[slot, r*m:(r+1)*m] are the coordinates of the entry (r, slot)
     forms = ring.side_forms(side, sol.T.reshape(4, m)).reshape(2, 2, ring.ring.dims[1])
     return forms.transpose(1, 0, 2)

@@ -127,13 +127,26 @@ class Graph:
 
 
 def parse_graph(obj: dict) -> Graph:
-    try:
-        vertices = obj["vertices"]
-        edges = obj["edges"]
-        set(vertices).union(*edges)  # labels must be hashable
-    except (KeyError, TypeError) as exc:
-        raise GraphError(f"malformed graph object: {exc}") from exc
-    return Graph(vertices, edges, obj.get("bipartition"))
+    """The graph of an object as ``Graph.to_json`` writes it."""
+    get = obj.get if isinstance(obj, dict) else {}.get
+    vertices, edges, sides = get("vertices"), get("edges"), get("bipartition")
+    if not (
+        _labels(vertices) and isinstance(edges, list) and all(_labels(e, 2) for e in edges)
+        and (sides is None or isinstance(sides, list) and len(sides) == 2)
+        and all(map(_labels, sides or ()))
+    ):
+        raise GraphError(
+            "malformed graph object: it needs string vertex labels, edges as label pairs "
+            "and no bipartition or one of two label lists"
+        )
+    return Graph(vertices, edges, sides)
+
+
+def _labels(value, size=None) -> bool:
+    """value is a list of string labels, of the size when given."""
+    return isinstance(value, list) and all(isinstance(v, str) for v in value) and (
+        size in (None, len(value))
+    )
 
 
 def load_graph(path) -> Graph:

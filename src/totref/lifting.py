@@ -35,7 +35,7 @@ from .complexes import (
     linear_matrix,
     matrix_product,
 )
-from .linalg import field_matmul, field_reduce, field_zeros, rref
+from .linalg import field_matmul, field_reduce, field_zeros, solve
 
 
 class LiftError(ValueError):
@@ -64,16 +64,14 @@ def lift_matrix(D, qmap: QuotientMap):
 
 def correction_matrix(d_i, d_ip1, x, S: GradedAlgebra):
     """The unique M with  d_i d_ip1 = x * M (x given by its S_1 coordinates):
-    one elimination of [x· | every entry of the product] from S_1 to S_2,
-    then one exact check that x * M reproduces the product."""
+    one ``linalg.solve`` of x· M = every entry of the product (x·: S_1 ->
+    S_2), then one exact check that x * M reproduces the product."""
     f, n1 = S.field, S.dims[1]
     P = matrix_product(d_i, d_ip1, S)
     X = S.mult_map_array(x, 1, 1)  # S_1 -> S_2
-    R, piv = rref(f, np.hstack([X, _flat(P).T]))
-    if piv and piv[-1] >= n1:
+    M = solve(f, X, _flat(P).T)
+    if M is None:
         raise LiftError("product is not divisible by x (is x regular, and the source a complex?)")
-    M = field_zeros(f, (n1, P.shape[0] * P.shape[1]))
-    M[piv] = R[:, n1:]
     if (field_matmul(f, M.T, X.T) != _flat(P)).any():
         raise LiftError("correction solve failed to reproduce the product")
     return M.T.reshape(P.shape[:2] + (n1,))

@@ -14,10 +14,10 @@ one product and ``rref``/``array_rank``/``rank_reaches`` eliminate them;
 overflow: ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2)
 products before reducing.
 
-Over GF(p) size alone decides how an array is eliminated: under
-``_NP_CELL_THRESHOLD`` cells as a list of rows (``_rref_py``), where numpy's
-per-call overhead dominates, and otherwise as the array itself
-(``_rref_array``).
+One choice (``_echelon``) decides how ``rref`` and every rank eliminate: a
+GF(p) array of ``_NP_CELL_THRESHOLD`` cells or more as the array itself
+(``_rref_array``), a smaller one, where numpy's per-call overhead would
+dominate, and every rational one as a list of int rows (``_rref_int``).
 
 Over the rationals nothing is eliminated in Fractions.  A rational array A is
 N / d, N an integer array over one common denominator d (its integer form).
@@ -58,8 +58,8 @@ import numpy as np
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 
 # below this many cells list elimination wins on numpy's per-call overhead (an
-# 8x8 rank: about 100 us as lists, 185 us as an array); from about 12x12 on
-# the array wins on every field
+# 8x8 GF(p) rank on 2 vCPUs: 50-70 us as lists, 130-150 us as an array); from
+# about 16x16 on the array is as fast or faster
 _NP_CELL_THRESHOLD = 100
 _NP_PRIME_BOUND = 2**31
 # the modulus of the rational rank bound in ``rank_bound``
@@ -234,36 +234,6 @@ def _most_products(A, B) -> int:
     )
 
 
-def _rref_py(field, rows, ncols, reduce_full=True):
-    """In-place RREF of a list of row vectors; returns (rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if not field.is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = field.inv(rows[r][c])
-        rows[r] = [field.mul(inv, x) for x in rows[r]]
-        rng = range(nrows) if reduce_full else range(r + 1, nrows)
-        for i in rng:
-            if i != r and not field.is_zero(rows[i][c]):
-                f = rows[i][c]
-                ri, rr_ = rows[i], rows[r]
-                rows[i] = [field.sub(a, field.mul(f, b)) for a, b in zip(ri, rr_)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows, pivots
-
-
 def _rref_array(field, A, reduce_full=True):
     """In-place RREF of a 2-D array over the field (canonical entries), int64
     or ``object`` alike; returns (A, pivot columns)."""
@@ -304,16 +274,19 @@ def _primitive(row):
     return [u // g for u in row] if g > 1 else row
 
 
-def _rref_int(rows, ncols, reduce_full=True):
-    """In-place fraction-free elimination of integer rows (lists of ints),
-    the kernel of the rationals; returns (rows, pivot columns).
+def _rref_int(rows, ncols, p=None, reduce_full=True):
+    """In-place elimination of integer rows (lists of ints) over GF(p), or
+    fraction-free over Q when p is None; returns (rows, pivot columns).
 
-    Clearing column c of a row by the pivot row replaces it by the primitive
+    Over GF(p) (representatives in [0, p)) each pivot row v is made monic
+    and clears a row u with entry b over it as (u - b * v) % p.  Over Q
+    clearing column c of a row by the pivot row replaces it by the primitive
     part of x * row - y * pivot row, with y / x the row's entry over the
     pivot in lowest terms: an integer row with the same span over Q
     together with the pivot row.  The first len(pivots) rows are a row
     echelon form, reduced (zero at every other row's pivot) when
-    reduce_full; dividing each by its pivot entry gives the RREF over Q."""
+    reduce_full: the RREF over GF(p), and over Q once each row is divided
+    by its pivot entry."""
     pivots = []
     r = 0
     nrows = len(rows)
@@ -323,15 +296,22 @@ def _rref_int(rows, ncols, reduce_full=True):
                 break
         else:
             continue
-        rows[r], rows[i] = rows[i], rows[r]
-        top = rows[r]
+        top = rows[i]
+        rows[i] = rows[r]
+        if p is not None:
+            inv = pow(top[c], -1, p)
+            top = [u * inv % p for u in top]
+        rows[r] = top
         a = top[c]
         for i in range(nrows) if reduce_full else range(r + 1, nrows):
             b = rows[i][c]
             if b and i != r:
-                g = gcd(a, b)
-                x, y = a // g, b // g
-                rows[i] = _primitive([x * u - y * v for u, v in zip(rows[i], top)])
+                if p is not None:
+                    rows[i] = [(u - b * v) % p for u, v in zip(rows[i], top)]
+                else:
+                    g = gcd(a, b)
+                    x, y = a // g, b // g
+                    rows[i] = _primitive([x * u - y * v for u, v in zip(rows[i], top)])
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -339,21 +319,39 @@ def _rref_int(rows, ncols, reduce_full=True):
     return rows, pivots
 
 
+def _echelon(field, A, reduce_full=True):
+    """(R, pivots) of a 2-D array over the field, A not modified: R is an
+    array from ``_rref_array`` at GF(p) sizes of ``_NP_CELL_THRESHOLD`` cells
+    or more, else the int rows of ``_rref_int``."""
+    if isinstance(field, RationalField):
+        return _rref_int(_integer_rows(A), A.shape[1], None, reduce_full)
+    if A.size >= _NP_CELL_THRESHOLD:
+        return _rref_array(field, A.copy(), reduce_full)
+    return _rref_int(A.tolist(), A.shape[1], field.p, reduce_full)
+
+
 def rref(field, A):
     """(rows, pivots): the nonzero rows of the RREF of a 2-D array over the
-    field, as an array, and their pivot columns.  Over GF(p), arrays under
-    ``_NP_CELL_THRESHOLD`` cells are eliminated as lists; over the rationals
-    by ``_rref_int``.  A is not modified."""
-    if isinstance(field, RationalField):
-        rows, piv = _rref_int(_integer_rows(A), A.shape[1])
-        zero = field.zero
-        R = [[Fraction(u, row[c]) if u else zero for u in row] for row, c in zip(rows, piv)]
-        return np.array(R, dtype=object).reshape(len(piv), A.shape[1]), piv
-    if A.size >= _NP_CELL_THRESHOLD:
-        R, piv = _rref_array(field, A.copy())
+    field, as an array, and their pivot columns (see ``_echelon``).  A is
+    not modified."""
+    R, piv = _echelon(field, A)
+    if isinstance(R, np.ndarray):
         return R[: len(piv)], piv
-    rows, piv = _rref_py(field, A.tolist(), A.shape[1])
-    return field_array(field, rows[: len(piv)]).reshape(len(piv), A.shape[1]), piv
+    if isinstance(field, RationalField):
+        R = [[Fraction(u, row[c]) if u else field.zero for u in row] for row, c in zip(R, piv)]
+    return field_array(field, R[: len(piv)]).reshape(len(piv), A.shape[1]), piv
+
+
+def solve(field, A, B):
+    """Some X with A @ X = B (2-D arrays over the field), or None when the
+    system is inconsistent: read off one RREF of [A | B]."""
+    n = A.shape[1]
+    R, piv = rref(field, np.hstack([A, B]))
+    if piv and piv[-1] >= n:
+        return None  # a pivot in B's columns
+    X = field_zeros(field, (n, B.shape[1]))
+    X[piv] = R[:, n:]
+    return X
 
 
 def rank_bound(field, image):
@@ -377,13 +375,8 @@ def array_rank(field, A) -> int:
 
 
 def _elimination_rank(field, A) -> int:
-    """Rank by elimination below the pivots only, by field and size as in
-    ``rref``."""
-    if isinstance(field, RationalField):
-        return len(_rref_int(_integer_rows(A), A.shape[1], reduce_full=False)[1])
-    if A.size >= _NP_CELL_THRESHOLD:
-        return len(_rref_array(field, A.copy(), reduce_full=False)[1])
-    return len(_rref_py(field, A.tolist(), A.shape[1], reduce_full=False)[1])
+    """Rank by elimination below the pivots only (see ``_echelon``)."""
+    return len(_echelon(field, A, reduce_full=False)[1])
 
 
 def rank_reaches(field, blocks, target):
@@ -444,30 +437,22 @@ def reduce_rref(field, rows, pivots, V):
     return field_reduce(field, V - field_matmul(field, V[:, pivots], rows))
 
 
-def rref_trailing(field, A):
-    """Echelon form pivoting on the *last* nonzero coordinate of each row.
-
-    Equivalent to ordinary RREF after reversing the coordinate order.  Used to
-    pick quotient complements that discard the last basis labels (so e.g. a
-    quotient by x1+...+x5 eliminates x5 and keeps x1..x4).
-    Returns (rows, pivot columns), both in the original orientation.
-    """
-    n = A.shape[1]
-    R, piv = rref(field, A[:, ::-1])
-    return R[:, ::-1], [n - 1 - c for c in piv]
-
-
 def quotient_projection(field, A):
     """(keep, P) for the quotient of field^n by the row span of A.
 
-    keep lists the coordinates not pivoted on by ``rref_trailing``; they index
-    the quotient basis.  The class of a row vector v has coordinates v P,
-    where P is n x len(keep) with P[keep] = I and P[pivots] = -rows[:, keep].
+    The RREF of A with its coordinates reversed pivots on the *last* nonzero
+    coordinate of each row, so the quotient complement discards the last
+    basis labels (a quotient by x1+...+x5 eliminates x5 and keeps x1..x4).
+    keep lists the coordinates not pivoted on; they index the quotient
+    basis.  The class of a row vector v has coordinates v P, where P is
+    n x len(keep) with P[keep] = I and P[pivots] = -rows[:, keep].
     """
-    rows, piv = rref_trailing(field, A)
+    n = A.shape[1]
+    rows, piv = rref(field, A[:, ::-1])
+    rows, piv = rows[:, ::-1], [n - 1 - c for c in piv]
     pivset = set(piv)
-    keep = [c for c in range(A.shape[1]) if c not in pivset]
-    P = field_zeros(field, (A.shape[1], len(keep)))
+    keep = [c for c in range(n) if c not in pivset]
+    P = field_zeros(field, (n, len(keep)))
     P[keep, range(len(keep))] = field.one
     P[piv] = field_reduce(field, -rows[:, keep])
     return keep, P
@@ -533,16 +518,9 @@ class Matrix:
         """Some x with self @ x = rhs, or None when inconsistent."""
         if len(rhs) != self.rows:
             raise ValueError("shape mismatch")
-        f = self.field
-        if self.rows == 0:
-            return [f.zero] * self.cols
-        b = field_array(f, list(rhs)).reshape(self.rows, 1)
-        R, piv = rref(f, np.hstack([self.array, b]))
-        if piv and piv[-1] == self.cols:
-            return None  # pivot in the augmented column: inconsistent
-        x = field_zeros(f, self.cols)
-        x[piv] = R[:, self.cols]
-        return x.tolist()
+        b = field_array(self.field, list(rhs)).reshape(self.rows, 1)
+        x = solve(self.field, self.array, b)
+        return None if x is None else x[:, 0].tolist()
 
     def left_inverse(self) -> "Matrix":
         """A left inverse L (L @ self = I), read off the RREF of [self | I];

@@ -131,27 +131,46 @@ def fraction_det(rows):
 
 
 def count_eliminations(monkeypatch, rational_ranks_only=False):
-    """A list that grows by one per elimination (``_rref_py``/``_rref_array``
-    and the rational kernel ``_rref_int``); with rational_ranks_only, per
-    exact elimination over Q run by ``array_rank`` (not its mod-p bound, nor
-    ``rref``)."""
+    """A list that grows by one per elimination (``_rref_array``, and
+    ``_rref_int`` on every field); with rational_ranks_only, per exact
+    elimination over Q (``_rref_int`` without a modulus) run by
+    ``array_rank`` (not its mod-p bound, nor ``rref``)."""
     import totref.linalg as linalg
 
     calls = []
-    for name in ("_rref_array", "_rref_py", "_rref_int"):
+    for name in ("_rref_array", "_rref_int"):
         real = getattr(linalg, name)
 
         def counted(*args, _real=real, _name=name, **kwargs):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code.co_name != "array_rank":
                 frame = frame.f_back
-            rational = _name == "_rref_int" or args[0].kind == "qq"
+            p = args[2] if len(args) > 2 else kwargs.get("p")
+            rational = _name == "_rref_int" and p is None
             if not rational_ranks_only or (rational and frame is not None):
                 calls.append(1)
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, counted)
     return calls
+
+
+def _sympy_rref(field, entries, cols):
+    """Reference RREF from sympy's DomainMatrix, over GF(p) or QQ: the
+    nonzero rows (lists) and the pivot columns."""
+    from sympy import GF as SympyGF, QQ as SympyQQ
+    from sympy.polys.matrices import DomainMatrix
+
+    if field.kind == "qq":
+        K = SympyQQ
+        to_k = lambda x: K(Fraction(x).numerator, Fraction(x).denominator)
+        back = lambda x: Fraction(int(K.numer(x)), int(K.denom(x)))
+    else:
+        K = SympyGF(field.p)
+        to_k, back = K, lambda x: K.to_int(x) % field.p
+    dm = DomainMatrix([[to_k(x) for x in row] for row in entries], (len(entries), cols), K)
+    ref, piv = dm.rref()
+    return [[back(x) for x in row] for row in ref.to_list()[: len(piv)]], list(piv)
 
 
 def element_rows(R, D, degree=1):

@@ -18,9 +18,9 @@ from totref import (
 )
 
 from totref.fields import PrimeField, RationalField
-from totref.linalg import _rref_py, field_array
+from totref.linalg import field_array
 
-from conftest import EXAMPLE_RING_RELATIONS, random_bipartite_connected
+from conftest import EXAMPLE_RING_RELATIONS, _sympy_rref, random_bipartite_connected
 
 
 def test_stanley_reisner_dimension_formula(ten_vertex_g, c4, gf):
@@ -322,15 +322,16 @@ def test_mult_map_matrix_many_summands_do_not_overflow(gf):
 
 
 # -- differential test of the quotient tables ------------------------------------
-# The oracle is the per-entry normal form: trailing-pivot list elimination of
-# the relation rows, then each vector cleared pivot by pivot in list arithmetic.
+# The oracle is the per-entry normal form: sympy's RREF of the reversed
+# relation rows (a trailing-pivot elimination), then each vector cleared
+# pivot by pivot in list arithmetic.
 
 
 def _complement_oracle(field, rows, ncols):
     """(echelon rows, pivots, kept coordinates) of field^ncols modulo the span
     of rows, pivoting on the trailing coordinate."""
-    rr, piv = _rref_py(field, [list(r)[::-1] for r in rows], ncols)
-    rr = [r[::-1] for r in rr[: len(piv)]]
+    rr, piv = _sympy_rref(field, [list(r)[::-1] for r in rows], ncols)
+    rr = [r[::-1] for r in rr]
     piv = [ncols - 1 - c for c in piv]
     return rr, piv, [c for c in range(ncols) if c not in set(piv)]
 

@@ -495,20 +495,32 @@ def test_subcommand_defaults_stay_separate():
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, option, commands",
     [
-        ["analyze", str(GRAPHS / "four_cycle.json")],
-        ["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd"],
-        ["factory", "--forward", "1", "--backward", "1"],
+        (["analyze", str(GRAPHS / "four_cycle.json")], ["--degree-bound", "3"], "lift and verify"),
+        (["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd"], ["--degree-bound", "3"],
+         "lift and verify"),
+        (["factory", "--forward", "1", "--backward", "1"], ["--degree-bound", "3"],
+         "lift and verify"),
+        (["lift"], ["--seed", "4"], "analyze, build and factory"),
+        (["lift"], ["--forward", "9"], "analyze, build and factory"),
+        (["verify"], ["--seed", "4", "--forward", "9"], "analyze, build and factory"),
+        (["verify"], ["--backward", "4"], "analyze, build and factory"),
     ],
-    ids=["analyze", "build", "factory"],
+    ids=["analyze", "build", "factory", "lift_seed", "lift_forward", "verify_seed_forward",
+         "verify_backward"],
 )
-def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv):
+def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv, option, commands):
+    """Each subcommand refuses every shared option it does not read, even at
+    its default value: lift and verify once accepted and ignored --seed,
+    --forward and --backward."""
+    if argv[0] in ("lift", "verify"):
+        argv = argv + [str(_four_cycle_window(capsys, tmp_path))]
     out = tmp_path / "w.json"
-    extra = ["--out", str(out)] if argv[0] != "analyze" else []
-    assert main(argv + extra + ["--degree-bound", "3", "--json"]) == 1
+    extra = ["--out", str(out)] if argv[0] not in ("analyze", "verify") else []
+    assert main(argv + extra + option + ["--json"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: --degree-bound applies to lift and verify only\n"
+    assert captured.err == f"error: {option[0]} applies to {commands} only\n"
     assert captured.out == "" and not out.exists()
 
 
@@ -689,6 +701,70 @@ def test_verify_does_not_verify_a_vacuous_period(capsys, tmp_path):
         assert rep["periodic_verified"] is verified
 
 
+@pytest.mark.parametrize("command", ["verify", "lift"])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("periodic", [2]),
+        ("periodic", {"verified": True}),
+        ("periodic", {"period": "2"}),
+        ("periodic", {"period": 2.0}),
+        ("periodic", {"period": True}),
+        ("periodic", {"period": 2, "verified": "yes"}),
+        ("base_twist", "0"),
+        ("base_twist", True),
+        ("betti", True),
+        ("betti", 1.0),
+    ],
+    ids=["periodic_list", "periodic_no_period", "period_str", "period_float", "period_bool",
+         "verified_str", "base_twist_str", "base_twist_bool", "betti_bool", "betti_float"],
+)
+def test_malformed_window_fields_refused(capsys, tmp_path, command, key, value):
+    # each once ended in a traceback or was read as another value (true as 1);
+    # a betti value replaces the first Betti number
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(src.read_text())
+    if key == "betti":
+        obj["betti"][0] = value
+    else:
+        obj[key] = value
+    src.write_text(json.dumps(obj))
+    out = tmp_path / "lifted.json"
+    extra = ["--out", str(out)] if command == "lift" else []
+    assert main([command, str(src), "--json", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: complex file field {key!r} is "), captured.err
+    assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        {"vertices": ["a", "b"], "edges": ["ab"]},
+        {"vertices": ["a", "b"], "edges": [["a", "b", "a"]]},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "bipartition": "ab"},
+        {"vertices": ["a", "b"], "edges": [["a", "b"]], "bipartition": [["a"]]},
+        {"vertices": [1, 2], "edges": [[1, 2]]},
+    ],
+    ids=["edge_str", "edge_triple", "bipartition_str", "bipartition_one_side", "int_labels"],
+)
+def test_malformed_graph_refused(capsys, tmp_path, graph):
+    """parse_graph accepts only what Graph.to_json writes, in a graph file and
+    in the chain descriptor of a complex file alike: the edge "ab" was read
+    as a-b, and one-sided bipartitions and integer labels ended in
+    tracebacks."""
+    path = write_graph(tmp_path, "bad.json", graph)
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(src.read_text())
+    obj["algebra"]["descriptor"]["graph"] = graph
+    src.write_text(json.dumps(obj))
+    for argv in (["analyze", path], ["verify", str(src)]):
+        assert main(argv + ["--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: malformed graph object: "), (argv, captured.err)
+        assert captured.out == ""
+
+
 @pytest.mark.parametrize("corruption", ["coefficient", "zero_differential"])
 def test_verify_refuses_a_corrupted_lifted_file(capsys, tmp_path, corruption):
     # the lifted window lives over the top ring and is checked through its
@@ -752,9 +828,10 @@ def _swap_degree_one_labels(alg):
         lambda alg: alg["descriptor"].update(seed="0"),
         _swap_degree_one_labels,
         lambda alg: alg["basis"][2].append("x1*y1"),
+        lambda alg: alg["descriptor"].update(seed=True),
     ],
     ids=["no_descriptor", "kind", "level_3", "level_str", "level_1", "seed_str",
-         "basis_order", "basis_extra"],
+         "basis_order", "basis_extra", "seed_bool"],
 )
 def test_ring_not_named_by_descriptor_refused(capsys, tmp_path, command, corrupt):
     src = _four_cycle_window(capsys, tmp_path)

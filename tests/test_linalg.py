@@ -11,7 +11,7 @@ import totref.linalg as linalg
 from totref import DEFAULT_PRIME, Matrix, PrimeField, RationalField, Subspace
 from totref.linalg import (
     _rref_array,
-    _rref_py,
+    _rref_int,
     array_rank,
     field_array,
     field_matmul,
@@ -22,7 +22,7 @@ from totref.linalg import (
 
 import numpy as np
 
-from conftest import ARRAY_FIELDS, array_field
+from conftest import ARRAY_FIELDS, _sympy_rref, array_field
 
 GF = PrimeField()
 GF5 = PrimeField(5)
@@ -70,6 +70,7 @@ def test_solve_trivial_cases():
     assert Matrix.identity(GF, 3).solve(b) == b
     assert Matrix.zeros(GF, 2, 2).solve([1, 0]) is None
     assert Matrix.zeros(GF, 2, 2).solve([0, 0]) == [0, 0]
+    assert Matrix(GF, [], cols=3).solve([]) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("field", [GF, GF5, QQ])
@@ -84,15 +85,27 @@ def test_rank_transpose_and_nullity(field):
 
 
 def test_solve_round_trip():
+    """Matrix.solve, and linalg.solve with a B of several columns, over
+    GF(7), the default prime and Q: some X with A X = B when the system is
+    consistent, None once a zero row of A meets a nonzero entry of B."""
     rng = Random(7)
-    for _ in range(30):
-        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
-        m = rand_matrix(GF, rng, rows, cols)
-        x = [GF.rand(rng) for _ in range(cols)]
-        b = apply(m, x)
-        got = m.solve(b)
-        assert got is not None
-        assert apply(m, got) == b
+    for field in (PrimeField(7), GF, QQ):
+        for _ in range(30):
+            rows, cols, k = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 4)
+            m = rand_matrix(field, rng, rows, cols)
+            x = [field.rand(rng) for _ in range(cols)]
+            b = apply(m, x)
+            got = m.solve(b)
+            assert got is not None
+            assert apply(m, got) == b
+            B = list_product(field, m.entries, rand_matrix(field, rng, cols, k).entries, k)
+            X = linalg.solve(field, m.array, field_array(field, B))
+            assert X.shape == (cols, k)
+            assert list_product(field, m.entries, X.tolist(), k) == B
+            m.array[-1] = field.zero
+            B[-1][-1] = field.one
+            assert linalg.solve(field, m.array, field_array(field, B)) is None
+            assert m.solve([row[-1] for row in B]) is None
 
 
 @pytest.mark.parametrize("field", [GF, GF5, QQ, PrimeField(4294967311)])
@@ -128,8 +141,8 @@ def test_np_and_py_elimination_agree():
     for _ in range(20):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         entries = [[GF.rand(rng) for _ in range(cols)] for _ in range(rows)]
-        py_rows, py_piv = _rref_py(GF, entries, cols)
         np_arr, np_piv = _rref_array(GF, np.array(entries, dtype=np.int64))
+        py_rows, py_piv = _rref_int(entries, cols, GF.p)
         assert py_piv == np_piv
         for i in range(len(py_piv)):
             assert py_rows[i] == [int(x) for x in np_arr[i]]
@@ -227,23 +240,6 @@ def test_rational_exactness():
 LARGE_PRIME = 4294967311  # above 2**32: (p-1)**2 overflows int64
 
 
-def _sympy_rref(field, entries, cols):
-    """Reference RREF from sympy's DomainMatrix, over GF(p) or QQ."""
-    from sympy import GF as SympyGF, QQ as SympyQQ
-    from sympy.polys.matrices import DomainMatrix
-
-    if field.kind == "qq":
-        K = SympyQQ
-        to_k = lambda x: K(Fraction(x).numerator, Fraction(x).denominator)
-        back = lambda x: Fraction(int(K.numer(x)), int(K.denom(x)))
-    else:
-        K = SympyGF(field.p)
-        to_k, back = K, lambda x: K.to_int(x) % field.p
-    dm = DomainMatrix([[to_k(x) for x in row] for row in entries], (len(entries), cols), K)
-    ref, piv = dm.rref()
-    return [[back(x) for x in row] for row in ref.to_list()[: len(piv)]], list(piv)
-
-
 def field_elements(field):
     if field.kind == "qq":
         return st.one_of(st.just(Fraction(0)), st.fractions(-30, 30, max_denominator=12))
@@ -253,7 +249,8 @@ def field_elements(field):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(ARRAY_FIELDS), st.data())
 def test_rref_backends_match_sympy(p, data):
-    """Both eliminations, the list one and the array one, and Matrix.rref
+    """Both eliminations, the array one and the list kernel (its rows over Q
+    fraction-free, divided by their pivot entries here), and Matrix.rref
     against sympy on every field: int64 and object arrays alike."""
     field = array_field(p)
     rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
@@ -263,16 +260,21 @@ def test_rref_backends_match_sympy(p, data):
     right = [data.draw(st.lists(elt, min_size=cols, max_size=cols)) for _ in range(rank)]
     entries = list_product(field, left, right, cols)
     expected = _sympy_rref(field, entries, cols)
-    py_rows, py_piv = _rref_py(field, entries, cols)
-    assert (py_rows[: len(py_piv)], py_piv) == expected
     A, np_piv = _rref_array(field, field_array(field, entries))
     assert (A[: len(np_piv)].tolist(), np_piv) == expected
+    if field.kind == "qq":
+        py_rows, py_piv = _rref_int(linalg._integer_rows(field_array(field, entries)), cols)
+        py_rows = [[Fraction(u, row[c]) for u in row] for row, c in zip(py_rows, py_piv)]
+    else:
+        py_rows, py_piv = _rref_int(list(entries), cols, field.p)
+    assert (py_rows[: len(py_piv)], py_piv) == expected
     R, piv = Matrix(field, entries).rref()
     assert (R.tolist(), piv) == expected
 
 
 def test_rational_array_elimination_above_threshold():
-    # above the cell threshold an object array of Fractions is eliminated as an array
+    # above the cell threshold, where GF(p) would take the array kernel, an
+    # object array of Fractions is eliminated fraction-free as integer rows
     rng = Random(29)
     small = lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
     left = [[small() for _ in range(12)] for _ in range(20)]
@@ -564,11 +566,12 @@ def test_rational_rank_falls_back_when_the_check_prime_divides_a_denominator():
 
 def test_only_linalg_names_the_int64_decision():
     """np_modulus and mod_matmul, which choose and use the int64 arrays, the
-    list-or-array elimination choice (_NP_CELL_THRESHOLD, _rref_py,
+    list-or-array elimination choice (_echelon, _NP_CELL_THRESHOLD, _rref_int,
     _rref_array) and the check prime of rational ranks (_CHECK_FIELD) are
     imported or named in linalg.py only."""
     decision = {
-        "np_modulus", "mod_matmul", "_NP_CELL_THRESHOLD", "_rref_py", "_rref_array", "_CHECK_FIELD"
+        "np_modulus", "mod_matmul", "_echelon", "_NP_CELL_THRESHOLD", "_rref_int", "_rref_array",
+        "_CHECK_FIELD",
     }
     seen = {}
     for path in sorted(Path(totref.__file__).parent.glob("*.py")):
