@@ -578,8 +578,28 @@ def reduction_chain(
     raise AlgebraError(f"no regular reduction found ({last})")
 
 
+# the most cells the top ring's tables may hold when a chain is rebuilt from
+# its descriptor (``chain_from_descriptor``): 256 MiB at 8 bytes per cell
+MAX_TABLE_CELLS = 2**25
+
+
+def table_cells(n: int, e: int, cutoff: int) -> int:
+    """The cells of the tables R_1 x R_t -> R_(t+1), 0 < t < cutoff, of the
+    ring of a graph with n vertices and e edges, which a reduction chain at
+    the cutoff builds (one per degree of each quotient map).  The Hilbert
+    function is dim R_d = n + e (d - 1) for d >= 1: the powers of a vertex
+    and the d - 1 mixed monomials of each edge.  With h_k = dim R_(k+1) =
+    n + e k, the cells are n times the sum over k < K = cutoff - 1 of
+    h_k h_(k+1) = n (n + e) + e (2n + e) k + e^2 k^2."""
+    K = max(cutoff - 1, 0)
+    pairs = K * n * (n + e) + e * (2 * n + e) * K * (K - 1) // 2
+    return n * (pairs + e * e * (K - 1) * K * (2 * K - 1) // 6)
+
+
 def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
-    """The reduction chain a ``graph_reduction`` descriptor names, rebuilt at the cutoff."""
+    """The reduction chain a ``graph_reduction`` descriptor names, rebuilt at
+    the cutoff; refused before any table is built when its top ring's tables
+    would hold more than ``MAX_TABLE_CELLS`` cells (``table_cells``)."""
     if not isinstance(desc, dict) or desc.get("kind") != "graph_reduction":
         raise AlgebraError("algebra has no graph-reduction descriptor to rebuild its ring from")
     seed, level = desc.get("seed", 0), desc.get("level")
@@ -587,7 +607,15 @@ def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
         raise AlgebraError("chain descriptor needs a graph and a mode, canonical or generic")
     if not (type(seed) is int and type(level) is int and level in (0, 1, 2)):
         raise AlgebraError("chain descriptor needs an integer seed and a level 0, 1 or 2")
-    return reduction_chain(parse_graph(desc["graph"]), desc["mode"], seed, cutoff, field, retries)
+    g = parse_graph(desc["graph"])
+    cells = table_cells(g.n, g.e, cutoff)
+    if cells > MAX_TABLE_CELLS:
+        raise AlgebraError(
+            f"cutoff {cutoff} is too high for this ring: its multiplication tables "
+            f"R_1 x R_t -> R_(t+1), t < {cutoff}, would hold {cells} cells, and the limit "
+            f"is {MAX_TABLE_CELLS} (2^25; dim R_d = n + e(d - 1) with n = {g.n}, e = {g.e})"
+        )
+    return reduction_chain(g, desc["mode"], seed, cutoff, field, retries)
 
 
 def chain_from_json(obj, cutoff=None, retries=64):

@@ -21,8 +21,9 @@ Lists of degree-one elements become such arrays in one place,
 round trip all work on the arrays.  A window freezes its differentials
 (``linalg.freeze``).  Each graded block of a differential is one product of
 D with the multiplication table; its rank bound is read off the product of
-the two factors' check images (``linalg.image_matmul``), and only a block
-that needs an exact rank is assembled over the field.
+the two factors' check images (``linalg.image_matmul``), the bounds of all
+the blocks a check reads come from one ``linalg.rank_bounds`` call, and only
+a block that needs an exact rank is assembled over the field.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, GradedAlgebra
 from .linalg import (
-    Subspace, array_rank, field_array, field_matmul, freeze, image_matmul, rank_bound,
+    Subspace, array_rank, field_array, field_matmul, freeze, image_matmul, rank_bounds,
     structure_product,
 )
 
@@ -142,31 +143,37 @@ class FreeComplexWindow:
         Without a bound, a ring with a certified reduction is checked through
         ``reduce()``, complete in every degree.  Otherwise the block of d_{i+1}
         in degree t - 1 gives the incoming rank at (i, t) and the kernel at
-        (i + 1, t - 1), so each block is assembled and bounded once.
+        (i + 1, t - 1).  The blocks the records read are listed first, each
+        once, and all get their lower bounds from one ``rank_bounds`` call
+        (the images of D times the table, ``image_matmul``; over GF(p) the
+        ranks themselves), which ranks the blocks of one shape together.
 
-        Each block gets a lower bound on its rank (``rank_bound`` of the
-        product of the check images of D and the table, ``image_matmul``;
-        over GF(p) the rank itself).  At (i, t) the two blocks share
-        cols = b_i dim R_t columns, and when the window composes,
-        rank (i, t) + rank (i + 1, t - 1) <= cols.  So two lower bounds that
-        sum to cols are both the ranks, and the record is exact; only a
-        block whose bound is neither the rank nor so confirmed is assembled
-        over the field and ranked exactly.
+        At (i, t) the two blocks share cols = b_i dim R_t columns, and when
+        the window composes, rank (i, t) + rank (i + 1, t - 1) <= cols.  So
+        two lower bounds that sum to cols are both the ranks, and the record
+        is exact; only a block whose bound is neither the rank nor so
+        confirmed is assembled over the field and ranked exactly.
         """
         R = self.algebra
         if degree_bound is None and R.reduction is not None:
             return self.reduce().graded_exactness()
         max_t = R.cutoff - 1
-        bounds = {}  # (i, t) -> (lower bound on the block's rank, whether it is the rank)
+        keys = {}  # the blocks the loop below reads, in the order it reads them
+        for i in self.interior_indices():
+            for t in range(0, max_t + 1):
+                if degree_bound is not None and self.twist(i) + t > degree_bound:
+                    break
+                if self.rank_of(i) * R.dims[t]:
+                    keys[i, t] = None
+                if t:
+                    keys[i + 1, t - 1] = None
+        images = [self._block(i, t, image_matmul) for i, t in keys]
+        # (i, t) -> (lower bound on the block's rank, whether it is the rank)
+        bounds = dict(zip(keys, rank_bounds(R.field, images)))
         composes = None
 
-        def lower(i, t):
-            if (i, t) not in bounds:
-                bounds[i, t] = rank_bound(R.field, self._block(i, t, image_matmul))
-            return bounds[i, t]
-
         def rank(i, t):
-            if not lower(i, t)[1]:
+            if not bounds[i, t][1]:
                 bounds[i, t] = array_rank(R.field, self._block_array(i, t)), True
             return bounds[i, t][0]
 
@@ -174,7 +181,7 @@ class FreeComplexWindow:
             """Mark the bounds at (i, t) and (i + 1, t - 1) as the ranks when
             they sum to cols and the window composes (checked once)."""
             nonlocal composes
-            (r, exact), (r_in, exact_in) = lower(i, t), lower(i + 1, t - 1)
+            (r, exact), (r_in, exact_in) = bounds[i, t], bounds[i + 1, t - 1]
             if r + r_in != cols or (exact and exact_in):
                 return
             if composes is None:

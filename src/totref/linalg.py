@@ -44,6 +44,20 @@ A @ B is read off the product of the factors' images (``image_matmul``):
 N_A N_B = d_A d_B (A @ B), so the same argument holds without assembling
 A @ B in Fractions.  ``rank_bound`` hands the lower bound itself to callers
 that can certify it otherwise.
+
+``rank_bounds`` gives the bounds of many images at once, as a window's
+exactness check needs them: the int64 images of one shape (GF(p) with
+p < 2**31, and the rational check images mod the check prime) are ranked by
+one elimination of the stack (k, m, n) (``_stacked_ranks``), a column at a
+time with one pivot row per matrix, cleared below the pivots only.  A pivot
+row v is made monic with one Python inverse per matrix and clears a row u
+with entry b as u - b * v, b and v reduced mod p, so each product is at most
+(p - 1)**2 < 2**62; the stack is reduced mod p once every
+floor((2**63 - 1) / (p - 1)**2) such updates, the bound of ``mod_matmul``,
+so no sum overflows.  A shape with one image, a group of fewer than
+``_NP_CELL_THRESHOLD`` cells in all (tiny blocks, where the stack's numpy
+calls cost more than the lists) and ``object`` images (p >= 2**31) are
+ranked one at a time by ``rank_bound``.
 """
 
 from __future__ import annotations
@@ -364,6 +378,80 @@ def rank_bound(field, image):
         r = _elimination_rank(_CHECK_FIELD, image)
         return r, r == min(image.shape)
     return _elimination_rank(field, image), True
+
+
+def rank_bounds(field, images):
+    """[rank_bound(field, A) for A in images], with the int64 images of one
+    shape ranked together by one stacked elimination (``_stacked_ranks``).
+    A shape of one image, of fewer than ``_NP_CELL_THRESHOLD`` cells in all,
+    or of ``object`` images keeps the per-image path (``rank_bound``)."""
+    check = _CHECK_FIELD if isinstance(field, RationalField) else field
+    groups = {}
+    for k, A in enumerate(images):
+        groups.setdefault((A.shape, A.dtype), []).append(k)
+    bounds = [None] * len(images)
+    for (shape, dtype), ks in groups.items():
+        if len(ks) == 1 or len(ks) * images[ks[0]].size < _NP_CELL_THRESHOLD or dtype == object:
+            for k in ks:
+                bounds[k] = rank_bound(field, images[k])
+            continue
+        ranks = _stacked_ranks(check.p, np.stack([images[k] for k in ks]))
+        full = min(shape)
+        for k, r in zip(ks, ranks):
+            bounds[k] = r, check is field or r == full
+    return bounds
+
+
+def _stacked_ranks(p, S):
+    """The GF(p) ranks of the matrices S[k] of a stack (k, m, n) of int64
+    arrays with entries in [0, p), p < 2**31; S is consumed.
+
+    One elimination, below the pivots only, runs over the whole stack, a
+    column at a time (a wide stack is transposed first, so the loop runs
+    over the shorter side).  Each matrix picks its own pivot row, made monic
+    with one Python inverse, and moves it out of its free rows, which are
+    kept as a prefix; the free rows u with entry b over the pivot become
+    u - b * v.  Every product b * v is at most (p - 1)**2, with b and the
+    pivot row v reduced mod p, so the rest of the stack is reduced mod p
+    only once every floor((2**63 - 1) / (p - 1)**2) updates (as in
+    ``mod_matmul``), and no int64 entry overflows."""
+    k, m, n = S.shape
+    if m < n:
+        S, m, n = np.ascontiguousarray(S.transpose(0, 2, 1)), n, m
+    free = np.full(k, m)  # the free rows of S[j] are S[j, :free[j]]
+    every, rows = np.arange(k), np.arange(m)
+    budget = (2**63 - 1) // (p - 1) ** 2
+    pending = 0  # updates since the stack was last reduced
+    for c in range(n):
+        top = int(free.max())
+        if top == 0:
+            break
+        col = S[:, :top, c]
+        col %= p
+        cand = (col != 0) & (rows[:top] < free[:, None])
+        piv = cand.argmax(axis=1)
+        hit = cand[every, piv]
+        if hit.all():
+            idx, bulk = every, slice(None)  # a slice updates the stack in place
+        else:
+            idx = bulk = np.nonzero(hit)[0]
+            if not idx.size:
+                continue
+        pv, last = piv[idx], free[idx] - 1
+        v = S[idx, pv, c:] % p
+        S[idx, pv] = S[idx, last]
+        free[idx] = last
+        inv = np.array([pow(a, -1, p) for a in v[:, 0].tolist()], dtype=np.int64)
+        v = v[:, 1:] * inv[:, None] % p
+        top = int(free.max())
+        # (rows past a matrix's free prefix are never read again: clearing
+        # them too keeps the update one slice)
+        S[bulk, :top, c + 1 :] -= S[idx, :top, c, None] * v[:, None, :]
+        pending += 1
+        if pending == budget:
+            S[:, :top, c + 1 :] %= p
+            pending = 0
+    return (m - free).tolist()
 
 
 def array_rank(field, A) -> int:

@@ -1,9 +1,11 @@
 import json
+import os
 import sys
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import settings
 
 from totref import (
     DEFAULT_PRIME,
@@ -15,6 +17,11 @@ from totref import (
     reduction_chain,
     ten_vertex_graph,
 )
+
+# CI selects this profile (HYPOTHESIS_PROFILE=ci): every run draws the same
+# examples, so a failure there reproduces locally with the same variable set
+settings.register_profile("ci", derandomize=True, database=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 # int64 arrays at the first three primes; object arrays of Python ints above
 # 2**31 and of Fractions over the rationals ("QQ")
@@ -132,7 +139,8 @@ def fraction_det(rows):
 
 def count_eliminations(monkeypatch, rational_ranks_only=False):
     """A list that grows by one per elimination (``_rref_array``, and
-    ``_rref_int`` on every field); with rational_ranks_only, per exact
+    ``_rref_int`` on every field) and by one per matrix of a stacked
+    elimination (``_stacked_ranks``); with rational_ranks_only, per exact
     elimination over Q (``_rref_int`` without a modulus) run by
     ``array_rank`` (not its mod-p bound, nor ``rref``)."""
     import totref.linalg as linalg
@@ -152,6 +160,14 @@ def count_eliminations(monkeypatch, rational_ranks_only=False):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(linalg, name, counted)
+    stacked = linalg._stacked_ranks
+
+    def counted_stack(p, S):
+        if not rational_ranks_only:  # a stack is always ranked mod p
+            calls.extend([1] * len(S))
+        return stacked(p, S)
+
+    monkeypatch.setattr(linalg, "_stacked_ranks", counted_stack)
     return calls
 
 

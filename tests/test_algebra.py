@@ -426,3 +426,20 @@ def test_relation_tables_match_per_entry_normal_forms(field):
             return vec
 
         _check_tables(R, red, entry)
+
+
+def test_table_cells_follow_the_hilbert_function(c4, ten_vertex_g, path4):
+    """table_cells(n, e, D) is the size of the top ring's tables R_1 x R_t ->
+    R_(t+1), t < D, as a built Stanley-Reisner ring has them, and a chain
+    whose tables would exceed MAX_TABLE_CELLS is refused before it is built."""
+    from totref.algebra import MAX_TABLE_CELLS, table_cells
+
+    for g in (c4, ten_vertex_g, path4):
+        for cutoff in range(2, 8):
+            R = stanley_reisner(g, cutoff)
+            cells = sum(R.np_table(1, t).size for t in range(1, cutoff))
+            assert table_cells(g.n, g.e, cutoff) == cells
+    assert table_cells(4, 4, 116) <= MAX_TABLE_CELLS < table_cells(4, 4, 117)
+    desc = reduction_chain(c4, cutoff=3).top.descriptor
+    with pytest.raises(AlgebraError, match="cutoff 117 is too high"):
+        chain_from_descriptor(desc, PrimeField(), 117)

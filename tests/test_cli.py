@@ -888,3 +888,53 @@ def test_verify_passes_retries_to_the_rebuild(capsys, monkeypatch, tmp_path):
     assert main(["verify", str(src), "--json", "--retries", "5"]) == 0
     assert _sha256(capsys.readouterr().out) == VERIFY_FOUR_CYCLE_SHA256
     assert seen == [5]
+
+
+# a child process that rebuilds no ring above the table limit stays far below
+# this address space; a regression that builds the tables runs into it (a
+# MemoryError, exit 1 without a clean refusal) or into the timeout
+_CHILD_LIMIT = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from totref.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _bounded_cli(argv):
+    """main(argv) in a child process under a 1 GiB address space and a
+    timeout: (exit code, stderr)."""
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD_LIMIT, *argv],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("bound", ["117", "100000"])
+def test_lift_refuses_a_cutoff_above_the_table_limit(capsys, tmp_path, bound):
+    # the four-cycle ring's tables up to cutoff D hold 64 (D - 1) D (D + 1) / 3
+    # cells: 33,073,280 at D = 116, the highest cutoff under 2^25, and about
+    # 2.1e16 at D = 100000, which ran out of memory before the refusal
+    src, lifted = _four_cycle_window(capsys, tmp_path), tmp_path / "lifted.json"
+    code, err = _bounded_cli(["lift", str(src), "--degree-bound", bound, "--out", str(lifted)])
+    assert code == 1 and err.startswith(f"error: cutoff {bound} is too high for this ring"), err
+    assert "the limit is 33554432 (2^25" in err and not lifted.exists()
+
+
+def test_verify_refuses_a_file_cutoff_above_the_table_limit(capsys, tmp_path):
+    # a file that records a cutoff above the limit (and the basis it needs)
+    src = _four_cycle_window(capsys, tmp_path)
+    obj = json.loads(src.read_text())
+    cutoff = 5000
+    obj["algebra"]["cutoff"] = cutoff
+    obj["algebra"]["basis"] += [[f"b{d}"] for d in range(len(obj["algebra"]["basis"]), cutoff + 1)]
+    src.write_text(json.dumps(obj))
+    code, err = _bounded_cli(["verify", str(src)])
+    assert code == 1 and err.startswith(f"error: cutoff {cutoff} is too high for this ring"), err

@@ -160,10 +160,10 @@ def test_rational_pairwise_ranks_match_exact_ranks(monkeypatch, second, composes
     w = window_from_entries(R, [x, R.linear_form(second), x, y])
     assert w.compose_check() is composes
     # every bound the exact rank of the block itself, assembled over Q
-    exact_only = lambda field, A: (linalg.array_rank(field, A), True)
+    exact_only = lambda field, images: [(linalg.array_rank(field, A), True) for A in images]
     with monkeypatch.context() as m:
         m.setattr(complexes, "image_matmul", linalg.field_matmul)
-        m.setattr(complexes, "rank_bound", exact_only)
+        m.setattr(complexes, "rank_bounds", exact_only)
         expected = w.graded_exactness()
     calls = count_eliminations(monkeypatch, rational_ranks_only=True)
     rep = w.graded_exactness()

@@ -564,6 +564,130 @@ def test_rational_rank_falls_back_when_the_check_prime_divides_a_denominator():
     assert array_rank(QQ, _rational_array(entries, n)) == n
 
 
+@st.composite
+def rank_bounds_cases(draw):
+    """(field, arrays): up to three shapes (empty, tall and wide ones
+    included), each shared by one to six arrays of their own rank, drawn as a
+    product L R and then with some rows and columns zeroed, so that the
+    matrices of one stack take different pivot rows.  Entries include 0 and
+    p - 1; over Q, multiples of the check prime and of its inverse."""
+    p = draw(st.sampled_from([7, GF.p, 2**31 - 1, LARGE_PRIME, "QQ"]))
+    field = array_field(p)
+    if p == "QQ":
+        elt = st.one_of(
+            st.just(Fraction(0)),
+            st.sampled_from(_MODULAR_TRAPS),
+            st.fractions(-9, 9, max_denominator=9),
+        )
+    else:
+        elt = st.one_of(st.just(0), st.just(p - 1), st.integers(0, p - 1))
+    arrays = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+        for _ in range(draw(st.integers(1, 6))):
+            inner = draw(st.integers(0, min(rows, cols)))
+            left = [[draw(elt) for _ in range(inner)] for _ in range(rows)]
+            right = [[draw(elt) for _ in range(cols)] for _ in range(inner)]
+            A = field_array(field, list_product(field, left, right, cols)).reshape(rows, cols)
+            A[sorted(draw(st.sets(st.integers(0, max(rows - 1, 0)), max_size=rows)))] = field.zero
+            A[:, sorted(draw(st.sets(st.integers(0, max(cols - 1, 0)), max_size=cols)))] = field.zero
+            arrays.append(A)
+    return field, draw(st.permutations(arrays))
+
+
+def _sympy_ranks(field, arrays):
+    return [len(_sympy_rref(field, A.tolist(), A.shape[1])[1]) for A in arrays]
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_bounds_cases())
+def test_rank_bounds_match_rank_bound_and_sympy(case):
+    """rank_bounds gives what rank_bound gives per image, stacked or not, and
+    leaves the images alone: over GF(p) the rank (sympy's DomainMatrix), over
+    Q a lower bound, exact exactly when it is min(rows, cols)."""
+    field, arrays = case
+    images = [linalg._check_image(field, A) for A in arrays]
+    before = [I.copy() for I in images]
+    bounds = linalg.rank_bounds(field, images)
+    assert bounds == [linalg.rank_bound(field, I) for I in images]
+    assert all((I == B).all() for I, B in zip(images, before))
+    for (r, exact), rank, A in zip(bounds, _sympy_ranks(field, arrays), arrays):
+        if field == QQ:
+            assert r <= rank and exact == (r == min(A.shape))
+            assert r == rank or not exact
+        else:
+            assert (r, exact) == (rank, True)
+
+
+def _count_stacked(monkeypatch):
+    """The number of matrices each stacked elimination ranks, one entry per call."""
+    sizes = []
+    real = linalg._stacked_ranks
+
+    def counted(p, S):
+        sizes.append(len(S))
+        return real(p, S)
+
+    monkeypatch.setattr(linalg, "_stacked_ranks", counted)
+    return sizes
+
+
+def test_rank_bounds_stacks_only_groups_worth_a_stack(monkeypatch):
+    """One stack per int64 shape of two or more images and at least
+    _NP_CELL_THRESHOLD cells in all; a single image, a small group and
+    object arrays (p >= 2**31) keep the per-image path."""
+    rng = np.random.default_rng(5)
+    sizes = _count_stacked(monkeypatch)
+    for p, shapes, stacks in (
+        (GF.p, [(10, 12)], []),  # a group of one
+        (GF.p, [(2, 2)] * 24, []),  # 96 cells in all
+        (GF.p, [(2, 2)] * 25 + [(12, 10)] * 3 + [(0, 9)] * 30, [25, 3]),
+        (LARGE_PRIME, [(12, 10)] * 3, []),
+    ):
+        field = PrimeField(p)
+        images = [field_array(field, rng.integers(0, 50, s).tolist()).reshape(s) for s in shapes]
+        sizes.clear()
+        assert linalg.rank_bounds(field, images) == [linalg.rank_bound(field, I) for I in images]
+        assert sorted(sizes) == sorted(stacks), (p, shapes)
+
+
+def test_rank_bounds_at_the_int64_edge_and_for_unlucky_primes(monkeypatch):
+    """At p = 2**31 - 1 a stack is reduced every two updates, since
+    3 (p - 1)**2 > 2**63: in the first matrix below the last row takes three
+    updates of (p - 1)**2 each in its last column, which must not wrap (its
+    rank is 3); the others have every entry p - 1 but for a varying diagonal.
+    Over Q the unlucky images of [[p, 0], [0, 1]] and [[1/p, 0], [0, 1]] rank
+    1 in a stack, not exact, as does a 12 x 12 unimodular matrix with one
+    entry p."""
+    sizes = _count_stacked(monkeypatch)
+    p = 2**31 - 1
+    field = PrimeField(p)
+    q = p - 1
+    # rows 0-2 pivot in turn and the zero rows fill their places, so row 3,
+    # -(row 0 + row 1 + row 2), is cleared last, by three products q * q
+    edge = [[1, 0, 0, q], [0, 1, 0, q], [0, 0, 1, q], [q, q, q, 3]] + [[0] * 4] * 3
+    images = [field_array(field, edge)] * 4
+    assert linalg.rank_bounds(field, images) == [(3, True)] * 4 and sizes == [4]
+    images = []
+    for k in range(12):
+        A = np.full((12, 12), q, dtype=np.int64)
+        A[range(k), range(k)] = 1
+        images.append(A)
+    sizes.clear()
+    bounds = linalg.rank_bounds(field, images)
+    assert bounds == [(min(k + 1, 12), True) for k in range(12)]
+    assert [b[0] for b in bounds] == _sympy_ranks(field, images) and sizes == [12]
+    sizes.clear()
+    unlucky = [[[P, 0], [0, 1]], [[Fraction(1, P), 0], [0, 1]]] * 13 + [[[1, 0], [0, 1]]]
+    twelve = np.eye(12, dtype=object) + Fraction(0)
+    twelve[3, 3] = Fraction(P)
+    arrays = [_rational_array(e, 2) for e in unlucky] + [twelve, twelve + 0]
+    bounds = linalg.rank_bounds(QQ, [linalg._check_image(QQ, A) for A in arrays])
+    assert bounds == [(1, False)] * 26 + [(2, True), (11, False), (11, False)]
+    assert sorted(sizes) == [2, 27]
+    assert [array_rank(QQ, A) for A in arrays] == [2] * 27 + [12, 12]
+
+
 def test_only_linalg_names_the_int64_decision():
     """np_modulus and mod_matmul, which choose and use the int64 arrays, the
     list-or-array elimination choice (_echelon, _NP_CELL_THRESHOLD, _rref_int,
