@@ -96,9 +96,9 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
     so dim A_3 = m * r_2 - rank(Rel), with Rel spanned by those rows inside
     R_1 (x) R_2: m * dim R_2 columns instead of C(m+2, 3).  A_3 maps onto the
     image of Sym^3 in R_3, so rank(Rel) <= m * r_2 - r_3, with equality
-    exactly when the presentation is quadratic.  The rows are streamed one
-    block per i into a single echelon form, which stops as soon as the rank
-    reaches that bound.
+    exactly when the presentation is quadratic.  The nonzero rows alone are
+    streamed, as sparse rows, into a single echelon form, which stops as soon
+    as the rank reaches that bound.
     """
     f = R.field
     m = R.dims[1]
@@ -111,20 +111,27 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
         T = R.np_table(2, 1).reshape(R.dims[2], m * R.dims[3])
         r3 = array_rank(f, field_matmul(f, image2.rows, T).reshape(-1, R.dims[3]))
     target = m * image2.dim - r3
-    return rank_reaches(f, _relation_blocks(R), target)
+    return rank_reaches(f, _relation_rows(R), target)
 
 
-def _relation_blocks(R: GradedAlgebra):
-    """For each i, the rows x_i (x) x_j x_k - x_j (x) x_i x_k (j > i, all k) in
-    R_1 (x) R_2 coordinates, as an array over the field (``linalg.field_array``)."""
+def _relation_rows(R: GradedAlgebra):
+    """The nonzero rows x_i (x) x_j x_k - x_j (x) x_i x_k (i < j, all k), in
+    that order, in R_1 (x) R_2 coordinates, as sparse rows for
+    ``linalg.rank_reaches``: dicts from column to nonzero field entry."""
     m, d2 = R.dims[1], R.dims[2]
     T = R.np_table(1, 1)  # T[j, k] = x_j * x_k in R_2
+    nz = np.nonzero(T)
+    prods = [{} for _ in range(m)]  # prods[j][k]: (e, v, -v) per entry v of x_j x_k
+    for j, k, e, v, w in zip(
+        *(a.tolist() for a in nz), T[nz].tolist(), field_reduce(R.field, -T[nz]).tolist()
+    ):
+        prods[j].setdefault(k, []).append((e, v, w))
     for i in range(m - 1):
-        J = m - 1 - i
-        block = np.zeros((J, m, m, d2), dtype=T.dtype)
-        block[:, :, i, :] = T[i + 1 :]
-        block[np.arange(J), :, np.arange(i + 1, m), :] = field_reduce(R.field, -T[i])
-        yield block.reshape(J * m, m * d2)
+        for j in range(i + 1, m):
+            for k in sorted(prods[i].keys() | prods[j].keys()):
+                row = {i * d2 + e: v for e, v, _ in prods[j].get(k, ())}
+                row.update((j * d2 + e, w) for e, _, w in prods[i].get(k, ()))
+                yield row
 
 
 @dataclass

@@ -167,9 +167,15 @@ class FreeComplexWindow:
                     keys[i, t] = None
                 if t:
                     keys[i + 1, t - 1] = None
-        images = [self._block(i, t, image_matmul) for i, t in keys]
+        # a block with no rows or no columns has rank 0 and is not built
+        ranked = [
+            (i, t) for i, t in keys
+            if self.rank_of(i - 1) * self.rank_of(i) * R.dims[t] * R.dims[t + 1]
+        ]
+        images = [self._block(i, t, image_matmul) for i, t in ranked]
         # (i, t) -> (lower bound on the block's rank, whether it is the rank)
-        bounds = dict(zip(keys, rank_bounds(R.field, images)))
+        bounds = dict.fromkeys(keys, (0, True))
+        bounds.update(zip(ranked, rank_bounds(R.field, images)))
         composes = None
 
         def rank(i, t):

@@ -9,10 +9,10 @@ nowhere else (``np_modulus`` decides): int64 arrays for GF(p) with p < 2**31,
 so that a product of two representatives stays below 2**63, and numpy
 ``object`` arrays of exact Python ints (GF(p), p >= 2**31) or Fractions (the
 rationals) otherwise.  ``field_array`` builds them, ``field_matmul`` is their
-one product and ``rref``/``array_rank``/``rank_reaches`` eliminate them;
-``Matrix`` and ``Subspace`` hold them.  A sum of int64 products can still
-overflow: ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2)
-products before reducing.
+one product and ``rref``/``array_rank`` eliminate them; ``Matrix`` and
+``Subspace`` hold them.  A sum of int64 products can still overflow:
+``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2) products before
+reducing.
 
 One choice (``_echelon``) decides how ``rref`` and every rank eliminate: a
 GF(p) array of ``_NP_CELL_THRESHOLD`` cells or more as the array itself
@@ -21,16 +21,16 @@ dominate, and every rational one as a list of int rows (``_rref_int``).
 
 Over the rationals nothing is eliminated in Fractions.  A rational array A is
 N / d, N an integer array over one common denominator d (its integer form).
-``rref``, exact ranks and ``rank_reaches`` scale each row to a primitive
-integer row, which keeps the row space, and eliminate fraction-free
-(``_rref_int``): a row operation replaces a row by the primitive part of an
-integer combination, so entries stay integers and their contents are divided
-out as they appear.  Fractions are built only for what leaves this module:
-the RREF rows (each fraction-free row over its pivot entry; the RREF is
-unique) and the nonzero entries of a product (``field_matmul`` multiplies
-the integer forms).  An owner freezes an array it keeps for its lifetime
-(``freeze``: tables, projections); the integer form and check image of a
-frozen array are computed once and dropped with the array.
+``rref`` and exact ranks scale each row to a primitive integer row, which
+keeps the row space, and eliminate fraction-free (``_rref_int``): a row
+operation replaces a row by the primitive part of an integer combination, so
+entries stay integers and their contents are divided out as they appear.
+Fractions are built only for what leaves this module: the RREF rows (each
+fraction-free row over its pivot entry; the RREF is unique) and the nonzero
+entries of a product (``field_matmul`` multiplies the integer forms).  An
+owner freezes an array it keeps for its lifetime (``freeze``: tables,
+projections); the integer form and check image of a frozen array are
+computed once and dropped with the array.
 
 A rational rank is first taken modulo one check prime p (``DEFAULT_PRIME``,
 so on int64; ``rank_bound``) from the check image N mod p.  A minor of N
@@ -44,6 +44,10 @@ A @ B is read off the product of the factors' images (``image_matmul``):
 N_A N_B = d_A d_B (A @ B), so the same argument holds without assembling
 A @ B in Fractions.  ``rank_bound`` hands the lower bound itself to callers
 that can certify it otherwise.
+
+``rank_reaches`` eliminates a stream of sparse rows (dicts from column to
+nonzero entry) on Python ints, one row at a time, so a row costs only its
+nonzero entries; over the rationals they are primitive integer rows.
 
 ``rank_bounds`` gives the bounds of many images at once, as a window's
 exactness check needs them: the int64 images of one shape (GF(p) with
@@ -288,6 +292,14 @@ def _primitive(row):
     return [u // g for u in row] if g > 1 else row
 
 
+def _primitive_sparse(row):
+    """A sparse rational row (dict of nonzero Fractions or ints) as a primitive integer row."""
+    d = lcm(*(v.denominator for v in row.values()))
+    row = {k: v.numerator * (d // v.denominator) for k, v in row.items()}
+    g = gcd(*row.values())
+    return {k: u // g for k, u in row.items()} if g > 1 else row
+
+
 def _rref_int(rows, ncols, p=None, reduce_full=True):
     """In-place elimination of integer rows (lists of ints) over GF(p), or
     fraction-free over Q when p is None; returns (rows, pivot columns).
@@ -467,55 +479,51 @@ def _elimination_rank(field, A) -> int:
     return len(_echelon(field, A, reduce_full=False)[1])
 
 
-def rank_reaches(field, blocks, target):
-    """Whether the rows of the blocks span a space of dimension >= target.
+def rank_reaches(field, rows, target):
+    """Whether the sparse rows span a space of dimension >= target.
 
-    Blocks are 2-D arrays over the field (see ``field_array``); they are
-    consumed and modified.  Each block is reduced against the echelon rows
-    kept so far, then put in row-echelon form (cleared below the pivots only)
-    and its nonzero rows are kept: every kept row vanishes at the pivots of
-    the rows kept before it, so clearing pivots in the order kept is a
-    complete reduction.  The stream stops at the first block after which the
-    rank reaches target.  Over the rationals the rows are primitive integer
-    rows, cleared as in ``_rref_int``.
+    Rows are dicts from column to nonzero entry over the field.  One row is
+    kept per leading (smallest) column: a new row is cleared on its leading
+    column by the kept row there until no kept row has that column, and is
+    then kept there, so the kept rows are a row-echelon form of the rows
+    read.  The stream stops at the first row after which target rows are
+    kept.  Over GF(p) kept rows are monic and a row u with entry b over a
+    kept row v becomes (u - b * v) % p; over the rationals the rows are
+    primitive integer rows, cleared fraction-free as in ``_rref_int``.
     """
     if target <= 0:
         return True
-    rational = isinstance(field, RationalField)
-    echelon, pivots = [], []
-    for block in blocks:
-        if rational:
-            block = np.array(_integer_rows(block), dtype=object).reshape(block.shape)
-        for row, c in zip(echelon, pivots):
-            sel = np.nonzero(block[:, c])[0]
-            if not sel.size:
-                continue
-            if rational:
-                block[sel] = _clear_int(block[sel], row, c)
-            else:
-                block[sel] = field_reduce(field, block[sel] - np.outer(block[sel, c], row))
-        if rational:
-            rows = [r for r in block.tolist() if any(r)]
-            rows, piv = _rref_int(rows, block.shape[1], reduce_full=False)
-            echelon.extend(np.array(r, dtype=object) for r in rows[: len(piv)])
-        else:
-            A, piv = _rref_array(field, block, reduce_full=False)
-            echelon.extend(A[: len(piv)].copy())  # no view keeps the whole block alive
-        pivots.extend(piv)
-        if len(pivots) >= target:
-            return True
+    p = field.p if isinstance(field, PrimeField) else None
+    kept = {}  # leading column -> the kept row there
+    for row in rows:
+        row = dict(row) if p is not None else _primitive_sparse(row)
+        while row:
+            c = min(row)
+            top = kept.get(c)
+            if top is None:
+                if p is not None:
+                    inv = pow(row[c], -1, p)
+                    row = {k: u * inv % p for k, u in row.items()}
+                kept[c] = row
+                if len(kept) >= target:
+                    return True
+                break
+            a, b = top[c], row[c]
+            if p is None:  # x * row - y * top, y / x = b / a in lowest terms
+                g = gcd(a, b)
+                row = {k: a // g * u for k, u in row.items()}
+                b //= g
+            for k, v in top.items():
+                u = row.get(k, 0) - b * v
+                if p is not None:
+                    u %= p
+                if u:
+                    row[k] = u
+                else:
+                    del row[k]  # u = 0 only where row had an entry
+            if p is None:
+                row = _primitive_sparse(row)
     return False
-
-
-def _clear_int(B, top, c):
-    """The integer rows B with column c cleared by the integer row top, each
-    row the primitive part of x * row - y * top as in ``_rref_int``."""
-    a, b = top[c], B[:, c]
-    g = np.gcd(b, a)
-    M = B * (a // g)[:, None] - np.outer(b // g, top)
-    h = np.gcd.reduce(M, axis=1)
-    h[h == 0] = 1
-    return M // h[:, None]
 
 
 def reduce_rref(field, rows, pivots, V):

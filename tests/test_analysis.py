@@ -1,9 +1,12 @@
 import time
+import tracemalloc
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from random import Random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
 
 from totref import (
     AlgebraElement,
@@ -20,12 +23,14 @@ from totref import (
     reduction_chain,
     socle,
     stanley_reisner,
+    ten_vertex_graph,
     verify_ezd,
     wlp_check,
     wlp_generic,
     necessary_ring_conditions,
 )
 from totref.analysis import (
+    _relation_rows,
     annihilator_linear,
     m_squared_subspace,
     principal_ideal_subspace,
@@ -33,6 +38,7 @@ from totref.analysis import (
     quadratic_presentation,
     ring_length,
 )
+from totref.linalg import field_reduce
 
 from conftest import EXAMPLE_RING_RELATIONS, random_bipartite_connected
 
@@ -291,6 +297,66 @@ def test_quadratic_presentation_k2_40_is_fast(gf):
     start = time.perf_counter()
     assert quadratic_presentation(R)
     assert time.perf_counter() - start < 10
+
+
+def test_quadratic_presentation_k2_58_in_little_memory(gf):
+    # n = 60 with the hubs declared first and with vertices and edges
+    # shuffled (seed 3): the relation rows are streamed sparse, so the check
+    # holds no dense block of R_1 (x) R_2 columns (170 MB when it did)
+    xs, ys = ["u1", "u2"], [f"w{j}" for j in range(1, 59)]
+    vertices, edges = xs + ys, [(x, y) for x in xs for y in ys]
+    shuffled_vertices, shuffled_edges = list(vertices), list(edges)
+    rng = Random(3)
+    rng.shuffle(shuffled_vertices)
+    rng.shuffle(shuffled_edges)
+    for g in (Graph(vertices, edges), Graph(shuffled_vertices, shuffled_edges)):
+        R = artinian_reduction(g, field=gf)
+        tracemalloc.start()
+        try:
+            assert quadratic_presentation(R)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
+def dense_relation_rows(R):
+    """Oracle for ``_relation_rows``: the nonzero rows, as dicts of their
+    nonzero entries, of the dense blocks x_i (x) x_j x_k - x_j (x) x_i x_k
+    (j > i, all k), one (m - 1 - i, m, m, dim R_2) array per i."""
+    m, d2 = R.dims[1], R.dims[2]
+    T = R.np_table(1, 1)
+    rows = []
+    for i in range(m - 1):
+        J = m - 1 - i
+        block = np.zeros((J, m, m, d2), dtype=T.dtype)
+        block[:, :, i, :] = T[i + 1 :]
+        block[np.arange(J), :, np.arange(i + 1, m), :] = field_reduce(R.field, -T[i])
+        rows += [{c: x for c, x in enumerate(row) if x} for row in block.reshape(J * m, m * d2).tolist()]
+    return [row for row in rows if row]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["generic", "random"]), st.integers(0, 2**32))
+@example("c4", 0)
+@example("ten_vertex", 0)
+@example("generic", 3)
+def test_relation_rows_are_the_nonzero_dense_rows(c4, kind, seed):
+    rng = Random(seed)
+    for f in FIELDS:
+        if kind == "c4":
+            R = artinian_reduction(c4, field=f)
+        elif kind == "ten_vertex":
+            R = artinian_reduction(ten_vertex_graph(), field=f)
+        elif kind == "generic":
+            g = random_bipartite_connected(rng, 4, 7)
+            R = artinian_reduction(g, mode="generic", seed=rng.randrange(100), field=f)
+        else:
+            R = _random_relation_ring(rng, f)
+        rows = list(_relation_rows(R))
+        assert rows == dense_relation_rows(R)
+        entry = Fraction if f == RationalField() else int
+        assert all(type(x) is entry for row in rows for x in row.values())
 
 
 def test_wlp_example_ring(example_ring, gf):
