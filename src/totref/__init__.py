@@ -83,6 +83,6 @@ from .lifting import (
     lift_matrix,
     lift_through_sequence,
 )
-from .linalg import Matrix, Subspace
+from .linalg import Subspace
 
 __version__ = "0.1.0"

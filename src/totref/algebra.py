@@ -25,7 +25,7 @@ import numpy as np
 
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph, parse_graph
-from .linalg import Matrix, field_array, field_matmul, field_zeros, freeze, quotient_projection
+from .linalg import field_array, field_matmul, field_zeros, freeze, identity, quotient_projection
 
 
 class AlgebraError(ValueError):
@@ -185,7 +185,7 @@ class GradedAlgebra:
         if key not in self._np_tables:
             shape = (self.dims[d1], self.dims[d2], self.dims[d1 + d2])
             if d1 == 0 or d2 == 0:
-                table = Matrix.identity(self.field, self.dims[d1 + d2]).array.reshape(shape)
+                table = identity(self.field, self.dims[d1 + d2]).reshape(shape)
             else:
                 table = self._table_fn(d1, d2)
             self._np_tables[key] = freeze(table)
@@ -210,12 +210,6 @@ class GradedAlgebra:
                     if not f.is_zero(vk):
                         out[k] = f.add(out[k], f.mul(c, vk))
         return AlgebraElement(self, a.degree + b.degree, out)
-
-    def mult_map_matrix(self, elt: AlgebraElement, t: int) -> Matrix:
-        """Matrix of multiplication by elt from degree t to degree t + deg(elt)."""
-        if t + elt.degree > self.cutoff:
-            raise AlgebraError("multiplication map exceeds cutoff")
-        return Matrix(self.field, self.mult_map_array(elt.coords, elt.degree, t))
 
     def mult_map_array(self, coords, d, t):
         """The array (dims[t + d] x dims[t]) of multiplication by the degree-d
@@ -420,7 +414,7 @@ class QuotientMap:
         self.form = form
         field = source.field
         self._keep = [[0]]
-        self._proj = [freeze(Matrix.identity(field, 1).array)]
+        self._proj = [freeze(identity(field, 1))]
         labels = [["1"]]
         for d in range(1, source.cutoff + 1):
             # row i is l * (basis_i of degree d-1): a column of the mult map
@@ -555,6 +549,9 @@ def reduction_chain(
             l1 = top.linear_form(c1)
         else:
             l1 = top.random_linear(rng)
+            if l1.is_zero():
+                last = "first form is zero"
+                continue
         q1 = QuotientMap(top, l1, descriptor=dict(descriptor_base, level=1))
         mid = q1.target
         if mode == "canonical":

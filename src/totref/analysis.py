@@ -19,7 +19,7 @@ from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
 from .complexes import fitting_support, linear_matrix
 from .graphs import Graph
 from .linalg import (
-    Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros,
+    Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros, kernel_basis,
     rank_reaches, reduce_rref,
 )
 
@@ -38,7 +38,7 @@ def _stacked_mult_kernel(R: GradedAlgebra, d: int) -> Subspace:
     if d + 1 > R.cutoff or R.dims[d + 1] == 0:
         return Subspace.full(f, src)
     # rows of multiplication by generator i: the transposed table slice T[i].T
-    return Matrix(f, R.np_table(1, d).transpose(0, 2, 1).reshape(-1, src)).kernel_basis()
+    return kernel_basis(f, R.np_table(1, d).transpose(0, 2, 1).reshape(-1, src))
 
 
 def _graded_sum(R: GradedAlgebra, parts) -> Subspace:
@@ -203,7 +203,7 @@ def wlp_check(R: GradedAlgebra, l: AlgebraElement) -> bool:
     """True iff multiplication by l from R_1 to R_2 is surjective."""
     if l.degree != 1:
         raise AlgebraError("WLP check takes a linear form")
-    return R.mult_map_matrix(l, 1).rank() == R.dims[2]
+    return array_rank(R.field, R.mult_map_array(l.coords, 1, 1)) == R.dims[2]
 
 
 def wlp_generic(R: GradedAlgebra, rng: Random, trials: int = 8):
@@ -229,7 +229,7 @@ def wlp_generic(R: GradedAlgebra, rng: Random, trials: int = 8):
 class KernelSystem:
     """The (e+n) x 3n system expressing l1*f1 + l2*f2 + l*f = 0 in the graph ring."""
 
-    matrix: Matrix
+    matrix: np.ndarray  # (e+n) x 3n, over the field
     solutions: Subspace
     dimension: int
     koszul: Subspace
@@ -240,13 +240,12 @@ class KernelSystem:
         """The f-part (last n coordinates) of the extra solution."""
         if self.f4 is None:
             return None
-        n = self.matrix.cols // 3
-        return self.f4[2 * n :]
+        return self.f4[2 * self.matrix.shape[1] // 3 :]
 
     def to_json(self):
         return {
-            "equations": self.matrix.rows,
-            "unknowns": self.matrix.cols,
+            "equations": self.matrix.shape[0],
+            "unknowns": self.matrix.shape[1],
             "dimension": self.dimension,
             "koszul_contained": self.koszul_contained,
         }
@@ -289,8 +288,8 @@ def kernel_system(g: Graph, l1_coeffs, l2_coeffs, l_coeffs, field) -> KernelSyst
         row[2 * n + i] = a[i]
         rows.append(row)
 
-    m = Matrix(f, rows, cols=3 * n)
-    sol = m.kernel_basis()
+    m = field_array(f, rows).reshape(len(rows), 3 * n)
+    sol = kernel_basis(f, m)
     koszul_vecs = [
         [f.neg(c) for c in beta] + list(alpha) + [f.zero] * n,
         [f.neg(c) for c in a] + [f.zero] * n + list(alpha),
@@ -343,7 +342,7 @@ def ring_length(R: GradedAlgebra) -> int:
 def principal_length_linear(R: GradedAlgebra, a: AlgebraElement) -> int:
     """Length of the ideal (a) for a nonzero linear a in an m^3 = 0 ring:
     1 (for a itself) + dim a*R_1."""
-    return 1 + R.mult_map_matrix(a, 1).rank()
+    return 1 + array_rank(R.field, R.mult_map_array(a.coords, a.degree, 1))
 
 
 def verify_ezd(R: GradedAlgebra, a: AlgebraElement, b: AlgebraElement) -> bool:
@@ -368,14 +367,14 @@ def annihilator_linear(R: GradedAlgebra, a: AlgebraElement) -> Subspace:
         if d + a.degree > R.cutoff or R.dims[d + a.degree] == 0:
             parts[d] = Subspace.full(R.field, R.dims[d]).rows
         else:
-            parts[d] = R.mult_map_matrix(a, d).kernel_basis().rows
+            parts[d] = kernel_basis(R.field, R.mult_map_array(a.coords, a.degree, d)).rows
     return _graded_sum(R, parts)
 
 
 def principal_ideal_subspace(R: GradedAlgebra, b: AlgebraElement) -> Subspace:
     """(b) = span{b} + b*R_1 as a subspace of R_1 + R_2 (for linear b)."""
-    mm = R.mult_map_matrix(b, 1)
-    return _graded_sum(R, {1: field_array(R.field, [b.coords]), 2: mm.array.T})
+    mm = R.mult_map_array(b.coords, b.degree, 1)
+    return _graded_sum(R, {1: field_array(R.field, [b.coords]), 2: mm.T})
 
 
 def xy_split_flip(R: GradedAlgebra, z: AlgebraElement, x_labels) -> AlgebraElement:
@@ -427,13 +426,13 @@ def find_ezd(
     for z in candidates():
         if z.is_zero():
             continue
-        mm = R.mult_map_matrix(z, 1)
-        if mm.cols - mm.rank() != 1:
+        mm = R.mult_map_array(z.coords, z.degree, 1)
+        if mm.shape[1] - array_rank(R.field, mm) != 1:
             continue
         if strategy == "bipartite-canonical":
             partner = xy_split_flip(R, z, set(x_labels))
         else:
-            partner = AlgebraElement(R, 1, mm.kernel_basis().basis[0])
+            partner = AlgebraElement(R, 1, kernel_basis(R.field, mm).basis[0])
         if verify_ezd(R, z, partner):
             return EzdPair(a=z, b=partner, certified=True)
     return None

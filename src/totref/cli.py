@@ -1,7 +1,7 @@
 """Command-line front end: analyze graphs, build/lift/verify complex windows.
 
 Exit codes: 0 = a verdict was produced (including negative verdicts),
-2 = inconclusive, 1 = error.  All randomness flows from --seed.
+2 = inconclusive, 1 = error (a usage error too).  All randomness flows from --seed.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class RunConfig:
             raise ValueError("--degree-bound must be at least 2")
         if any(n is not None and n < 0 for n in (args.forward, args.backward)):
             raise ValueError("--forward and --backward must be non-negative")
+        if args.retries < 1:
+            raise ValueError("--retries must be at least 1")
         return cls(
             field=field,
             degree_bound=args.degree_bound,
@@ -406,8 +408,15 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one ``error:`` line and exit 1, as every other error."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="totref",
         description="Exact certification of totally reflexive module witnesses "
         "over Artinian reductions of graph rings.",
@@ -445,14 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (GraphError, AlgebraError, ComplexError, LiftError, FactoryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except SystemExit as exc:  # from the parser: 0 after --help, 1 after a usage error
+        return exc.code
+    except (GraphError, AlgebraError, ComplexError, LiftError, FactoryError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,8 @@ from .complexes import (
 )
 from .graphs import Graph
 from .linalg import (
-    Matrix, Subspace, array_rank, field_array, field_matmul, field_reduce, freeze, rref, solve,
+    Subspace, array_rank, field_array, field_matmul, field_reduce, freeze, identity, left_inverse,
+    rref, solve,
 )
 
 
@@ -86,7 +87,7 @@ class Side:
 
     basis1 holds the generators g_1..g_m of side_1 (their coordinates are
     the rows of coords, an m x n1 array over the field) and cols2 the side_2
-    basis as the columns of an n2 x m matrix C2.  maps is the n1-row array
+    basis as the columns of an n2 x m array C2.  maps is the n1-row array
     [Res1 | Res2 | Phi]: for an entry e of R_1,
       * e . Res1 = 0 iff e lies in side_1 (Res1 = I - X G, X a right inverse
         of G = coords);
@@ -99,7 +100,7 @@ class Side:
     """
 
     basis1: list
-    cols2: Matrix
+    cols2: np.ndarray
     coords: object
     maps: object
     delta: list
@@ -165,19 +166,19 @@ class SpecialRing:
         f = R.field
         n1, n2, m = R.dims[1], R.dims[2], len(gens)
         coords = field_array(f, [g.coords for g in gens]).reshape(m, n1)
-        cols2 = Matrix(f, field_array(f, [e.coords for e in basis2]).reshape(m, n2).T)
-        X = Matrix(f, coords.T).left_inverse().array.T
-        L2 = cols2.left_inverse().array
+        cols2 = field_array(f, [e.coords for e in basis2]).reshape(m, n2).T
+        X = left_inverse(f, coords.T).T
+        L2 = left_inverse(f, cols2)
         # psi[(i, k), :] = e_i g_k, from T[i, j, :] = e_i e_j
         T = R.np_table(1, 1).transpose(0, 2, 1).reshape(n1 * n2, n1)
         psi = field_matmul(f, T, coords.T).reshape(n1, n2, m).transpose(0, 2, 1)
         psi = psi.reshape(n1 * m, n2)
         phi = field_matmul(f, psi, L2.T)
-        eye = Matrix.identity(f, n1).array
-        res1 = field_reduce(f, eye - field_matmul(f, X, coords))
-        res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.array.T))
+        res1 = field_reduce(f, identity(f, n1) - field_matmul(f, X, coords))
+        res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.T))
         maps = np.hstack([res1, res2.reshape(n1, m * n2), phi.reshape(n1, m * m)])
-        return Side(gens, cols2, freeze(coords), freeze(maps), cols2.solve(list(delta.coords)))
+        d = solve(f, cols2, field_array(f, [delta.coords]).T)
+        return Side(gens, cols2, freeze(coords), freeze(maps), d if d is None else d[:, 0].tolist())
 
     def side(self, which) -> Side:
         if which not in self._sides:
@@ -230,8 +231,8 @@ class PairBlock:
         return field_reduce(field, self.A + self.B)
 
 
-def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False) -> Matrix:
-    """Matrix of (f, g) -> mat * (f, g)^t on (side_1)^2 -> (side_2)^2.
+def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False):
+    """The array of (f, g) -> mat * (f, g)^t on (side_1)^2 -> (side_2)^2.
 
     Since the two sides annihilate each other, a wrong-side component would
     act as zero and go unnoticed; membership is checked explicitly instead.
@@ -253,12 +254,12 @@ def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False) -
         r, slot = divmod(int(outside[0]), 2)
         raise FactoryError(f"block entry ({r},{slot}) lies outside side {side!r}")
     B = P[:, n1 + m * n2 :].reshape(2, 2, m, m).transpose(0, 3, 1, 2)
-    return Matrix(f, B.reshape(2 * m, 2 * m))
+    return B.reshape(2 * m, 2 * m)
 
 
 def injectivity_check(ring: SpecialRing, mat, side: str, transpose: bool = False) -> bool:
-    m = induced_matrix(ring, mat, side, transpose)
-    return m.rank() == m.cols
+    M = induced_matrix(ring, mat, side, transpose)
+    return array_rank(ring.ring.field, M) == M.shape[1]
 
 
 def make_block(ring: SpecialRing, index: int, A, B) -> PairBlock:
@@ -335,7 +336,7 @@ def _solve_columns(ring: SpecialRing, mat, side: str):
     M = induced_matrix(ring, mat, side)
     zeros = [f.zero] * m
     rhs = field_array(f, [s.delta + zeros, zeros + s.delta]).T
-    sol = solve(f, M.array, rhs)
+    sol = solve(f, M, rhs)
     if sol is None:
         raise ExtensionError(f"side {side!r} system is singular")
     # sol.T[slot, r*m:(r+1)*m] are the coordinates of the entry (r, slot)

@@ -8,9 +8,11 @@ Arrays over a field have one representation per field, chosen here and
 nowhere else (``np_modulus`` decides): int64 arrays for GF(p) with p < 2**31,
 so that a product of two representatives stays below 2**63, and numpy
 ``object`` arrays of exact Python ints (GF(p), p >= 2**31) or Fractions (the
-rationals) otherwise.  ``field_array`` builds them, ``field_matmul`` is their
-one product and ``rref``/``array_rank`` eliminate them; ``Matrix`` and
-``Subspace`` hold them.  A sum of int64 products can still overflow:
+rationals) otherwise.  A matrix over the field is such an array, with no
+wrapper: ``field_array`` and ``identity`` build them, ``field_matmul`` is
+their one product, ``rref``/``array_rank`` eliminate them, and ``solve``,
+``kernel_basis`` and ``left_inverse`` are read off one RREF.  ``Subspace``
+keeps its basis as one.  A sum of int64 products can still overflow:
 ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2) products before
 reducing.
 
@@ -554,90 +556,35 @@ def quotient_projection(field, A):
     return keep, P
 
 
-class Matrix:
-    """Dense matrix over an exact field, held as one array over the field
-    (see ``field_array``); ``entries`` is its list view."""
+def identity(field, n):
+    """The n x n identity array over the field."""
+    I = field_zeros(field, (n, n))
+    I[range(n), range(n)] = field.one
+    return I
 
-    __slots__ = ("field", "array", "rows", "cols")
 
-    def __init__(self, field, entries, cols=None):
-        """entries: a 2-D array over the field, or a list of rows (an empty
-        list needs the column count)."""
-        self.field = field
-        if not isinstance(entries, np.ndarray):
-            rows = [list(r) for r in entries]
-            if not rows and cols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            width = len(rows[0]) if rows else cols
-            if any(len(r) != width for r in rows):
-                raise ValueError("ragged rows")
-            entries = field_array(field, rows).reshape(len(rows), width)
-        self.array = entries
-        self.rows, self.cols = entries.shape
+def kernel_basis(field, A) -> "Subspace":
+    """Canonical basis of the right kernel {v : A @ v = 0} of a 2-D array
+    over the field."""
+    cols = A.shape[1]
+    R, piv = rref(field, A)
+    pivset = set(piv)
+    free = [c for c in range(cols) if c not in pivset]
+    K = field_zeros(field, (len(free), cols))
+    K[range(len(free)), free] = field.one
+    K[:, piv] = field_reduce(field, -R[:, free].T)
+    return Subspace.from_vectors(field, cols, K)
 
-    @property
-    def entries(self):
-        return self.array.tolist()
 
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls(field, field_zeros(field, (rows, cols)))
-
-    @classmethod
-    def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        m.array[range(n), range(n)] = field.one
-        return m
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.array.T)
-
-    def rank(self) -> int:
-        return array_rank(self.field, self.array)
-
-    def rref(self):
-        """Returns (rref rows without zero rows, as an array; pivot column list)."""
-        return rref(self.field, self.array)
-
-    def kernel_basis(self) -> "Subspace":
-        """Canonical basis of the right kernel {v : self @ v = 0}."""
-        f = self.field
-        R, piv = self.rref()
-        pivset = set(piv)
-        free = [c for c in range(self.cols) if c not in pivset]
-        K = field_zeros(f, (len(free), self.cols))
-        K[range(len(free)), free] = f.one
-        K[:, piv] = field_reduce(f, -R[:, free].T)
-        return Subspace.from_vectors(f, self.cols, K)
-
-    def solve(self, rhs):
-        """Some x with self @ x = rhs, or None when inconsistent."""
-        if len(rhs) != self.rows:
-            raise ValueError("shape mismatch")
-        b = field_array(self.field, list(rhs)).reshape(self.rows, 1)
-        x = solve(self.field, self.array, b)
-        return None if x is None else x[:, 0].tolist()
-
-    def left_inverse(self) -> "Matrix":
-        """A left inverse L (L @ self = I), read off the RREF of [self | I];
-        the columns must be independent (ValueError otherwise)."""
-        f = self.field
-        n, m = self.rows, self.cols
-        R, piv = rref(f, np.hstack([self.array, Matrix.identity(f, n).array]))
-        if piv[:m] != list(range(m)):
-            raise ValueError("columns are linearly dependent")
-        return Matrix(f, R[:m, m:])
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.field == self.field
-            and other.cols == self.cols
-            and other.entries == self.entries
-        )
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
+def left_inverse(field, A):
+    """A left inverse L (L @ A = I) of a 2-D array over the field, read off
+    the RREF of [A | I]; the columns must be independent (ValueError
+    otherwise)."""
+    n, m = A.shape
+    R, piv = rref(field, np.hstack([A, identity(field, n)]))
+    if piv[:m] != list(range(m)):
+        raise ValueError("columns are linearly dependent")
+    return R[:m, m:]
 
 
 class Subspace:
@@ -660,7 +607,7 @@ class Subspace:
         if not isinstance(vectors, np.ndarray):
             if any(len(v) != ambient for v in vectors):
                 raise ValueError("vector length does not match ambient dimension")
-            vectors = Matrix(field, vectors, cols=ambient).array
+            vectors = field_array(field, vectors).reshape(len(vectors), ambient)
         elif vectors.shape[1] != ambient:
             raise ValueError("vector length does not match ambient dimension")
         return cls(field, ambient, *rref(field, vectors))
@@ -671,7 +618,7 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient) -> "Subspace":
-        return cls(field, ambient, Matrix.identity(field, ambient).array, range(ambient))
+        return cls(field, ambient, identity(field, ambient), range(ambient))
 
     @property
     def dim(self) -> int:
@@ -701,7 +648,7 @@ class Subspace:
         f = self.field
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero(f, self.ambient)
-        ker = Matrix(f, np.hstack([self.rows.T, field_reduce(f, -other.rows.T)])).kernel_basis()
+        ker = kernel_basis(f, np.hstack([self.rows.T, field_reduce(f, -other.rows.T)]))
         return Subspace.from_vectors(
             f, self.ambient, field_matmul(f, ker.rows[:, : self.dim], self.rows)
         )

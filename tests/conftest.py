@@ -207,7 +207,8 @@ def naive_exactness(w):
     Returns {(index, degree): exact} computed from span comparisons, never
     from rank bookkeeping.
     """
-    from totref import Matrix, Subspace
+    from totref import Subspace
+    from totref.linalg import kernel_basis
 
     R = w.algebra
     f = R.field
@@ -217,8 +218,7 @@ def naive_exactness(w):
             if t + 1 > R.cutoff:
                 continue
             src = R.dims[t] * w.rank_of(i)
-            blk = Matrix(f, w._block_array(i, t))
-            ker = blk.kernel_basis()
+            ker = kernel_basis(f, w._block_array(i, t))
             if t == 0:
                 img = Subspace.zero(f, src)
             else:

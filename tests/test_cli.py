@@ -1,8 +1,14 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
+from itertools import combinations
 from pathlib import Path
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from totref import GradedAlgebra, ten_vertex_graph
 from totref.cli import main
@@ -133,7 +139,7 @@ def test_build_ezd_and_verify_round_trip(capsys, c4_file, tmp_path):
     code, vrep = run_json(capsys, ["verify", out])
     assert code == 0 and vrep["certified"]
     # round trip: load -> save -> load is idempotent
-    first = json.loads(open(out).read())
+    first = json.loads(Path(out).read_text())
     from totref import FreeComplexWindow
 
     again = FreeComplexWindow.from_json(first).to_json()
@@ -153,7 +159,7 @@ def test_build_ten_vertex_canonical(capsys, tmp_path):
          "--forward", "3", "--backward", "3", "--out", out],
     )
     assert code == 0 and rep["status"] == "certified"
-    obj = json.loads(open(out).read())
+    obj = json.loads(Path(out).read_text())
     assert obj["betti"] == [2] * 8
     assert obj["periodic"] == {"period": 2, "verified": True}
     code, vrep = run_json(capsys, ["verify", out])
@@ -166,11 +172,11 @@ def test_factory_subcommand_seeded_determinism(capsys, tmp_path):
     capsys.readouterr()
     assert main(["factory", "--seed", "9", "--forward", "1", "--backward", "1", "--out", b, "--json"]) == 0
     capsys.readouterr()
-    assert open(a).read() == open(b).read()
+    assert Path(a).read_text() == Path(b).read_text()
     c = str(tmp_path / "c.json")
     assert main(["factory", "--seed", "10", "--forward", "1", "--backward", "1", "--out", c, "--json"]) == 0
     capsys.readouterr()
-    assert open(a).read() != open(c).read()
+    assert Path(a).read_text() != Path(c).read_text()
 
 
 def test_lift_cli_pipeline(capsys, c4_file, tmp_path):
@@ -212,7 +218,7 @@ def test_lift_requires_descriptor(capsys, c4_file, tmp_path):
         truncate_basis,
     ]
     for k, corrupt in enumerate(breakages):
-        obj = json.loads(open(src).read())
+        obj = json.loads(Path(src).read_text())
         corrupt(obj["algebra"])
         stripped = tmp_path / f"stripped{k}.json"
         stripped.write_text(json.dumps(obj))
@@ -226,11 +232,11 @@ def test_verify_corrupted_entry_fails(capsys, c4_file, tmp_path):
     src = str(tmp_path / "src.json")
     main(["build", c4_file, "--mode", "ezd", "--out", src])
     capsys.readouterr()
-    obj = json.loads(open(src).read())
+    obj = json.loads(Path(src).read_text())
     # push the entry off its line (a pure rescaling would stay certified)
     obj["differentials"][1][0][0][1] = (obj["differentials"][1][0][0][1] + 1) % 1073741789
     bad = str(tmp_path / "bad.json")
-    open(bad, "w").write(json.dumps(obj))
+    Path(bad).write_text(json.dumps(obj))
     code, rep = run_json(capsys, ["verify", bad])
     assert code == 0
     assert not rep["certified"]
@@ -240,14 +246,14 @@ def test_verify_unit_entry_not_minimal(capsys, c4_file, tmp_path):
     src = str(tmp_path / "src.json")
     main(["build", c4_file, "--mode", "ezd", "--out", src])
     capsys.readouterr()
-    obj = json.loads(open(src).read())
+    obj = json.loads(Path(src).read_text())
     obj["constants"] = [
         [[1 if (m == 0 and r == 0 and c == 0) else 0 for c in range(len(mat[0]))]
          for r, _ in enumerate(mat)]
         for m, mat in enumerate(obj["differentials"])
     ]
     nm = str(tmp_path / "nonminimal.json")
-    open(nm, "w").write(json.dumps(obj))
+    Path(nm).write_text(json.dumps(obj))
     code, rep = run_json(capsys, ["verify", nm])
     assert code == 0
     assert rep["minimal"] is False and rep["certified"] is False
@@ -280,7 +286,7 @@ def test_verify_refuses_malformed_coordinates(capsys, c4_file, tmp_path, field, 
     src = str(tmp_path / "src.json")
     assert main(["build", c4_file, "--mode", "ezd", "--out", src] + field) == 0
     capsys.readouterr()
-    obj = json.loads(open(src).read())
+    obj = json.loads(Path(src).read_text())
     if key == "differentials":
         obj["differentials"][0][0][0][0] = value
     else:
@@ -347,7 +353,7 @@ def test_verify_missing_field(capsys, c4_file, tmp_path, field):
     src = str(tmp_path / "src.json")
     main(["build", c4_file, "--mode", "ezd", "--out", src])
     capsys.readouterr()
-    obj = json.loads(open(src).read())
+    obj = json.loads(Path(src).read_text())
     *path, key = field.split(".")
     parent = obj[path[0]] if path else obj
     del parent[key]
@@ -938,3 +944,100 @@ def test_verify_refuses_a_file_cutoff_above_the_table_limit(capsys, tmp_path):
     src.write_text(json.dumps(obj))
     code, err = _bounded_cli(["verify", str(src)])
     assert code == 1 and err.startswith(f"error: cutoff {cutoff} is too high for this ring"), err
+
+
+C5 = {"vertices": list("abcde"), "edges": [["a", "b"], ["b", "c"], ["c", "d"], ["d", "e"], ["e", "a"]]}
+K4 = {"vertices": list("abcd"), "edges": [[u, v] for u, v in combinations("abcd", 2)]}
+
+
+@pytest.mark.parametrize("seed", ["1", "6", "15"])
+def test_generic_reduction_resamples_a_zero_first_form(capsys, tmp_path, seed):
+    """Over GF(2) these seeds draw a zero first form for C5; the draw is
+    resampled like a vanished second form instead of ending the search."""
+    path = write_graph(tmp_path, "c5.json", C5)
+    code, rep = run_json(capsys, ["analyze", path, "--prime", "2", "--seed", seed])
+    assert code == 0 and capsys.readouterr().err == ""
+    assert rep["reduction"]["hilbert_ok"] and rep["verdict"] == "no-non-free-TR"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "GRAPH", "--bogus"],
+        ["analyze", "GRAPH", "--prime", "abc"],
+        ["build", "GRAPH", "--mode", "bogus"],
+        ["analyze"],
+    ],
+)
+def test_usage_errors_exit_1_with_one_error_line(capsys, c4_file, argv):
+    assert main([c4_file if a == "GRAPH" else a for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: totref")
+
+
+@pytest.mark.parametrize("retries", ["0", "-3"])
+def test_retries_below_one_refused(capsys, tmp_path, retries):
+    path = write_graph(tmp_path, "k4.json", K4)
+    assert main(["analyze", path, "--retries", retries]) == 1
+    assert main(["factory", "--retries", retries]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: --retries must be at least 1\n" * 2
+
+
+@functools.lru_cache(maxsize=None)
+def connected_atlas():
+    """The connected graphs of the networkx atlas with 2 to 7 vertices."""
+    return [
+        g for g in nx.graph_atlas_g() if 2 <= g.number_of_nodes() <= 7 and nx.is_connected(g)
+    ]
+
+
+def run_captured(argv):
+    """(exit code, stdout, stderr) of main(argv), captured without a fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("prime", [None, 2, 3])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_analyze_atlas_graphs(tmp_path_factory, prime, data):
+    """analyze of a connected atlas graph, written with its vertices and
+    edges in a drawn order, at a drawn seed.  At the default prime: a
+    verdict or an inconclusive exit, the expected Hilbert function, and
+    no-non-free-TR whenever e != 2n - 4 or there is a triangle or a leaf.
+    Over GF(2) and GF(3) the reduction search may run out of retries, but
+    only as one error line; there a drawn --retries of 1 to 8 keeps each
+    failing search short."""
+    g = data.draw(st.sampled_from(connected_atlas()))
+    vertices = data.draw(st.permutations([f"v{v}" for v in g.nodes]))
+    edges = data.draw(st.permutations([[f"v{u}", f"v{v}"] for u, v in g.edges]))
+    seed = data.draw(st.integers(0, 2**16))
+    path = tmp_path_factory.mktemp("atlas") / "g.json"
+    path.write_text(json.dumps({"vertices": vertices, "edges": edges}))
+    argv = ["analyze", str(path), "--seed", str(seed), "--json"]
+    if prime is not None:
+        retries = data.draw(st.integers(1, 8))
+        code, out, err = run_captured(argv + ["--prime", str(prime), "--retries", str(retries)])
+        assert code in (0, 1, 2)
+        assert err == "" or (
+            err.startswith("error: no regular reduction found (") and err.count("\n") == 1
+        )
+        return
+    code, out, err = run_captured(argv)
+    assert code in (0, 2) and err == ""
+    rep = json.loads(out)
+    assert rep["reduction"]["hilbert_ok"]
+    n, e = g.number_of_nodes(), g.number_of_edges()
+    has_triangle = any(nx.triangles(g).values())
+    has_leaf = min(d for _, d in g.degree) == 1
+    if e != 2 * n - 4 or has_triangle or has_leaf:
+        assert rep["verdict"] == "no-non-free-TR"

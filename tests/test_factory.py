@@ -1,4 +1,5 @@
 import functools
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -11,7 +12,6 @@ import totref.linalg as linalg
 from totref import (
     DEFAULT_PRIME,
     FactoryError,
-    Matrix,
     RationalField,
     Subspace,
     build_special_ring,
@@ -104,7 +104,7 @@ def test_injectivity_canonical_blocks_all_four(special_ring):
             assert injectivity_check(special_ring, mat, side)
             assert injectivity_check(special_ring, mat, side, transpose=True)
             m8 = induced_matrix(special_ring, mat, side)
-            assert m8.rank() == 8
+            assert linalg.array_rank(special_ring.ring.field, m8) == 8
 
 
 def test_induced_matrix_det_matches_independent_oracle(special_ring):
@@ -113,7 +113,7 @@ def test_induced_matrix_det_matches_independent_oracle(special_ring):
     m8 = induced_matrix(special_ring, blk.A, "a")
     p = special_ring.ring.field.p
     # entries live in {0, 1, p-1}: map back to signed integers for the oracle
-    signed = [[x if x <= 1 else x - p for x in row] for row in m8.entries]
+    signed = [[x if x <= 1 else x - p for x in row] for row in m8.tolist()]
     det = fraction_det(signed)
     assert det != 0
     assert abs(det) == 64
@@ -145,6 +145,7 @@ def induced_matrix_oracle(ring, mat, side, transpose=False):
     column and output row, after a Subspace membership test of every entry."""
     s = ring.side(side)
     m = len(s.basis1)
+    f = ring.ring.field
     sub = ring.a1 if side == "a" else ring.b1
     if not all(sub.contains(list(e.coords)) for row in mat for e in row):
         raise FactoryError("entry outside side_1")
@@ -155,13 +156,14 @@ def induced_matrix_oracle(ring, mat, side, transpose=False):
         for g in s.basis1:
             outs = []
             for r in range(2):
-                coords = s.cols2.solve(list((mat[r][slot] * g).coords))
+                rhs = linalg.field_array(f, [(mat[r][slot] * g).coords]).T
+                coords = linalg.solve(f, s.cols2, rhs)
                 if coords is None:
                     raise FactoryError("product outside side_2")
-                outs.extend(coords)
+                outs.extend(coords[:, 0].tolist())
             columns.append(outs)
-    f = ring.ring.field
-    return Matrix(f, [[columns[j][i] for j in range(2 * m)] for i in range(2 * m)], cols=2 * m)
+    rows = [[columns[j][i] for j in range(2 * m)] for i in range(2 * m)]
+    return linalg.field_array(f, rows).reshape(2 * m, 2 * m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -208,8 +210,9 @@ def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stra
         with pytest.raises(FactoryError):
             induced_matrix(ring, linear_matrix(R, mat), side, transpose)
     else:
-        assert induced_matrix(ring, linear_matrix(R, mat), side, transpose) == induced_matrix_oracle(
-            ring, mat, side, transpose
+        assert np.array_equal(
+            induced_matrix(ring, linear_matrix(R, mat), side, transpose),
+            induced_matrix_oracle(ring, mat, side, transpose),
         )
 
 
@@ -244,12 +247,13 @@ def test_extension_kernel_dimension_two(special_ring):
     from totref.factory import _window_from_blocks
 
     w = _window_from_blocks(special_ring, {0: even, 1: extend_forward(special_ring, even)})
-    blk = Matrix(special_ring.ring.field, w._block_array(0, 1))  # (R_1)^2 -> (R_2)^2
-    assert blk.cols - blk.rank() == 2
+    f = special_ring.ring.field
+    blk = w._block_array(0, 1)  # (R_1)^2 -> (R_2)^2
+    assert blk.shape[1] - linalg.array_rank(f, blk) == 2
     # the extension's columns land in that kernel
     ext = extend_forward(special_ring, even)
     span = block_column_span(special_ring, ext)
-    ker = blk.kernel_basis()
+    ker = linalg.kernel_basis(f, blk)
     assert span.sum(ker) == ker
 
 
@@ -257,7 +261,7 @@ def test_extension_solution_unique(special_ring):
     # the A-side system is invertible, so the column solves are unique
     even = canonical_blocks(special_ring, 0)
     m8 = induced_matrix(special_ring, even.A, "a")
-    assert m8.kernel_basis().dim == 0
+    assert linalg.kernel_basis(special_ring.ring.field, m8).dim == 0
 
 
 def test_backward_then_forward_round_trip(special_ring):
@@ -324,7 +328,9 @@ def test_certify_reads_kernel_dims_off_the_exactness_records(monkeypatch, p):
     calls = []
 
     def counting(field, A):
-        calls.append(A.shape)
+        # injectivity_check ranks each induced matrix through the same name
+        if sys._getframe(1).f_code.co_name == "_certify":
+            calls.append(A.shape)
         return linalg.array_rank(field, A)
 
     monkeypatch.setattr(factory, "array_rank", counting)

@@ -10,7 +10,6 @@ from totref import (
     FreeComplexWindow,
     Graph,
     LiftError,
-    Matrix,
     assemble_epsilon,
     certify_regular,
     correction_matrix,
@@ -25,7 +24,9 @@ from totref import (
     ten_vertex_graph,
 )
 from totref.algebra import QuotientMap
-from totref.linalg import field_array, field_matmul, field_reduce, field_zeros
+from totref.linalg import (
+    array_rank, field_array, field_matmul, field_reduce, field_zeros, kernel_basis, solve,
+)
 
 from conftest import ARRAY_FIELDS, array_field, element_rows
 
@@ -44,7 +45,11 @@ def ranked_regular(S, x):
     piece below the cutoff, by one rank per degree."""
     if x.degree != 1 or x.is_zero():
         return False
-    return all(S.mult_map_matrix(x, t).rank() == S.dims[t] for t in range(S.cutoff) if S.dims[t])
+    return all(
+        array_rank(S.field, S.mult_map_array(x.coords, 1, t)) == S.dims[t]
+        for t in range(S.cutoff)
+        if S.dims[t]
+    )
 
 
 def test_regularity_certificates(c4_setup):
@@ -238,14 +243,14 @@ def composing_forms(R, rng, rows, D):
     f = R.field
     b, c = D.shape[:2]
     transpose = FreeComplexWindow(R, -1, 0, [c, b], [D.transpose(1, 0, 2)])
-    K = Matrix(f, transpose._block_array(0, 1)).kernel_basis().rows
+    K = kernel_basis(f, transpose._block_array(0, 1)).rows
     coeffs = field_array(f, [[f.rand(rng) for _ in range(len(K))] for _ in range(rows)])
     return field_matmul(f, coeffs.reshape(rows, len(K)), K).reshape(rows, b, R.dims[1])
 
 
 def correction_oracle(A, B, x, S):
-    """One multiply per product term and one Matrix.solve per entry."""
-    X = S.mult_map_matrix(x, 1)
+    """One multiply per product term and one linalg.solve per entry."""
+    X = S.mult_map_array(x.coords, 1, 1)
     out = []
     for r in range(len(A)):
         row = []
@@ -253,10 +258,10 @@ def correction_oracle(A, B, x, S):
             prod = S.zero(2)
             for m in range(len(B)):
                 prod = prod + A[r][m] * B[m][c]
-            sol = X.solve(list(prod.coords))
+            sol = solve(S.field, X, field_array(S.field, [prod.coords]).T)
             if sol is None:
                 raise LiftError("not divisible")
-            row.append(AlgebraElement(S, 1, sol))
+            row.append(AlgebraElement(S, 1, sol[:, 0].tolist()))
             assert x * row[-1] == prod
         out.append(row)
     return out
@@ -275,7 +280,7 @@ def test_array_lift_matches_element_oracle(p, name, level, seed, betti, perturb)
     """Random windows d_{i-1} d_i of 1-3 x 1-3 linear forms that compose over
     R = S/(x), on both steps of a chain: the lifts, the correction matrix and
     the block differential equal their per-entry element oracles
-    (QuotientMap.lift, multiply and one Matrix.solve per entry); with an entry
+    (QuotientMap.lift, multiply and one linalg.solve per entry); with an entry
     of the lifted d_{i-1} perturbed, the array correction refuses exactly
     when some product entry is not divisible by x."""
     q = chain_over(name, p).steps[level]

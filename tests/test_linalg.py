@@ -8,16 +8,21 @@ from hypothesis import example, given, settings, strategies as st
 
 import totref
 import totref.linalg as linalg
-from totref import DEFAULT_PRIME, Matrix, PrimeField, RationalField, Subspace
+from totref import DEFAULT_PRIME, PrimeField, RationalField, Subspace
 from totref.linalg import (
     _rref_array,
     _rref_int,
     array_rank,
     field_array,
     field_matmul,
+    field_zeros,
+    identity,
+    kernel_basis,
+    left_inverse,
     mod_matmul,
     np_modulus,
     rank_reaches,
+    rref,
 )
 
 import numpy as np
@@ -30,7 +35,9 @@ QQ = RationalField()
 
 
 def rand_matrix(field, rng, rows, cols):
-    return Matrix(field, [[field.rand(rng) for _ in range(cols)] for _ in range(rows)], cols=cols)
+    return field_array(field, [[field.rand(rng) for _ in range(cols)] for _ in range(rows)]).reshape(
+        rows, cols
+    )
 
 
 def field_dot(field, a, b):
@@ -40,9 +47,15 @@ def field_dot(field, a, b):
     return acc
 
 
-def apply(m, vec):
-    """m @ vec by field operations on the list view."""
-    return [field_dot(m.field, row, vec) for row in m.entries]
+def apply(field, A, vec):
+    """A @ vec by field operations on the list view."""
+    return [field_dot(field, row, vec) for row in A.tolist()]
+
+
+def solve_vector(field, A, b):
+    """Some x with A @ x = b (lists), or None: linalg.solve on one column."""
+    X = linalg.solve(field, A, field_array(field, b).reshape(len(b), 1))
+    return None if X is None else X[:, 0].tolist()
 
 
 def list_product(field, left, right, cols):
@@ -51,26 +64,26 @@ def list_product(field, left, right, cols):
 
 
 def test_rank_identity_and_zero():
-    assert Matrix.identity(GF, 2).rank() == 2
-    assert Matrix.zeros(GF, 3, 4).rank() == 0
-    assert Matrix.identity(QQ, 5).rank() == 5
+    assert array_rank(GF, identity(GF, 2)) == 2
+    assert array_rank(GF, field_zeros(GF, (3, 4))) == 0
+    assert array_rank(QQ, identity(QQ, 5)) == 5
 
 
 def test_kernel_trivial_cases():
-    assert Matrix.identity(GF, 3).kernel_basis().dim == 0
-    k = Matrix(GF, [[1, 1]]).kernel_basis()
+    assert kernel_basis(GF, identity(GF, 3)).dim == 0
+    k = kernel_basis(GF, field_array(GF, [[1, 1]]))
     assert k.dim == 1
     assert k.basis[0] == (1, GF.p - 1)  # span{(1, -1)}
-    kq = Matrix(QQ, [[Fraction(1), Fraction(1)]]).kernel_basis()
+    kq = kernel_basis(QQ, field_array(QQ, [[Fraction(1), Fraction(1)]]))
     assert kq.basis[0] == (Fraction(1), Fraction(-1))
 
 
 def test_solve_trivial_cases():
     b = [3, 5, 7]
-    assert Matrix.identity(GF, 3).solve(b) == b
-    assert Matrix.zeros(GF, 2, 2).solve([1, 0]) is None
-    assert Matrix.zeros(GF, 2, 2).solve([0, 0]) == [0, 0]
-    assert Matrix(GF, [], cols=3).solve([]) == [0, 0, 0]
+    assert solve_vector(GF, identity(GF, 3), b) == b
+    assert solve_vector(GF, field_zeros(GF, (2, 2)), [1, 0]) is None
+    assert solve_vector(GF, field_zeros(GF, (2, 2)), [0, 0]) == [0, 0]
+    assert solve_vector(GF, field_array(GF, []).reshape(0, 3), []) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("field", [GF, GF5, QQ])
@@ -79,13 +92,13 @@ def test_rank_transpose_and_nullity(field):
     for _ in range(25):
         rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
         m = rand_matrix(field, rng, rows, cols)
-        r = m.rank()
-        assert r == m.transpose().rank()
-        assert m.kernel_basis().dim + r == cols
+        r = array_rank(field, m)
+        assert r == array_rank(field, m.T)
+        assert kernel_basis(field, m).dim + r == cols
 
 
 def test_solve_round_trip():
-    """Matrix.solve, and linalg.solve with a B of several columns, over
+    """linalg.solve with one column and with a B of several columns, over
     GF(7), the default prime and Q: some X with A X = B when the system is
     consistent, None once a zero row of A meets a nonzero entry of B."""
     rng = Random(7)
@@ -94,18 +107,18 @@ def test_solve_round_trip():
             rows, cols, k = rng.randrange(1, 7), rng.randrange(1, 7), rng.randrange(1, 4)
             m = rand_matrix(field, rng, rows, cols)
             x = [field.rand(rng) for _ in range(cols)]
-            b = apply(m, x)
-            got = m.solve(b)
+            b = apply(field, m, x)
+            got = solve_vector(field, m, b)
             assert got is not None
-            assert apply(m, got) == b
-            B = list_product(field, m.entries, rand_matrix(field, rng, cols, k).entries, k)
-            X = linalg.solve(field, m.array, field_array(field, B))
+            assert apply(field, m, got) == b
+            B = list_product(field, m.tolist(), rand_matrix(field, rng, cols, k).tolist(), k)
+            X = linalg.solve(field, m, field_array(field, B))
             assert X.shape == (cols, k)
-            assert list_product(field, m.entries, X.tolist(), k) == B
-            m.array[-1] = field.zero
+            assert list_product(field, m.tolist(), X.tolist(), k) == B
+            m[-1] = field.zero
             B[-1][-1] = field.one
-            assert linalg.solve(field, m.array, field_array(field, B)) is None
-            assert m.solve([row[-1] for row in B]) is None
+            assert linalg.solve(field, m, field_array(field, B)) is None
+            assert solve_vector(field, m, [row[-1] for row in B]) is None
 
 
 @pytest.mark.parametrize("field", [GF, GF5, QQ, PrimeField(4294967311)])
@@ -114,26 +127,26 @@ def test_left_inverse(field):
     for _ in range(25):
         cols = rng.randrange(1, 6)
         m = rand_matrix(field, rng, cols + rng.randrange(0, 4), cols)
-        if m.rank() < cols:
+        if array_rank(field, m) < cols:
             with pytest.raises(ValueError):
-                m.left_inverse()
+                left_inverse(field, m)
             continue
-        L = m.left_inverse()
-        assert (L.rows, L.cols) == (cols, m.rows)
-        assert [apply(L, [row[j] for row in m.entries]) for j in range(cols)] == (
-            Matrix.identity(field, cols).entries
+        L = left_inverse(field, m)
+        assert L.shape == (cols, m.shape[0])
+        assert [apply(field, L, [row[j] for row in m.tolist()]) for j in range(cols)] == (
+            identity(field, cols).tolist()
         )
     with pytest.raises(ValueError):
-        Matrix(GF, [[1, 2], [2, 4], [3, 6]]).left_inverse()
+        left_inverse(GF, field_array(GF, [[1, 2], [2, 4], [3, 6]]))
 
 
 def test_kernel_vectors_annihilate():
     rng = Random(3)
     m = rand_matrix(GF, rng, 4, 7)
-    ker = m.kernel_basis()
-    assert ker.dim == 7 - m.rank()
+    ker = kernel_basis(GF, m)
+    assert ker.dim == 7 - array_rank(GF, m)
     for v in ker.basis:
-        assert all(x == 0 for x in apply(m, list(v)))
+        assert all(x == 0 for x in apply(GF, m, list(v)))
 
 
 def test_np_and_py_elimination_agree():
@@ -151,9 +164,9 @@ def test_np_and_py_elimination_agree():
 def test_large_matrix_uses_fast_path():
     rng = Random(13)
     m = rand_matrix(GF, rng, 60, 60)  # above the cell threshold
-    assert m.rank() == m.transpose().rank()
+    assert array_rank(GF, m) == array_rank(GF, m.T)
     x = [GF.rand(rng) for _ in range(60)]
-    assert m.kernel_basis().dim + m.rank() == 60
+    assert kernel_basis(GF, m).dim + array_rank(GF, m) == 60
 
 
 def test_subspace_same_and_complementary():
@@ -223,18 +236,18 @@ def test_subspace_contains_and_reduce():
 def test_rank_nullity_hypothesis(rows, cols, data):
     field = PrimeField(97)
     entries = [[data[(r * cols + c) % len(data)] for c in range(cols)] for r in range(rows)]
-    m = Matrix(field, entries, cols=cols)
-    assert m.rank() + m.kernel_basis().dim == cols
-    assert m.rank() == m.transpose().rank()
+    m = field_array(field, entries).reshape(rows, cols)
+    assert array_rank(field, m) + kernel_basis(field, m).dim == cols
+    assert array_rank(field, m) == array_rank(field, m.T)
 
 
 def test_rational_exactness():
-    m = Matrix(QQ, [[Fraction(1, 3), Fraction(1, 7)], [Fraction(2, 3), Fraction(2, 7)]])
-    assert m.rank() == 1
-    k = m.kernel_basis()
+    m = field_array(QQ, [[Fraction(1, 3), Fraction(1, 7)], [Fraction(2, 3), Fraction(2, 7)]])
+    assert array_rank(QQ, m) == 1
+    k = kernel_basis(QQ, m)
     assert k.dim == 1
     v = list(k.basis[0])
-    assert all(x == 0 for x in apply(m, v))
+    assert all(x == 0 for x in apply(QQ, m, v))
 
 
 LARGE_PRIME = 4294967311  # above 2**32: (p-1)**2 overflows int64
@@ -250,7 +263,7 @@ def field_elements(field):
 @given(st.sampled_from(ARRAY_FIELDS), st.data())
 def test_rref_backends_match_sympy(p, data):
     """Both eliminations, the array one and the list kernel (its rows over Q
-    fraction-free, divided by their pivot entries here), and Matrix.rref
+    fraction-free, divided by their pivot entries here), and linalg.rref
     against sympy on every field: int64 and object arrays alike."""
     field = array_field(p)
     rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
@@ -268,7 +281,7 @@ def test_rref_backends_match_sympy(p, data):
     else:
         py_rows, py_piv = _rref_int(list(entries), cols, field.p)
     assert (py_rows[: len(py_piv)], py_piv) == expected
-    R, piv = Matrix(field, entries).rref()
+    R, piv = rref(field, field_array(field, entries))
     assert (R.tolist(), piv) == expected
 
 
@@ -280,10 +293,10 @@ def test_rational_array_elimination_above_threshold():
     left = [[small() for _ in range(12)] for _ in range(20)]
     right = [[small() for _ in range(18)] for _ in range(12)]
     entries = list_product(QQ, left, right, 18)
-    m = Matrix(QQ, entries)
-    assert m.array.size >= linalg._NP_CELL_THRESHOLD and m.array.dtype == object
-    assert m.rank() == 12
-    R, piv = m.rref()
+    m = field_array(QQ, entries)
+    assert m.size >= linalg._NP_CELL_THRESHOLD and m.dtype == object
+    assert array_rank(QQ, m) == 12
+    R, piv = rref(QQ, m)
     assert (R.tolist(), piv) == _sympy_rref(QQ, entries, 18)
 
 
@@ -291,16 +304,16 @@ def test_large_prime_avoids_int64_path():
     # above the cell threshold, where GF(p) with p < 2**31 would take numpy
     field = PrimeField(LARGE_PRIME)
     rng = Random(19)
-    left = rand_matrix(field, rng, 50, 40).entries
-    right = rand_matrix(field, rng, 40, 50).entries
+    left = rand_matrix(field, rng, 50, 40).tolist()
+    right = rand_matrix(field, rng, 40, 50).tolist()
     entries = [
         [sum(a * right[k][c] for k, a in enumerate(row)) % field.p for c in range(50)]
         for row in left
     ]
     assert np_modulus(field) is None and np_modulus(GF) == GF.p
-    m = Matrix(field, entries)
-    assert m.rank() == 40
-    R, piv = m.rref()
+    m = field_array(field, entries)
+    assert array_rank(field, m) == 40
+    R, piv = rref(field, m)
     assert (R.tolist(), piv) == _sympy_rref(field, entries, 50)
 
 
@@ -329,15 +342,15 @@ def test_mod_matmul_all_maximal_entries():
 def test_array_rank_matches_matrix_rank(shape):
     rng = Random(23)
     rows, cols = shape
-    left = rand_matrix(GF, rng, rows, 3).entries
-    right = rand_matrix(GF, rng, 3, cols).entries
+    left = rand_matrix(GF, rng, rows, 3).tolist()
+    right = rand_matrix(GF, rng, 3, cols).tolist()
     entries = [
         [sum(a * right[k][c] for k, a in enumerate(row)) % GF.p for c in range(cols)]
         for row in left
     ]
     A = np.array(entries, dtype=np.int64).reshape(rows, cols)
     before = A.copy()
-    assert array_rank(GF, A) == Matrix(GF, entries, cols=cols).rank() == min(rows, 3)
+    assert array_rank(GF, A) == min(rows, 3)
     assert (A == before).all()
 
 
