@@ -1,24 +1,24 @@
 """Degreewise presentations of standard graded algebras.
 
-An algebra is stored as its graded components up to a cutoff D: basis labels
-and dimensions per degree plus multiplication tables between degrees, each an
-array over the field built once per degree pair.  Three construction routes
-are provided: Stanley-Reisner rings of graphs (monomial arithmetic, no
-elimination needed), quotients of a polynomial ring by homogeneous relations,
-and quotients by a linear form (used twice to produce Artinian reductions).
-
-A quotient is given per degree by one projection array P
-(``linalg.quotient_projection``): the class of a vector v has coordinates
-v P.  A quotient table is then a source table restricted to the kept labels
-times P, one product per degree pair.  Quotient complements are chosen by
-echelon pivoting on the *trailing* coordinate, so quotienting by x1+...+xk
-eliminates xk and keeps the earlier variables, matching the usual hand
-presentation.
+An algebra is stored as its graded components up to a cutoff D, given on
+monomials: the product of two monomials is one monomial or zero, and a
+quotient keeps, per degree, one projection array P
+(``linalg.quotient_projection``) in which the class of the i-th monomial has
+coordinates P[i].  Every multiplication table is then P, with a zero row
+appended, gathered at the monomial products: one rule for every ring, built
+once per degree pair.  Three construction routes are provided:
+Stanley-Reisner rings of graphs (whose basis is the monomials, so P is not
+stored), quotients of a polynomial ring by homogeneous relations, and
+quotients by a linear form (used twice to produce Artinian reductions).
+Quotient complements are chosen by echelon pivoting on the *trailing*
+coordinate, so quotienting by x1+...+xk eliminates xk and keeps the earlier
+variables, matching the usual hand presentation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from random import Random
 
 import numpy as np
@@ -102,15 +102,17 @@ class AlgebraElement:
 class GradedAlgebra:
     """A standard graded algebra presented degreewise up to a cutoff.
 
-    table_fn(d1, d2) returns the multiplication table of two positive
-    degrees as an array over the field (``linalg.field_array``: int64 or
-    exact ``object`` entries); ``np_table`` calls it once per degree pair,
-    and every multiplication map, block matrix and product of linear-form
-    matrices is computed from these arrays.  ``multiply`` stays on their
-    list view: it is the independent oracle.
+    products(d1, d2) is an intp array whose entry (i, j) indexes the product
+    of the i-th monomial of degree d1 and the j-th of degree d2 among the
+    monomials of degree d1 + d2, or is -1 when the product is zero.  A
+    quotient also has proj[d] = (keep, P): its basis is the kept monomials,
+    and P[i] is the class of monomial i; without proj the basis is the
+    monomials.  ``np_table`` builds every table from the two, and every
+    product with a table goes through ``times``.  ``multiply`` stays on the
+    list view of the tables: it is the independent oracle.
     """
 
-    def __init__(self, field, cutoff, basis, table_fn, descriptor=None):
+    def __init__(self, field, cutoff, basis, products, proj=None, descriptor=None):
         self.field = field
         self.cutoff = cutoff
         self.basis = [list(labels) for labels in basis]
@@ -119,7 +121,8 @@ class GradedAlgebra:
         if len(self.basis[0]) != 1:
             raise AlgebraError("degree-0 component must be one dimensional")
         self.dims = [len(labels) for labels in self.basis]
-        self._table_fn = table_fn
+        self.products = products
+        self.proj = proj
         self.descriptor = descriptor
         # the QuotientMap to R/(x) for a linear form x certified regular on R,
         # so that a window is exact where its reduction is; set by reduction_chain only
@@ -178,17 +181,21 @@ class GradedAlgebra:
 
     def np_table(self, d1, d2):
         """The array T[i, j, k] over the field, the coefficient of basis_k in
-        e_i * e_j; built once and frozen (``linalg.freeze``)."""
+        e_i * e_j: the rows of P_(d1+d2), with a zero row appended for -1,
+        gathered at the products of the basis monomials; built once and
+        frozen (``linalg.freeze``)."""
         if d1 + d2 > self.cutoff:
             raise AlgebraError(f"product degree {d1 + d2} exceeds cutoff {self.cutoff}")
         key = (d1, d2)
         if key not in self._np_tables:
-            shape = (self.dims[d1], self.dims[d2], self.dims[d1 + d2])
-            if d1 == 0 or d2 == 0:
-                table = identity(self.field, self.dims[d1 + d2]).reshape(shape)
+            idx = self.products(d1, d2)
+            if self.proj is None:  # the basis is the monomials
+                P = identity(self.field, self.dims[d1 + d2])
             else:
-                table = self._table_fn(d1, d2)
-            self._np_tables[key] = freeze(table)
+                (k1, _), (k2, _), (_, P) = self.proj[d1], self.proj[d2], self.proj[d1 + d2]
+                idx = idx[np.ix_(k1, k2)]
+            P = np.vstack([P, field_zeros(self.field, (1, P.shape[1]))])
+            self._np_tables[key] = freeze(P[idx])
         return self._np_tables[key]
 
     def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -211,13 +218,19 @@ class GradedAlgebra:
                         out[k] = f.add(out[k], f.mul(c, vk))
         return AlgebraElement(self, a.degree + b.degree, out)
 
+    def times(self, V, d, t, product=field_matmul):
+        """X[r, j, :] = V[r] * basis_j for the rows of V (vectors of degree d)
+        and the basis of degree t: one product(field, V, T) of the rows with
+        the table (``linalg.field_matmul``, or ``image_matmul`` for a rank
+        bound)."""
+        src, dst = self.dims[t], self.dims[d + t]
+        T = self.np_table(d, t).reshape(self.dims[d], src * dst)
+        return product(self.field, V, T).reshape(V.shape[0], src, dst)
+
     def mult_map_array(self, coords, d, t):
         """The array (dims[t + d] x dims[t]) of multiplication by the degree-d
         element with these coordinates, from degree t to degree t + d."""
-        src, dst = self.dims[t], self.dims[t + d]
-        T = self.np_table(d, t).reshape(self.dims[d], src * dst)
-        c = field_array(self.field, [coords]).reshape(1, self.dims[d])
-        return field_matmul(self.field, c, T).reshape(src, dst).T
+        return self.times(field_array(self.field, [coords]).reshape(1, self.dims[d]), d, t)[0].T
 
     # -- presentation checks ---------------------------------------------------
 
@@ -269,65 +282,59 @@ def stanley_reisner(g: Graph, cutoff: int, field=None, descriptor=None) -> Grade
         raise AlgebraError("cutoff must be at least 2")
     if not g.is_connected():
         raise AlgebraError("graph must be connected")
-    vidx = {v: i for i, v in enumerate(g.vertices)}
-    edge_set = {frozenset((vidx[u], vidx[w])) for u, w in g.edges}
+    n, vidx = g.n, {v: i for i, v in enumerate(g.vertices)}
+    edges = [sorted((vidx[u], vidx[w])) for u, w in g.edges]
+    # monomial k of degree d: vertices V[d][k] = (i, j), i <= j, with exponents
+    # X[d][k] = (a, d - a); v^d is (v, v), (d, 0), and 1 is (0, 0), (0, 0)
+    V, X, labels = [], [], []
+    for d in range(cutoff + 1):
+        mons = [(i, i, d) for i in range(n)] if d else [(0, 0, 0)]
+        mons += [(i, j, a) for i, j in edges for a in range(d - 1, 0, -1)]
+        V.append(np.array([(i, j) for i, j, _ in mons], dtype=np.intp))
+        X.append(np.array([(a, d - a) for _, _, a in mons], dtype=np.intp))
+        labels.append([
+            "*".join(_mono_label(g.vertices[v], e) for v, e in ((i, a), (j, d - a)) if e) or "1"
+            for i, j, a in mons
+        ])
 
-    # per-degree monomials: ((vi, a),) or ((vi, a), (vj, b)) with vi < vj
-    monomials = [[((0, 0),)]]  # degree 0 placeholder; basis label "1"
-    index = [{}]
-    labels = [["1"]]
-    for d in range(1, cutoff + 1):
-        mons = [((vidx[v], d),) for v in g.vertices]
-        for u, w in g.edges:
-            i, j = vidx[u], vidx[w]
-            if i > j:
-                i, j = j, i
-            for a in range(d - 1, 0, -1):
-                mons.append(((i, a), (j, d - a)))
-        monomials.append(mons)
-        index.append({m: k for k, m in enumerate(mons)})
-        labs = []
-        for m in mons:
-            labs.append("*".join(_mono_label(g.vertices[v], a) for v, a in m))
-        labels.append(labs)
+    def key(V, X):
+        """(key, ok) of monomials given on the last axis by vertices and
+        exponents: ok when every vertex of positive exponent is the lowest or
+        the highest such, and the key names both and the lowest's exponent."""
+        live = X > 0
+        lo, hi = np.where(live, V, n).min(-1), np.where(live, V, -1).max(-1)
+        at_lo = V == lo[..., None]
+        ok = (~live | at_lo | (V == hi[..., None])).all(-1)
+        return (lo * (n + 1) + hi + 1) * (cutoff + 1) + (X * at_lo).sum(-1), ok
 
-    def table_fn(d1, d2):
-        d = d1 + d2
-        T = field_zeros(field, (len(monomials[d1]), len(monomials[d2]), len(monomials[d])))
-        for i, m1 in enumerate(monomials[d1]):
-            for j, m2 in enumerate(monomials[d2]):
-                powers = {}
-                for v, a in m1 + m2:
-                    powers[v] = powers.get(v, 0) + a
-                support = sorted(powers)
-                if len(support) == 1:
-                    T[i, j, index[d][((support[0], d),)]] = field.one
-                elif len(support) == 2 and frozenset(support) in edge_set:
-                    key = ((support[0], powers[support[0]]), (support[1], powers[support[1]]))
-                    T[i, j, index[d][key]] = field.one
-        return T
+    keys = [key(v, x)[0] for v, x in zip(V, X)]
+    order = [np.argsort(k) for k in keys]
+    # kept per degree pair, for every ring of a chain (a quotient reuses them)
+    memo = {}
 
-    return GradedAlgebra(field, cutoff, labels, table_fn, descriptor=descriptor)
+    def products(d1, d2):
+        """The key lookup is the support test: a product supported on a
+        vertex or an edge is a monomial of its degree, any other is not."""
+        if (d1, d2) not in memo:
+            pair = lambda A: np.concatenate(np.broadcast_arrays(A[d1][:, None], A[d2][None]), -1)
+            k, ok = key(pair(V), pair(X))
+            at = order[d1 + d2]
+            K = keys[d1 + d2][at]
+            pos = np.minimum(np.searchsorted(K, k), len(K) - 1)
+            memo[d1, d2] = np.where(ok & (K[pos] == k), at[pos], -1)
+        return memo[d1, d2]
+
+    return GradedAlgebra(field, cutoff, labels, products, descriptor=descriptor)
 
 
 # -- quotients of a polynomial ring by homogeneous relations -------------------
 
 
 def _monomials_of_degree(nvars, d):
-    """Exponent tuples of total degree d, in descending lexicographic order."""
-    if d == 0:
-        return [tuple([0] * nvars)]
-    out = []
-
-    def rec(prefix, remaining, pos):
-        if pos == nvars - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, pos + 1)
-
-    rec([], d, 0)
-    return out
+    """Exponent tuples of total degree d, in descending lexicographic order:
+    the lexicographic order of the multisets of d variables they count."""
+    mons = combinations_with_replacement(range(nvars), d)
+    return [tuple(m.count(v) for v in range(nvars)) for m in mons]
 
 
 def _exp_label(variables, exps):
@@ -341,8 +348,7 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
     Each relation is a {exponent tuple: coefficient} dict.  The degree-d
     component is the monomial span modulo span{relation * monomial}; the basis
     is the canonical complement picked by trailing-pivot echelon on the
-    descending-lex monomial order, and the table entry of two basis monomials
-    is the row of their product in the degree's projection array.
+    descending-lex monomial order, with its projection array per degree.
     """
     if field is None:
         field = PrimeField()
@@ -362,9 +368,8 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
     mons = [_monomials_of_degree(nv, d) for d in range(cutoff + 1)]
     midx = [{m: i for i, m in enumerate(ms)} for ms in mons]
 
-    proj = [([0], None)]
-    labels = [["1"]]
-    for d in range(1, cutoff + 1):
+    proj, labels = [], []
+    for d in range(cutoff + 1):
         rows = []
         for r, rels in rel_by_deg.items():
             if r > d:
@@ -380,15 +385,12 @@ def algebra_from_relations(variables, relations, cutoff, field=None, descriptor=
         proj.append(quotient_projection(field, relations))
         labels.append([_exp_label(variables, mons[d][i]) for i in proj[d][0]])
 
-    def table_fn(d1, d2):
-        (k1, _), (k2, _), (_, P) = proj[d1], proj[d2], proj[d1 + d2]
-        idx = [
-            [midx[d1 + d2][tuple(a + b for a, b in zip(mons[d1][i], mons[d2][j]))] for j in k2]
-            for i in k1
-        ]
-        return P[np.array(idx, dtype=np.intp).reshape(len(k1), len(k2))]
+    def products(d1, d2):
+        at = midx[d1 + d2]
+        idx = [[at[tuple(a + b for a, b in zip(m1, m2))] for m2 in mons[d2]] for m1 in mons[d1]]
+        return np.array(idx, dtype=np.intp).reshape(len(mons[d1]), len(mons[d2]))
 
-    return GradedAlgebra(field, cutoff, labels, table_fn, descriptor=descriptor)
+    return GradedAlgebra(field, cutoff, labels, products, proj, descriptor)
 
 
 # -- quotient by a linear form -------------------------------------------------
@@ -401,8 +403,9 @@ class QuotientMap:
     form of span{l * A_(d-1)} and the frozen projection array P_d
     (``linalg.quotient_projection``): A_d -> B_d is v -> v P_d, and the
     section B_d -> A_d maps each kept basis label to the parent basis
-    monomial of the same label.  The table of B for (d1, d2) is the table of
-    A restricted to the kept labels, times P_(d1+d2).
+    element of the same label.  B reuses the monomial products of A; its
+    projection is A's followed by this one (P_A P_d, keeping the monomials
+    A keeps at the columns kept here).
     """
 
     def __init__(self, source: GradedAlgebra, form: AlgebraElement, descriptor=None):
@@ -415,20 +418,19 @@ class QuotientMap:
         field = source.field
         self._keep = [[0]]
         self._proj = [freeze(identity(field, 1))]
-        labels = [["1"]]
         for d in range(1, source.cutoff + 1):
             # row i is l * (basis_i of degree d-1): a column of the mult map
             keep, P = quotient_projection(field, source.mult_map_array(form.coords, 1, d - 1).T)
             self._keep.append(keep)
             self._proj.append(freeze(P))
-            labels.append([source.basis[d][c] for c in keep])
-        self.target = GradedAlgebra(field, source.cutoff, labels, self._table, descriptor=descriptor)
-
-    def _table(self, d1, d2):
-        k1, k2, d = self._keep[d1], self._keep[d2], d1 + d2
-        S = self.source.np_table(d1, d2)[np.ix_(k1, k2)]
-        S = S.reshape(len(k1) * len(k2), self.source.dims[d])
-        return self.project_rows(d, S).reshape(len(k1), len(k2), len(self._keep[d]))
+        proj = list(zip(self._keep, self._proj))
+        if source.proj is not None:
+            proj = [
+                ([k0[c] for c in keep], freeze(field_matmul(field, P0, P)))
+                for (k0, P0), (keep, P) in zip(source.proj, proj)
+            ]
+        labels = [[source.basis[d][c] for c in keep] for d, keep in enumerate(self._keep)]
+        self.target = GradedAlgebra(field, source.cutoff, labels, source.products, proj, descriptor)
 
     def project_rows(self, d, V):
         """The rows of V (vectors of A_d, an array over the field) projected to B_d."""
@@ -450,10 +452,8 @@ class QuotientMap:
     def lift(self, elt: AlgebraElement) -> AlgebraElement:
         if elt.algebra is not self.target:
             raise AlgebraError("element does not live in the quotient algebra")
-        coords = [self.source.field.zero] * self.source.dims[elt.degree]
-        for c, col in zip(elt.coords, self._keep[elt.degree]):
-            coords[col] = c
-        return AlgebraElement(self.source, elt.degree, coords)
+        v = field_array(self.source.field, [elt.coords])
+        return AlgebraElement(self.source, elt.degree, self.lift_rows(elt.degree, v)[0].tolist())
 
 
 def quotient_by_linear(algebra: GradedAlgebra, form: AlgebraElement) -> GradedAlgebra:

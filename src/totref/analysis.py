@@ -19,7 +19,7 @@ from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
 from .complexes import fitting_support, linear_matrix
 from .graphs import Graph
 from .linalg import (
-    Subspace, array_rank, field_array, field_matmul, field_reduce, field_zeros, kernel_basis,
+    Subspace, array_rank, field_array, field_reduce, field_zeros, kernel_basis,
     rank_reaches, reduce_rref,
 )
 
@@ -108,8 +108,7 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
     r3 = 0
     if R.cutoff >= 3 and R.dims[3] > 0:
         # the image of Sym^3 is spanned by the products b * x_i, b in A_2
-        T = R.np_table(2, 1).reshape(R.dims[2], m * R.dims[3])
-        r3 = array_rank(f, field_matmul(f, image2.rows, T).reshape(-1, R.dims[3]))
+        r3 = array_rank(f, R.times(image2.rows, 2, 1).reshape(-1, R.dims[3]))
     target = m * image2.dim - r3
     return rank_reaches(f, _relation_rows(R), target)
 

@@ -98,21 +98,16 @@ class FreeComplexWindow:
 
     # -- exact verification ----------------------------------------------------
 
-    def _block_array(self, i, t):
-        """The degree piece of d_i from R_t^{b_i} to R_{t+1}^{b_{i-1}}, as an
-        array over the field: one product of the entry coordinates D[r, c, :]
-        of d_i with the table of R_1 x R_t -> R_{t+1}."""
-        return self._block(i, t, field_matmul)
-
-    def _block(self, i, t, product):
-        """The block of d_i at t from product(field, D, T) of the entry
-        coordinates and the table: ``field_matmul`` gives the block itself,
-        ``image_matmul`` the image its rank bound is read off."""
+    def _block_array(self, i, t, product=field_matmul):
+        """The degree piece of d_i from R_t^{b_i} to R_{t+1}^{b_{i-1}}: the
+        entry coordinates D[r, c, :] of d_i times the basis of R_t
+        (``GradedAlgebra.times``) with this product.  ``field_matmul`` gives
+        the block as an array over the field, ``image_matmul`` the image its
+        rank bound is read off."""
         R, D = self.algebra, self.diff(i)
         b_out, b_in, n1 = D.shape
         src, dst = R.dims[t], R.dims[t + 1]
-        T = R.np_table(1, t).reshape(n1, src * dst)
-        blocks = product(R.field, D.reshape(b_out * b_in, n1), T)
+        blocks = R.times(D.reshape(b_out * b_in, n1), 1, t, product)
         # blocks[r, c, j, k] is the coefficient of basis_k in d_i[r][c] * basis_j
         blocks = blocks.reshape(b_out, b_in, src, dst).transpose(0, 3, 1, 2)
         return blocks.reshape(b_out * dst, b_in * src)
@@ -172,7 +167,7 @@ class FreeComplexWindow:
             (i, t) for i, t in keys
             if self.rank_of(i - 1) * self.rank_of(i) * R.dims[t] * R.dims[t + 1]
         ]
-        images = [self._block(i, t, image_matmul) for i, t in ranked]
+        images = [self._block_array(i, t, image_matmul) for i, t in ranked]
         # (i, t) -> (lower bound on the block's rank, whether it is the rank)
         bounds = dict.fromkeys(keys, (0, True))
         bounds.update(zip(ranked, rank_bounds(R.field, images)))
@@ -415,8 +410,7 @@ def fitting_support(R: GradedAlgebra, D):
     f, n1, n2 = R.field, R.dims[1], R.dims[2]
     C = D.reshape(D.shape[0] * D.shape[1], n1)
     # row (e, i) of the product is e * basis_i
-    T = R.np_table(1, 1).reshape(n1, n1 * n2)
-    prods = field_matmul(f, C, T).reshape(C.shape[0] * n1, n2)
+    prods = R.times(C, 1, 1).reshape(C.shape[0] * n1, n2)
     return Subspace.from_vectors(f, n1, C), Subspace.from_vectors(f, n2, prods)
 
 

@@ -169,10 +169,8 @@ class SpecialRing:
         cols2 = field_array(f, [e.coords for e in basis2]).reshape(m, n2).T
         X = left_inverse(f, coords.T).T
         L2 = left_inverse(f, cols2)
-        # psi[(i, k), :] = e_i g_k, from T[i, j, :] = e_i e_j
-        T = R.np_table(1, 1).transpose(0, 2, 1).reshape(n1 * n2, n1)
-        psi = field_matmul(f, T, coords.T).reshape(n1, n2, m).transpose(0, 2, 1)
-        psi = psi.reshape(n1 * m, n2)
+        # psi[(i, k), :] = e_i g_k
+        psi = R.times(coords, 1, 1).transpose(1, 0, 2).reshape(n1 * m, n2)
         phi = field_matmul(f, psi, L2.T)
         res1 = field_reduce(f, identity(f, n1) - field_matmul(f, X, coords))
         res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.T))

@@ -2,6 +2,7 @@ import json
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from totref import (
@@ -56,6 +57,47 @@ def test_stanley_reisner_products(c4, gf):
     assert (x1 * x2).is_zero()  # non-edge pair
     assert not (x1 * x1).is_zero()  # squares survive
     assert ((x1 * y1) * x2).is_zero()  # three distinct supports die
+
+
+def _label_exponents(label):
+    """{vertex: exponent} of a basis label such as "x1*y2^3" ("1": {})."""
+    if label == "1":
+        return {}
+    out = {}
+    for part in label.split("*"):
+        v, _, e = part.partition("^")
+        out[v] = int(e or 1)
+    return out
+
+
+def test_stanley_reisner_tables_match_label_arithmetic(c4, path4, ten_vertex_g, gf):
+    """Every table entry from the labels alone: the exponents of the two
+    labels add, and the product is the basis label with those exponents when
+    its support is one vertex or an edge, and zero otherwise."""
+    rng = Random(11)
+    graphs = [c4, path4, ten_vertex_g] + [random_bipartite_connected(rng, 4, 8) for _ in range(3)]
+    for g in graphs:
+        edges = {frozenset(e) for e in g.edges}
+        R = stanley_reisner(g, 4, gf)
+        at = [
+            {frozenset(_label_exponents(lab).items()): k for k, lab in enumerate(labels)}
+            for labels in R.basis
+        ]
+        for d1 in range(5):
+            for d2 in range(5 - d1):
+                expected = []
+                for a in R.basis[d1]:
+                    row = []
+                    for b in R.basis[d2]:
+                        powers = _label_exponents(a)
+                        for v, e in _label_exponents(b).items():
+                            powers[v] = powers.get(v, 0) + e
+                        vec = [0] * R.dims[d1 + d2]
+                        if len(powers) <= 1 or frozenset(powers) in edges:
+                            vec[at[d1 + d2][frozenset(powers.items())]] = 1
+                        row.append(vec)
+                    expected.append(row)
+                assert R.table(d1, d2) == expected, (g.vertices, d1, d2)
 
 
 def test_example_ring_dims(gf, qq):
@@ -308,11 +350,14 @@ def test_rational_mode_reduction(c4, qq):
 
 
 def test_mult_map_array_many_summands_do_not_overflow(gf):
-    # 12 summands of (p-1)**2 ~ 2**60 each exceed int64 in a single einsum
+    # 12 summands of (p-1)**2 ~ 2**60 each exceed int64 in a single einsum:
+    # every a_i a_j is the monomial w, whose class is (p-1) u + (p-1) v
     p = gf.p
     labels = [f"a{i}" for i in range(12)]
-    table = field_array(gf, [[[p - 1, p - 1]] * 12] * 12)
-    A = GradedAlgebra(gf, 2, [["1"], labels, ["u", "v"]], lambda d1, d2: table)
+    proj = [([0], field_array(gf, [[1]])), (list(range(12)), field_array(gf, np.eye(12))),
+            ([1, 2], field_array(gf, [[p - 1, p - 1], [1, 0], [0, 1]]))]
+    products = lambda d1, d2: np.zeros((12, 12), dtype=np.intp)  # w is the monomial 0
+    A = GradedAlgebra(gf, 2, [["1"], labels, ["u", "v"]], products, proj)
     elt = A.element(1, [p - 1] * 12)
     got = A.mult_map_array(elt.coords, 1, 1)
     # exact list-path reference: column j is elt * e_j computed by multiply()
@@ -374,14 +419,22 @@ def _check_quotient_map(q, rng):
     _check_tables(B, red, lambda d1, i, d2, j: S.table(d1, d2)[i][j])
 
 
+C5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
+
+
 @pytest.mark.parametrize(
-    "mode, field",
-    [("canonical", PrimeField()), ("canonical", PrimeField(4294967311)), ("generic", RationalField())],
-    ids=["canonical-default", "canonical-4294967311", "generic-QQ"],
+    "mode, field, on_c5",
+    [
+        ("canonical", PrimeField(), False),
+        ("canonical", PrimeField(4294967311), False),
+        ("generic", RationalField(), False),
+        ("generic", PrimeField(5), True),  # not bipartite; Hilbert function (1, 3, 1, 0, 0)
+    ],
+    ids=["canonical-default", "canonical-4294967311", "generic-QQ", "generic-GF5-C5"],
 )
-def test_quotient_tables_match_per_entry_normal_forms(c4, ten_vertex_g, mode, field):
+def test_quotient_tables_match_per_entry_normal_forms(c4, ten_vertex_g, mode, field, on_c5):
     rng = Random(37)
-    for g in (c4, ten_vertex_g):
+    for g in [C5] if on_c5 else (c4, ten_vertex_g):
         chain = reduction_chain(g, mode=mode, seed=5, cutoff=4, field=field)
         for q in chain.steps:
             _check_quotient_map(q, rng)

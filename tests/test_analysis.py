@@ -129,13 +129,13 @@ def test_ring_conditions_build_no_degree3_products(gf, monkeypatch):
     R = artinian_reduction(g, field=gf)
     assert R.dims[3] == 0
     degrees = set()
-    real = R._table_fn
+    real = R.products
 
     def spy(d1, d2):
         degrees.add(d1 + d2)
         return real(d1, d2)
 
-    monkeypatch.setattr(R, "_table_fn", spy)
+    monkeypatch.setattr(R, "products", spy)
     rep = necessary_ring_conditions(R)
     assert rep.socle_equals_m2 and rep.verdict == "admits-possible"
     assert degrees == {2}

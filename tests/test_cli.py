@@ -421,6 +421,34 @@ def test_output_bytes_unchanged(capsys):
     assert _sha256(_with_tables(out.out)) == FACTORY_CANONICAL_WITH_TABLES_SHA256
 
 
+# `analyze --json` on every array representation of the field: exact
+# fractions, object ints (p >= 2^31) and a small prime; recorded before every
+# table became a gather of its projection.  C5 runs in generic mode.
+_PATH4, _HUB = ANALYZE_JSON_SHA256["path4.json"], ANALYZE_JSON_SHA256["two_blocks_hub.json"]
+_C5_SHA256 = "88229b623923e2e278b8f24f5dcc3b597ca73634876086e02886643549805281"
+ANALYZE_FIELDS_SHA256 = {
+    "--rational": {
+        "four_cycle.json": "502915d8cb1e282382f8574bc2dfcb4f9f875cbe88c2b5283791afc7769b8e27",
+        "path4.json": _PATH4,
+        "ten_vertex.json": "d256e5e2ceec9a69014f4259130d45d2df6118bbd85322c6aedbe546146617bd",
+        "two_blocks_hub.json": _HUB,
+        "c5": _C5_SHA256,
+    },
+    "--prime 4294967311": dict(ANALYZE_JSON_SHA256),
+    "--prime 5": dict(ANALYZE_JSON_SHA256),
+    "": {"c5": _C5_SHA256},
+}
+
+
+@pytest.mark.parametrize("options", sorted(ANALYZE_FIELDS_SHA256), ids=lambda o: o or "default")
+def test_analyze_bytes_on_every_field(capsys, tmp_path, options):
+    paths = {name: str(GRAPHS / name) for name in ANALYZE_JSON_SHA256}
+    paths["c5"] = write_graph(tmp_path, "c5.json", C5)
+    for name, digest in ANALYZE_FIELDS_SHA256[options].items():
+        main(["analyze", paths[name], "--json"] + options.split())
+        assert _sha256(capsys.readouterr().out) == digest, (options, name)
+
+
 # (report on stdout, complex file) of seeded random factory windows, recorded
 # while each induced map still took one multiply and one solve per column.
 # The report holds no coefficients, so the GF(p) reports agree.
