@@ -32,7 +32,7 @@ from .factory import (
     random_blocks,
     ten_vertex_graph,
 )
-from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_json
+from .fields import DEFAULT_PRIME, PrimeField, RationalField, field_from_json, field_to_json
 from .graphs import Graph, GraphError, load_graph, necessary_conditions
 from .lifting import LiftError, lift_through_sequence
 
@@ -164,6 +164,7 @@ def cmd_analyze(args) -> int:
     R = chain.bottom
     expected = list(chain.expected_artinian_hilbert())
     report["reduction"] = {
+        "field": field_to_json(config.field),
         "mode": chain.mode,
         "hilbert": list(R.dims),
         "expected": expected,

@@ -19,11 +19,13 @@ the field (``linalg.field_array``) of the R_1 coordinates of its entries.
 Lists of degree-one elements become such arrays in one place,
 ``linear_matrix``; products, reductions, duals, periodicity and the JSON
 round trip all work on the arrays.  A window freezes its differentials
-(``linalg.freeze``).  Each graded block of a differential is one product of
-D with the multiplication table; its rank bound is read off the product of
-the two factors' check images (``linalg.image_matmul``), the bounds of all
-the blocks a check reads come from one ``linalg.rank_bounds`` call, and only
-a block that needs an exact rank is assembled over the field.
+(``linalg.freeze``); its composition check is one stacked product of them.
+Each graded block of a differential is one product of D with the
+multiplication table; its rank bound is read off the product of the two
+factors' check images (``linalg.image_matmul``), the bounds of all the
+blocks a certificate reads, the window's and its dual's, come from one
+``linalg.rank_bounds`` call (``exactness_reports``), and only a block that
+needs an exact rank is assembled over the field.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ import numpy as np
 
 from .algebra import AlgebraElement, GradedAlgebra
 from .linalg import (
-    Subspace, array_rank, field_array, field_matmul, freeze, image_matmul, rank_bounds,
-    structure_product,
+    Subspace, array_rank, field_array, field_matmul, field_stack, freeze, image_matmul,
+    rank_bounds, structure_product,
 )
 
 
@@ -113,11 +115,18 @@ class FreeComplexWindow:
         return blocks.reshape(b_out * dst, b_in * src)
 
     def compose_check(self) -> bool:
-        """All consecutive products d_i d_{i+1} vanish identically."""
-        return not any(
-            matrix_product(self.diff(i), self.diff(i + 1), self.algebra).any()
-            for i in range(self.lo + 1, self.hi)
-        )
+        """All consecutive products d_i d_{i+1} vanish identically: one
+        stacked product (``matrix_product``) of the differentials, as they
+        are when they share one shape (over the rationals their integer
+        forms are kept with them), else padded with zeros to b x b for the
+        largest Betti number b."""
+        if self.hi - self.lo < 2:
+            return True
+        shape = (max(self.betti),) * 2 + (self.algebra.dims[1],)
+        D = self.diffs
+        if any(d.shape != shape for d in D):
+            D = field_stack(self.algebra.field, D, shape)
+        return not matrix_product(D[:-1], D[1:], self.algebra).any()
 
     def reduce(self) -> "FreeComplexWindow":
         """The window E/xE over R/(x) for the reduction of its ring: each
@@ -139,39 +148,59 @@ class FreeComplexWindow:
         ``reduce()``, complete in every degree.  Otherwise the block of d_{i+1}
         in degree t - 1 gives the incoming rank at (i, t) and the kernel at
         (i + 1, t - 1).  The blocks the records read are listed first, each
-        once, and all get their lower bounds from one ``rank_bounds`` call
-        (the images of D times the table, ``image_matmul``; over GF(p) the
-        ranks themselves), which ranks the blocks of one shape together.
-
-        At (i, t) the two blocks share cols = b_i dim R_t columns, and when
-        the window composes, rank (i, t) + rank (i + 1, t - 1) <= cols.  So
-        two lower bounds that sum to cols are both the ranks, and the record
-        is exact; only a block whose bound is neither the rank nor so
-        confirmed is assembled over the field and ranked exactly.
+        once (``_exactness_blocks``), and all get their lower bounds from one
+        ``rank_bounds`` call (the images of D times the table,
+        ``image_matmul``; over GF(p) the ranks themselves), which ranks the
+        blocks of one shape together; the records are then read off the
+        bounds (``_exactness_records``).  ``exactness_reports`` does this for
+        several windows with one ``rank_bounds`` call.
         """
+        return exactness_reports([self], degree_bound)[0]
+
+    def _checked(self, degree_bound):
+        """The window whose blocks decide exactness: without a bound, the
+        reduction down a chain of certified reductions, else this one."""
+        w = self
+        while degree_bound is None and w.algebra.reduction is not None:
+            w = w.reduce()
+        return w
+
+    def _exactness_blocks(self, degree_bound):
+        """(keys, ranked): the blocks (i, t) the records read, in the order
+        they read them, and those of them with rows and columns, which get a
+        rank bound (a block with no rows or no columns has rank 0 and is not
+        built)."""
         R = self.algebra
-        if degree_bound is None and R.reduction is not None:
-            return self.reduce().graded_exactness()
-        max_t = R.cutoff - 1
-        keys = {}  # the blocks the loop below reads, in the order it reads them
+        keys = {}
         for i in self.interior_indices():
-            for t in range(0, max_t + 1):
+            for t in range(0, R.cutoff):
                 if degree_bound is not None and self.twist(i) + t > degree_bound:
                     break
                 if self.rank_of(i) * R.dims[t]:
                     keys[i, t] = None
                 if t:
                     keys[i + 1, t - 1] = None
-        # a block with no rows or no columns has rank 0 and is not built
         ranked = [
             (i, t) for i, t in keys
             if self.rank_of(i - 1) * self.rank_of(i) * R.dims[t] * R.dims[t + 1]
         ]
-        images = [self._block_array(i, t, image_matmul) for i, t in ranked]
-        # (i, t) -> (lower bound on the block's rank, whether it is the rank)
-        bounds = dict.fromkeys(keys, (0, True))
-        bounds.update(zip(ranked, rank_bounds(R.field, images)))
-        composes = None
+        return keys, ranked
+
+    def _exactness_records(self, bounds, degree_bound, composes) -> "ExactnessReport":
+        """The report read off bounds, (i, t) -> (lower bound on the rank of
+        the block, whether it is the rank), for every block listed by
+        ``_exactness_blocks``.
+
+        At (i, t) the two blocks share cols = b_i dim R_t columns, and when
+        the window composes, rank (i, t) + rank (i + 1, t - 1) <= cols.  So
+        two lower bounds that sum to cols are both the ranks, and the record
+        is exact; only a block whose bound is neither the rank nor so
+        confirmed is assembled over the field and ranked exactly.  composes
+        is None when the caller has not checked it: ``compose_check`` then
+        runs once, when a pair first needs it.
+        """
+        R = self.algebra
+        max_t = R.cutoff - 1
 
         def rank(i, t):
             if not bounds[i, t][1]:
@@ -180,7 +209,7 @@ class FreeComplexWindow:
 
         def certify_pair(i, t, cols):
             """Mark the bounds at (i, t) and (i + 1, t - 1) as the ranks when
-            they sum to cols and the window composes (checked once)."""
+            they sum to cols and the window composes."""
             nonlocal composes
             (r, exact), (r_in, exact_in) = bounds[i, t], bounds[i + 1, t - 1]
             if r + r_in != cols or (exact and exact_in):
@@ -336,8 +365,9 @@ def linear_matrix(R: GradedAlgebra, rows):
 
 def matrix_product(A, B, algebra: GradedAlgebra):
     """The product P[r, c, :] (entries in R_2) of two matrices of linear
-    forms A[r, m, :] and B[m, c, :]: ``linalg.structure_product`` with the
-    table of R_1 x R_1 -> R_2."""
+    forms A[r, m, :] and B[m, c, :], or of each pair of two stacks of them
+    (a leading batch axis): ``linalg.structure_product`` with the table of
+    R_1 x R_1 -> R_2."""
     return structure_product(algebra.field, A, algebra.np_table(1, 1), B)
 
 
@@ -468,13 +498,41 @@ class WindowCertificate:
         }
 
 
+def exactness_reports(windows, degree_bound=None, composes=None):
+    """The exactness report of each window (``graded_exactness``), all over
+    one field.  The blocks of every window are listed first and all get
+    their bounds from one ``rank_bounds`` call, so blocks of one shape are
+    ranked in one stack whichever window they come from.  composes is True
+    when the caller has checked that every window composes; None lets each
+    window check when its records first need it."""
+    checked = [w._checked(degree_bound) for w in windows]
+    listed = [w._exactness_blocks(degree_bound) for w in checked]
+    images = [
+        w._block_array(i, t, image_matmul)
+        for w, (_, ranked) in zip(checked, listed)
+        for i, t in ranked
+    ]
+    ranks = iter(rank_bounds(checked[0].algebra.field, images))
+    reports = []
+    for w, (keys, ranked) in zip(checked, listed):
+        # (i, t) -> (lower bound on the block's rank, whether it is the rank)
+        bounds = dict.fromkeys(keys, (0, True))
+        bounds.update((key, next(ranks)) for key in ranked)
+        reports.append(w._exactness_records(bounds, degree_bound, composes))
+    return reports
+
+
 def full_certification(w: FreeComplexWindow, degree_bound=None) -> WindowCertificate:
-    """Compose + exactness + dual exactness + minimality in one report.  A
-    window without an interior index has no exactness to check: never certified."""
+    """Compose + exactness + dual exactness + minimality in one report: one
+    ``compose_check``, then the blocks of the window and of its dual, both
+    through the same reduction, ranked by one ``rank_bounds`` call
+    (``exactness_reports``; when the window composes, so do its dual and
+    its reduction).  A window without an interior index has no exactness to
+    check: never certified."""
     composes = w.compose_check()
     if composes and w.interior_indices():
-        ex = w.graded_exactness(degree_bound)
-        dex = w.dual().graded_exactness(degree_bound)
+        checked = w._checked(degree_bound)
+        ex, dex = exactness_reports([checked, checked.dual()], degree_bound, composes=True)
     else:
         empty = ExactnessReport(records=(), exact=False, certified_degree_bound=None, complete=False)
         ex = dex = empty

@@ -10,15 +10,20 @@ homological parity:
     even i:  [[d_i, x*I], [M_i, d_{i-1}]]     odd i: [[d_i, -x*I], [-M_i, d_{i-1}]]
 
 Every matrix here is an array D[r, c, :] of linear-form coordinates (see
-``complexes.linear_matrix``): a lift is a scatter into the kept labels, each
-correction one elimination and each block differential a concatenation.
-Betti numbers double along the way; everything the construction promises
-(composition zero, the x-cancellation identity, exactness and dual exactness)
-is re-verified rather than trusted.  The rings of a reduction chain carry
-their certified reductions, so x is regular in every degree, and both the
-source gate and the lifted window's exactness are decided on the Artinian
-bottom ring, in every degree (``FreeComplexWindow.graded_exactness``); no
-check reads a degree above 3.
+``complexes.linear_matrix``), and a step works on every homological index at
+once: the differentials, stacked along a leading axis, are lifted by one
+scatter into the kept labels; every product lift(d_{i-1}) lift(d_i) is one
+stacked product, every correction is read off one elimination, and both
+sides of every cancellation gap are one more stacked product.  Each block
+differential is a concatenation.  Betti numbers double along the way;
+everything the construction promises (composition zero, the x-cancellation
+identity, exactness and dual exactness) is re-verified rather than trusted.
+The rings of a reduction chain carry their certified reductions, so x is
+regular in every degree, and both the source gate and the lifted window's
+exactness are decided on the Artinian bottom ring, in every degree
+(``complexes.exactness_reports``); no check reads a degree above 3.  Along
+a chain only the input is gated: each later source is the window the step
+before certified.
 """
 
 from __future__ import annotations
@@ -31,11 +36,12 @@ from .algebra import GradedAlgebra, QuotientMap
 from .complexes import (
     FreeComplexWindow,
     WindowCertificate,
+    exactness_reports,
     full_certification,
     linear_matrix,
     matrix_product,
 )
-from .linalg import field_matmul, field_reduce, field_zeros, solve
+from .linalg import field_matmul, field_reduce, field_stack, field_zeros, solve
 
 
 class LiftError(ValueError):
@@ -51,30 +57,29 @@ def certify_regular(qmap: QuotientMap) -> bool:
     return qmap.source.reduction is qmap
 
 
-def _flat(D):
-    """The rows D[r, c, :] of a matrix of forms, one per entry."""
-    return D.reshape(D.shape[0] * D.shape[1], D.shape[2])
-
-
 def lift_matrix(D, qmap: QuotientMap):
-    """The canonical section R_1 -> S_1 applied to every entry."""
+    """The canonical section R_1 -> S_1 applied to every entry of a matrix of
+    forms D[r, c, :], or of a stack of them: one ``lift_rows``."""
     S = qmap.source
-    return qmap.lift_rows(1, _flat(D)).reshape(D.shape[:2] + (S.dims[1],))
+    return qmap.lift_rows(1, D.reshape(-1, D.shape[-1])).reshape(D.shape[:-1] + (S.dims[1],))
 
 
 def correction_matrix(d_i, d_ip1, x, S: GradedAlgebra):
-    """The unique M with  d_i d_ip1 = x * M (x given by its S_1 coordinates):
-    one ``linalg.solve`` of x· M = every entry of the product (x·: S_1 ->
-    S_2), then one exact check that x * M reproduces the product."""
+    """The unique M with  d_i d_ip1 = x * M (x given by its S_1 coordinates),
+    for one pair of matrices of linear forms or for each pair of two stacks
+    of them (a leading batch axis): one ``linalg.solve`` of x· M = every
+    entry of every product (x·: S_1 -> S_2), then one exact check that
+    x * M reproduces the products."""
     f, n1 = S.field, S.dims[1]
     P = matrix_product(d_i, d_ip1, S)
+    entries = P.reshape(-1, P.shape[-1])
     X = S.mult_map_array(x, 1, 1)  # S_1 -> S_2
-    M = solve(f, X, _flat(P).T)
+    M = solve(f, X, entries.T)
     if M is None:
         raise LiftError("product is not divisible by x (is x regular, and the source a complex?)")
-    if (field_matmul(f, M.T, X.T) != _flat(P)).any():
+    if (field_matmul(f, M.T, X.T) != entries).any():
         raise LiftError("correction solve failed to reproduce the product")
-    return M.T.reshape(P.shape[:2] + (n1,))
+    return M.T.reshape(P.shape[:-1] + (n1,))
 
 
 def assemble_epsilon(d_i, d_im1, M_i, x, S: GradedAlgebra, index: int):
@@ -118,7 +123,14 @@ class LiftStep:
 
 
 def lift_complex(w: FreeComplexWindow, qmap: QuotientMap, check: bool = True) -> LiftStep:
-    """Lift a window over R = S/(x) to a window over S with doubled betti."""
+    """Lift a window over R = S/(x) to a window over S with doubled betti.
+
+    Every homological index at once: the differentials, padded with zeros
+    to b x b for the largest Betti number b, form one stack, whose padding
+    rows and columns stay zero throughout; each block is cut back to its
+    shape before it is assembled.  With check, the map must be certified
+    regular, w must compose and be exact, and the lifted window must
+    certify; each failure raises LiftError."""
     R, S = qmap.target, qmap.source
     if w.algebra is not R:
         raise LiftError("window does not live over the quotient ring of the map")
@@ -130,31 +142,29 @@ def lift_complex(w: FreeComplexWindow, qmap: QuotientMap, check: bool = True) ->
             raise LiftError("the quotient form is not certified regular by a reduction chain")
         if not w.compose_check():
             raise LiftError("source window is not a complex")
-        if not w.graded_exactness().exact:
+        if not exactness_reports([w], composes=True)[0].exact:
             raise LiftError("source window is not exact; refusing to lift")
 
+    f, lo, b = S.field, w.lo, max(w.betti)
     x = linear_matrix(S, [[qmap.form]])[0, 0]
-    lifted = {i: lift_matrix(w.diff(i), qmap) for i in range(w.lo + 1, w.hi + 1)}
-    corrections = {
-        i: correction_matrix(lifted[i - 1], lifted[i], x, S) for i in range(w.lo + 2, w.hi + 1)
-    }
-    # x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = 0: every entry of degree 2
-    # stacked, then one product with x: S_2 -> S_3
-    gaps = [
-        _flat(matrix_product(corrections[i], lifted[i + 1], S))
-        - _flat(matrix_product(lifted[i - 1], corrections[i + 1], S))
-        for i in range(w.lo + 2, w.hi)
-    ]
-    cancellation_ok = not gaps or not field_matmul(
-        S.field, field_reduce(S.field, np.vstack(gaps)), S.mult_map_array(x, 1, 2).T
-    ).any()
+    L = lift_matrix(field_stack(f, w.diffs, (b, b, R.dims[1])), qmap)
+    # M[j] is the correction M_i of i = lo + 2 + j: L[j] L[j + 1] = x * M[j]
+    M = correction_matrix(L[:-1], L[1:], x, S)
+    # x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = 0 for i = lo + 2 + j: both
+    # sides of every gap in one stacked product (none for two differentials),
+    # every entry of degree 2 then in one product with x: S_2 -> S_3
+    k = len(M) - 1
+    sides = matrix_product(np.concatenate([M[:-1], L[:-2]]), np.concatenate([L[2:], M[1:]]), S)
+    gaps = field_reduce(f, sides[:k] - sides[k:]).reshape(-1, S.dims[2])
+    cancellation_ok = not field_matmul(f, gaps, S.mult_map_array(x, 1, 2).T).any()
 
-    new_lo = w.lo + 1
+    new_lo = lo + 1
     betti = [w.rank_of(i) + w.rank_of(i - 1) for i in range(new_lo, w.hi + 1)]
-    diffs = [
-        assemble_epsilon(lifted[i], lifted[i - 1], corrections[i], x, S, i)
-        for i in range(new_lo + 1, w.hi + 1)
-    ]
+    diffs = []
+    for j, i in enumerate(range(new_lo + 1, w.hi + 1)):
+        # cut back to their shapes: d~_i, d~_{i-1} and M_i
+        b0, b1, b2 = w.rank_of(i - 2), w.rank_of(i - 1), w.rank_of(i)
+        diffs.append(assemble_epsilon(L[j + 1, :b1, :b2], L[j, :b0, :b1], M[j, :b0, :b2], x, S, i))
     window = FreeComplexWindow(S, new_lo, w.hi, betti, diffs, base_twist=w.base_twist + 1)
     certificate = full_certification(window)
     step = LiftStep(
@@ -176,11 +186,17 @@ def lift_through_sequence(w: FreeComplexWindow, qmaps, check: bool = True):
 
     qmaps[0] must have target equal to the algebra of w; each subsequent map's
     target is the previous map's source.  Returns (final window, [LiftStep]).
+    With check, only w passes the source gate of ``lift_complex`` (composes,
+    exact): every later source is the window of the step before, which was
+    certified, exactness included, or raised; a later step that does not
+    certify, its map's regularity included, raises too.
     """
     steps = []
     current = w
     for qmap in qmaps:
-        step = lift_complex(current, qmap, check=check)
+        step = lift_complex(current, qmap, check=check and not steps)
+        if check and not step.certified:
+            raise LiftError("lifted window failed verification")
         steps.append(step)
         current = step.window
     return current, steps

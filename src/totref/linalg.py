@@ -9,8 +9,10 @@ nowhere else (``np_modulus`` decides): int64 arrays for GF(p) with p < 2**31,
 so that a product of two representatives stays below 2**63, and numpy
 ``object`` arrays of exact Python ints (GF(p), p >= 2**31) or Fractions (the
 rationals) otherwise.  A matrix over the field is such an array, with no
-wrapper: ``field_array`` and ``identity`` build them, ``field_matmul`` is
-their one product, ``rref``/``array_rank`` eliminate them, and ``solve``,
+wrapper: ``field_array`` and ``identity`` build them, ``field_stack``
+stacks them (padded with zeros to one shape), ``field_matmul`` is their one
+product (of two matrices, or of each pair of two stacks with a leading
+batch axis), ``rref``/``array_rank`` eliminate them, and ``solve``,
 ``kernel_basis`` and ``left_inverse`` are read off one RREF.  ``Subspace``
 keeps its basis as one.  A sum of int64 products can still overflow:
 ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2) products before
@@ -29,7 +31,9 @@ operation replaces a row by the primitive part of an integer combination, so
 entries stay integers and their contents are divided out as they appear.
 Fractions are built only for what leaves this module: the RREF rows (each
 fraction-free row over its pivot entry; the RREF is unique) and the nonzero
-entries of a product (``field_matmul`` multiplies the integer forms).  An
+entries of a product (``field_matmul`` multiplies the integer forms, each
+matrix of a stack over its own common denominator, never one for the
+stack: entry sizes within one stack may differ by hundreds of bits).  An
 owner freezes an array it keeps for its lifetime (``freeze``: tables,
 projections); the integer form and check image of a frozen array are
 computed once and dropped with the array.
@@ -110,18 +114,32 @@ def field_reduce(field, A):
     return A % field.p if isinstance(field, PrimeField) else A
 
 
+def field_stack(field, arrays, shape):
+    """The arrays as one stack (len(arrays),) + shape over the field, each in
+    the leading corner of a zero array of that shape (padded with zeros)."""
+    S = field_zeros(field, (len(arrays),) + tuple(shape))
+    for k, A in enumerate(arrays):
+        S[(k,) + tuple(map(slice, A.shape))] = A
+    return S
+
+
 def field_matmul(field, A, B):
-    """The product of two 2-D arrays over the field (see ``field_array``).
-    Over the rationals it is fraction-free: the integer forms of the two
-    sides are multiplied, and only the nonzero entries of the integer
-    product become Fractions."""
+    """The product of two 2-D arrays over the field (see ``field_array``), or
+    of each pair of two stacks (k, m, n) and (k, n, l) with a leading batch
+    axis.  Over the rationals it is fraction-free: the integer forms of the
+    two sides are multiplied, each matrix of a stack over its own common
+    denominator, and only the nonzero entries of the integer product become
+    Fractions."""
     p = np_modulus(field)
     if p is not None:
         return mod_matmul(p, A, B)
     if isinstance(field, PrimeField):
         return A @ B % field.p
-    (NA, da), (NB, db) = _integer_form(A), _integer_form(B)
-    return _fractions(field, NA @ NB, da * db)
+    if A.ndim == 2:
+        (NA, da), (NB, db) = _integer_form(A), _integer_form(B)
+        return _fractions(field, NA @ NB, da * db)
+    (NA, da), (NB, db) = _stack_forms(A), _stack_forms(B)
+    return _stack_fractions(field, NA @ NB, [a * b for a, b in zip(da, db)])
 
 
 def _fractions(field, N, den):
@@ -133,25 +151,57 @@ def _fractions(field, N, den):
     ).reshape(N.shape)
 
 
+def _stack_fractions(field, N, dens):
+    """The rational stack N[k] / dens[k] (``_fractions`` of each matrix)."""
+    out = np.empty(N.shape, dtype=object)
+    for k, den in enumerate(dens):
+        out[k] = _fractions(field, N[k], den)
+    return out
+
+
 def structure_product(field, A, T, B):
     """The array P[r, c, k] = sum over m, i, j of A[r, m, i] B[m, c, j]
     T[i, j, k] over the field: the product of two matrices whose entries
     are vectors (A[r, m, :] and B[m, c, :]) of an algebra with structure
-    constants T[i, j, :].  It takes two array products, X = A T, then X
-    times B; over the rationals both run on the integer forms, and only P
-    becomes Fractions."""
-    (rows, inner, n1), (_, cols, n2), n3 = A.shape, B.shape, T.shape[2]
+    constants T[i, j, :].  A and B may also be stacks, arrays with a leading
+    batch axis (A[s, r, m, :] and B[s, m, c, :]) or lists of arrays of one
+    shape; P[s] is then the product of each pair.  It takes two array
+    products whatever the stack, in the order that is faster for the
+    representation.  On int64 arrays the sum over m comes first,
+    Z[s, (r, i), (c, j)] = sum over m of A[s, r, m, i] B[s, m, c, j], then
+    Z times the table T[(i, j), k]: the first sums one product per column
+    of A, and the table's columns are sparse, so ``mod_matmul`` rarely
+    splits either sum.  On ``object`` arrays X = A T comes first, the rows
+    of every A in one product with the table's small entries, then each
+    X[s] times B[s].  Over the rationals both run on the integer forms, each
+    matrix of the stack over its own common denominator (kept for a frozen
+    array: ``freeze``), and only P becomes Fractions."""
+    if isinstance(A, np.ndarray) and A.ndim == 3:
+        return structure_product(field, A[None], T, B[None])[0]
     rational = isinstance(field, RationalField)
     if rational:
-        (A, da), (T, dt), (B, db) = _integer_form(A), _integer_form(T), _integer_form(B)
-        product = np.matmul
+        (A, da), (T, dt), (B, db) = _stack_forms(A), _integer_form(T), _stack_forms(B)
     else:
-        product = lambda X, Y: field_matmul(field, X, Y)
-    X = product(A.reshape(rows * inner, n1), T.reshape(n1, n2 * n3))
-    X = X.reshape(rows, inner, n2, n3).transpose(0, 3, 1, 2).reshape(rows * n3, inner * n2)
-    P = product(X, B.transpose(0, 2, 1).reshape(inner * n2, cols))
-    P = P.reshape(rows, n3, cols).transpose(0, 2, 1)
-    return _fractions(field, P, da * dt * db) if rational else P
+        A, B = np.asarray(A), np.asarray(B)
+    (k, rows, inner, n1), (_, _, cols, n2), n3 = A.shape, B.shape, T.shape[2]
+    if np_modulus(field):
+        Z = mod_matmul(
+            field.p,
+            A.transpose(0, 1, 3, 2).reshape(k, rows * n1, inner),
+            B.reshape(k, inner, cols * n2),
+        )
+        Z = Z.reshape(k, rows, n1, cols, n2).transpose(0, 1, 3, 2, 4)
+        P = mod_matmul(field.p, Z.reshape(k * rows * cols, n1 * n2), T.reshape(n1 * n2, n3))
+        return P.reshape(k, rows, cols, n3)
+    product = np.matmul if rational else lambda X, Y: field_matmul(field, X, Y)
+    X = product(A.reshape(k * rows * inner, n1), T.reshape(n1, n2 * n3))
+    X = X.reshape(k, rows, inner, n2, n3).transpose(0, 1, 4, 2, 3)
+    X = X.reshape(k, rows * n3, inner * n2)
+    P = product(X, B.transpose(0, 1, 3, 2).reshape(k, inner * n2, cols))
+    P = P.reshape(k, rows, n3, cols).transpose(0, 1, 3, 2)
+    if rational:
+        return _stack_fractions(field, P, [a * dt * b for a, b in zip(da, db)])
+    return P
 
 
 def freeze(A):
@@ -195,6 +245,18 @@ def _integer_form(A):
     return N.reshape(A.shape), d
 
 
+def _stack_forms(A):
+    """(N, ds) for a stack of rational arrays (an array with a leading batch
+    axis, or a list of arrays of one shape): A[k] = N[k] / ds[k], each matrix
+    over its own common denominator (``_integer_form``, kept for a frozen
+    array)."""
+    forms = [_integer_form(a) for a in A]
+    N = np.empty(np.shape(A), dtype=object)
+    for k, (Nk, _) in enumerate(forms):
+        N[k] = Nk
+    return N, [d for _, d in forms]
+
+
 def _numerators(A):
     """(N, d): an object array of Python ints and a common denominator d
     with A = N / d."""
@@ -229,28 +291,30 @@ def image_matmul(field, A, B):
 
 
 def mod_matmul(p, A, B):
-    """(A @ B) % p for 2-D int64 arrays with entries in [0, p), p < 2**31.
+    """(A @ B) % p for int64 arrays with entries in [0, p), p < 2**31: two
+    2-D arrays, or two stacks with a leading batch axis.
 
     An entry of A @ B sums at most k products, each at most (p - 1)**2, where
-    k is the smaller of the most nonzeros in a row of A and in a column of B.
-    When k exceeds floor((2**63 - 1) / (p - 1)**2), the inner dimension is
-    cut into pieces of that many summands, each reduced mod p on its own, so
-    no int64 sum overflows.
+    k is the smaller of the most nonzeros in a row of A and in a column of B
+    (over the whole stack: one check for all its products).  When k exceeds
+    floor((2**63 - 1) / (p - 1)**2), the inner dimension is cut into pieces
+    of that many summands, each reduced mod p on its own, so no int64 sum
+    overflows.
     """
     step = (2**63 - 1) // (p - 1) ** 2
-    inner = A.shape[1]
+    inner = A.shape[-1]
     if inner <= step or _most_products(A, B) <= step:
         return A @ B % p
-    acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    acc = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
     for lo in range(0, inner, step):
-        acc += A[:, lo : lo + step] @ B[lo : lo + step] % p
+        acc += A[..., lo : lo + step] @ B[..., lo : lo + step, :] % p
     return acc % p
 
 
 def _most_products(A, B) -> int:
     """An upper bound on the nonzero products summed in one entry of A @ B."""
     return min(
-        np.count_nonzero(A, axis=1).max(initial=0), np.count_nonzero(B, axis=0).max(initial=0)
+        np.count_nonzero(A, axis=-1).max(initial=0), np.count_nonzero(B, axis=-2).max(initial=0)
     )
 
 

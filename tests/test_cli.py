@@ -370,9 +370,18 @@ def test_verify_missing_field(capsys, c4_file, tmp_path, field):
 
 GRAPHS = Path(__file__).resolve().parent.parent / "graphs"
 
-# SHA-256 of reports recorded before the duplicated matrix products,
-# traversals and row reductions were merged; refactors must keep every byte.
+# SHA-256 of `analyze --json` reports, which name their field under
+# "reduction".  With that entry removed (`_without_field`) each report is the
+# one recorded before the duplicated matrix products, traversals and row
+# reductions were merged (ANALYZE_JSON_WITHOUT_FIELD_SHA256); refactors must
+# keep every byte.
 ANALYZE_JSON_SHA256 = {
+    "four_cycle.json": "4cd2fc9e099701d3eb9d6e1767e6d59787e39b4596870200275ef2c90730ce81",
+    "path4.json": "a6f2e15bf0d5b07a38d1f0ae26d71b3cdde8c7c447a6ac084d7fd9a27fbf9d28",
+    "ten_vertex.json": "aaa1167345b49e2b79131786a2ee3371af66e50117dbccfe2feb14a33be72aaa",
+    "two_blocks_hub.json": "2855e788665c31f8ef838df87bcde301ae9cccda0ec81ee7cdff86829ce20fd4",
+}
+ANALYZE_JSON_WITHOUT_FIELD_SHA256 = {
     "four_cycle.json": "fd86ce8e8d8c8bc0148717885e318311b6a7566fa616a09f6d8957fb8a91a46a",
     "path4.json": "707280178c0bba12af5c4ecd8954b97e881272af0e8e5aef8f1aa0d484b27a10",
     "ten_vertex.json": "0b2a4d7dd9ea7bcc0c76c43d4f423a58e72ec6ced18145077dd991843d268baa",
@@ -394,6 +403,13 @@ def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _without_field(text):
+    """An `analyze --json` report as printed before it named its field."""
+    obj = json.loads(text)
+    del obj["reduction"]["field"]
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def _with_tables(text):
     """A complex file as earlier versions wrote it: its algebra entry also
     carries the multiplication tables of the ring, laid out from R.table."""
@@ -413,7 +429,10 @@ def test_output_bytes_unchanged(capsys):
     assert sorted(p.name for p in GRAPHS.glob("*.json")) == sorted(ANALYZE_JSON_SHA256)
     for name, digest in ANALYZE_JSON_SHA256.items():
         assert main(["analyze", str(GRAPHS / name), "--json"]) == 0
-        assert _sha256(capsys.readouterr().out) == digest, name
+        out = capsys.readouterr().out
+        assert json.loads(out)["reduction"]["field"] == {"kind": "gf", "p": DEFAULT_PRIME}
+        assert _sha256(out) == digest, name
+        assert _sha256(_without_field(out)) == ANALYZE_JSON_WITHOUT_FIELD_SHA256[name], name
     assert main(["factory", "--canonical", "--json"]) == 0
     out = capsys.readouterr()
     assert (_sha256(out.out), _sha256(out.err)) == FACTORY_CANONICAL_SHA256
@@ -422,11 +441,15 @@ def test_output_bytes_unchanged(capsys):
 
 
 # `analyze --json` on every array representation of the field: exact
-# fractions, object ints (p >= 2^31) and a small prime; recorded before every
-# table became a gather of its projection.  C5 runs in generic mode.
-_PATH4, _HUB = ANALYZE_JSON_SHA256["path4.json"], ANALYZE_JSON_SHA256["two_blocks_hub.json"]
+# fractions, object ints (p >= 2^31) and a small prime.  C5 runs in generic
+# mode.  ANALYZE_FIELDS_WITHOUT_FIELD_SHA256 holds the digests recorded before
+# every table became a gather of its projection, which each report still
+# gives with its "field" entry removed: until the reports named their field,
+# the prime did not show in them.
+_PATH4 = ANALYZE_JSON_WITHOUT_FIELD_SHA256["path4.json"]
+_HUB = ANALYZE_JSON_WITHOUT_FIELD_SHA256["two_blocks_hub.json"]
 _C5_SHA256 = "88229b623923e2e278b8f24f5dcc3b597ca73634876086e02886643549805281"
-ANALYZE_FIELDS_SHA256 = {
+ANALYZE_FIELDS_WITHOUT_FIELD_SHA256 = {
     "--rational": {
         "four_cycle.json": "502915d8cb1e282382f8574bc2dfcb4f9f875cbe88c2b5283791afc7769b8e27",
         "path4.json": _PATH4,
@@ -434,9 +457,37 @@ ANALYZE_FIELDS_SHA256 = {
         "two_blocks_hub.json": _HUB,
         "c5": _C5_SHA256,
     },
-    "--prime 4294967311": dict(ANALYZE_JSON_SHA256),
-    "--prime 5": dict(ANALYZE_JSON_SHA256),
+    "--prime 4294967311": dict(ANALYZE_JSON_WITHOUT_FIELD_SHA256),
+    "--prime 5": dict(ANALYZE_JSON_WITHOUT_FIELD_SHA256),
     "": {"c5": _C5_SHA256},
+}
+ANALYZE_FIELDS_SHA256 = {
+    "--rational": {
+        "four_cycle.json": "5e60df05bb55e1329a8249fe0b2e86ac5c33bafdc38a2e429db1c78b61062fa8",
+        "path4.json": "3c181506ff776372e050884b30130fe7d5ad6ccdf1eee8ea0a1f92aacc1e0dff",
+        "ten_vertex.json": "a7ae6fff014299d4c430511bbe8f3b1e615a029abe415fdbf728b86257956193",
+        "two_blocks_hub.json": "02cc713057126a1eef0076b5e2c229ec6f454c2e2c2033d876bbfbd3cee97dde",
+        "c5": "fd28e2ea54b290c4950bb66333cd2bededdac1b43da172df2a4824a520eb0641",
+    },
+    "--prime 4294967311": {
+        "four_cycle.json": "cad6b0d4c9ff4759d7be6576f7764370e0764b59f674ced4f6a764282b5765d6",
+        "path4.json": "d981740c57218908ec41d938909317d0ceb0a299e43c60d15d02efadea7de61e",
+        "ten_vertex.json": "fc486832726d0f1825b7881ae911da8ea6f3bff85b0f804b769f733aca06ec64",
+        "two_blocks_hub.json": "c2c34db567d0a621d393ef3fa4b2e94fa7bda30962cfb8c98bdafe110b4ae451",
+    },
+    "--prime 5": {
+        "four_cycle.json": "b5e6198cc4dc65abef21fa332ef1722dbbc3663138c673f48fb202f28f4edc46",
+        "path4.json": "549cad90d8a9de58052f1edd5190640285168b87dc67977c23299229a296cf88",
+        "ten_vertex.json": "ba5f1b4e31ec5dc47a7ca9dad68adc0ad8e1e0180c5a2cea07a5c241d56b1201",
+        "two_blocks_hub.json": "1b3593aba007941203ba197e0aef19714d37cc60d6221e059b793ed944ef6224",
+    },
+    "": {"c5": "0909e148dc38e0b47e7d2977f852dfabedadca31164d8deaa09739e5072d71aa"},
+}
+_FIELDS = {
+    "--rational": {"kind": "qq"},
+    "--prime 4294967311": {"kind": "gf", "p": 4294967311},
+    "--prime 5": {"kind": "gf", "p": 5},
+    "": {"kind": "gf", "p": DEFAULT_PRIME},
 }
 
 
@@ -444,9 +495,13 @@ ANALYZE_FIELDS_SHA256 = {
 def test_analyze_bytes_on_every_field(capsys, tmp_path, options):
     paths = {name: str(GRAPHS / name) for name in ANALYZE_JSON_SHA256}
     paths["c5"] = write_graph(tmp_path, "c5.json", C5)
+    old = ANALYZE_FIELDS_WITHOUT_FIELD_SHA256[options]
     for name, digest in ANALYZE_FIELDS_SHA256[options].items():
         main(["analyze", paths[name], "--json"] + options.split())
-        assert _sha256(capsys.readouterr().out) == digest, (options, name)
+        out = capsys.readouterr().out
+        assert json.loads(out)["reduction"]["field"] == _FIELDS[options], (options, name)
+        assert _sha256(out) == digest, (options, name)
+        assert _sha256(_without_field(out)) == old[name], (options, name)
 
 
 # (report on stdout, complex file) of seeded random factory windows, recorded
@@ -647,6 +702,55 @@ def test_lift_and_verify_bytes_unchanged(capsys, tmp_path, name):
     old.write_text(_with_tables(lifted.read_text()))
     assert main(["verify", str(old), "--json"]) == 0
     assert _sha256(capsys.readouterr().out) == digests["verify"]
+
+
+# SHA-256 of the benchmark's own lift-chain commands (perfbench/workloads.py,
+# at the default seed), recorded before every homological index was lifted
+# at once: (stdout, --out file) of `build --json` on graphs/*.json with the
+# default window and of each `lift --json` of the built file, and stdout of
+# `verify --json` on each lifted file.
+_VERIFY_CERTIFIED_SHA256 = "8b939b91efd0b2f0094fe4c4335ef5837cf584da7001a6823e6be4406fc8fb70"
+LIFT_CHAIN_SHA256 = {
+    "ten_vertex": (
+        "factory",
+        ("dd13f88814bc29d03580e104b3de2fa9938dbba91279c60658ea64c316509025",
+         "defeafc908c8270b3b09b8309dadcaabdc195e8ca6c4a2fdf4eda8cc230a2b86"),
+        {
+            "--steps 2 --degree-bound 5": (
+                "dc5286a7f37af4af39bf9c86293932ff9c134b54e85bc8a973bc362c8cdf19e3",
+                "e7ba0e87d51ba017fbf2ff7a4213f7ab5696cad9fb574f6ebee93c4acdda90fe"),
+            "--steps 1 --degree-bound 5": (
+                "a7b1da1d9aa9857ecc6b62a75dbbd0e34be018df5bef41ed0aac63a270133f99",
+                "499f3f2208271ccb0459004ef73e0d9054697ba5a9c4e5230dc5bc542a9f2770"),
+        },
+    ),
+    "four_cycle": (
+        "ezd",
+        ("097d3762208af6f13cce16899e4e9b86add83e8f8b643700784aa6eee4c0123f",
+         "4e80acc6596cf1e08438e568e467c20aa9040ad86fbad9cad7e3be89561d8079"),
+        {
+            "--degree-bound 7": (
+                "8fd0d2d9e31ce82d126be7ec78eadeda73af29c9ca73bb451ed610385cec39e6",
+                "92c18127258aea414e18c2fb6fae2cd73259fe88bc6170543e72986a0291cdd4"),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CHAIN_SHA256))
+def test_lift_chain_bytes_unchanged(capsys, tmp_path, name):
+    mode, built, lifts = LIFT_CHAIN_SHA256[name]
+    src = tmp_path / "src.json"
+    argv = ["build", str(GRAPHS / f"{name}.json"), "--mode", mode, "--json", "--out", str(src)]
+    assert main(argv) == 0
+    assert (_sha256(capsys.readouterr().out), _sha256(src.read_text())) == built
+    for options, digests in lifts.items():
+        lifted = tmp_path / "lifted.json"
+        argv = ["lift", str(src), *options.split(), "--json", "--out", str(lifted)]
+        assert main(argv) == 0
+        assert (_sha256(capsys.readouterr().out), _sha256(lifted.read_text())) == digests, options
+        assert main(["verify", str(lifted), "--json"]) == 0
+        assert _sha256(capsys.readouterr().out) == _VERIFY_CERTIFIED_SHA256, options
 
 
 @pytest.mark.parametrize(

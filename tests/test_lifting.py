@@ -24,6 +24,8 @@ from totref import (
     ten_vertex_graph,
 )
 from totref.algebra import QuotientMap
+from totref.factory import SpecialRing, build_window, random_blocks
+from totref.fields import DEFAULT_PRIME
 from totref.linalg import (
     array_rank, field_array, field_matmul, field_reduce, field_zeros, kernel_basis, solve,
 )
@@ -130,8 +132,10 @@ def test_assemble_epsilon_shape_and_signs(c4_setup):
 
 
 def test_cancellation_check_sees_a_wrong_correction(c4_setup, monkeypatch):
-    # with x added to the first correction matrix, x * M_i no longer equals
-    # the product, and x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = x^2 d~_{i+1} != 0
+    # with x added to one entry of the first correction matrix, x * M_i no
+    # longer equals the product, and x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) =
+    # x^2 d~_{i+1} != 0.  lift_complex reads every correction off one
+    # correction_matrix call, which returns them stacked, M[j] for i = lo + 2 + j
     import totref.lifting as lifting
 
     chain, _, _, w = c4_setup
@@ -139,14 +143,69 @@ def test_cancellation_check_sees_a_wrong_correction(c4_setup, monkeypatch):
 
     def first_one_wrong(d_i, d_ip1, x, S):
         M = real(d_i, d_ip1, x, S)
-        if not calls:
-            M[0, 0] = field_reduce(S.field, M[0, 0] + x)
+        assert M.ndim == 4 and len(M) == w.hi - w.lo - 1
+        M[0, 0, 0] = field_reduce(S.field, M[0, 0, 0] + x)
         calls.append(1)
         return M
 
     monkeypatch.setattr(lifting, "correction_matrix", first_one_wrong)
     step = lift_complex(w, chain.steps[1], check=False)
+    assert calls == [1]
     assert not step.cancellation_ok and not step.certified
+
+
+def count_certification_work(monkeypatch):
+    """Counters of the calls a lift makes: ``rank_bounds`` (as complexes
+    binds it), ``linalg.solve`` (as lifting binds it) and
+    ``compose_check``, by the window it checks."""
+    import totref.complexes as complexes
+    import totref.lifting as lifting
+
+    calls = {"rank_bounds": 0, "solve": 0, "compose_check": []}
+    real_bounds, real_solve = complexes.rank_bounds, lifting.solve
+    real_compose = FreeComplexWindow.compose_check
+
+    def rank_bounds(field, images):
+        calls["rank_bounds"] += 1
+        return real_bounds(field, images)
+
+    def solve(field, A, B):
+        calls["solve"] += 1
+        return real_solve(field, A, B)
+
+    def compose_check(self):
+        calls["compose_check"].append(self)
+        return real_compose(self)
+
+    monkeypatch.setattr(complexes, "rank_bounds", rank_bounds)
+    monkeypatch.setattr(lifting, "solve", solve)
+    monkeypatch.setattr(FreeComplexWindow, "compose_check", compose_check)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "name, p", [("ten_vertex", DEFAULT_PRIME), ("c4", DEFAULT_PRIME), ("c4", "QQ")]
+)
+def test_two_step_lift_certifies_each_window_once(monkeypatch, name, p):
+    """A two-step lift checks its input once and each lifted window once:
+    3 ``rank_bounds`` calls (the input's exactness, then the primal and dual
+    blocks of each lifted window together), one correction solve per step,
+    and one ``compose_check`` per window.  The ten-vertex window is a
+    factory window of 4 steps each way, as ``build --mode factory`` makes."""
+    chain = chain_over(name, p)
+    R = chain.bottom
+    if name == "ten_vertex":
+        ring = SpecialRing(chain, ("x1", "x2", "y1", "y2"), ("x3", "x4", "y3", "y4"))
+        w, rep = build_window(ring, random_blocks(ring, Random(0)), 4, 4)
+        assert rep.certified
+    else:
+        pair = find_ezd(R, "bipartite-canonical", trials=32, rng=Random(1), x_labels={"x1", "x2"})
+        w = ezd_complex(R, pair, half_length=4)
+    calls = count_certification_work(monkeypatch)
+    final, steps = lift_through_sequence(w, [chain.steps[1], chain.steps[0]])
+    assert all(s.certified for s in steps) and final is steps[1].window
+    assert calls["rank_bounds"] == 3 and calls["solve"] == 2
+    assert [id(v) for v in calls["compose_check"]] == [id(w)] + [id(s.window) for s in steps]
 
 
 def test_lift_c4_betti_doubles(c4_setup):
@@ -311,3 +370,33 @@ def test_array_lift_matches_element_oracle(p, name, level, seed, betti, perturb)
         bottom = [[m if sign == 1 else -m for m in expected[r]] + A[r] for r in range(b2)]
         eps = assemble_epsilon(lifted[1], lifted[0], M, x, S, index)
         assert element_rows(S, eps) == top + bottom
+
+
+@pytest.mark.parametrize("p", ARRAY_FIELDS)
+def test_stacked_lift_matches_the_lift_of_each_index(p):
+    """lift_complex works on the padded stack of all differentials; on a
+    window of unequal Betti numbers (random composing forms, so padding
+    rows and columns are real) its block differentials equal those built
+    one index at a time: lift_matrix, correction_matrix and
+    assemble_epsilon of each pair, and its cancellation check holds."""
+    q = chain_over("c4", p).steps[1]
+    R, S, rng = q.target, q.source, Random(7)
+    betti = [2, 1, 3, 2, 1]
+    diffs = [random_forms(R, rng, betti[-2], betti[-1])]
+    for rows in reversed(betti[:-2]):
+        diffs.insert(0, composing_forms(R, rng, rows, diffs[0]))
+    w = FreeComplexWindow(R, 0, len(betti) - 1, betti, diffs)
+    assert w.compose_check()
+    step = lift_complex(w, q, check=False)
+    x = linear_matrix(S, [[q.form]])[0, 0]
+    lifted = {i: lift_matrix(w.diff(i), q) for i in range(1, w.hi + 1)}
+    expected = [
+        assemble_epsilon(
+            lifted[i], lifted[i - 1], correction_matrix(lifted[i - 1], lifted[i], x, S), x, S, i
+        )
+        for i in range(2, w.hi + 1)
+    ]
+    assert step.cancellation_ok
+    assert step.window.betti == [b + a for a, b in zip(betti, betti[1:])]
+    assert [D.tolist() for D in step.window.diffs] == [D.tolist() for D in expected]
+

@@ -396,6 +396,71 @@ def test_field_matmul_matches_nested_loops(case):
     assert all(type(x) is kind for row in got.tolist() for x in row)
 
 
+def stack_of(field, rng, k, shape):
+    """A stack of k arrays of a shape over the field.  Over GF(p) the first
+    is all p - 1 (dense: with p large, a sum of its products passes the
+    int64 summand bound), the others random; over Q the first has 7-bit
+    entries over denominators up to 12, the others 650-bit ones over one
+    650-bit denominator each."""
+    cells = int(np.prod(shape))
+    mats = []
+    for j in range(k):
+        if isinstance(field, RationalField):
+            bits = 7 if j == 0 else 650
+            den = rng.randrange(1, 13) if j == 0 else rng.getrandbits(bits) | 1
+            entries = [
+                Fraction(rng.randrange(-2**bits, 2**bits), den if j else rng.randrange(1, 13))
+                for _ in range(cells)
+            ]
+        elif j == 0:
+            entries = [field.p - 1] * cells
+        else:
+            entries = [field.rand(rng) for _ in range(cells)]
+        mats.append(field_array(field, entries).reshape(shape))
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("p", [7, DEFAULT_PRIME, 4294967311, "QQ"])
+def test_stacked_products_match_per_matrix_products(p, monkeypatch):
+    """field_matmul and structure_product with a leading batch axis (or,
+    for structure_product, a list) equal the products of each matrix of the
+    stack, on every array representation:
+    int64 (GF(7), the default prime, with dense operands past the summand
+    bound), exact ints in object arrays (GF(4294967311)) and fractions.
+    Over Q every matrix keeps its own common denominator: the one of small
+    entries is not scaled to the other's 650-bit one."""
+    field, rng = array_field(p), Random(43)
+    kind = Fraction if isinstance(field, RationalField) else int
+    dens = []
+    real = linalg._fractions
+
+    def spy(f, N, den):
+        dens.append(den)
+        return real(f, N, den)
+
+    A, B = stack_of(field, rng, 2, (3, 40)), stack_of(field, rng, 2, (40, 5))
+    monkeypatch.setattr(linalg, "_fractions", spy)
+    got = field_matmul(field, A, B)
+    if kind is Fraction:
+        assert dens[0].bit_length() < 64 < 1000 < dens[1].bit_length()
+    monkeypatch.undo()
+    assert got.shape == (2, 3, 5) and got.dtype == A.dtype
+    for k in range(2):
+        assert got[k].tolist() == field_matmul(field, A[k], B[k]).tolist()
+    assert all(type(x) is kind for x in got.ravel().tolist())
+
+    # vectors of a 4-dimensional algebra with random structure constants
+    A, B = stack_of(field, rng, 3, (2, 3, 4)), stack_of(field, rng, 3, (3, 2, 4))
+    T = stack_of(field, rng, 2, (4, 4, 4))[1]
+    got = linalg.structure_product(field, A, T, B)
+    assert got.shape == (3, 2, 2, 4)
+    # a stack may also be a list of arrays of one shape
+    assert linalg.structure_product(field, list(A), T, list(B)).tolist() == got.tolist()
+    for k in range(3):
+        assert got[k].tolist() == linalg.structure_product(field, A[k], T, B[k]).tolist()
+    assert all(type(x) is kind for x in got.ravel().tolist())
+
+
 def sparse_rows(A):
     """The rows of a 2-D array over a field as ``rank_reaches`` reads them:
     dicts from column to nonzero entry."""
