@@ -628,6 +628,8 @@ def chain_from_json(obj, cutoff=None, retries=64):
     if len(basis) != obj["cutoff"] + 1:
         raise AlgebraError("algebra basis must cover degrees 0..cutoff")
     desc, field = obj.get("descriptor"), field_from_json(obj["field"])
+    if isinstance(desc, dict) and not (type(desc.get("cutoff")) is int and desc["cutoff"] == obj["cutoff"]):
+        raise AlgebraError("chain descriptor cutoff must be the integer cutoff of its algebra")
     chain = chain_from_descriptor(desc, field, obj["cutoff"] if cutoff is None else cutoff, retries)
     shared = min(len(basis), chain.top.cutoff + 1)
     if basis[:shared] != chain.ring(desc["level"]).basis[:shared]:

@@ -1,5 +1,10 @@
 """Command-line front end: analyze graphs, build/lift/verify complex windows.
 
+Every subcommand parses the same shared options.  ``_SHARED`` says which of
+``--seed``, ``--forward``, ``--backward`` and ``--degree-bound`` each one
+reads, and their defaults; ``_configure`` refuses the others, fills in the
+defaults and sets ``args.field``, and their help is written from it.
+
 Exit codes: 0 = a verdict was produced (including negative verdicts),
 2 = inconclusive, 1 = error (a usage error too).  All randomness flows from --seed.
 """
@@ -9,9 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from random import Random
-from typing import Optional
 
 from .algebra import AlgebraError, chain_from_json, reduction_chain
 from .analysis import (
@@ -37,51 +40,51 @@ from .graphs import Graph, GraphError, load_graph, necessary_conditions
 from .lifting import LiftError, lift_through_sequence
 
 
-# the subcommands that read each of these shared options; the others refuse it
-_READ_BY = {
-    "degree_bound": ("lift", "verify"),
-    **dict.fromkeys(("seed", "forward", "backward"), ("analyze", "build", "factory")),
+# the shared options each subcommand reads, with their defaults (None: no
+# default); every other subcommand refuses them, even at these values
+_SHARED = {
+    "analyze": {"seed": 0, "forward": 2, "backward": 2},
+    "build": {"seed": 0, "forward": 4, "backward": 4},
+    "factory": {"seed": 0, "forward": 4, "backward": 4},
+    "lift": {"degree_bound": 5},
+    "verify": {"degree_bound": None},
 }
 
 
-@dataclass
-class RunConfig:
-    field: object
-    degree_bound: Optional[int]  # None: no bound was given
-    seed: Optional[int]  # None (like forward and backward) where not read
-    retries: int
-    forward: Optional[int]
-    backward: Optional[int]
-    as_json: bool
+def _readers(name) -> str:
+    """The subcommands that read a shared option, listed as in a sentence."""
+    *rest, last = [command for command, reads in _SHARED.items() if name in reads]
+    return f"{', '.join(rest)} and {last}"
 
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        for name, commands in _READ_BY.items():
-            if args.command not in commands and getattr(args, name) is not None:
-                option = "--" + name.replace("_", "-")
-                listed = ", ".join(commands[:-1]) + " and " + commands[-1]
-                raise ValueError(f"{option} applies to {listed} only")
-        if args.rational and args.prime is not None:
-            raise ValueError("--prime and --rational exclude each other")
-        if args.rational:
-            field = RationalField()
-        else:
-            field = PrimeField(DEFAULT_PRIME if args.prime is None else args.prime)
-        if args.degree_bound is not None and args.degree_bound < 2:
-            raise ValueError("--degree-bound must be at least 2")
-        if any(n is not None and n < 0 for n in (args.forward, args.backward)):
-            raise ValueError("--forward and --backward must be non-negative")
-        if args.retries < 1:
-            raise ValueError("--retries must be at least 1")
-        return cls(
-            field=field,
-            degree_bound=args.degree_bound,
-            seed=args.seed,
-            retries=args.retries,
-            forward=args.forward,
-            backward=args.backward,
-            as_json=args.json,
-        )
+
+def _help(text, name) -> str:
+    """The help of a shared option, with the default of each subcommand that reads it."""
+    defaults = (f"{c} {'none' if r[name] is None else r[name]}" for c, r in _SHARED.items() if name in r)
+    return f"{text} (default: {', '.join(defaults)})"
+
+
+def _configure(args) -> None:
+    """Refuse the shared options the subcommand does not read, fill in the
+    defaults of those it reads, check the values and set ``args.field``."""
+    reads = _SHARED[args.command]
+    for name in dict.fromkeys(n for options in _SHARED.values() for n in options):
+        if name in reads:
+            if getattr(args, name) is None:
+                setattr(args, name, reads[name])
+        elif getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies to {_readers(name)} only")
+    if args.rational and args.prime is not None:
+        raise ValueError("--prime and --rational exclude each other")
+    if args.rational:
+        args.field = RationalField()
+    else:
+        args.field = PrimeField(DEFAULT_PRIME if args.prime is None else args.prime)
+    if args.degree_bound is not None and args.degree_bound < 2:
+        raise ValueError("--degree-bound must be at least 2")
+    if any(n is not None and n < 0 for n in (args.forward, args.backward)):
+        raise ValueError("--forward and --backward must be non-negative")
+    if args.retries < 1:
+        raise ValueError("--retries must be at least 1")
 
 
 def _render_text(obj, indent=0, out=None):
@@ -116,9 +119,9 @@ def _fmt_scalar(v):
     return str(v)
 
 
-def emit_report(report: dict, config: RunConfig, stream=None):
+def emit_report(report: dict, args, stream=None):
     stream = stream or sys.stdout
-    if config.as_json:
+    if args.json:
         json.dump(report, stream, indent=2)
         stream.write("\n")
     else:
@@ -132,39 +135,38 @@ def _partition_from_pair(graph: Graph, pair):
     return [v for v in sub.vertices if v in first], [v for v in sub.vertices if v not in first]
 
 
-def _reduce(graph: Graph, config: RunConfig):
+def _reduce(graph: Graph, args):
     """The reduction chain: canonical forms for a bipartite graph, else generic."""
     mode = "canonical" if graph.is_bipartite() else "generic"
     return reduction_chain(
-        graph, mode=mode, seed=config.seed, cutoff=3, field=config.field, retries=config.retries
+        graph, mode=mode, seed=args.seed, cutoff=3, field=args.field, retries=args.retries
     )
 
 
-def _search_ezd(graph: Graph, R, config: RunConfig, rng):
+def _search_ezd(graph: Graph, R, args, rng):
     """Search R for exact zero divisors, by the X/Y sign flip when bipartite."""
     if graph.is_bipartite():
         return find_ezd(
-            R, "bipartite-canonical", trials=config.retries, rng=rng,
+            R, "bipartite-canonical", trials=args.retries, rng=rng,
             x_labels=set(graph.bipartition[0]),
         )
-    return find_ezd(R, "random", trials=config.retries, rng=rng)
+    return find_ezd(R, "random", trials=args.retries, rng=rng)
 
 
 def cmd_analyze(args) -> int:
-    config = RunConfig.from_args(args)
     graph = load_graph(args.graph)
     if not graph.is_connected():
         raise GraphError("analysis requires a connected graph")
-    rng = Random(config.seed)
+    rng = Random(args.seed)
     report = {"graph": {"n": graph.n, "e": graph.e, "bipartite": graph.is_bipartite()}}
     conditions = necessary_conditions(graph)
     report["conditions"] = conditions.to_json()
 
-    chain = _reduce(graph, config)
+    chain = _reduce(graph, args)
     R = chain.bottom
     expected = list(chain.expected_artinian_hilbert())
     report["reduction"] = {
-        "field": field_to_json(config.field),
+        "field": field_to_json(args.field),
         "mode": chain.mode,
         "hilbert": list(R.dims),
         "expected": expected,
@@ -181,15 +183,15 @@ def cmd_analyze(args) -> int:
         l1c = [1 if v in set(xs) else 0 for v in graph.vertices]
         l2c = [1 if v in set(ys) else 0 for v in graph.vertices]
     else:
-        l1c = [config.field.rand(rng) for _ in graph.vertices]
-        l2c = [config.field.rand(rng) for _ in graph.vertices]
-    lc = [config.field.rand(rng) for _ in graph.vertices]
-    ks = kernel_system(graph, l1c, l2c, lc, config.field)
+        l1c = [args.field.rand(rng) for _ in graph.vertices]
+        l2c = [args.field.rand(rng) for _ in graph.vertices]
+    lc = [args.field.rand(rng) for _ in graph.vertices]
+    ks = kernel_system(graph, l1c, l2c, lc, args.field)
     report["kernel_system"] = dict(
         ks.to_json(), wlp_equivalence_applicable=conditions.edge_count_ok
     )
 
-    pair = _search_ezd(graph, R, config, rng)
+    pair = _search_ezd(graph, R, args, rng)
     report["ezd"] = {"found": pair is not None}
     if pair is not None:
         report["ezd"]["pair"] = pair.to_json()
@@ -218,8 +220,8 @@ def cmd_analyze(args) -> int:
     factory_ok = False
     if special is not None:
         try:
-            start = random_blocks(special, rng, max_retries=config.retries)
-            _, frep = build_window(special, start, config.forward, config.backward)
+            start = random_blocks(special, rng, max_retries=args.retries)
+            _, frep = build_window(special, start, args.forward, args.backward)
             factory_ok = frep.certified
             report["factory"] = {
                 "attempted": True,
@@ -241,23 +243,25 @@ def cmd_analyze(args) -> int:
     else:
         verdict = "inconclusive"
     report["verdict"] = verdict
-    emit_report(report, config)
+    emit_report(report, args)
     return 2 if verdict == "inconclusive" else 0
 
 
-def _write_complex(window: FreeComplexWindow, report: dict, args, config: RunConfig) -> None:
+def _write_complex(window: FreeComplexWindow, report: dict, args) -> None:
     payload = json.dumps(window.to_json(), indent=1)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
-        emit_report(report, config)
+        emit_report(report, args)
     else:
         sys.stdout.write(payload + "\n")
-        emit_report(report, config, stream=sys.stderr)
+        emit_report(report, args, stream=sys.stderr)
 
 
 def _load_build_graph(args) -> Graph:
-    if getattr(args, "section4", False):
+    if args.section4:
+        if args.graph is not None:
+            raise ValueError("a graph file and --section4 exclude each other")
         return ten_vertex_graph()
     if not args.graph:
         raise GraphError("provide a graph file or --section4")
@@ -265,16 +269,17 @@ def _load_build_graph(args) -> Graph:
 
 
 def cmd_build(args) -> int:
-    config = RunConfig.from_args(args)
+    if args.canonical and args.mode != "factory":
+        raise ValueError("--canonical applies to factory windows only")
     graph = _load_build_graph(args)
-    rng = Random(config.seed)
+    rng = Random(args.seed)
     if args.mode == "ezd":
-        R = _reduce(graph, config).bottom
-        pair = _search_ezd(graph, R, config, rng)
+        R = _reduce(graph, args).bottom
+        pair = _search_ezd(graph, R, args, rng)
         if pair is None:
-            emit_report({"mode": "ezd", "status": "no exact zero divisor found"}, config)
+            emit_report({"mode": "ezd", "status": "no exact zero divisor found"}, args)
             return 2
-        window = ezd_complex(R, pair, half_length=max(config.forward, config.backward))
+        window = ezd_complex(R, pair, half_length=max(args.forward, args.backward))
         cert = full_certification(window)
         report = {
             "mode": "ezd",
@@ -282,20 +287,20 @@ def cmd_build(args) -> int:
             "certificate": cert.to_json(),
             "status": "certified" if cert.certified else "failed",
         }
-        _write_complex(window, report, args, config)
+        _write_complex(window, report, args)
         return 0 if cert.certified else 2
     # factory mode
     conditions = necessary_conditions(graph)
     if not (graph.is_bipartite() and conditions.disconnecting_pair):
-        emit_report({"mode": "factory", "status": "graph has no disconnecting pair"}, config)
+        emit_report({"mode": "factory", "status": "graph has no disconnecting pair"}, args)
         return 2
     part_a, part_b = _partition_from_pair(graph, conditions.disconnecting_pair)
-    special = SpecialRing(_reduce(graph, config), part_a, part_b)
+    special = SpecialRing(_reduce(graph, args), part_a, part_b)
     if args.canonical:
-        window, frep = canonical_window(special, config.forward, config.backward)
+        window, frep = canonical_window(special, args.forward, args.backward)
     else:
-        start = random_blocks(special, rng, max_retries=config.retries)
-        window, frep = build_window(special, start, config.forward, config.backward)
+        start = random_blocks(special, rng, max_retries=args.retries)
+        window, frep = build_window(special, start, args.forward, args.backward)
     no_ezd_cert = {"disconnecting_pair": list(conditions.disconnecting_pair)}
     indec = indecomposability_certificate(special.ring, window, 0, no_ezd_cert)
     report = {
@@ -305,38 +310,35 @@ def cmd_build(args) -> int:
         "cokernel_indecomposability": indec.to_json(),
         "status": "certified" if frep.certified else "failed",
     }
-    _write_complex(window, report, args, config)
+    _write_complex(window, report, args)
     return 0 if frep.certified else 2
 
 
-def cmd_factory(args) -> int:
-    args.graph = None
-    args.section4 = True
-    args.mode = "factory"
-    return cmd_build(args)
-
-
-def _read_complex(args, config: RunConfig) -> dict:
+def _read_complex(args) -> dict:
     """The JSON of a complex file.  Its field comes from the file: an explicit
     --prime or --rational must name the same one."""
     with open(args.complex, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:
+            raise ComplexError("complex file is nested too deeply to read") from exc
     if not isinstance(obj, dict) or obj.get("format") != "complex":
         raise ComplexError("input is not a complex file")
     entry = obj.get("algebra")
     if (args.rational or args.prime is not None) and isinstance(entry, dict) and "field" in entry:
         field = field_from_json(entry["field"])
-        if field != config.field:
-            raise ComplexError(f"complex file is over {field}, not {config.field}")
+        if field != args.field:
+            raise ComplexError(f"complex file is over {field}, not {args.field}")
     return obj
 
 
 def cmd_lift(args) -> int:
-    config = RunConfig.from_args(args)
     if args.steps not in (1, 2):
         raise ValueError("--steps must be 1 or 2 (the reduction chain has two steps)")
-    obj = _read_complex(args, config)
-    chain, level = chain_from_json(obj.get("algebra"), max(config.degree_bound, 3), config.retries)
+    if args.degree_bound < 3:
+        raise ValueError("--degree-bound of lift must be at least 3, the cutoff of the bottom ring")
+    obj = _read_complex(args)
+    chain, level = chain_from_json(obj.get("algebra"), args.degree_bound, args.retries)
     if level != 2:
         raise ComplexError("lifting needs a complex over the bottom ring of its chain (level 2)")
     window = FreeComplexWindow.from_json(obj, algebra=chain.bottom)
@@ -347,7 +349,7 @@ def cmd_lift(args) -> int:
         "final_betti": list(lifted.betti),
         "status": "certified" if all(s.certified for s in step_reports) else "failed",
     }
-    _write_complex(lifted, report, args, config)
+    _write_complex(lifted, report, args)
     return 0 if report["status"] == "certified" else 2
 
 
@@ -363,9 +365,8 @@ def _constants_nonzero(obj, field) -> bool:
 
 
 def cmd_verify(args) -> int:
-    config = RunConfig.from_args(args)
-    obj = _read_complex(args, config)
-    window = FreeComplexWindow.from_json(obj, retries=config.retries)
+    obj = _read_complex(args)
+    window = FreeComplexWindow.from_json(obj, retries=args.retries)
     has_units = _constants_nonzero(obj, window.algebra.field)
     if has_units:
         # constant terms make the stored linear matrices a different complex;
@@ -376,37 +377,14 @@ def cmd_verify(args) -> int:
             "exactness": "skipped (unit entries)",
             "certified": False,
         }
-        emit_report(report, config)
+        emit_report(report, args)
         return 0
-    cert = full_certification(window, config.degree_bound)
+    cert = full_certification(window, args.degree_bound)
     report = cert.to_json()
     if window.periodic is not None:
         report["periodic_verified"] = window.periodic.verified
-    emit_report(report, config)
+    emit_report(report, args)
     return 0
-
-
-def _common_options() -> argparse.ArgumentParser:
-    """The options every subcommand shares, in a fresh parent parser: argparse
-    shares a parent's option objects with each parser built from it, so one
-    parent per subcommand keeps a set_defaults from leaking into the others."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--prime", type=int, default=None,
-        help=f"prime for GF(p) mode (default {DEFAULT_PRIME}; lift and verify: the file's field)",
-    )
-    common.add_argument("--rational", action="store_true", help="use exact rationals instead of GF(p)")
-    common.add_argument(
-        "--degree-bound", type=int, default=None,
-        help="internal degree bound for exactness checks, lift and verify only "
-        "(lift: only the cutoff of the written ring, default 5)",
-    )
-    common.add_argument("--seed", type=int, help="seed for all randomized choices (default 0)")
-    common.add_argument("--retries", type=int, default=64, help="resampling / search budget")
-    common.add_argument("--forward", type=int, help="window extension steps forward (default 4)")
-    common.add_argument("--backward", type=int, help="window extension steps backward (default 4)")
-    common.add_argument("--json", action="store_true", help="emit reports as JSON")
-    return common
 
 
 class _Parser(argparse.ArgumentParser):
@@ -422,32 +400,49 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact certification of totally reflexive module witnesses "
         "over Artinian reductions of graph rings.",
     )
+    # every subcommand shares these option objects, so none of them may get a
+    # set_defaults: _configure fills in each subcommand's own defaults
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument(
+        "--prime", type=int, default=None,
+        help=f"prime for GF(p) mode (default {DEFAULT_PRIME}; lift and verify: the file's field)",
+    )
+    common.add_argument("--rational", action="store_true", help="use exact rationals instead of GF(p)")
+    common.add_argument("--degree-bound", type=int, help=_help(
+        "internal degree bound for exactness checks; for lift only the cutoff of the written ring",
+        "degree_bound",
+    ))
+    common.add_argument("--seed", type=int, help=_help("seed for all randomized choices", "seed"))
+    common.add_argument("--retries", type=int, default=64, help="resampling / search budget")
+    common.add_argument("--forward", type=int, help=_help("window extension steps forward", "forward"))
+    common.add_argument("--backward", type=int, help=_help("window extension steps backward", "backward"))
+    common.add_argument("--json", action="store_true", help="emit reports as JSON")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("analyze", parents=[_common_options()], help="full condition report for a graph")
+    p = sub.add_parser("analyze", parents=[common], help="full condition report for a graph")
     p.add_argument("graph", help="graph JSON file")
-    p.set_defaults(func=cmd_analyze, seed=0, forward=2, backward=2)
+    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("build", parents=[_common_options()], help="build a certified window")
+    p = sub.add_parser("build", parents=[common], help="build a certified window")
     p.add_argument("graph", nargs="?", help="graph JSON file")
     p.add_argument("--section4", action="store_true", help="use the built-in ten-vertex graph")
     p.add_argument("--mode", choices=("ezd", "factory"), default="ezd")
     p.add_argument("--canonical", action="store_true", help="use the explicit periodic blocks")
     p.add_argument("--out", help="output path for the complex JSON")
-    p.set_defaults(func=cmd_build, seed=0, forward=4, backward=4)
+    p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("factory", parents=[_common_options()], help="window over the built-in special ring")
+    p = sub.add_parser("factory", parents=[common], help="window over the built-in special ring")
     p.add_argument("--canonical", action="store_true")
     p.add_argument("--out", help="output path for the complex JSON")
-    p.set_defaults(func=cmd_factory, seed=0, forward=4, backward=4)
+    p.set_defaults(func=cmd_build, graph=None, section4=True, mode="factory")
 
-    p = sub.add_parser("lift", parents=[_common_options()], help="lift a window up its reduction chain")
+    p = sub.add_parser("lift", parents=[common], help="lift a window up its reduction chain")
     p.add_argument("complex", help="complex JSON file (with chain descriptor)")
     p.add_argument("--steps", type=int, default=2, help="how many chain steps to lift: 1 or 2")
     p.add_argument("--out", help="output path for the lifted complex JSON")
-    p.set_defaults(func=cmd_lift, degree_bound=5)
+    p.set_defaults(func=cmd_lift)
 
-    p = sub.add_parser("verify", parents=[_common_options()], help="re-verify a complex file")
+    p = sub.add_parser("verify", parents=[common], help="re-verify a complex file")
     p.add_argument("complex", help="complex JSON file")
     p.set_defaults(func=cmd_verify)
 
@@ -457,6 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _configure(args)
         return args.func(args)
     except SystemExit as exc:  # from the parser: 0 after --help, 1 after a usage error
         return exc.code

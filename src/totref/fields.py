@@ -11,7 +11,10 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 1_073_741_789  # largest prime below 2**30; products fit in int64
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the first 13 primes: no composite below 3317044064679887385961981 (about
+# 3.3e24) is a strong pseudoprime to all of them (Sorenson and Webster 2015);
+# the first 12 let 318665857834031151167461 through
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:

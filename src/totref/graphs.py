@@ -155,6 +155,8 @@ def load_graph(path) -> Graph:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise GraphError(f"graph file is not valid JSON: {exc}") from exc
+        except RecursionError as exc:  # the decoder recurses once per nesting level
+            raise GraphError("graph file is nested too deeply to read") from exc
     return parse_graph(obj)
 
 

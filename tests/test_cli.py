@@ -573,43 +573,121 @@ def test_analyze_passes_forward_backward(capsys, monkeypatch, ten_vertex_file):
 
 def test_subcommand_defaults_stay_separate():
     # analyze's and lift's own defaults must not leak into the other subcommands
-    from totref.cli import build_parser
+    from totref.cli import _configure, build_parser
 
     parser = build_parser()
     ns = {c: parser.parse_args([c, "x.json"]) for c in ("analyze", "build", "lift", "verify")}
+    for args in ns.values():
+        _configure(args)
     assert (ns["analyze"].forward, ns["analyze"].backward) == (2, 2)
     assert (ns["build"].forward, ns["build"].backward) == (4, 4)
     assert ns["lift"].degree_bound == 5
     assert ns["verify"].degree_bound is None and ns["build"].degree_bound is None
 
 
+_FOUR_CYCLE = str(GRAPHS / "four_cycle.json")
+_BY_ANALYZE_BUILD_FACTORY = "analyze, build and factory"
+
+
 @pytest.mark.parametrize(
     "argv, option, commands",
     [
-        (["analyze", str(GRAPHS / "four_cycle.json")], ["--degree-bound", "3"], "lift and verify"),
-        (["build", str(GRAPHS / "four_cycle.json"), "--mode", "ezd"], ["--degree-bound", "3"],
-         "lift and verify"),
+        (["analyze", _FOUR_CYCLE], ["--degree-bound", "3"], "lift and verify"),
+        (["build", _FOUR_CYCLE, "--mode", "ezd"], ["--degree-bound", "3"], "lift and verify"),
         (["factory", "--forward", "1", "--backward", "1"], ["--degree-bound", "3"],
          "lift and verify"),
-        (["lift"], ["--seed", "4"], "analyze, build and factory"),
-        (["lift"], ["--forward", "9"], "analyze, build and factory"),
-        (["verify"], ["--seed", "4", "--forward", "9"], "analyze, build and factory"),
-        (["verify"], ["--backward", "4"], "analyze, build and factory"),
+        (["lift"], ["--seed", "4"], _BY_ANALYZE_BUILD_FACTORY),
+        (["lift"], ["--forward", "9"], _BY_ANALYZE_BUILD_FACTORY),
+        (["verify"], ["--seed", "4", "--forward", "9"], _BY_ANALYZE_BUILD_FACTORY),
+        (["verify"], ["--backward", "4"], _BY_ANALYZE_BUILD_FACTORY),
+        (["lift"], ["--backward", "1"], _BY_ANALYZE_BUILD_FACTORY),
+        (["verify"], ["--forward", "1"], _BY_ANALYZE_BUILD_FACTORY),
+        # None: the subcommand reads the option
+        (["analyze", _FOUR_CYCLE], ["--seed", "4"], None),
+        (["analyze", _FOUR_CYCLE], ["--forward", "1"], None),
+        (["analyze", _FOUR_CYCLE], ["--backward", "1"], None),
+        (["build", _FOUR_CYCLE, "--mode", "ezd"], ["--seed", "4"], None),
+        (["build", _FOUR_CYCLE, "--mode", "ezd"], ["--forward", "1"], None),
+        (["build", _FOUR_CYCLE, "--mode", "ezd"], ["--backward", "1"], None),
+        (["factory", "--forward", "1", "--backward", "1"], ["--seed", "4"], None),
+        (["factory", "--backward", "1"], ["--forward", "1"], None),
+        (["factory", "--forward", "1"], ["--backward", "1"], None),
+        (["lift"], ["--degree-bound", "3"], None),
+        (["verify"], ["--degree-bound", "3"], None),
     ],
     ids=["analyze", "build", "factory", "lift_seed", "lift_forward", "verify_seed_forward",
-         "verify_backward"],
+         "verify_backward", "lift_backward", "verify_forward",
+         "analyze_reads_seed", "analyze_reads_forward", "analyze_reads_backward",
+         "build_reads_seed", "build_reads_forward", "build_reads_backward",
+         "factory_reads_seed", "factory_reads_forward", "factory_reads_backward",
+         "lift_reads_degree_bound", "verify_reads_degree_bound"],
 )
 def test_degree_bound_refused_outside_lift_and_verify(capsys, tmp_path, argv, option, commands):
-    """Each subcommand refuses every shared option it does not read, even at
-    its default value: lift and verify once accepted and ignored --seed,
-    --forward and --backward."""
+    """Every (subcommand, shared option) pair: a subcommand accepts the shared
+    options it reads and refuses every other one, even at its default value:
+    lift and verify once accepted and ignored --seed, --forward and --backward."""
     if argv[0] in ("lift", "verify"):
         argv = argv + [str(_four_cycle_window(capsys, tmp_path))]
     out = tmp_path / "w.json"
     extra = ["--out", str(out)] if argv[0] not in ("analyze", "verify") else []
-    assert main(argv + extra + option + ["--json"]) == 1
+    code = main(argv + extra + option + ["--json"])
     captured = capsys.readouterr()
+    if commands is None:
+        assert code == 0 and captured.err == "" and json.loads(captured.out)
+        assert out.exists() == bool(extra)
+        return
+    assert code == 1
     assert captured.err == f"error: {option[0]} applies to {commands} only\n"
+    assert captured.out == "" and not out.exists()
+
+
+# the default each subcommand's --help gives for a window option it reads,
+# and None where it refuses the option
+_HELP_DEFAULTS = {
+    "analyze": {"--forward": "analyze 2", "--backward": "analyze 2", "--degree-bound": None},
+    "build": {"--forward": "build 4", "--backward": "build 4", "--degree-bound": None},
+    "factory": {"--forward": "factory 4", "--backward": "factory 4", "--degree-bound": None},
+    "lift": {"--forward": None, "--backward": None, "--degree-bound": "lift 5"},
+    "verify": {"--forward": None, "--backward": None, "--degree-bound": "verify none"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_HELP_DEFAULTS))
+def test_help_states_each_subcommands_defaults(capsys, command):
+    """The help once told analyze that --forward and --backward default to 4."""
+    assert main([command, "--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for option, own in _HELP_DEFAULTS[command].items():
+        start = next(k for k, line in enumerate(lines) if line.lstrip().startswith(option + " "))
+        end = next(k for k in range(start + 1, len(lines)) if lines[k].startswith("  -"))
+        defaults = " ".join(" ".join(lines[start:end]).split()).split("(default: ")[1]
+        if own is None:
+            assert command not in defaults, (option, defaults)
+        else:
+            assert own in defaults, (option, defaults)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", _FOUR_CYCLE, "--section4"], "a graph file and --section4 exclude each other"),
+        (["build", _FOUR_CYCLE, "--mode", "ezd", "--canonical"],
+         "--canonical applies to factory windows only"),
+        (["build", "--section4", "--canonical"], "--canonical applies to factory windows only"),
+        (["lift", "SRC", "--degree-bound", "2"],
+         "--degree-bound of lift must be at least 3, the cutoff of the bottom ring"),
+    ],
+    ids=["graph_and_section4", "canonical_ezd", "canonical_default_mode", "lift_bound_2"],
+)
+def test_dropped_inputs_refused(capsys, tmp_path, argv, message):
+    """Each input here was once dropped: the command wrote the same bytes as
+    without it (the ten-vertex graph for both, an ezd window, a cutoff-3 ring)."""
+    if "SRC" in argv:
+        argv = [str(_four_cycle_window(capsys, tmp_path)) if a == "SRC" else a for a in argv]
+    out = tmp_path / "w.json"
+    assert main(argv + ["--out", str(out), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == "" and not out.exists()
 
 
@@ -954,6 +1032,21 @@ def _swap_degree_one_labels(alg):
     alg["basis"][1] = alg["basis"][1][::-1]
 
 
+# values of the descriptor's cutoff other than the algebra's own, 3; each of
+# them once verified to `certified: true`
+_DESCRIPTOR_CUTOFFS = {
+    "null": None, "true": True, "false": False, "0": 0, "-3": -3, "2": 2, "4": 4,
+    "1e6": 10**6, "1e100": 10**100, "1.5": 1.5, "3.0": 3.0, "str_3": "3", "str_x": "x",
+    "empty_list": [], "list_3": [3], "empty_object": {}, "missing": ...,
+}
+
+
+def _descriptor_cutoff(value):
+    if value is ...:
+        return lambda alg: alg["descriptor"].pop("cutoff")
+    return lambda alg: alg["descriptor"].update(cutoff=value)
+
+
 @pytest.mark.parametrize("command", ["lift", "verify"])
 @pytest.mark.parametrize(
     "corrupt",
@@ -967,9 +1060,11 @@ def _swap_degree_one_labels(alg):
         _swap_degree_one_labels,
         lambda alg: alg["basis"][2].append("x1*y1"),
         lambda alg: alg["descriptor"].update(seed=True),
+        *map(_descriptor_cutoff, _DESCRIPTOR_CUTOFFS.values()),
     ],
     ids=["no_descriptor", "kind", "level_3", "level_str", "level_1", "seed_str",
-         "basis_order", "basis_extra", "seed_bool"],
+         "basis_order", "basis_extra", "seed_bool",
+         *(f"cutoff_{name}" for name in _DESCRIPTOR_CUTOFFS)],
 )
 def test_ring_not_named_by_descriptor_refused(capsys, tmp_path, command, corrupt):
     src = _four_cycle_window(capsys, tmp_path)
@@ -1067,11 +1162,12 @@ def test_lift_refuses_a_cutoff_above_the_table_limit(capsys, tmp_path, bound):
 
 
 def test_verify_refuses_a_file_cutoff_above_the_table_limit(capsys, tmp_path):
-    # a file that records a cutoff above the limit (and the basis it needs)
+    # a file that records a cutoff above the limit (and the basis it needs),
+    # in its algebra entry and in the descriptor, which must agree
     src = _four_cycle_window(capsys, tmp_path)
     obj = json.loads(src.read_text())
     cutoff = 5000
-    obj["algebra"]["cutoff"] = cutoff
+    obj["algebra"]["cutoff"] = obj["algebra"]["descriptor"]["cutoff"] = cutoff
     obj["algebra"]["basis"] += [[f"b{d}"] for d in range(len(obj["algebra"]["basis"]), cutoff + 1)]
     src.write_text(json.dumps(obj))
     code, err = _bounded_cli(["verify", str(src)])
@@ -1173,3 +1269,110 @@ def test_analyze_atlas_graphs(tmp_path_factory, prime, data):
     has_leaf = min(d for _, d in g.degree) == 1
     if e != 2 * n - 4 or has_triangle or has_leaf:
         assert rep["verdict"] == "no-non-free-TR"
+
+
+# JSON values of every kind, nested a little; json.dumps writes NaN and the
+# infinities as JSON reads them back
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# the fields of each file, by their path from its root
+GRAPH_FIELDS = [(), ("vertices",), ("vertices", 0), ("edges",), ("edges", 0), ("edges", 0, 1),
+                ("bipartition",), ("bipartition", 0), ("bipartition", 1, 0)]
+COMPLEX_FIELDS = [
+    (), ("format",), ("lo",), ("hi",), ("base_twist",), ("betti",), ("betti", 0),
+    ("differentials",), ("differentials", 0), ("differentials", 0, 0), ("differentials", 0, 0, 0),
+    ("differentials", 0, 0, 0, 0), ("periodic",), ("periodic", "period"), ("periodic", "verified"),
+    ("constants",), ("algebra",), ("algebra", "format"), ("algebra", "field"),
+    ("algebra", "field", "kind"), ("algebra", "field", "p"), ("algebra", "cutoff"),
+    ("algebra", "dims"), ("algebra", "basis"), ("algebra", "basis", 1), ("algebra", "basis", 1, 0),
+    ("algebra", "descriptor"), ("algebra", "descriptor", "kind"),
+    ("algebra", "descriptor", "graph"), ("algebra", "descriptor", "graph", "vertices"),
+    ("algebra", "descriptor", "graph", "edges", 0), ("algebra", "descriptor", "mode"),
+    ("algebra", "descriptor", "seed"), ("algebra", "descriptor", "cutoff"),
+    ("algebra", "descriptor", "level"),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _four_cycle_file_text():
+    """The complex file `build --mode ezd` writes for graphs/four_cycle.json."""
+    code, out, _ = run_captured(["build", _FOUR_CYCLE, "--mode", "ezd"])
+    assert code == 0
+    return out
+
+
+def _replaced(obj, path, value):
+    """obj with the field at path set to value (removed when value is
+    Ellipsis); a path into a field that is not a container stops there."""
+    if not path:
+        return value
+    head, *rest = path
+    if isinstance(obj, dict) or (isinstance(obj, list) and isinstance(head, int) and head < len(obj)):
+        if value is ... and not rest:
+            obj.pop(head, None) if isinstance(obj, dict) else obj.pop(head)
+        elif isinstance(obj, dict) and head not in obj:
+            obj[head] = value
+        else:
+            obj[head] = _replaced(obj[head], tuple(rest), value)
+    return obj
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "lift"])
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_malformed_files_end_in_a_verdict_or_one_error_line(tmp_path_factory, command, data):
+    """main() on a graph file (analyze) or a complex file (verify, lift) with
+    one field replaced by a drawn JSON value or removed: an exit code of 0,
+    1 or 2, never an escaping exception, and exit 1 with exactly one error
+    line on stderr and nothing written."""
+    if command == "analyze":
+        obj = json.loads((GRAPHS / "four_cycle.json").read_text())
+        path = data.draw(st.sampled_from(GRAPH_FIELDS))
+    else:
+        obj = json.loads(_four_cycle_file_text())
+        path = data.draw(st.sampled_from(COMPLEX_FIELDS))
+    value = data.draw(JSON_VALUES | st.just(...) if path else JSON_VALUES)
+    tmp = tmp_path_factory.mktemp("malformed")
+    (tmp / "in.json").write_text(json.dumps(_replaced(obj, path, value)))
+    out = tmp / "out.json"
+    argv = [command, str(tmp / "in.json"), "--json"]
+    code, stdout, err = run_captured(argv + (["--out", str(out)] if command == "lift" else []))
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+        assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "verify", "lift"])
+def test_deeply_nested_files_refused(capsys, tmp_path, command):
+    # JSON nested deeper than the decoder's recursion limit ended in a
+    # RecursionError traceback
+    path, out = tmp_path / "deep.json", tmp_path / "out.json"
+    path.write_text('{"format": "complex", "algebra": ' + "[" * 100000 + "]" * 100000 + "}")
+    extra = ["--out", str(out)] if command == "lift" else []
+    assert main([command, str(path), *extra]) == 1
+    captured = capsys.readouterr()
+    kind = "graph" if command == "analyze" else "complex"
+    assert captured.err == f"error: {kind} file is nested too deeply to read\n"
+    assert captured.out == "" and not out.exists()
+
+
+# strong pseudoprimes to the first 12 and to the first 13 prime bases
+_PSI_12, _PSI_13 = 318665857834031151167461, 3317044064679887385961981
+
+
+def test_a_strong_pseudoprime_is_no_field(capsys):
+    """--prime once accepted _PSI_12 = 399165290221 * 798330580441, which
+    passed Miller-Rabin on the first 12 primes; 41 is now a witness too, as
+    the test claims validity below _PSI_13."""
+    from sympy import isprime
+
+    from totref.fields import is_prime
+
+    for n in (_PSI_12, _PSI_12 + 2, 2**61 - 1, 2**79 - 1, 10**24 + 7, _PSI_13 - 2):
+        assert is_prime(n) == isprime(n), n
+    assert main(["analyze", str(GRAPHS / "four_cycle.json"), "--prime", str(_PSI_12)]) == 1
+    assert capsys.readouterr().err == f"error: {_PSI_12} is not prime\n"
