@@ -4,9 +4,11 @@ An algebra is stored as its graded components up to a cutoff D, given on
 monomials: the product of two monomials is one monomial or zero, and a
 quotient keeps, per degree, one projection array P
 (``linalg.quotient_projection``) in which the class of the i-th monomial has
-coordinates P[i].  Every multiplication table is then P, with a zero row
+coordinates P[i].  A multiplication table is then P, with a zero row
 appended, gathered at the monomial products: one rule for every ring, built
-once per degree pair.  Three construction routes are provided:
+once per degree pair.  Where the basis is the monomials (P is the identity)
+a product needs no table at all: it is a scatter of coordinates
+(``GradedAlgebra.times``).  Three construction routes are provided:
 Stanley-Reisner rings of graphs (whose basis is the monomials, so P is not
 stored), quotients of a polynomial ring by homogeneous relations, and
 quotients by a linear form (used twice to produce Artinian reductions).
@@ -25,7 +27,10 @@ import numpy as np
 
 from .fields import PrimeField, field_from_json, field_to_json
 from .graphs import Graph, parse_graph
-from .linalg import field_array, field_matmul, field_zeros, freeze, identity, quotient_projection
+from .linalg import (
+    check_image, field_array, field_matmul, field_zeros, freeze, identity, image_matmul,
+    quotient_projection,
+)
 
 
 class AlgebraError(ValueError):
@@ -107,9 +112,12 @@ class GradedAlgebra:
     monomials of degree d1 + d2, or is -1 when the product is zero.  A
     quotient also has proj[d] = (keep, P): its basis is the kept monomials,
     and P[i] is the class of monomial i; without proj the basis is the
-    monomials.  ``np_table`` builds every table from the two, and every
-    product with a table goes through ``times``.  ``multiply`` stays on the
-    list view of the tables: it is the independent oracle.
+    monomials.  ``np_table`` builds a table from the two.  ``times``
+    multiplies rows by a basis: through the table in a quotient, by a
+    scatter of coordinates without proj, where no table is built unless
+    one is asked for (``matrix_product`` asks for the (1, 1) table).
+    ``multiply`` stays on the list view of the tables: it is the
+    independent oracle.
     """
 
     def __init__(self, field, cutoff, basis, products, proj=None, descriptor=None):
@@ -181,9 +189,9 @@ class GradedAlgebra:
 
     def np_table(self, d1, d2):
         """The array T[i, j, k] over the field, the coefficient of basis_k in
-        e_i * e_j: the rows of P_(d1+d2), with a zero row appended for -1,
-        gathered at the products of the basis monomials; built once and
-        frozen (``linalg.freeze``)."""
+        e_i * e_j: the rows of P_(d1+d2) (the identity without proj), with a
+        zero row appended for -1, gathered at the products of the basis
+        monomials; built once and frozen (``linalg.freeze``)."""
         if d1 + d2 > self.cutoff:
             raise AlgebraError(f"product degree {d1 + d2} exceeds cutoff {self.cutoff}")
         key = (d1, d2)
@@ -220,12 +228,27 @@ class GradedAlgebra:
 
     def times(self, V, d, t, product=field_matmul):
         """X[r, j, :] = V[r] * basis_j for the rows of V (vectors of degree d)
-        and the basis of degree t: one product(field, V, T) of the rows with
-        the table (``linalg.field_matmul``, or ``image_matmul`` for a rank
-        bound)."""
+        and the basis of degree t, as product(field, V, T) of the rows with
+        the table gives it (``linalg.field_matmul``, or ``image_matmul`` for
+        a rank bound).  A quotient takes that product.  A ring whose basis
+        is the monomials builds no table: the product of two monomials is
+        one monomial or zero, so X[r, j, products(d, t)[i, j]] = V[r, i] (or
+        its image, ``linalg.check_image``) is one scatter, the zero products
+        landing in a dump column that is dropped.  For a fixed j distinct i
+        give distinct monomials (monomial products cancel), so no two
+        writes of a nonzero product meet."""
+        if d + t > self.cutoff:
+            raise AlgebraError(f"product degree {d + t} exceeds cutoff {self.cutoff}")
         src, dst = self.dims[t], self.dims[d + t]
-        T = self.np_table(d, t).reshape(self.dims[d], src * dst)
-        return product(self.field, V, T).reshape(V.shape[0], src, dst)
+        if self.proj is not None:
+            T = self.np_table(d, t).reshape(self.dims[d], src * dst)
+            return product(self.field, V, T).reshape(V.shape[0], src, dst)
+        zero = self.field.zero
+        if product is image_matmul:
+            V, zero = check_image(self.field, V), 0
+        X = np.full((V.shape[0], src, dst + 1), zero, dtype=V.dtype)
+        X[:, np.arange(src), self.products(d, t)] = V[:, :, None]
+        return X[:, :, :dst]
 
     def mult_map_array(self, coords, d, t):
         """The array (dims[t + d] x dims[t]) of multiplication by the degree-d
@@ -575,18 +598,22 @@ def reduction_chain(
     raise AlgebraError(f"no regular reduction found ({last})")
 
 
-# the most cells the top ring's tables may hold when a chain is rebuilt from
-# its descriptor (``chain_from_descriptor``): 256 MiB at 8 bytes per cell
+# the most structure constants (``table_cells``) the top ring's products may
+# have when a chain is rebuilt from its descriptor (``chain_from_descriptor``):
+# what 256 MiB of dense tables would hold at 8 bytes per cell
 MAX_TABLE_CELLS = 2**25
 
 
 def table_cells(n: int, e: int, cutoff: int) -> int:
-    """The cells of the tables R_1 x R_t -> R_(t+1), 0 < t < cutoff, of the
-    ring of a graph with n vertices and e edges, which a reduction chain at
-    the cutoff builds (one per degree of each quotient map).  The Hilbert
-    function is dim R_d = n + e (d - 1) for d >= 1: the powers of a vertex
-    and the d - 1 mixed monomials of each edge.  With h_k = dim R_(k+1) =
-    n + e k, the cells are n times the sum over k < K = cutoff - 1 of
+    """The structure constants of the products R_1 x R_t -> R_(t+1),
+    0 < t < cutoff, of the ring of a graph with n vertices and e edges: the
+    cells of those tables, were they built dense (``np_table``).  A
+    reduction chain builds none of them (the top ring multiplies by a
+    scatter, ``GradedAlgebra.times``); the count measures the ring that
+    ``chain_from_descriptor`` refuses to rebuild.  The Hilbert function is
+    dim R_d = n + e (d - 1) for d >= 1: the powers of a vertex and the
+    d - 1 mixed monomials of each edge.  With h_k = dim R_(k+1) = n + e k,
+    the cells are n times the sum over k < K = cutoff - 1 of
     h_k h_(k+1) = n (n + e) + e (2n + e) k + e^2 k^2."""
     K = max(cutoff - 1, 0)
     pairs = K * n * (n + e) + e * (2 * n + e) * K * (K - 1) // 2
@@ -595,8 +622,9 @@ def table_cells(n: int, e: int, cutoff: int) -> int:
 
 def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
     """The reduction chain a ``graph_reduction`` descriptor names, rebuilt at
-    the cutoff; refused before any table is built when its top ring's tables
-    would hold more than ``MAX_TABLE_CELLS`` cells (``table_cells``)."""
+    the cutoff; refused before any ring is built when its top ring's products
+    R_1 x R_t -> R_(t+1) have more than ``MAX_TABLE_CELLS`` structure
+    constants (``table_cells``)."""
     if not isinstance(desc, dict) or desc.get("kind") != "graph_reduction":
         raise AlgebraError("algebra has no graph-reduction descriptor to rebuild its ring from")
     seed, level = desc.get("seed", 0), desc.get("level")
@@ -608,9 +636,9 @@ def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
     cells = table_cells(g.n, g.e, cutoff)
     if cells > MAX_TABLE_CELLS:
         raise AlgebraError(
-            f"cutoff {cutoff} is too high for this ring: its multiplication tables "
-            f"R_1 x R_t -> R_(t+1), t < {cutoff}, would hold {cells} cells, and the limit "
-            f"is {MAX_TABLE_CELLS} (2^25; dim R_d = n + e(d - 1) with n = {g.n}, e = {g.e})"
+            f"cutoff {cutoff} is too high for this ring: its products "
+            f"R_1 x R_t -> R_(t+1), t < {cutoff}, have {cells} structure constants, and the "
+            f"limit is {MAX_TABLE_CELLS} (2^25; dim R_d = n + e(d - 1) with n = {g.n}, e = {g.e})"
         )
     return reduction_chain(g, desc["mode"], seed, cutoff, field, retries)
 
@@ -618,7 +646,8 @@ def chain_from_descriptor(desc, field, cutoff, retries=64) -> ReductionChain:
 def chain_from_json(obj, cutoff=None, retries=64):
     """(chain, level): the chain a serialized algebra names, rebuilt at the
     cutoff (default: the algebra's own), and the level of the algebra in it.
-    The basis must match the rebuilt ring in the degrees both cover."""
+    The basis must match the rebuilt ring in the degrees both cover, and
+    dims must be the lengths of the basis."""
     if not isinstance(obj, dict):
         raise AlgebraError("algebra entry is not an object")
     for key, kind in (("field", dict), ("cutoff", int), ("basis", list)):
@@ -634,6 +663,13 @@ def chain_from_json(obj, cutoff=None, retries=64):
     shared = min(len(basis), chain.top.cutoff + 1)
     if basis[:shared] != chain.ring(desc["level"]).basis[:shared]:
         raise AlgebraError("algebra basis does not match the ring its descriptor names")
+    dims = obj.get("dims")
+    if not (
+        isinstance(dims, list)
+        and len(dims) == len(basis)
+        and all(type(n) is int and isinstance(b, list) and n == len(b) for n, b in zip(dims, basis))
+    ):
+        raise AlgebraError("algebra dims must be the lengths of its basis")
     return chain, desc["level"]
 
 

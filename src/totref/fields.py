@@ -11,14 +11,19 @@ from fractions import Fraction
 
 DEFAULT_PRIME = 1_073_741_789  # largest prime below 2**30; products fit in int64
 
-# the first 13 primes: no composite below 3317044064679887385961981 (about
-# 3.3e24) is a strong pseudoprime to all of them (Sorenson and Webster 2015);
-# the first 12 let 318665857834031151167461 through
+# the first 13 primes: no composite below _MR_BOUND (about 3.3e24) is a
+# strong pseudoprime to all of them (Sorenson and Webster 2015); the first 12
+# let 318665857834031151167461 through, and _MR_BOUND itself, which is
+# 1287836182261 * 2575672364521, passes all 13
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
+    """Deterministic Miller-Rabin, proven for all n < _MR_BOUND; from the
+    bound on n is refused (ValueError), prime or not: the test cannot tell."""
+    if n >= _MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is certified only below {_MR_BOUND}")
     if n < 2:
         return False
     for q in _MR_WITNESSES:

@@ -208,17 +208,22 @@ def freeze(A):
     """A read-only array with the entries of A that owns its data (A itself
     when it owns its data): what an owner keeps for its lifetime.  Over the
     rationals the integer form and check image of a frozen array are
-    computed once, for it and its reshapes alike, and dropped with it."""
+    computed once, for it and its reshapes alike, and dropped with it; so
+    are the nonzero counts ``mod_matmul`` bounds its sums by, once per
+    shape."""
     if A.base is not None:
         A = A.copy()
     A.flags.writeable = False
     return A
 
 
-# id of a frozen array -> its integer form (N, d), resp. its check image; an
-# entry is removed when its array is collected (``_kept``)
+# id of a frozen array -> its integer form (N, d), resp. its check image,
+# resp. the most nonzeros along an axis of each of its shapes
+# (``_most_nonzeros``); an entry is removed when its array is collected
+# (``_kept``)
 _FORMS = {}
 _IMAGES = {}
+_COUNTS = {}
 
 
 def _kept(memo, A, build):
@@ -270,7 +275,7 @@ _NUMERATORS = np.frompyfunc(attrgetter("numerator"), 1, 1)
 _DENOMINATORS = np.frompyfunc(attrgetter("denominator"), 1, 1)
 
 
-def _check_image(field, A):
+def check_image(field, A):
     """The image of a 2-D array over the field that ``rank_bound`` ranks:
     over the rationals its integer form mod the check prime, as int64 (kept
     for frozen arrays); over GF(p) the array itself."""
@@ -286,7 +291,7 @@ def image_matmul(field, A, B):
     N_A N_B mod the check prime, which is d_A d_B (A @ B) mod p (see the
     module docstring); over GF(p) the product itself."""
     if isinstance(field, RationalField):
-        return mod_matmul(_CHECK_FIELD.p, _check_image(field, A), _check_image(field, B))
+        return mod_matmul(_CHECK_FIELD.p, check_image(field, A), check_image(field, B))
     return field_matmul(field, A, B)
 
 
@@ -296,14 +301,16 @@ def mod_matmul(p, A, B):
 
     An entry of A @ B sums at most k products, each at most (p - 1)**2, where
     k is the smaller of the most nonzeros in a row of A and in a column of B
-    (over the whole stack: one check for all its products).  When k exceeds
+    (over the whole stack: one check for all its products; a frozen
+    operand's count is kept, ``_most_nonzeros``).  When k exceeds
     floor((2**63 - 1) / (p - 1)**2), the inner dimension is cut into pieces
     of that many summands, each reduced mod p on its own, so no int64 sum
     overflows.
     """
     step = (2**63 - 1) // (p - 1) ** 2
     inner = A.shape[-1]
-    if inner <= step or _most_products(A, B) <= step:
+    # B first: it is most often the frozen operand, whose count is kept
+    if inner <= step or _most_nonzeros(B, -2) <= step or _most_nonzeros(A, -1) <= step:
         return A @ B % p
     acc = np.zeros(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
     for lo in range(0, inner, step):
@@ -311,11 +318,14 @@ def mod_matmul(p, A, B):
     return acc % p
 
 
-def _most_products(A, B) -> int:
-    """An upper bound on the nonzero products summed in one entry of A @ B."""
-    return min(
-        np.count_nonzero(A, axis=-1).max(initial=0), np.count_nonzero(B, axis=-2).max(initial=0)
-    )
+def _most_nonzeros(A, axis) -> int:
+    """The most nonzeros along an axis of A, counted once per frozen array
+    (``freeze``), shape and axis: each reshape reads its own count."""
+    counts = _kept(_COUNTS, A, lambda _: {})
+    key = (A.shape, axis)
+    if key not in counts:
+        counts[key] = int(np.count_nonzero(A, axis=axis).max(initial=0))
+    return counts[key]
 
 
 def _rref_array(field, A, reduce_full=True):
@@ -448,7 +458,7 @@ def solve(field, A, B):
 
 def rank_bound(field, image):
     """(r, exact): a lower bound r on the rank of a 2-D array over the field,
-    equal to the rank when exact, read off its image (``_check_image``, or
+    equal to the rank when exact, read off its image (``check_image``, or
     ``image_matmul`` for a product); the image is not modified.  Over the
     rationals r is the rank mod the check prime (see the module docstring),
     exact when it is min(rows, cols); over GF(p) it is the rank."""
@@ -536,7 +546,7 @@ def array_rank(field, A) -> int:
     """Rank of a 2-D array over the field (see ``field_array``); A is not
     modified.  Over the rationals a full rank is certified by one rank mod
     the check prime (``rank_bound``); any other is eliminated exactly."""
-    r, exact = rank_bound(field, _check_image(field, A))
+    r, exact = rank_bound(field, check_image(field, A))
     return r if exact else _elimination_rank(field, A)
 
 

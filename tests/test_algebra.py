@@ -18,10 +18,10 @@ from totref import (
     stanley_reisner,
 )
 
-from totref.fields import PrimeField, RationalField
-from totref.linalg import field_array
+from totref.fields import DEFAULT_PRIME, PrimeField, RationalField
+from totref.linalg import field_array, field_matmul, image_matmul
 
-from conftest import EXAMPLE_RING_RELATIONS, _sympy_rref, random_bipartite_connected
+from conftest import EXAMPLE_RING_RELATIONS, _sympy_rref, array_field, random_bipartite_connected
 
 
 def test_stanley_reisner_dimension_formula(ten_vertex_g, c4, gf):
@@ -483,8 +483,9 @@ def test_relation_tables_match_per_entry_normal_forms(field):
 
 def test_table_cells_follow_the_hilbert_function(c4, ten_vertex_g, path4):
     """table_cells(n, e, D) is the size of the top ring's tables R_1 x R_t ->
-    R_(t+1), t < D, as a built Stanley-Reisner ring has them, and a chain
-    whose tables would exceed MAX_TABLE_CELLS is refused before it is built."""
+    R_(t+1), t < D, as a Stanley-Reisner ring builds them when asked, and a
+    chain whose products have more structure constants than MAX_TABLE_CELLS
+    is refused before it is built."""
     from totref.algebra import MAX_TABLE_CELLS, table_cells
 
     for g in (c4, ten_vertex_g, path4):
@@ -496,3 +497,49 @@ def test_table_cells_follow_the_hilbert_function(c4, ten_vertex_g, path4):
     desc = reduction_chain(c4, cutoff=3).top.descriptor
     with pytest.raises(AlgebraError, match="cutoff 117 is too high"):
         chain_from_descriptor(desc, PrimeField(), 117)
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 5, 4294967311, "QQ"])
+def test_monomial_ring_times_is_its_table_product(c4, path4, ten_vertex_g, p):
+    """A Stanley-Reisner ring multiplies by a scatter of coordinates, not by
+    its table: several rows times a basis give what the product with the
+    explicit table (np_table) gives, exact and as a rank-bound image, entry
+    for entry and in the same representation."""
+    field, rng = array_field(p), Random(11)
+    graphs = [c4, path4, ten_vertex_g] + [random_bipartite_connected(rng, 4, 9) for _ in range(3)]
+    for g in graphs:
+        R = stanley_reisner(g, 3, field)
+        for d, t in ((1, 0), (1, 1), (1, 2), (2, 1)):
+            rows = [[field.rand(rng) for _ in range(R.dims[d])] for _ in range(4)]
+            V = field_array(field, rows).reshape(4, R.dims[d])
+            T = R.np_table(d, t).reshape(R.dims[d], -1)
+            for product in (field_matmul, image_matmul):
+                got = R.times(V, d, t, product)
+                want = product(field, V, T).reshape(got.shape)
+                assert got.dtype == want.dtype and got.tolist() == want.tolist(), (g.vertices, d, t)
+                assert list(map(type, got.flat)) == list(map(type, want.flat)), (g.vertices, d, t)
+
+
+def test_reduction_chain_builds_no_top_ring_table(c4, ten_vertex_g, qq):
+    # the first quotient map multiplies by its form in the top ring by scatter
+    for g, mode, field in ((c4, "canonical", None), (ten_vertex_g, "generic", qq)):
+        for cutoff in (3, 5):
+            chain = reduction_chain(g, mode, cutoff=cutoff, field=field)
+            assert chain.top._np_tables == {} and chain.top._tables == {}, (mode, cutoff)
+
+
+def test_reduction_chain_peak_memory():
+    """The traced peak of reduction_chain on K_{2,56}, hubs first: 35.4 MB
+    while the top ring's tables R_1 x R_t -> R_(t+1) were built for the
+    first quotient map, 9.8 MB (the middle ring's tables) without them."""
+    import tracemalloc
+
+    xs, ys = ["u1", "u2"], [f"w{j}" for j in range(1, 57)]
+    g = Graph(xs + ys, [(x, y) for x in xs for y in ys])
+    tracemalloc.start()
+    try:
+        reduction_chain(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20

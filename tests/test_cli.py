@@ -831,6 +831,57 @@ def test_lift_chain_bytes_unchanged(capsys, tmp_path, name):
         assert _sha256(capsys.readouterr().out) == _VERIFY_CERTIFIED_SHA256, options
 
 
+# SHA-256 of (stdout, --out file) of `lift --steps 2 --json` at the highest
+# cutoff under the table limit, of the lift-chain windows above, recorded
+# while the top ring still multiplied through its dense tables
+LIFT_AT_TABLE_LIMIT_SHA256 = {
+    "four_cycle": ("116", ("8fd0d2d9e31ce82d126be7ec78eadeda73af29c9ca73bb451ed610385cec39e6",
+                           "c0420cfc4266d2265318d4218119eb4d42be0cce7cd52cbb0a489119a0e2d842")),
+    "ten_vertex": ("34", ("dc5286a7f37af4af39bf9c86293932ff9c134b54e85bc8a973bc362c8cdf19e3",
+                          "0e9bc170fc067019a7a280acf80c2ce9d0e7a6e3aa7b97b2ca159d3e95664175")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_AT_TABLE_LIMIT_SHA256))
+def test_lift_at_the_table_limit_bytes_unchanged(capsys, tmp_path, name):
+    (mode, built, _), (bound, digests) = LIFT_CHAIN_SHA256[name], LIFT_AT_TABLE_LIMIT_SHA256[name]
+    src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = ["build", str(GRAPHS / f"{name}.json"), "--mode", mode, "--json", "--out", str(src)]
+    assert main(argv) == 0
+    assert (_sha256(capsys.readouterr().out), _sha256(src.read_text())) == built
+    argv = ["lift", str(src), "--steps", "2", "--degree-bound", bound, "--json", "--out", str(lifted)]
+    assert main(argv) == 0
+    assert (_sha256(capsys.readouterr().out), _sha256(lifted.read_text())) == digests
+    assert main(["verify", str(lifted), "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == _VERIFY_CERTIFIED_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(LIFT_CHAIN_SHA256))
+def test_lift_and_verify_build_no_top_ring_table_but_one(monkeypatch, tmp_path, name):
+    """A ring of monomials multiplies by a scatter: a two-step lift and the
+    checks of verify, through the reduction and on the window's own ring,
+    build no table of the top ring but R_1 x R_1 -> R_2, which the product
+    of two lifted windows (complexes.matrix_product) reads."""
+    built = set()
+    real = GradedAlgebra.np_table
+
+    def spy(self, d1, d2):
+        if self.proj is None:
+            built.add((d1, d2))
+        return real(self, d1, d2)
+
+    monkeypatch.setattr(GradedAlgebra, "np_table", spy)
+    mode = LIFT_CHAIN_SHA256[name][0]
+    src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = ["build", str(GRAPHS / f"{name}.json"), "--mode", mode, "--out", str(src)]
+    assert run_captured(argv)[0] == 0 and not built
+    argv = ["lift", str(src), "--steps", "2", "--degree-bound", "6", "--out", str(lifted)]
+    assert run_captured(argv)[0] == 0
+    for bound in ([], ["--degree-bound", "5"]):
+        assert run_captured(["verify", str(lifted), *bound])[0] == 0
+    assert built <= {(1, 1)}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1061,10 +1112,14 @@ def _descriptor_cutoff(value):
         lambda alg: alg["basis"][2].append("x1*y1"),
         lambda alg: alg["descriptor"].update(seed=True),
         *map(_descriptor_cutoff, _DESCRIPTOR_CUTOFFS.values()),
+        # dims that are not the lengths of the basis once verified to `certified: true`
+        lambda alg: alg.update(dims=[9, 9, 9, 9]),
+        lambda alg: alg.update(dims="x"),
+        lambda alg: alg.update(dims=None),
     ],
     ids=["no_descriptor", "kind", "level_3", "level_str", "level_1", "seed_str",
          "basis_order", "basis_extra", "seed_bool",
-         *(f"cutoff_{name}" for name in _DESCRIPTOR_CUTOFFS)],
+         *(f"cutoff_{name}" for name in _DESCRIPTOR_CUTOFFS), "dims_9", "dims_str", "dims_null"],
 )
 def test_ring_not_named_by_descriptor_refused(capsys, tmp_path, command, corrupt):
     src = _four_cycle_window(capsys, tmp_path)
@@ -1376,3 +1431,33 @@ def test_a_strong_pseudoprime_is_no_field(capsys):
         assert is_prime(n) == isprime(n), n
     assert main(["analyze", str(GRAPHS / "four_cycle.json"), "--prime", str(_PSI_12)]) == 1
     assert capsys.readouterr().err == f"error: {_PSI_12} is not prime\n"
+
+
+def test_a_modulus_beyond_the_primality_bound_is_refused(capsys, tmp_path):
+    """_PSI_13 = 1287836182261 * 2575672364521 passes Miller-Rabin on all 13
+    bases, and --prime once accepted it (`admits (ezd witness)`, exit 0).
+    The test is proven below _PSI_13 only, so every modulus from there on is
+    refused, the prime 2**89 - 1 too, on the command line and in a complex
+    file; 4294967311 is still a field."""
+    from totref.fields import is_prime
+
+    assert _PSI_13 == 1287836182261 * 2575672364521
+    src = _four_cycle_window(capsys, tmp_path, "--prime", "4294967311")
+    assert main(["analyze", _FOUR_CYCLE, "--prime", "4294967311"]) == 0
+    capsys.readouterr()
+    for p in (_PSI_13, 2**89 - 1):
+        with pytest.raises(ValueError):
+            is_prime(p)
+        message = f"error: {p} is too large: primality is certified only below {_PSI_13}\n"
+        out = tmp_path / "out.json"
+        build = ["build", _FOUR_CYCLE, "--mode", "ezd", "--prime", str(p), "--out", str(out)]
+        for argv in (["analyze", _FOUR_CYCLE, "--prime", str(p)], build):
+            assert main(argv + ["--json"]) == 1
+            assert capsys.readouterr() == ("", message) and not out.exists()
+        obj = json.loads(src.read_text())
+        obj["algebra"]["field"]["p"] = p
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        for argv in (["verify", str(bad)], ["lift", str(bad), "--out", str(out)]):
+            assert main(argv + ["--json"]) == 1
+            assert capsys.readouterr() == ("", message) and not out.exists()

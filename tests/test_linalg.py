@@ -338,6 +338,30 @@ def test_mod_matmul_all_maximal_entries():
         assert mod_matmul(p, A, A.T.copy()).tolist() == [[40 * (p - 1) ** 2 % p] * 3] * 3
 
 
+def test_mod_matmul_counts_a_frozen_operand_once_per_shape(monkeypatch):
+    """The nonzero counts that bound mod_matmul's sums are kept with a frozen
+    operand, one per shape and axis (a reshape reads its own count); an
+    operand that is not frozen is counted on every call."""
+    p = 2**31 - 1  # a sum of three products may overflow: every call counts
+    rng = np.random.default_rng(4)
+    A = rng.integers(0, p, (3, 8))
+    B = linalg.freeze(rng.integers(0, p, (8, 6)))
+    counted = []
+    real = np.count_nonzero
+
+    def spy(X, axis=None):
+        counted.append(("B" if X is B or X.base is B else "A", X.shape, axis))
+        return real(X, axis=axis)
+
+    monkeypatch.setattr(np, "count_nonzero", spy)
+    for _ in range(3):
+        for a, b in ((A, B), (A.reshape(6, 4), B.reshape(4, 12))):
+            want = a.astype(object) @ b.astype(object) % p
+            assert mod_matmul(p, a, b).tolist() == want.tolist()
+    assert sorted(c for c in counted if c[0] == "B") == [("B", (4, 12), -2), ("B", (8, 6), -2)]
+    assert len([c for c in counted if c[0] == "A"]) == 6
+
+
 @pytest.mark.parametrize("shape", [(5, 7), (60, 50), (0, 4)])
 def test_array_rank_matches_matrix_rank(shape):
     rng = Random(23)
@@ -688,7 +712,7 @@ def test_rank_bounds_match_rank_bound_and_sympy(case):
     leaves the images alone: over GF(p) the rank (sympy's DomainMatrix), over
     Q a lower bound, exact exactly when it is min(rows, cols)."""
     field, arrays = case
-    images = [linalg._check_image(field, A) for A in arrays]
+    images = [linalg.check_image(field, A) for A in arrays]
     before = [I.copy() for I in images]
     bounds = linalg.rank_bounds(field, images)
     assert bounds == [linalg.rank_bound(field, I) for I in images]
@@ -764,7 +788,7 @@ def test_rank_bounds_at_the_int64_edge_and_for_unlucky_primes(monkeypatch):
     twelve = np.eye(12, dtype=object) + Fraction(0)
     twelve[3, 3] = Fraction(P)
     arrays = [_rational_array(e, 2) for e in unlucky] + [twelve, twelve + 0]
-    bounds = linalg.rank_bounds(QQ, [linalg._check_image(QQ, A) for A in arrays])
+    bounds = linalg.rank_bounds(QQ, [linalg.check_image(QQ, A) for A in arrays])
     assert bounds == [(1, False)] * 26 + [(2, True), (11, False), (11, False)]
     assert sorted(sizes) == [2, 27]
     assert [array_rank(QQ, A) for A in arrays] == [2] * 27 + [12, 12]
