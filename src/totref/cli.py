@@ -247,8 +247,41 @@ def cmd_analyze(args) -> int:
     return 2 if verdict == "inconclusive" else 0
 
 
+def _lines(bracket, indents) -> str:
+    """One line per indent, holding the bracket, as json.dumps(..., indent=1)
+    opens or closes lists."""
+    return "".join(f"\n{' ' * d}{bracket}" for d in indents)
+
+
+def _complex_text(window: FreeComplexWindow) -> str:
+    """json.dumps(window.to_json(), indent=1), byte for byte, without running
+    Python's pure-Python encoder over the differentials.  They are dumped
+    compactly by the C encoder.  Their coordinates sit at indent 5, inside
+    lists at indents 1 to 4, and are ints or "n/d" strings, which hold no
+    bracket or comma; so the separator between two coordinates that closes
+    and reopens k lists, "]" * k + "," + "[" * k, becomes its indented form,
+    deepest first.  A window with no differential, or with a matrix without
+    entries, is dumped by json.dumps."""
+    obj = window.to_json()
+    if not window.diffs or not all(D.size for D in window.diffs):
+        return json.dumps(obj, indent=1)
+    body = json.dumps(obj["differentials"], separators=(",", ":"))
+    for k in (3, 2, 1):  # through placeholders, so that the commas are left alone
+        body = body.replace("]" * k + "," + "[" * k, chr(k))
+    body = body.replace(",", ",\n" + " " * 5)
+    for k in (3, 2, 1):
+        sep = _lines("]", range(4, 4 - k, -1)) + "," + _lines("[", range(5 - k, 5))
+        body = body.replace(chr(k), sep + "\n" + " " * 5)
+    # the outer brackets: "[[[[" and "]]]]"
+    body = "[" + _lines("[", (2, 3, 4)) + "\n" + " " * 5 + body[4:-4] + _lines("]", (4, 3, 2, 1))
+    obj["differentials"] = []
+    # the one key at indent 1 (no string holds a raw newline)
+    head, _, tail = json.dumps(obj, indent=1).partition('\n "differentials": []')
+    return head + '\n "differentials": ' + body + tail
+
+
 def _write_complex(window: FreeComplexWindow, report: dict, args) -> None:
-    payload = json.dumps(window.to_json(), indent=1)
+    payload = _complex_text(window)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(payload + "\n")
@@ -338,6 +371,14 @@ def cmd_lift(args) -> int:
     if args.degree_bound < 3:
         raise ValueError("--degree-bound of lift must be at least 3, the cutoff of the bottom ring")
     obj = _read_complex(args)
+    # each step drops the lowest index, and the last lifted window needs an
+    # interior index, so two differentials must outlast the steps
+    diffs = obj.get("differentials")
+    if isinstance(diffs, list) and len(diffs) < args.steps + 2:
+        raise ComplexError(
+            f"lift --steps {args.steps} needs a window of at least {args.steps + 2} "
+            f"differentials, and this one has {len(diffs)}"
+        )
     chain, level = chain_from_json(obj.get("algebra"), args.degree_bound, args.retries)
     if level != 2:
         raise ComplexError("lifting needs a complex over the bottom ring of its chain (level 2)")

@@ -26,6 +26,22 @@ factors' check images (``linalg.image_matmul``), the bounds of all the
 blocks a certificate reads, the window's and its dual's, come from one
 ``linalg.rank_bounds`` call (``exactness_reports``), and only a block that
 needs an exact rank is assembled over the field.
+
+A checked window whose differentials are block-triangular is certified from
+their diagonal pieces.  The reduction of a lifted window is an extension of
+its source by the source's shift, so each differential is block
+lower-triangular with the source's differentials on its diagonal (its dual,
+block upper-triangular).  ``_triangular_pieces`` finds, once per window, the
+finest such pattern of zero forms that splits each module alike for both its
+differentials.  Ordering a block's rows and columns by those of D keeps it
+block-triangular, so a nonzero maximal minor of each diagonal piece's block
+gives a nonzero minor of the whole: the sum of the pieces' rank bounds is a
+lower bound on the block's rank (over Q too, each piece's bound being one).
+It is used as the rank only when it is full or when ``_exactness_records``
+confirms it by the column count of its pair; any other block is ranked
+whole and exactly, as without pieces, so no certificate changes.  Pieces
+with the same entries are ranked once: a two-step lift repeats d_i,
+d_(i-1), d_(i-1), d_(i-2) on each diagonal.
 """
 
 from __future__ import annotations
@@ -36,6 +52,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, GradedAlgebra
+from .fields import PrimeField
 from .linalg import (
     Subspace, array_rank, field_array, field_matmul, field_stack, freeze, image_matmul,
     rank_bounds, structure_product,
@@ -101,18 +118,9 @@ class FreeComplexWindow:
     # -- exact verification ----------------------------------------------------
 
     def _block_array(self, i, t, product=field_matmul):
-        """The degree piece of d_i from R_t^{b_i} to R_{t+1}^{b_{i-1}}: the
-        entry coordinates D[r, c, :] of d_i times the basis of R_t
-        (``GradedAlgebra.times``) with this product.  ``field_matmul`` gives
-        the block as an array over the field, ``image_matmul`` the image its
-        rank bound is read off."""
-        R, D = self.algebra, self.diff(i)
-        b_out, b_in, n1 = D.shape
-        src, dst = R.dims[t], R.dims[t + 1]
-        blocks = R.times(D.reshape(b_out * b_in, n1), 1, t, product)
-        # blocks[r, c, j, k] is the coefficient of basis_k in d_i[r][c] * basis_j
-        blocks = blocks.reshape(b_out, b_in, src, dst).transpose(0, 3, 1, 2)
-        return blocks.reshape(b_out * dst, b_in * src)
+        """The degree piece of d_i from R_t^{b_i} to R_{t+1}^{b_{i-1}}
+        (``graded_block``)."""
+        return graded_block(self.algebra, self.diff(i), t, product)
 
     def compose_check(self) -> bool:
         """All consecutive products d_i d_{i+1} vanish identically: one
@@ -288,7 +296,11 @@ class FreeComplexWindow:
         """The window as a complex file, whose ring is named by its descriptor."""
         if self.algebra.descriptor is None:
             raise ComplexError("a window over a ring without a descriptor cannot be written")
-        enc = self.algebra.field.encode
+        f = self.algebra.field
+        if isinstance(f, PrimeField):  # its coordinates are the ints encode writes
+            as_json = np.ndarray.tolist
+        else:
+            as_json = lambda D: np.frompyfunc(f.encode, 1, 1)(D).tolist()
         return {
             "format": "complex",
             "algebra": self.algebra.to_json(),
@@ -296,9 +308,7 @@ class FreeComplexWindow:
             "hi": self.hi,
             "base_twist": self.base_twist,
             "betti": list(self.betti),
-            "differentials": [
-                [[[enc(c) for c in e] for e in row] for row in D.tolist()] for D in self.diffs
-            ],
+            "differentials": [as_json(D) for D in self.diffs],
             "periodic": self.periodic.to_json() if self.periodic else None,
         }
 
@@ -361,6 +371,102 @@ def linear_matrix(R: GradedAlgebra, rows):
             raise ComplexError("entries must be homogeneous of degree 1")
     coords = [[e.coords for e in row] for row in rows]
     return field_array(R.field, coords).reshape(len(rows), width, R.dims[1])
+
+
+def graded_block(R: GradedAlgebra, D, t, product=field_matmul):
+    """The degree piece of a matrix of linear forms D[r, c, :] from
+    R_t^cols to R_{t+1}^rows: its entry coordinates times the basis of R_t
+    (``GradedAlgebra.times``) with this product.  ``field_matmul`` gives
+    the block as an array over the field, ``image_matmul`` the image its
+    rank bound is read off.  Row r of D becomes rows r dim R_{t+1} ...
+    (r + 1) dim R_{t+1} of the block, and column c columns c dim R_t ...
+    (c + 1) dim R_t, so a block-triangular D has a block-triangular block."""
+    b_out, b_in, n1 = D.shape
+    src, dst = R.dims[t], R.dims[t + 1]
+    blocks = R.times(D.reshape(b_out * b_in, n1), 1, t, product)
+    # blocks[r, c, j, k] is the coefficient of basis_k in D[r][c] * basis_j
+    blocks = blocks.reshape(b_out, b_in, src, dst).transpose(0, 3, 1, 2)
+    return blocks.reshape(b_out * dst, b_in * src)
+
+
+def _lower_cuts(masks):
+    """For each boolean matrix M of a stack masks (k, rows, cols), its cuts
+    (p, r), 0 < p < rows and r < cols, with M[:p, r:] all false that no
+    other such cut refines: r is the least for p (one past the last true
+    column of the first p rows) and p the most for r (row p has a true
+    entry at or after r).  Such cuts form one chain, increasing in both p
+    and r.  Rows and columns of zeros appended to a matrix add no cut."""
+    cols = masks.shape[2]
+    last = np.where(masks.any(axis=2), cols - masks[:, :, ::-1].argmax(axis=2), 0)
+    reach = np.maximum.accumulate(last, axis=1)  # reach[j, p - 1]: the least r for p
+    cuts = [[] for _ in masks]
+    reached = reach.tolist()
+    for j, p in zip(*(a.tolist() for a in np.nonzero(reach[:, :-1] < reach[:, 1:]))):
+        cuts[j].append((p + 1, reached[j][p]))
+    return cuts
+
+
+def _subcomplex_cuts(cuts):
+    """The cuts of each differential d_lo+1 .. d_hi (lists of (p, r)) that
+    split every module the same way for both its differentials: a cut
+    (p, r) of d_i is kept while p is a kept row cut of d_i and a kept column
+    cut of d_(i-1), and r a kept column cut of d_i and a kept row cut of
+    d_(i+1).  The trailing (lower cuts) or leading (upper cuts) coordinates
+    of the modules then span subcomplexes, so the diagonal pieces form
+    complexes, one per level of the filtration; as dicts p -> r, all empty
+    or none."""
+    cuts = [dict(c) for c in cuts]
+    while True:
+        # the cut values kept at each module F_lo .. F_hi
+        shared = (
+            [set(cuts[0])]
+            + [set(a.values()) & set(b) for a, b in zip(cuts, cuts[1:])]
+            + [set(cuts[-1].values())]
+        )
+        kept = [
+            {p: r for p, r in c.items() if p in shared[k] and r in shared[k + 1]}
+            for k, c in enumerate(cuts)
+        ]
+        if kept == cuts:
+            return kept
+        cuts = kept
+
+
+def _triangular_pieces(w: FreeComplexWindow):
+    """i -> the diagonal pieces D[p_(k-1):p_k, r_(k-1):r_k] of d_i when the
+    entries of w's differentials have a block-triangular pattern: the
+    finest chains of cuts (p, r) with D[:p, r:] all zero forms (block
+    lower-triangular, ``_lower_cuts``) or, failing that, with D[p:, :r] all
+    zero (block upper-triangular, the dual of a lower one), that split each
+    module the same way for both its differentials (``_subcomplex_cuts``).
+    One test of all the entries finds the nonzero forms; a window without a
+    zero form has no cut and returns {} there.  Otherwise the patterns,
+    padded with zeros to one shape, are cut as one stack."""
+    shapes = [D.shape[:2] for D in w.diffs]
+    nonzero = (np.concatenate([D.reshape(-1, D.shape[2]) for D in w.diffs]) != 0).any(axis=1)
+    if nonzero.all():
+        return {}
+    masks = np.zeros((len(shapes), max(r for r, _ in shapes), max(c for _, c in shapes)), bool)
+    end = 0
+    for j, (r, c) in enumerate(shapes):
+        masks[j, :r, :c] = nonzero[end : end + r * c].reshape(r, c)
+        end += r * c
+    cuts = _subcomplex_cuts(_lower_cuts(masks))
+    if not cuts[0]:
+        upper = _lower_cuts(masks.transpose(0, 2, 1))
+        cuts = _subcomplex_cuts([[(p, r) for r, p in c] for c in upper])
+        if not cuts[0]:
+            return {}
+    pieces = {}
+    for i, D, c in zip(range(w.lo + 1, w.hi + 1), w.diffs, cuts):
+        ps, rs = zip((0, 0), *sorted(c.items()), D.shape[:2])
+        pieces[i] = [D[ps[k] : ps[k + 1], rs[k] : rs[k + 1]] for k in range(len(c) + 1)]
+    return pieces
+
+
+def _entries_key(A):
+    """A hashable key of an array's shape and entries."""
+    return A.shape, tuple(A.flat) if A.dtype == object else A.tobytes()
 
 
 def matrix_product(A, B, algebra: GradedAlgebra):
@@ -502,22 +608,50 @@ def exactness_reports(windows, degree_bound=None, composes=None):
     """The exactness report of each window (``graded_exactness``), all over
     one field.  The blocks of every window are listed first and all get
     their bounds from one ``rank_bounds`` call, so blocks of one shape are
-    ranked in one stack whichever window they come from.  composes is True
-    when the caller has checked that every window composes; None lets each
-    window check when its records first need it."""
+    ranked in one stack whichever window they come from.  The block of a
+    differential with diagonal pieces (``_triangular_pieces``) is bounded
+    by the sum of its pieces' bounds, each distinct piece ranked once per
+    degree.  composes is True when the caller has checked that every window
+    composes; None lets each window check when its records first need it."""
     checked = [w._checked(degree_bound) for w in windows]
     listed = [w._exactness_blocks(degree_bound) for w in checked]
-    images = [
-        w._block_array(i, t, image_matmul)
-        for w, (_, ranked) in zip(checked, listed)
-        for i, t in ranked
-    ]
-    ranks = iter(rank_bounds(checked[0].algebra.field, images))
+    images = []
+    slots = {}  # (ring, degree, piece entries) -> the index of its image
+    plans = []  # per window: (i, t) -> (None, index) or (full rank, piece indices)
+    for w, (_, ranked) in zip(checked, listed):
+        R, plan = w.algebra, {}
+        pieces = {
+            i: [(_entries_key(P), P) for P in Ps if P.shape[0] and P.shape[1]]
+            for i, Ps in (_triangular_pieces(w) if ranked else {}).items()
+        }
+        for i, t in ranked:
+            if i not in pieces:
+                plan[i, t] = None, len(images)
+                images.append(w._block_array(i, t, image_matmul))
+                continue
+            ks = []
+            for entries, P in pieces[i]:
+                key = id(R), t, entries
+                if key not in slots:
+                    slots[key] = len(images)
+                    images.append(graded_block(R, P, t, image_matmul))
+                ks.append(slots[key])
+            full = min(w.rank_of(i - 1) * R.dims[t + 1], w.rank_of(i) * R.dims[t])
+            plan[i, t] = full, ks
+        plans.append(plan)
+    ranks = rank_bounds(checked[0].algebra.field, images)
     reports = []
-    for w, (keys, ranked) in zip(checked, listed):
+    for w, (keys, _), plan in zip(checked, listed, plans):
         # (i, t) -> (lower bound on the block's rank, whether it is the rank)
         bounds = dict.fromkeys(keys, (0, True))
-        bounds.update((key, next(ranks)) for key in ranked)
+        for key, (full, ks) in plan.items():
+            if full is None:
+                bounds[key] = ranks[ks]
+            else:
+                # the pieces lie on the diagonal of a block-triangular block:
+                # a nonzero maximal minor of each is a nonzero minor of it
+                r = sum(ranks[k][0] for k in ks)
+                bounds[key] = r, r == full
         reports.append(w._exactness_records(bounds, degree_bound, composes))
     return reports
 

@@ -24,6 +24,13 @@ exactness are decided on the Artinian bottom ring, in every degree
 (``complexes.exactness_reports``); no check reads a degree above 3.  Along
 a chain only the input is gated: each later source is the window the step
 before certified.
+
+Modulo x the blocks x*I vanish, so the reduced lift is an extension of the
+source by its shift: every reduced differential is block lower-triangular,
+[[d_i, 0], [M_i, d_{i-1}]] up to sign, with the source's differentials on
+its diagonal (after two steps, d_i, d_{i-1}, d_{i-1}, d_{i-2}), and its dual
+block upper-triangular.  The exactness check ranks those diagonal pieces in
+place of the whole blocks (``complexes._triangular_pieces``).
 """
 
 from __future__ import annotations

@@ -7,6 +7,7 @@ from itertools import combinations
 from pathlib import Path
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -880,6 +881,98 @@ def test_lift_and_verify_build_no_top_ring_table_but_one(monkeypatch, tmp_path, 
     for bound in ([], ["--degree-bound", "5"]):
         assert run_captured(["verify", str(lifted), *bound])[0] == 0
     assert built <= {(1, 1)}
+
+
+def test_verify_ranks_the_diagonal_pieces_of_a_lift(monkeypatch, tmp_path):
+    """verify of the two-step ten-vertex lift ranks the 14 x 16 diagonal
+    pieces of its 56 x 64 blocks, all confirmed: no stacked matrix has more
+    than 16 rows or columns, and no block is eliminated whole."""
+    import totref.complexes as complexes
+    import totref.linalg as linalg
+
+    src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = ["build", str(GRAPHS / "ten_vertex.json"), "--mode", "factory", "--out", str(src)]
+    assert run_captured(argv)[0] == 0
+    assert run_captured(["lift", str(src), "--steps", "2", "--out", str(lifted)])[0] == 0
+    shapes, whole = [], []
+    stacked = linalg._stacked_ranks
+    monkeypatch.setattr(linalg, "_stacked_ranks", lambda p, S: shapes.append(S.shape) or stacked(p, S))
+    monkeypatch.setattr(complexes, "array_rank", lambda field, A: whole.append(A.shape))
+    code, out, _ = run_captured(["verify", str(lifted), "--json"])
+    assert code == 0 and json.loads(out)["certified"] is True
+    assert shapes and max(max(shape[1:]) for shape in shapes) <= 16
+    assert not whole
+
+
+@pytest.mark.parametrize(
+    "name, mode, steps, count",
+    [("ten_vertex", "factory", 2, 3), ("four_cycle", "ezd", 1, 2)],
+)
+def test_lift_refuses_a_window_too_short_for_its_steps(tmp_path, name, mode, steps, count):
+    """Each step drops one index and the last lifted window needs an interior
+    index: a window of fewer than steps + 2 differentials is refused before
+    anything is lifted or written."""
+    src, out = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = ["build", str(GRAPHS / f"{name}.json"), "--mode", mode,
+            "--forward", "1", "--backward", "1", "--out", str(src)]
+    assert run_captured(argv)[0] == 0
+    assert len(json.loads(src.read_text())["differentials"]) == count
+    code, stdout, stderr = run_captured(["lift", str(src), "--steps", str(steps), "--out", str(out)])
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        f"error: lift --steps {steps} needs a window of at least {steps + 2} "
+        f"differentials, and this one has {count}\n"
+    )
+    assert not out.exists()
+    if steps == 2:  # one step fewer still certifies
+        code, stdout, _ = run_captured(["lift", str(src), "--steps", "1", "--json", "--out", str(out)])
+        assert code == 0 and json.loads(stdout)["status"] == "certified"
+
+
+def _complex_windows():
+    """Windows for the complex-file writer: GF(p), a prime above 2**31, the
+    rationals with "n/d" coordinates, and the shapes it leaves to json.dumps
+    (no differential, a differential without entries)."""
+    from fractions import Fraction
+
+    from totref import FreeComplexWindow, RationalField, ezd_complex, reduction_chain
+    from totref.analysis import EzdPair
+    from totref.fields import PrimeField
+    from totref.graphs import load_graph
+
+    g = load_graph(str(GRAPHS / "four_cycle.json"))
+    windows = []
+    for field in (PrimeField(), PrimeField(4294967311), RationalField()):
+        R = reduction_chain(g, cutoff=3, field=field).bottom
+        x, y = R.generators()
+        w = ezd_complex(R, EzdPair(x + y, x - y, True), half_length=2)
+        windows.append(w)
+        if isinstance(field, RationalField):
+            thirds = [D * Fraction(-2, 3) for D in w.diffs]
+            windows.append(FreeComplexWindow(R, w.lo, w.hi, w.betti, thirds, w.base_twist))
+    R = windows[0].algebra
+    windows.append(FreeComplexWindow(R, 0, 0, [1], []))
+    empty = [np.zeros((1, 0, R.dims[1]), dtype=np.int64), np.zeros((0, 1, R.dims[1]), dtype=np.int64)]
+    windows.append(FreeComplexWindow(R, 0, 2, [1, 0, 1], empty))
+    return windows
+
+
+def test_complex_writer_matches_json_dumps(tmp_path):
+    """The complex-file writer gives json.dumps(..., indent=1) byte for byte,
+    on the windows above and on a rational ten-vertex window and its lift."""
+    from totref import FreeComplexWindow
+    from totref.cli import _complex_text
+
+    windows = _complex_windows()
+    src, lifted = tmp_path / "src.json", tmp_path / "lifted.json"
+    argv = ["build", str(GRAPHS / "ten_vertex.json"), "--mode", "factory",
+            "--forward", "2", "--backward", "1", "--rational", "--out", str(src)]
+    assert run_captured(argv)[0] == 0
+    assert run_captured(["lift", str(src), "--steps", "1", "--out", str(lifted)])[0] == 0
+    windows += [FreeComplexWindow.from_json(json.loads(p.read_text())) for p in (src, lifted)]
+    assert any("/" in json.dumps(w.to_json()["differentials"]) for w in windows)
+    for w in windows:
+        assert _complex_text(w) == json.dumps(w.to_json(), indent=1)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 import functools
 import json
-from itertools import combinations_with_replacement
+from itertools import accumulate, combinations_with_replacement
 from random import Random
 
 import pytest
@@ -24,11 +24,14 @@ from totref import (
     ten_vertex_graph,
 )
 from totref.analysis import EzdPair
-from totref.complexes import matrix_product
-from totref.linalg import array_rank, kernel_basis
+from totref.complexes import _triangular_pieces, graded_block, matrix_product
+from totref.linalg import (
+    array_rank, field_array, field_reduce, image_matmul, kernel_basis, rank_bounds,
+)
 
 from conftest import (
     ARRAY_FIELDS,
+    _sympy_rref,
     array_field,
     count_eliminations,
     dump_canonical,
@@ -362,18 +365,27 @@ def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
     assert blk.tolist() == by_multiply == by_mult_map
 
 
-def _distinct_blocks(w):
-    """The (i, t) blocks whose ranks an exactness check of w needs."""
+def _distinct_blocks(w, degree_bound=None):
+    """What an exactness check of w eliminates, each at most once: the
+    (i, t) blocks of each differential of the checked window without
+    diagonal pieces, and (t, entries) of each distinct diagonal piece of
+    one with them (``complexes._triangular_pieces``)."""
+    checked = w._checked(degree_bound)
+    pieces = _triangular_pieces(checked)
     keys = set()
-    for i in w.interior_indices():
-        for t in range(w.algebra.cutoff):
-            keys.add((i, t))
-            if t:
-                keys.add((i + 1, t - 1))
+    for i in checked.interior_indices():
+        for t in range(checked.algebra.cutoff):
+            for j, s in [(i, t)] + ([(i + 1, t - 1)] if t else []):
+                if j in pieces:
+                    keys.update((s, P.shape, P.tobytes()) for P in pieces[j])
+                else:
+                    keys.add((j, s))
     return keys
 
 
 def test_graded_exactness_ranks_each_block_once(monkeypatch, c4, special_ring):
+    """Each distinct block, or diagonal piece of a block-triangular one, is
+    eliminated at most once."""
     from totref import canonical_window, lift_through_sequence
 
     canonical, _ = canonical_window(special_ring, 2, 2)
@@ -382,13 +394,152 @@ def test_graded_exactness_ranks_each_block_once(monkeypatch, c4, special_ring):
     rational = ezd_complex(rational_chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
     # lifted to the Stanley-Reisner ring at cutoff 5 and checked there (a bound
     # above the cutoff): blocks up to 80 x 64, above the list-elimination
-    # threshold; without a bound it is checked on its Artinian reduction
+    # threshold; without a bound it is checked on its Artinian reduction,
+    # whose differentials are block lower-triangular
     chain = reduction_chain(c4, cutoff=5)
     x, y = chain.bottom.generators()
     source = ezd_complex(chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
     lifted, _ = lift_through_sequence(source, [chain.steps[1], chain.steps[0]])
-    for w, bound in ((canonical, None), (rational, None), (lifted, None), (lifted, 1000)):
+    ten_vertex, _ = lift_through_sequence(canonical, [special_ring.chain.steps[1]])
+    cases = ((canonical, None), (rational, None), (lifted, None), (lifted, 1000), (ten_vertex, None))
+    for w, bound in cases:
         calls = count_eliminations(monkeypatch)
         assert w.graded_exactness(bound).exact
-        assert 0 < len(calls) <= len(_distinct_blocks(w))
+        assert 0 < len(calls) <= len(_distinct_blocks(w, bound))
         monkeypatch.undo()
+    assert _triangular_pieces(lifted._checked(None)) and _triangular_pieces(ten_vertex._checked(None))
+    assert not _triangular_pieces(lifted) and not _triangular_pieces(canonical)
+
+
+# -- diagonal pieces of block-triangular differentials -------------------------
+
+
+def _triangular_forms(R, rng, parts, upper):
+    """A random block lower-triangular (upper when asked) matrix of linear
+    forms D[r, c, :] over R, its rows and columns cut into parts of the
+    given sizes: the forms above (below) the diagonal blocks are zero, the
+    others zero or multiples of one of two random forms, so that diagonal
+    pieces are often rank-deficient and often hold zero forms.  The top
+    right form of an upper one is nonzero, so that it has no lower cut."""
+    f = R.field
+    pool = [[f.rand(rng) for _ in range(R.dims[1])] for _ in range(2)]
+    row_part = [k for k, (m, _) in enumerate(parts) for _ in range(m)]
+    col_part = [k for k, (_, n) in enumerate(parts) for _ in range(n)]
+    rows = []
+    for a in row_part:
+        row = []
+        for b in col_part:
+            if (a > b if upper else a < b) or rng.random() < 0.3 or (a != b and rng.random() < 0.5):
+                row.append([f.zero] * R.dims[1])
+            else:
+                c = f.rand(rng)
+                row.append([c * v for v in rng.choice(pool)])
+        rows.append(row)
+    if upper:
+        rows[0][-1] = pool[0]
+    return field_reduce(f, field_array(f, rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("generic_reduction", "relations")),
+    st.sampled_from((DEFAULT_PRIME, 4294967311, "QQ")),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.data(),
+)
+def test_piece_bound_never_exceeds_the_rank(kind, p, seed, upper, data):
+    """The sum of the rank bounds of a block-triangular matrix's diagonal
+    pieces, in each degree, never exceeds the rank of its graded block
+    (sympy), and equals it whenever it is full."""
+    R = array_test_ring(kind, p)
+    rng = Random(seed)
+    parts = data.draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2, max_size=3))
+    D = _triangular_forms(R, rng, parts, upper)
+    w = FreeComplexWindow(R, 0, 1, [len(D), D.shape[1]], [D])
+    pieces = _triangular_pieces(w).get(1, [D])  # none when zero forms hide the pattern
+    # the pieces are the diagonal blocks of cuts (p, r) with D[:p, r:] or D[p:, :r] zero
+    ps, rs = ([0, *accumulate(P.shape[k] for P in pieces)] for k in (0, 1))
+    assert (ps[-1], rs[-1]) == D.shape[:2]
+    for k, P in enumerate(pieces):
+        assert (P == D[ps[k] : ps[k + 1], rs[k] : rs[k + 1]]).all()
+    cuts = list(zip(ps[1:-1], rs[1:-1]))
+    assert all(not D[:p, r:].any() for p, r in cuts) or all(not D[p:, :r].any() for p, r in cuts)
+    for t in range(R.cutoff):
+        block = graded_block(R, D, t)
+        if not block.size:
+            continue
+        images = [graded_block(R, P, t, image_matmul) for P in pieces if P.shape[0] and P.shape[1]]
+        bound = sum(r for r, _ in rank_bounds(R.field, images))
+        rank = len(_sympy_rref(R.field, block.tolist(), block.shape[1])[1])
+        assert bound <= rank
+        if bound == min(block.shape):
+            assert bound == rank
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(("generic_reduction", "relations")),
+    st.sampled_from((DEFAULT_PRIME, 4294967311, "QQ")),
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.data(),
+)
+def test_pieces_leave_the_records_of_any_window_unchanged(kind, p, seed, upper, data):
+    """On a window of two block-triangular differentials that split their
+    middle module alike, exact or not (it rarely composes), the records are
+    those of ranking every block whole: a piece bound is taken as the rank
+    only when full or confirmed, and any other block is ranked exactly."""
+    import totref.complexes as complexes
+
+    R = array_test_ring(kind, p)
+    rng = Random(seed)
+    sizes = st.lists(st.integers(1, 3), min_size=2, max_size=3)
+    a = data.draw(sizes)
+    b, c = (data.draw(st.lists(st.integers(1, 3), min_size=len(a), max_size=len(a))) for _ in "bc")
+    D1 = _triangular_forms(R, rng, list(zip(a, b)), upper)
+    D2 = _triangular_forms(R, rng, list(zip(b, c)), upper)
+    w = FreeComplexWindow(R, 0, 2, [sum(a), sum(b), sum(c)], [D1, D2])
+    with_pieces = complexes.exactness_reports([w])[0]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexes, "_triangular_pieces", lambda w: {})
+        assert complexes.exactness_reports([w])[0] == with_pieces
+
+
+def _lifts(field):
+    """The one- and two-step lifts of the canonical ten-vertex window and of
+    a four-cycle ezd window over the field."""
+    from totref import build_special_ring, canonical_window, lift_through_sequence
+
+    special = build_special_ring(field)
+    ten_vertex, _ = canonical_window(special, 2, 2)
+    chain = reduction_chain(
+        Graph(
+            ["x1", "x2", "y1", "y2"],
+            [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2")],
+            bipartition=(("x1", "x2"), ("y1", "y2")),
+        ),
+        cutoff=3,
+        field=field,
+    )
+    x, y = chain.bottom.generators()
+    four_cycle = ezd_complex(chain.bottom, EzdPair(x + y, x - y, True), half_length=3)
+    lifts = []
+    for w, c in ((ten_vertex, special.chain), (four_cycle, chain)):
+        for steps in (1, 2):
+            lifts.append(lift_through_sequence(w, [c.steps[1], c.steps[0]][:steps])[0])
+    return lifts
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, "QQ", 4294967311])
+def test_pieces_leave_every_certificate_unchanged(monkeypatch, p):
+    """full_certification of the lifted windows reads the same with the
+    diagonal pieces as with every block ranked whole."""
+    import totref.complexes as complexes
+
+    lifts = _lifts(array_field(p))
+    assert all(complexes._triangular_pieces(w._checked(None)) for w in lifts)
+    with_pieces = [full_certification(w).to_json() for w in lifts]
+    monkeypatch.setattr(complexes, "_triangular_pieces", lambda w: {})
+    assert [full_certification(w).to_json() for w in lifts] == with_pieces
+    assert all(c["certified"] for c in with_pieces)
