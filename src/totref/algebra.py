@@ -8,7 +8,8 @@ coordinates P[i].  A multiplication table is then P, with a zero row
 appended, gathered at the monomial products: one rule for every ring, built
 once per degree pair.  Where the basis is the monomials (P is the identity)
 a product needs no table at all: it is a scatter of coordinates
-(``GradedAlgebra.times``).  Three construction routes are provided:
+(``GradedAlgebra.times``).  Every product, of two elements too, goes
+through ``times``.  Three construction routes are provided:
 Stanley-Reisner rings of graphs (whose basis is the monomials, so P is not
 stored), quotients of a polynomial ring by homogeneous relations, and
 quotients by a linear form (used twice to produce Artinian reductions).
@@ -77,8 +78,13 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, self.degree, [f.mul(c, a) for a in self.coords])
 
     def __mul__(self, other):
+        """The product, as multiplication by self (``mult_map_array``)
+        applied to the coordinates of other."""
         self._peer(other)
-        return self.algebra.multiply(self, other)
+        R, d, t = self.algebra, self.degree, other.degree
+        M = R.mult_map_array(self.coords, d, t)
+        v = field_array(R.field, [other.coords]).reshape(1, R.dims[t])
+        return AlgebraElement(R, d + t, field_matmul(R.field, v, M.T)[0].tolist())
 
     def is_zero(self) -> bool:
         f = self.algebra.field
@@ -116,8 +122,7 @@ class GradedAlgebra:
     multiplies rows by a basis: through the table in a quotient, by a
     scatter of coordinates without proj, where no table is built unless
     one is asked for (``matrix_product`` asks for the (1, 1) table).
-    ``multiply`` stays on the list view of the tables: it is the
-    independent oracle.
+    Elements multiply through ``times`` as well (``AlgebraElement.__mul__``).
     """
 
     def __init__(self, field, cutoff, basis, products, proj=None, descriptor=None):
@@ -135,7 +140,6 @@ class GradedAlgebra:
         # the QuotientMap to R/(x) for a linear form x certified regular on R,
         # so that a window is exact where its reduction is; set by reduction_chain only
         self.reduction = None
-        self._tables = {}
         self._np_tables = {}
         self._gen_index = {lab: i for i, lab in enumerate(self.basis[1])} if cutoff >= 1 else {}
 
@@ -180,13 +184,6 @@ class GradedAlgebra:
 
     # -- multiplication ------------------------------------------------------
 
-    def table(self, d1, d2):
-        """The list view T[i][j][k] of ``np_table``, kept for ``multiply``."""
-        key = (d1, d2)
-        if key not in self._tables:
-            self._tables[key] = self.np_table(d1, d2).tolist()
-        return self._tables[key]
-
     def np_table(self, d1, d2):
         """The array T[i, j, k] over the field, the coefficient of basis_k in
         e_i * e_j: the rows of P_(d1+d2) (the identity without proj), with a
@@ -205,26 +202,6 @@ class GradedAlgebra:
             P = np.vstack([P, field_zeros(self.field, (1, P.shape[1]))])
             self._np_tables[key] = freeze(P[idx])
         return self._np_tables[key]
-
-    def multiply(self, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-        if a.degree + b.degree > self.cutoff:
-            raise AlgebraError("product degree exceeds cutoff")
-        f = self.field
-        tab = self.table(a.degree, b.degree)
-        out = [f.zero] * self.dims[a.degree + b.degree]
-        for i, ca in enumerate(a.coords):
-            if f.is_zero(ca):
-                continue
-            row = tab[i]
-            for j, cb in enumerate(b.coords):
-                if f.is_zero(cb):
-                    continue
-                c = f.mul(ca, cb)
-                vec = row[j]
-                for k, vk in enumerate(vec):
-                    if not f.is_zero(vk):
-                        out[k] = f.add(out[k], f.mul(c, vk))
-        return AlgebraElement(self, a.degree + b.degree, out)
 
     def times(self, V, d, t, product=field_matmul):
         """X[r, j, :] = V[r] * basis_j for the rows of V (vectors of degree d)
@@ -514,9 +491,14 @@ class ReductionChain:
         return q2.project(q1.project(self.top.generator(vertex)))
 
     def expected_artinian_hilbert(self):
-        n, e = self.graph.n, self.graph.e
-        out = [1, n - 2, e - n + 1] + [0] * (self.top.cutoff - 2)
-        return tuple(out[: self.top.cutoff + 1])
+        return artinian_hilbert(self.graph, self.top.cutoff)
+
+
+def artinian_hilbert(g: Graph, cutoff: int) -> tuple:
+    """(1, n - 2, e - n + 1, 0, ...) up to the cutoff (at least 2): the
+    Hilbert function of the graph ring modulo a regular sequence of two
+    linear forms."""
+    return (1, g.n - 2, g.e - g.n + 1) + (0,) * (cutoff - 2)
 
 
 def canonical_bipartite_forms(g: Graph):
@@ -561,7 +543,7 @@ def reduction_chain(
         "cutoff": cutoff,
     }
     top = stanley_reisner(g, cutoff, field, descriptor=dict(descriptor_base, level=0))
-    expected = [1, g.n - 2, g.e - g.n + 1] + [0] * (cutoff - 2)
+    expected = artinian_hilbert(g, cutoff)
     rng = Random(seed)
 
     attempts = retries if mode == "generic" else 1
@@ -586,13 +568,13 @@ def reduction_chain(
             continue
         q2 = QuotientMap(mid, l2, descriptor=dict(descriptor_base, level=2))
         bottom = q2.target
-        if list(bottom.dims) == expected:
+        if tuple(bottom.dims) == expected:
             # The ring of a connected graph with an edge is Cohen-Macaulay of
             # dimension 2 (Reisner), and an Artinian bottom makes (l1, l2) a
             # system of parameters, hence a regular sequence.
             top.reduction, mid.reduction = q1, q2
             return ReductionChain(graph=g, top=top, steps=[q1, q2], mode=mode, seed=seed)
-        last = f"Hilbert function {tuple(bottom.dims)} != {tuple(expected)}"
+        last = f"Hilbert function {tuple(bottom.dims)} != {expected}"
         if mode == "canonical":
             break
     raise AlgebraError(f"no regular reduction found ({last})")

@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
-from .complexes import fitting_support, linear_matrix
+from .complexes import fitting_support, linear_matrix, matrix_product
 from .graphs import Graph
 from .linalg import (
     Subspace, array_rank, field_array, field_reduce, field_zeros, kernel_basis,
@@ -495,11 +495,13 @@ def ideal_pair_analysis(R: GradedAlgebra, gens_a, gens_b) -> IdealPairReport:
     non-free totally reflexive modules at all.
     """
     _require_artinian(R)
-    a1, a2 = fitting_support(R, linear_matrix(R, [gens_a]))
-    b1, b2 = fitting_support(R, linear_matrix(R, [gens_b]))
+    A, B = linear_matrix(R, [gens_a]), linear_matrix(R, [gens_b])
+    a1, a2 = fitting_support(R, A)
+    b1, b2 = fitting_support(R, B)
     sum1 = a1.sum(b1).dim == R.dims[1]
     sum2 = a2.sum(b2).dim == R.dims[2]
-    prod_zero = all((ga * gb).is_zero() for ga in gens_a for gb in gens_b)
+    # the column of generators of a times the row of those of b
+    prod_zero = not matrix_product(A.transpose(1, 0, 2), B, R).any()
     int1 = a1.intersection(b1)
     int2 = a2.intersection(b2)
     direct = sum1 and sum2 and prod_zero and int1.dim == 0 and int2.dim == 0

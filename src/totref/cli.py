@@ -12,6 +12,7 @@ Exit codes: 0 = a verdict was produced (including negative verdicts),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from random import Random
@@ -490,9 +491,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built once: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         _configure(args)
         return args.func(args)
     except SystemExit as exc:  # from the parser: 0 after --help, 1 after a usage error

@@ -75,12 +75,6 @@ def ten_vertex_graph() -> Graph:
 TEN_VERTEX_PARTITION = (("x1", "x2", "y1", "y2"), ("x3", "x4", "y3", "y4"))
 
 
-def _greedy_basis(field, ambient, vectors):
-    """Indices of the first vectors (in order) that enlarge the span: the
-    pivot columns of the vectors taken as columns."""
-    return rref(field, field_array(field, vectors).reshape(len(vectors), ambient).T)[1]
-
-
 @dataclass
 class Side:
     """One side's linear algebra, built once per ring.
@@ -120,53 +114,52 @@ class SpecialRing:
 
         self.a_gens = [chain.image(v) for v in self.part_a]
         self.b_gens = [chain.image(v) for v in self.part_b]
-        self.a1 = Subspace.from_vectors(f, R.dims[1], [list(g.coords) for g in self.a_gens])
-        self.b1 = Subspace.from_vectors(f, R.dims[1], [list(g.coords) for g in self.b_gens])
+        A = linear_matrix(R, [self.a_gens])[0]
+        B = linear_matrix(R, [self.b_gens])[0]
+        self.a1 = Subspace.from_vectors(f, R.dims[1], A)
+        self.b1 = Subspace.from_vectors(f, R.dims[1], B)
         if self.a1.dim != len(self.a_gens) or self.b1.dim != len(self.b_gens):
             raise FactoryError("partition images are not linearly independent")
         if self.a1.dim + self.b1.dim != R.dims[1]:
             raise FactoryError("a_1 + b_1 does not decompose R_1")
 
-        a2_basis = self._degree2_basis(self.a_gens)
-        b2_basis = self._degree2_basis(self.b_gens)
-        self.a2 = Subspace.from_vectors(f, R.dims[2], [list(e.coords) for e in a2_basis])
-        self.b2 = Subspace.from_vectors(f, R.dims[2], [list(e.coords) for e in b2_basis])
+        a2_basis = self._degree2_basis(A)
+        b2_basis = self._degree2_basis(B)
+        self.a2 = Subspace.from_vectors(f, R.dims[2], a2_basis)
+        self.b2 = Subspace.from_vectors(f, R.dims[2], b2_basis)
         if self.a2.dim != self.a1.dim or self.b2.dim != self.b1.dim:
             raise FactoryError("degree-two pieces do not match the degree-one dimensions")
         if self.a2.sum(self.b2).dim != R.dims[2]:
             raise FactoryError("a_2 + b_2 does not span R_2")
-        for ga in self.a_gens:
-            for gb in self.b_gens:
-                if not (ga * gb).is_zero():
-                    raise FactoryError("the ideal product ab is nonzero")
+        if matrix_product(A[:, None], B[None], R).any():
+            raise FactoryError("the ideal product ab is nonzero")
 
         overlap = self.a2.intersection(self.b2)
         if overlap.dim != 1:
             raise FactoryError(f"a_2 and b_2 overlap in dimension {overlap.dim}, expected 1")
         self.delta = AlgebraElement(R, 2, overlap.basis[0])
         self._sides = {
-            "a": self._side(self.a_gens, a2_basis, self.delta),
-            "b": self._side(self.b_gens, b2_basis, -self.delta),
+            "a": self._side(self.a_gens, A, a2_basis, self.delta),
+            "b": self._side(self.b_gens, B, b2_basis, -self.delta),
         }
         if any(s.delta is None for s in self._sides.values()):
             raise FactoryError("delta is not expressible on both sides")
 
-    def _degree2_basis(self, gens):
+    def _degree2_basis(self, G):
+        """The first products g_i g_j, i <= j in lexicographic order, of the
+        generators with coordinates G that enlarge their span: the pivot
+        columns of the products taken as columns."""
         R = self.ring
-        prods = []
-        for i, g in enumerate(gens):
-            for h in gens[i:]:
-                prods.append(g * h)
-        idx = _greedy_basis(R.field, R.dims[2], [list(e.coords) for e in prods])
-        return [prods[k] for k in idx]
+        prods = matrix_product(G[:, None], G[None], R)[np.triu_indices(len(G))]
+        return prods[rref(R.field, prods.T)[1]]
 
-    def _side(self, gens, basis2, delta) -> Side:
-        """The arrays of ``Side``; G and C2 have full rank, checked above."""
+    def _side(self, gens, coords, basis2, delta) -> Side:
+        """The arrays of ``Side`` from the generators' coordinates (m x n1)
+        and the side_2 basis (m x n2); both have full rank, checked above."""
         R = self.ring
         f = R.field
         n1, n2, m = R.dims[1], R.dims[2], len(gens)
-        coords = field_array(f, [g.coords for g in gens]).reshape(m, n1)
-        cols2 = field_array(f, [e.coords for e in basis2]).reshape(m, n2).T
+        cols2 = basis2.T
         X = left_inverse(f, coords.T).T
         L2 = left_inverse(f, cols2)
         # psi[(i, k), :] = e_i g_k

@@ -141,8 +141,11 @@ def lift_complex(w: FreeComplexWindow, qmap: QuotientMap, check: bool = True) ->
     R, S = qmap.target, qmap.source
     if w.algebra is not R:
         raise LiftError("window does not live over the quotient ring of the map")
-    if w.hi - w.lo < 2:
-        raise LiftError("window is too short to lift (needs two differentials)")
+    if w.hi - w.lo < 3:
+        raise LiftError(
+            f"window is too short to lift: it has {w.hi - w.lo} differentials and needs at "
+            "least 3, so that the lifted window has an interior index"
+        )
     regular_ok = certify_regular(qmap)
     if check:
         if not regular_ok:
@@ -158,8 +161,8 @@ def lift_complex(w: FreeComplexWindow, qmap: QuotientMap, check: bool = True) ->
     # M[j] is the correction M_i of i = lo + 2 + j: L[j] L[j + 1] = x * M[j]
     M = correction_matrix(L[:-1], L[1:], x, S)
     # x * (M_i d~_{i+1} - d~_{i-1} M_{i+1}) = 0 for i = lo + 2 + j: both
-    # sides of every gap in one stacked product (none for two differentials),
-    # every entry of degree 2 then in one product with x: S_2 -> S_3
+    # sides of every gap in one stacked product, every entry of degree 2
+    # then in one product with x: S_2 -> S_3
     k = len(M) - 1
     sides = matrix_product(np.concatenate([M[:-1], L[:-2]]), np.concatenate([L[2:], M[1:]]), S)
     gaps = field_reduce(f, sides[:k] - sides[k:]).reshape(-1, S.dims[2])

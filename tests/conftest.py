@@ -189,9 +189,32 @@ def _sympy_rref(field, entries, cols):
     return [[back(x) for x in row] for row in ref.to_list()[: len(piv)]], list(piv)
 
 
+def list_product(R, a, b):
+    """Independent product oracle: a * b by a triple loop over the list view
+    R.np_table(d1, d2).tolist() of R's table, in the field's own scalar
+    arithmetic, skipping zero coordinates."""
+    from totref import AlgebraElement
+
+    f = R.field
+    tab = R.np_table(a.degree, b.degree).tolist()
+    out = [f.zero] * R.dims[a.degree + b.degree]
+    for i, ca in enumerate(a.coords):
+        if f.is_zero(ca):
+            continue
+        row = tab[i]
+        for j, cb in enumerate(b.coords):
+            if f.is_zero(cb):
+                continue
+            c = f.mul(ca, cb)
+            for k, vk in enumerate(row[j]):
+                if not f.is_zero(vk):
+                    out[k] = f.add(out[k], f.mul(c, vk))
+    return AlgebraElement(R, a.degree + b.degree, out)
+
+
 def element_rows(R, D, degree=1):
     """A matrix of forms D[r, c, :] (an array over R's field) as rows of
-    AlgebraElements of the degree, for oracles built on ``multiply``."""
+    AlgebraElements of the degree, for oracles built on ``list_product``."""
     from totref import AlgebraElement
 
     return [[AlgebraElement(R, degree, e) for e in row] for row in D.tolist()]

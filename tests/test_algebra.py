@@ -21,7 +21,9 @@ from totref import (
 from totref.fields import DEFAULT_PRIME, PrimeField, RationalField
 from totref.linalg import field_array, field_matmul, image_matmul
 
-from conftest import EXAMPLE_RING_RELATIONS, _sympy_rref, array_field, random_bipartite_connected
+from conftest import (
+    EXAMPLE_RING_RELATIONS, _sympy_rref, array_field, list_product, random_bipartite_connected,
+)
 
 
 def test_stanley_reisner_dimension_formula(ten_vertex_g, c4, gf):
@@ -97,7 +99,7 @@ def test_stanley_reisner_tables_match_label_arithmetic(c4, path4, ten_vertex_g, 
                             vec[at[d1 + d2][frozenset(powers.items())]] = 1
                         row.append(vec)
                     expected.append(row)
-                assert R.table(d1, d2) == expected, (g.vertices, d1, d2)
+                assert R.np_table(d1, d2).tolist() == expected, (g.vertices, d1, d2)
 
 
 def test_example_ring_dims(gf, qq):
@@ -249,7 +251,7 @@ def test_quotient_order_swap_commutes(c4, ten_vertex_g, gf):
         assert B12.basis == B21.basis
         for d1 in range(1, 3):
             for d2 in range(1, 4 - d1):
-                assert B12.table(d1, d2) == B21.table(d1, d2)
+                assert B12.np_table(d1, d2).tolist() == B21.np_table(d1, d2).tolist()
 
 
 def test_section_property_of_quotients(c4, gf):
@@ -263,13 +265,22 @@ def test_section_property_of_quotients(c4, gf):
             assert q.project(q.lift(elt)) == elt
 
 
-def test_multiply_degree_overflow(c4_reduction):
+def test_multiply_degree_overflow(c4, c4_reduction):
     R = c4_reduction
     x = R.generators()[0]
     top = R.basis_element(2, 0)
     assert (top * x).is_zero()  # degree 3 exists (and vanishes) at cutoff 3
-    with pytest.raises(AlgebraError):
-        _ = top * top  # degree 4 exceeds the cutoff
+    # above the cutoff, in the quotient (by its table) and in the
+    # Stanley-Reisner ring (by scatter), zero factors too
+    S = stanley_reisner(c4, 3)
+    for A in (R, S):
+        for a, b in ((A.basis_element(2, 0), A.basis_element(2, 0)), (A.zero(3), A.generators()[0])):
+            with pytest.raises(AlgebraError, match="exceeds cutoff"):
+                _ = a * b
+    # across rings, and with anything not an element
+    for other in (artinian_reduction(c4).generators()[0], S.generators()[0], 2):
+        with pytest.raises(AlgebraError, match="different algebras"):
+            _ = x * other
 
 
 def test_hilbert_helper(c4_reduction):
@@ -300,7 +311,7 @@ def test_from_json_rebuilds_the_ring_and_ignores_tables(c4_chain5):
         assert back.to_json() == ring.to_json()
         for d1 in range(1, ring.cutoff):
             for d2 in range(1, ring.cutoff + 1 - d1):
-                assert back.table(d1, d2) == ring.table(d1, d2), (level, d1, d2)
+                assert back.np_table(d1, d2).tolist() == ring.np_table(d1, d2).tolist(), (level, d1, d2)
 
 
 @pytest.mark.parametrize(
@@ -360,8 +371,8 @@ def test_mult_map_array_many_summands_do_not_overflow(gf):
     A = GradedAlgebra(gf, 2, [["1"], labels, ["u", "v"]], products, proj)
     elt = A.element(1, [p - 1] * 12)
     got = A.mult_map_array(elt.coords, 1, 1)
-    # exact list-path reference: column j is elt * e_j computed by multiply()
-    columns = [(elt * A.basis_element(1, j)).coords for j in range(12)]
+    # exact list-path reference: column j is elt * e_j computed by list_product
+    columns = [list_product(A, elt, A.basis_element(1, j)).coords for j in range(12)]
     assert got.tolist() == [[col[k] for col in columns] for k in range(2)]
     assert got.tolist() == [[12] * 12, [12] * 12]
 
@@ -401,7 +412,7 @@ def _check_tables(R, red, source_entry):
                 [_normal_form_oracle(f, red[d1 + d2], source_entry(d1, i, d2, j)) for j in red[d2][2]]
                 for i in red[d1][2]
             ]
-            assert R.table(d1, d2) == expected, (d1, d2)
+            assert R.np_table(d1, d2).tolist() == expected, (d1, d2)
 
 
 def _check_quotient_map(q, rng):
@@ -409,14 +420,14 @@ def _check_quotient_map(q, rng):
     red = [([], [], [0])]
     for d in range(1, S.cutoff + 1):
         # the relations l * basis_i of degree d-1, by list multiplication
-        rows = [(q.form * S.basis_element(d - 1, i)).coords for i in range(S.dims[d - 1])]
+        rows = [list_product(S, q.form, S.basis_element(d - 1, i)).coords for i in range(S.dims[d - 1])]
         red.append(_complement_oracle(f, rows, S.dims[d]))
     for d in range(S.cutoff + 1):
         assert B.basis[d] == [S.basis[d][c] for c in red[d][2]]
         for _ in range(3):
             v = [f.rand(rng) for _ in range(S.dims[d])]
             assert list(q.project(S.element(d, v)).coords) == _normal_form_oracle(f, red[d], v)
-    _check_tables(B, red, lambda d1, i, d2, j: S.table(d1, d2)[i][j])
+    _check_tables(B, red, lambda d1, i, d2, j: S.np_table(d1, d2)[i, j].tolist())
 
 
 C5 = Graph(list("abcde"), [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "a")])
@@ -525,7 +536,7 @@ def test_reduction_chain_builds_no_top_ring_table(c4, ten_vertex_g, qq):
     for g, mode, field in ((c4, "canonical", None), (ten_vertex_g, "generic", qq)):
         for cutoff in (3, 5):
             chain = reduction_chain(g, mode, cutoff=cutoff, field=field)
-            assert chain.top._np_tables == {} and chain.top._tables == {}, (mode, cutoff)
+            assert chain.top._np_tables == {}, (mode, cutoff)
 
 
 def test_reduction_chain_peak_memory():

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from totref import (
+    DEFAULT_PRIME,
     AlgebraElement,
     Graph,
     PrimeField,
@@ -39,7 +40,7 @@ from totref.analysis import (
 )
 from totref.linalg import array_rank, field_array, field_reduce, kernel_basis
 
-from conftest import EXAMPLE_RING_RELATIONS, random_bipartite_connected
+from conftest import EXAMPLE_RING_RELATIONS, array_field, list_product, random_bipartite_connected
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +113,7 @@ def m_squared_oracle(R):
     for d in range(2, R.cutoff + 1):
         offset = sum(R.dims[1:d])
         for a in range(1, d):
-            for row in R.table(a, d - a):
+            for row in R.np_table(a, d - a).tolist():
                 for vec in row:
                     v = [f.zero] * ambient
                     v[offset : offset + R.dims[d]] = list(vec)
@@ -175,7 +176,7 @@ def sym3_quadratic_presentation(R):
     sym3 = list(combinations_with_replacement(range(m), 3))
     s3i = {mm: k for k, mm in enumerate(sym3)}
 
-    tab11 = R.table(1, 1)
+    tab11 = R.np_table(1, 1).tolist()
     rows2 = [[f.zero] * len(sym2) for _ in range(R.dims[2])]
     for k, (i, j) in enumerate(sym2):
         for t, c in enumerate(tab11[i][j]):
@@ -184,7 +185,7 @@ def sym3_quadratic_presentation(R):
 
     if R.cutoff >= 3 and R.dims[3] > 0:
         rows3 = [[f.zero] * len(sym3) for _ in range(R.dims[3])]
-        tab12 = R.table(1, 2)
+        tab12 = R.np_table(1, 2).tolist()
         for k, (i, j, l) in enumerate(sym3):
             acc = [f.zero] * R.dims[3]
             for t, c in enumerate(tab11[j][l]):
@@ -549,6 +550,23 @@ def test_ideal_pair_degenerate(ten_vertex_reduction):
     rep = ideal_pair_analysis(R, gens, gens)
     assert rep.verdict is None  # a = b = m is not a decomposition
     assert not rep.direct_sum
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, 4294967311, "QQ"])
+def test_ideal_pair_product_zero_is_every_pairwise_product(ten_vertex_g, p):
+    """product_zero, one array product, against the pairs multiplied one by
+    one in list arithmetic (conftest.list_product): ab = 0 for the hub
+    partition, a single nonzero pair found wherever it sits."""
+    chain = reduction_chain(ten_vertex_g, field=array_field(p))
+    R, image = chain.bottom, chain.image
+    gens_a = [image(v) for v in ("x1", "x2", "y1", "y2")]
+    gens_b = [image(v) for v in ("x3", "x4", "y3", "y4")]
+    for extra_a, extra_b in ((None, None), ("x5", None), (None, "y5"), ("y1", "x1")):
+        a = gens_a + ([image(extra_a)] if extra_a else [])
+        b = ([image(extra_b)] if extra_b else []) + gens_b
+        want = all(list_product(R, ga, gb).is_zero() for ga in a for gb in b)
+        assert ideal_pair_analysis(R, a, b).product_zero == want
+        assert want == (extra_a is extra_b is None)
 
 
 def block_hub_graph(sizes):

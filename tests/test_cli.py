@@ -413,13 +413,13 @@ def _without_field(text):
 
 def _with_tables(text):
     """A complex file as earlier versions wrote it: its algebra entry also
-    carries the multiplication tables of the ring, laid out from R.table."""
+    carries the multiplication tables of the ring, laid out from R.np_table."""
     obj = json.loads(text)
     R = GradedAlgebra.from_json(obj["algebra"])
     enc = R.field.encode
     obj["algebra"]["mult"] = [
         {"d1": d1, "d2": d2,
-         "table": [[[enc(x) for x in vec] for vec in row] for row in R.table(d1, d2)]}
+         "table": [[[enc(x) for x in vec] for vec in row] for row in R.np_table(d1, d2).tolist()]}
         for d1 in range(1, R.cutoff + 1)
         for d2 in range(d1, R.cutoff + 1 - d1)
     ]
@@ -1355,6 +1355,31 @@ def test_usage_errors_exit_1_with_one_error_line(capsys, c4_file, argv):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: totref")
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch, c4_file, tmp_path):
+    """Calls of main share one parser and nothing of an earlier call sticks:
+    two subcommands build it once, an option of one analyze is gone from the
+    next, and help and usage errors still exit 0 and 1."""
+    import totref.cli as cli
+
+    built, real = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    try:
+        rational = run_json(capsys, ["analyze", c4_file, "--rational"])[1]
+        out = str(tmp_path / "w.json")
+        assert main(["build", c4_file, "--mode", "ezd", "--out", out]) == 0
+        capsys.readouterr()
+        plain = run_json(capsys, ["analyze", c4_file])[1]
+        assert rational["reduction"]["field"] != plain["reduction"]["field"]
+        assert plain == run_json(capsys, ["analyze", c4_file])[1]
+        assert main(["verify", "--help"]) == 0
+        assert main(["verify", out, "--bogus"]) == 1
+        assert main(["analyze"]) == 1
+        assert built == [1]
+    finally:
+        cli._parser.cache_clear()
 
 
 @pytest.mark.parametrize("retries", ["0", "-3"])

@@ -36,6 +36,7 @@ from conftest import (
     count_eliminations,
     dump_canonical,
     element_rows,
+    list_product,
     naive_exactness,
 )
 
@@ -278,7 +279,7 @@ def test_window_shape_validation(c4_reduction, xy_pair):
         FreeComplexWindow(c4_reduction, 0, 1, [1, 1], [linear_matrix(other, [[z]])])
 
 
-# -- the array paths against the list oracle GradedAlgebra.multiply ------------
+# -- the array paths against the list oracle conftest.list_product -------------
 
 @functools.lru_cache(maxsize=None)
 def array_test_ring(kind, p):
@@ -319,6 +320,28 @@ ring_kinds = st.sampled_from(
 )
 
 
+@settings(max_examples=60, deadline=None)
+@given(ring_kinds, st.sampled_from(ARRAY_FIELDS), st.integers(0, 2**32), st.data())
+def test_element_product_matches_list_oracle(kind, p, seed, data):
+    """a * b (through ``times``) is the list oracle's product for every pair
+    of degrees d1 + d2 <= cutoff, degree 0 and zero elements included, in
+    the same coordinates, entry types too."""
+    R = array_test_ring(kind, p)
+    f, rng = R.field, Random(seed)
+    d1 = data.draw(st.integers(0, R.cutoff))
+    d2 = data.draw(st.integers(0, R.cutoff - d1))
+
+    def element(d):
+        if rng.random() < 0.2:
+            return R.zero(d)
+        return R.element(d, [f.zero if rng.random() < 0.3 else f.rand(rng) for _ in range(R.dims[d])])
+
+    a, b = element(d1), element(d2)
+    got, want = a * b, list_product(R, a, b)
+    assert got == want and got.degree == d1 + d2
+    assert list(map(type, got.coords)) == list(map(type, want.coords))
+
+
 @settings(max_examples=40, deadline=None)
 @given(ring_kinds, st.sampled_from(ARRAY_FIELDS), st.integers(0, 2**32), st.data())
 def test_array_matrix_product_matches_multiply(kind, p, seed, data):
@@ -333,7 +356,7 @@ def test_array_matrix_product_matches_multiply(kind, p, seed, data):
         for c in range(cols):
             acc = R.zero(2)
             for m in range(inner):
-                acc = acc + R.multiply(A[r][m], B[m][c])
+                acc = acc + list_product(R, A[r][m], B[m][c])
             row.append(acc)
         expected.append(row)
     P = matrix_product(linear_matrix(R, A), linear_matrix(R, B), R)
@@ -355,7 +378,7 @@ def test_array_block_matches_entrywise_assembly(kind, p, seed, data):
     for r in range(b_out):
         for c in range(b_in):
             for j in range(src):
-                prod = R.multiply(d[r][c], R.basis_element(t, j)).coords
+                prod = list_product(R, d[r][c], R.basis_element(t, j)).coords
                 for k in range(dst):
                     by_multiply[r * dst + k][c * src + j] = prod[k]
             for k, row in enumerate(R.mult_map_array(d[r][c].coords, 1, t).tolist()):

@@ -28,7 +28,9 @@ from totref import (
 )
 from totref.factory import ExtensionError, PartialWindowError, induced_matrix, make_block
 
-from conftest import ARRAY_FIELDS, array_field, count_eliminations, element_rows, fraction_det
+from conftest import (
+    ARRAY_FIELDS, array_field, count_eliminations, element_rows, fraction_det, list_product,
+)
 
 
 def test_special_ring_properties(special_ring):
@@ -141,7 +143,7 @@ def test_injectivity_rejects_wrong_side_entry(special_ring):
 
 
 def induced_matrix_oracle(ring, mat, side, transpose=False):
-    """induced_matrix column by column: one multiply and one solve per
+    """induced_matrix column by column: one list_product and one solve per
     column and output row, after a Subspace membership test of every entry."""
     s = ring.side(side)
     m = len(s.basis1)
@@ -156,7 +158,7 @@ def induced_matrix_oracle(ring, mat, side, transpose=False):
         for g in s.basis1:
             outs = []
             for r in range(2):
-                rhs = linalg.field_array(f, [(mat[r][slot] * g).coords]).T
+                rhs = linalg.field_array(f, [list_product(ring.ring, mat[r][slot], g).coords]).T
                 coords = linalg.solve(f, s.cols2, rhs)
                 if coords is None:
                     raise FactoryError("product outside side_2")
@@ -169,6 +171,34 @@ def induced_matrix_oracle(ring, mat, side, transpose=False):
 @functools.lru_cache(maxsize=None)
 def special_ring_over(p):
     return build_special_ring(field=array_field(p))
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, "QQ", 4294967311])
+def test_special_ring_pieces_match_the_greedy_list_products(p):
+    """a_2, b_2, the side_2 bases and delta as the element loops gave them:
+    the products g h of each side's generators, h after g, taken greedily
+    when they enlarge the span of those kept (by list_product), and ab = 0
+    pair by pair."""
+    ring = special_ring_over(p)
+    R = ring.ring
+    f = R.field
+
+    def greedy(gens):
+        kept = []
+        for i, g in enumerate(gens):
+            for h in gens[i:]:
+                coords = list(list_product(R, g, h).coords)
+                if Subspace.from_vectors(f, R.dims[2], kept + [coords]).dim > len(kept):
+                    kept.append(coords)
+        return kept
+
+    a2, b2 = greedy(ring.a_gens), greedy(ring.b_gens)
+    assert ring.side("a").cols2.T.tolist() == a2 and ring.side("b").cols2.T.tolist() == b2
+    assert ring.a2 == Subspace.from_vectors(f, R.dims[2], a2)
+    assert ring.b2 == Subspace.from_vectors(f, R.dims[2], b2)
+    assert all(list_product(R, ga, gb).is_zero() for ga in ring.a_gens for gb in ring.b_gens)
+    overlap = Subspace.from_vectors(f, R.dims[2], a2).intersection(Subspace.from_vectors(f, R.dims[2], b2))
+    assert ring.delta.coords == overlap.basis[0]
 
 
 def side_element(ring, side, coords):

@@ -30,7 +30,7 @@ from totref.linalg import (
     array_rank, field_array, field_matmul, field_reduce, field_zeros, kernel_basis, solve,
 )
 
-from conftest import ARRAY_FIELDS, array_field, element_rows
+from conftest import ARRAY_FIELDS, array_field, element_rows, list_product
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +270,14 @@ def test_lift_window_too_short(c4_setup):
     short = FreeComplexWindow(R, 0, 1, [1, 1], [w.diff(1)], base_twist=0)
     with pytest.raises(LiftError):
         lift_complex(short, chain.steps[1])
+    # two differentials lift to one, which has no interior index: refused up
+    # front, checked or not, naming the count; three lift
+    two = FreeComplexWindow(R, -1, 1, [1, 1, 1], [w.diff(0), w.diff(1)], base_twist=-1)
+    for check in (True, False):
+        with pytest.raises(LiftError, match="has 2 differentials and needs at least 3"):
+            lift_complex(two, chain.steps[1], check=check)
+    three = FreeComplexWindow(R, -1, 2, [1] * 4, [w.diff(i) for i in range(3)], base_twist=-1)
+    assert lift_complex(three, chain.steps[1]).certified
 
 
 # -- the array lift against the per-entry element oracle ----------------------
@@ -308,7 +316,7 @@ def composing_forms(R, rng, rows, D):
 
 
 def correction_oracle(A, B, x, S):
-    """One multiply per product term and one linalg.solve per entry."""
+    """One list_product per product term and one linalg.solve per entry."""
     X = S.mult_map_array(x.coords, 1, 1)
     out = []
     for r in range(len(A)):
@@ -316,12 +324,12 @@ def correction_oracle(A, B, x, S):
         for c in range(len(B[0])):
             prod = S.zero(2)
             for m in range(len(B)):
-                prod = prod + A[r][m] * B[m][c]
+                prod = prod + list_product(S, A[r][m], B[m][c])
             sol = solve(S.field, X, field_array(S.field, [prod.coords]).T)
             if sol is None:
                 raise LiftError("not divisible")
             row.append(AlgebraElement(S, 1, sol[:, 0].tolist()))
-            assert x * row[-1] == prod
+            assert list_product(S, x, row[-1]) == prod
         out.append(row)
     return out
 
@@ -339,7 +347,7 @@ def test_array_lift_matches_element_oracle(p, name, level, seed, betti, perturb)
     """Random windows d_{i-1} d_i of 1-3 x 1-3 linear forms that compose over
     R = S/(x), on both steps of a chain: the lifts, the correction matrix and
     the block differential equal their per-entry element oracles
-    (QuotientMap.lift, multiply and one linalg.solve per entry); with an entry
+    (QuotientMap.lift, list_product and one linalg.solve per entry); with an entry
     of the lifted d_{i-1} perturbed, the array correction refuses exactly
     when some product entry is not divisible by x."""
     q = chain_over(name, p).steps[level]
