@@ -465,30 +465,29 @@ def quotient_by_linear(algebra: GradedAlgebra, form: AlgebraElement) -> GradedAl
 
 @dataclass
 class ReductionChain:
-    """R_Gamma -> R_Gamma/(l1) -> R_Gamma/(l1, l2) with the two quotient maps."""
+    """R_Gamma -> R_Gamma/(l1) -> R_Gamma/(l1, l2): the top ring and the
+    certified quotient maps, one per form, in order."""
 
     graph: Graph
     top: GradedAlgebra
-    steps: list  # [QuotientMap top->mid, QuotientMap mid->bottom]
+    steps: list  # QuotientMap per form; each one's source is the last one's target
     mode: str
     seed: int
 
     @property
-    def mid(self) -> GradedAlgebra:
-        return self.steps[0].target
-
-    @property
     def bottom(self) -> GradedAlgebra:
-        return self.steps[1].target
+        return self.steps[-1].target
 
     def ring(self, level) -> GradedAlgebra:
-        """The ring at a level of the chain: 0 top, 1 mid, 2 bottom."""
-        return (self.top, self.mid, self.bottom)[level]
+        """The ring at a level of the chain: 0 the top, len(steps) the bottom."""
+        return self.steps[level - 1].target if level else self.top
 
     def image(self, vertex) -> AlgebraElement:
         """The image in the bottom ring of the generator of a vertex."""
-        q1, q2 = self.steps
-        return q2.project(q1.project(self.top.generator(vertex)))
+        x = self.top.generator(vertex)
+        for q in self.steps:
+            x = q.project(x)
+        return x
 
     def expected_artinian_hilbert(self):
         return artinian_hilbert(self.graph, self.top.cutoff)
@@ -546,37 +545,30 @@ def reduction_chain(
     expected = artinian_hilbert(g, cutoff)
     rng = Random(seed)
 
+    forms = canonical_bipartite_forms(g) if mode == "canonical" else (None, None)
     attempts = retries if mode == "generic" else 1
     last = None
     for _ in range(attempts):
-        if mode == "canonical":
-            c1, c2 = canonical_bipartite_forms(g)
-            l1 = top.linear_form(c1)
-        else:
-            l1 = top.random_linear(rng)
-            if l1.is_zero():
-                last = "first form is zero"
-                continue
-        q1 = QuotientMap(top, l1, descriptor=dict(descriptor_base, level=1))
-        mid = q1.target
-        if mode == "canonical":
-            l2 = q1.project(top.linear_form(c2))
-        else:
-            l2 = q1.project(top.random_linear(rng))
-        if l2.is_zero():
-            last = "second form vanished in the quotient"
-            continue
-        q2 = QuotientMap(mid, l2, descriptor=dict(descriptor_base, level=2))
-        bottom = q2.target
-        if tuple(bottom.dims) == expected:
+        steps, ring = [], top
+        for level, coeffs in enumerate(forms, start=1):
+            form = top.random_linear(rng) if coeffs is None else top.linear_form(coeffs)
+            for q in steps:
+                form = q.project(form)
+            if form.is_zero():
+                break
+            steps.append(QuotientMap(ring, form, descriptor=dict(descriptor_base, level=level)))
+            ring = steps[-1].target
+        if len(steps) < len(forms):
+            last = ("first form is zero", "second form vanished in the quotient")[len(steps)]
+        elif tuple(ring.dims) == expected:
             # The ring of a connected graph with an edge is Cohen-Macaulay of
             # dimension 2 (Reisner), and an Artinian bottom makes (l1, l2) a
             # system of parameters, hence a regular sequence.
-            top.reduction, mid.reduction = q1, q2
-            return ReductionChain(graph=g, top=top, steps=[q1, q2], mode=mode, seed=seed)
-        last = f"Hilbert function {tuple(bottom.dims)} != {expected}"
-        if mode == "canonical":
-            break
+            for q in steps:
+                q.source.reduction = q
+            return ReductionChain(graph=g, top=top, steps=steps, mode=mode, seed=seed)
+        else:
+            last = f"Hilbert function {tuple(ring.dims)} != {expected}"
     raise AlgebraError(f"no regular reduction found ({last})")
 
 

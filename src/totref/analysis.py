@@ -1,6 +1,10 @@
 """Ring-structure analyses on Artinian reductions: socle, Lefschetz behaviour,
 exact-zero-divisor search and certification, ideal-pair decompositions.
 
+One search (``find_ezd``) looks for exact zero divisors; its input decides
+how each candidate's partner is chosen: the X/Y sign flip when the X side
+of a bipartite graph is given, the kernel of multiplication otherwise.
+
 The Weak Lefschetz Property is tested as surjectivity of multiplication
 R_1 -> R_2 by a linear form; for graphs with e = 2n - 4 this is equivalent to
 the edge/vertex coefficient system having a 4-dimensional solution space,
@@ -10,6 +14,7 @@ which is computed independently as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Optional
 
@@ -376,18 +381,8 @@ def principal_ideal_subspace(R: GradedAlgebra, b: AlgebraElement) -> Subspace:
     return _graded_sum(R, {1: field_array(R.field, [b.coords]), 2: mm.T})
 
 
-def xy_split_flip(R: GradedAlgebra, z: AlgebraElement, x_labels) -> AlgebraElement:
-    """Write z = x + y along the bipartite label split and return x - y."""
-    f = R.field
-    coords = []
-    for c, lab in zip(z.coords, R.basis[1]):
-        coords.append(c if lab in x_labels else f.neg(c))
-    return AlgebraElement(R, 1, coords)
-
-
 def find_ezd(
     R: GradedAlgebra,
-    strategy: str = "random",
     *,
     trials: int = 128,
     rng: Optional[Random] = None,
@@ -395,69 +390,34 @@ def find_ezd(
 ) -> Optional[EzdPair]:
     """Search for a certified pair of exact zero divisors among linear forms.
 
-    strategies:
-      "random"              sample z, take the kernel generator of .z as the
-                            partner candidate, certify by the length criterion;
-      "bipartite-canonical" sample z but build the partner by the X/Y sign
-                            flip (requires x_labels);
-      "exhaustive-lines"    walk normalized vectors of R_1 in lexicographic
-                            order (sensible only for small fields), up to the
-                            trial budget.
+    The candidates z are the degree-one generators, then ``trials`` random
+    linear forms; a z whose multiplication map on R_1 has a one-dimensional
+    kernel gets one partner.  With x_labels (the X side of a bipartite
+    graph, reduced by its canonical forms) the partner is the X/Y sign flip
+    of z: z = x + y becomes x - y.  Without them it is the generator of that
+    kernel.  A pair is returned only once ``verify_ezd`` certifies it.
     """
     _require_artinian(R)
     if R.dims[1] == 0 or R.dims[2] == 0:
         return None  # m^2 = 0 (or worse): no exact zero divisors among linear forms
     if rng is None:
         rng = Random(0)
-    if strategy == "bipartite-canonical" and x_labels is None:
-        raise AlgebraError("bipartite-canonical strategy needs the X-side labels")
-
-    def candidates():
-        if strategy == "exhaustive-lines":
-            yield from _normalized_lines(R, trials)
-        else:
-            # deterministic generators first, then random samples
-            for gidx in range(R.dims[1]):
-                yield R.basis_element(1, gidx)
-            for _ in range(trials):
-                yield R.random_linear(rng)
-
-    for z in candidates():
+    f = R.field
+    on_x = None if x_labels is None else np.array([lab in x_labels for lab in R.basis[1]])
+    for z in chain(R.generators(), (R.random_linear(rng) for _ in range(trials))):
         if z.is_zero():
             continue
         mm = R.mult_map_array(z.coords, z.degree, 1)
-        if mm.shape[1] - array_rank(R.field, mm) != 1:
+        if mm.shape[1] - array_rank(f, mm) != 1:
             continue
-        if strategy == "bipartite-canonical":
-            partner = xy_split_flip(R, z, set(x_labels))
+        if on_x is None:
+            partner = AlgebraElement(R, 1, kernel_basis(f, mm).basis[0])
         else:
-            partner = AlgebraElement(R, 1, kernel_basis(R.field, mm).basis[0])
+            coords = field_array(f, z.coords)
+            partner = AlgebraElement(R, 1, np.where(on_x, coords, field_reduce(f, -coords)).tolist())
         if verify_ezd(R, z, partner):
             return EzdPair(a=z, b=partner, certified=True)
     return None
-
-
-def _normalized_lines(R: GradedAlgebra, budget):
-    """Vectors with leading coefficient 1, lex order over GF(p); budget-capped."""
-    f = R.field
-    if f.kind != "gf":
-        raise AlgebraError("exhaustive line search is only available over GF(p)")
-    n = R.dims[1]
-    p = f.p
-    count = 0
-    for lead in range(n):
-        tail = n - lead - 1
-        total = p**tail
-        for idx in range(total):
-            coords = [f.zero] * lead + [f.one]
-            rem = idx
-            for _ in range(tail):
-                coords.append(rem % p)
-                rem //= p
-            yield AlgebraElement(R, 1, coords)
-            count += 1
-            if count >= budget:
-                return
 
 
 # -- ideal pair analysis -----------------------------------------------------------

@@ -146,12 +146,8 @@ def _reduce(graph: Graph, args):
 
 def _search_ezd(graph: Graph, R, args, rng):
     """Search R for exact zero divisors, by the X/Y sign flip when bipartite."""
-    if graph.is_bipartite():
-        return find_ezd(
-            R, "bipartite-canonical", trials=args.retries, rng=rng,
-            x_labels=set(graph.bipartition[0]),
-        )
-    return find_ezd(R, "random", trials=args.retries, rng=rng)
+    x_labels = set(graph.bipartition[0]) if graph.is_bipartite() else None
+    return find_ezd(R, trials=args.retries, rng=rng, x_labels=x_labels)
 
 
 def cmd_analyze(args) -> int:
@@ -381,10 +377,11 @@ def cmd_lift(args) -> int:
             f"differentials, and this one has {len(diffs)}"
         )
     chain, level = chain_from_json(obj.get("algebra"), args.degree_bound, args.retries)
-    if level != 2:
-        raise ComplexError("lifting needs a complex over the bottom ring of its chain (level 2)")
+    bottom = len(chain.steps)
+    if level != bottom:
+        raise ComplexError(f"lifting needs a complex over the bottom ring of its chain (level {bottom})")
     window = FreeComplexWindow.from_json(obj, algebra=chain.bottom)
-    qmaps = [chain.steps[1], chain.steps[0]][: args.steps]
+    qmaps = chain.steps[::-1][: args.steps]
     lifted, step_reports = lift_through_sequence(window, qmaps)
     report = {
         "steps": [s.to_json() for s in step_reports],

@@ -123,15 +123,17 @@ class SpecialRing:
         if self.a1.dim + self.b1.dim != R.dims[1]:
             raise FactoryError("a_1 + b_1 does not decompose R_1")
 
-        a2_basis = self._degree2_basis(A)
-        b2_basis = self._degree2_basis(B)
+        # psi[i, k * n2 + c] is coordinate c of e_i g_k, g a side's generators
+        psi_a, psi_b = (R.times(G, 1, 1).transpose(1, 0, 2).reshape(R.dims[1], -1) for G in (A, B))
+        a2_basis = self._degree2_basis(A, psi_a)
+        b2_basis = self._degree2_basis(B, psi_b)
         self.a2 = Subspace.from_vectors(f, R.dims[2], a2_basis)
         self.b2 = Subspace.from_vectors(f, R.dims[2], b2_basis)
         if self.a2.dim != self.a1.dim or self.b2.dim != self.b1.dim:
             raise FactoryError("degree-two pieces do not match the degree-one dimensions")
         if self.a2.sum(self.b2).dim != R.dims[2]:
             raise FactoryError("a_2 + b_2 does not span R_2")
-        if matrix_product(A[:, None], B[None], R).any():
+        if field_matmul(f, B, psi_a).any():
             raise FactoryError("the ideal product ab is nonzero")
 
         overlap = self.a2.intersection(self.b2)
@@ -139,31 +141,31 @@ class SpecialRing:
             raise FactoryError(f"a_2 and b_2 overlap in dimension {overlap.dim}, expected 1")
         self.delta = AlgebraElement(R, 2, overlap.basis[0])
         self._sides = {
-            "a": self._side(self.a_gens, A, a2_basis, self.delta),
-            "b": self._side(self.b_gens, B, b2_basis, -self.delta),
+            "a": self._side(self.a_gens, A, psi_a, a2_basis, self.delta),
+            "b": self._side(self.b_gens, B, psi_b, b2_basis, -self.delta),
         }
         if any(s.delta is None for s in self._sides.values()):
             raise FactoryError("delta is not expressible on both sides")
 
-    def _degree2_basis(self, G):
+    def _degree2_basis(self, G, psi):
         """The first products g_i g_j, i <= j in lexicographic order, of the
         generators with coordinates G that enlarge their span: the pivot
-        columns of the products taken as columns."""
-        R = self.ring
-        prods = matrix_product(G[:, None], G[None], R)[np.triu_indices(len(G))]
+        columns of the products (G against psi) taken as columns."""
+        R, m = self.ring, len(G)
+        prods = field_matmul(R.field, G, psi).reshape(m, m, R.dims[2])[np.triu_indices(m)]
         return prods[rref(R.field, prods.T)[1]]
 
-    def _side(self, gens, coords, basis2, delta) -> Side:
-        """The arrays of ``Side`` from the generators' coordinates (m x n1)
-        and the side_2 basis (m x n2); both have full rank, checked above."""
+    def _side(self, gens, coords, psi, basis2, delta) -> Side:
+        """The arrays of ``Side`` from the generators' coordinates (m x n1),
+        their products psi (n1 x m n2) and the side_2 basis (m x n2); coords
+        and basis2 have full rank, checked above."""
         R = self.ring
         f = R.field
         n1, n2, m = R.dims[1], R.dims[2], len(gens)
         cols2 = basis2.T
         X = left_inverse(f, coords.T).T
         L2 = left_inverse(f, cols2)
-        # psi[(i, k), :] = e_i g_k
-        psi = R.times(coords, 1, 1).transpose(1, 0, 2).reshape(n1 * m, n2)
+        psi = psi.reshape(n1 * m, n2)
         phi = field_matmul(f, psi, L2.T)
         res1 = field_reduce(f, identity(f, n1) - field_matmul(f, X, coords))
         res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.T))

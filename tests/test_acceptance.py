@@ -76,7 +76,7 @@ def test_criterion_2_ten_vertex_ring_properties(special_ring, ten_vertex_g):
         pair = disconnecting_pair(ten_vertex_g)
         assert pair == ("x5", "y5")
         # randomized certificate: >= 10^4 linear candidates find nothing
-        found = find_ezd(R, "random", trials=10_000, rng=Random(202))
+        found = find_ezd(R, trials=10_000, rng=Random(202))
         assert found is None
         # both certificates agree (neither found an exact zero divisor route)
         assert (pair is not None) and (found is None)
@@ -128,7 +128,7 @@ def test_criterion_5_lifting_pipeline(c4_chain5):
     with criterion(5, "lifting pipeline"):
         chain = c4_chain5
         R = chain.bottom
-        pair = find_ezd(R, "bipartite-canonical", trials=64, rng=Random(3), x_labels={"x1", "x2"})
+        pair = find_ezd(R, trials=64, rng=Random(3), x_labels={"x1", "x2"})
         assert pair is not None
         src = ezd_complex(R, pair, half_length=5)
         assert set(src.betti) == {1}
@@ -188,9 +188,7 @@ def test_criterion_6_wlp_ezd_consistency(ten_vertex_g, gf):
             assert ks.dimension == kappa + 3
             assert (ks.dimension == 4) == wlp_check(R, lbar)
             has_wlp, _, _ = wlp_generic(R, rng, trials=8)
-            pair = find_ezd(
-                R, "bipartite-canonical", trials=64, rng=rng, x_labels=set(xs)
-            )
+            pair = find_ezd(R, trials=64, rng=rng, x_labels=set(xs))
             assert (pair is not None) == has_wlp
             if pair is not None:
                 assert verify_ezd(R, pair.a, pair.b)

@@ -347,8 +347,8 @@ def test_chain_from_descriptor_matches_reduction_chain(c4, ten_vertex_g, qq):
     for g, mode, field in ((c4, "canonical", None), (ten_vertex_g, "generic", qq)):
         chain = reduction_chain(g, mode=mode, seed=3, cutoff=4, field=field)
         again = chain_from_descriptor(chain.bottom.descriptor, chain.top.field, 4)
-        assert [r.basis for r in (again.top, again.mid, again.bottom)] == [
-            r.basis for r in (chain.top, chain.mid, chain.bottom)
+        assert [r.basis for r in (again.top, again.ring(1), again.bottom)] == [
+            r.basis for r in (chain.top, chain.ring(1), chain.bottom)
         ]
         assert again.steps[1].form.coords == chain.steps[1].form.coords
 

@@ -1,7 +1,9 @@
+import re
 import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -40,7 +42,9 @@ from totref.analysis import (
 )
 from totref.linalg import array_rank, field_array, field_reduce, kernel_basis
 
-from conftest import EXAMPLE_RING_RELATIONS, array_field, list_product, random_bipartite_connected
+from conftest import (
+    ARRAY_FIELDS, EXAMPLE_RING_RELATIONS, array_field, list_product, random_bipartite_connected,
+)
 
 
 @pytest.fixture(scope="module")
@@ -423,7 +427,7 @@ def test_kernel_system_ten_vertex_dimension_exceeds_four(ten_vertex_g, gf):
 
 
 def test_find_ezd_c4(c4_reduction):
-    pair = find_ezd(c4_reduction, "bipartite-canonical", trials=64, rng=Random(1), x_labels={"x1", "x2"})
+    pair = find_ezd(c4_reduction, trials=64, rng=Random(1), x_labels={"x1", "x2"})
     assert pair is not None and pair.certified
     assert verify_ezd(c4_reduction, pair.a, pair.b)
     # a certified pair gives WLP and a one-dimensional multiplication kernel
@@ -434,19 +438,54 @@ def test_find_ezd_c4(c4_reduction):
 
 def test_find_ezd_ten_vertex_none(ten_vertex_reduction):
     pair = find_ezd(
-        ten_vertex_reduction, "bipartite-canonical", trials=300, rng=Random(2),
+        ten_vertex_reduction, trials=300, rng=Random(2),
         x_labels={f"x{i}" for i in range(1, 5)},
     )
     assert pair is None
-    assert find_ezd(ten_vertex_reduction, "random", trials=300, rng=Random(3)) is None
+    assert find_ezd(ten_vertex_reduction, trials=300, rng=Random(3)) is None
+
+
+@pytest.mark.parametrize("p", ARRAY_FIELDS)
+def test_find_ezd_partner_rule(monkeypatch, p):
+    """With the X side given, the partner of each candidate z = x + y is
+    x - y (the loop over its coordinates is the reference); without it, the
+    partner is a nonzero element that z annihilates.  No pair is certified
+    here, so every candidate with a one-dimensional kernel is seen."""
+    import totref.analysis as analysis
+
+    seen = []
+    monkeypatch.setattr(analysis, "verify_ezd", lambda R, a, b: seen.append((a, b)))
+    c4 = Graph(["x1", "x2", "y1", "y2"], [("x1", "y1"), ("x1", "y2"), ("x2", "y1"), ("x2", "y2")])
+    R = artinian_reduction(c4, field=array_field(p))
+    f, xs = R.field, {"x1", "x2"}
+    assert find_ezd(R, trials=16, rng=Random(1), x_labels=xs) is None
+    assert any(all(not f.is_zero(c) for c in a.coords) for a, _ in seen)
+    for a, b in seen:
+        assert b.coords == tuple(c if lab in xs else f.neg(c) for c, lab in zip(a.coords, R.basis[1]))
+    seen.clear()
+    assert find_ezd(R, trials=16, rng=Random(1)) is None and len(seen) == 18
+    assert all((a * b).is_zero() and not b.is_zero() for a, b in seen)
+
+
+def test_readme_library_example_runs(monkeypatch):
+    """The README's python block, run from the repository root (its graph
+    path is relative to it), finds a pair and certifies its window."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", text, flags=re.M | re.S)
+    assert len(blocks) == 1
+    monkeypatch.chdir(root)
+    scope = {}
+    exec(compile(blocks[0], "README.md", "exec"), scope)
+    assert scope["pair"].certified
 
 
 def test_find_ezd_m2_zero_none(path4):
     R = artinian_reduction(path4)
-    assert find_ezd(R, "random", trials=32, rng=Random(0)) is None
+    assert find_ezd(R, trials=32, rng=Random(0)) is None
 
 
-def test_find_ezd_exhaustive_lines_small_field():
+def test_find_ezd_small_field():
     R = artinian_reduction(
         Graph(
             ["x1", "x2", "y1", "y2"],
@@ -454,7 +493,7 @@ def test_find_ezd_exhaustive_lines_small_field():
         ),
         field=PrimeField(5),
     )
-    pair = find_ezd(R, "exhaustive-lines", trials=40)
+    pair = find_ezd(R, trials=40)
     assert pair is not None and verify_ezd(R, pair.a, pair.b)
 
 
@@ -598,9 +637,7 @@ def test_disconnecting_pair_implies_no_ezd(gf):
         pair = disconnecting_pair(g)
         assert pair is not None
         R = artinian_reduction(g, field=gf)
-        found = find_ezd(
-            R, "bipartite-canonical", trials=128, rng=rng, x_labels=set(g.bipartition[0])
-        )
+        found = find_ezd(R, trials=128, rng=rng, x_labels=set(g.bipartition[0]))
         assert found is None
-        found = find_ezd(R, "random", trials=128, rng=rng)
+        found = find_ezd(R, trials=128, rng=rng)
         assert found is None

@@ -101,20 +101,55 @@ def test_analyze_direct_sum_graph(capsys, tmp_path):
     assert rep["ideal_pair"]["verdict"] == "no-non-free-TR"
 
 
+# the 7-cycle with chords 1-4, 2-5 and 3-6: of the connected, triangle-free,
+# leaf-free graphs with e = 2n - 4 and n <= 7, the one that is not bipartite
+C7_CHORDS = {
+    "vertices": ["1", "2", "3", "4", "5", "6", "7"],
+    "edges": [
+        ["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"], ["5", "6"], ["6", "7"], ["7", "1"],
+        ["1", "4"], ["2", "5"], ["3", "6"],
+    ],
+}
+# not bipartite, triangle-free and leaf-free with e = 2n - 4, and without a
+# disconnecting pair: no necessary condition fails and no witness is found
+N8_INCONCLUSIVE = {
+    "vertices": [f"v{i}" for i in range(8)],
+    "edges": [
+        [f"v{u}", f"v{v}"]
+        for u, v in ((0, 3), (0, 4), (0, 7), (1, 3), (1, 4), (1, 7), (2, 3), (2, 4), (2, 7),
+                     (4, 5), (5, 6), (6, 7))
+    ],
+}
+FIELD_ARGS = ([], ["--rational"], ["--prime", "5"], ["--prime", "4294967311"])
+
+
 def test_analyze_inconclusive_exit_code(capsys, tmp_path):
-    # triangle-free, leaf-free, non-bipartite with e = 2n-4: no bipartite
-    # shortcut applies and the random ezd search has nothing to certify
-    g = {
-        "vertices": ["1", "2", "3", "4", "5", "6", "7"],
-        "edges": [
-            ["1", "2"], ["2", "3"], ["3", "4"], ["4", "5"], ["5", "6"], ["6", "7"], ["7", "1"],
-            ["1", "4"], ["2", "5"], ["3", "6"],
-        ],
-    }
-    path = write_graph(tmp_path, "c7.json", g)
-    code, rep = run_json(capsys, ["analyze", path])
-    assert rep["verdict"] in ("inconclusive", "admits (ezd witness)", "no-non-free-TR")
-    assert (code == 2) == (rep["verdict"] == "inconclusive")
+    path = write_graph(tmp_path, "n8.json", N8_INCONCLUSIVE)
+    for field in FIELD_ARGS:
+        for seed in range(6):
+            code, rep = run_json(capsys, ["analyze", path, "--seed", str(seed), *field])
+            assert (code, rep["verdict"]) == (2, "inconclusive"), (field, seed)
+            assert not rep["ezd"]["found"] and rep["reduction"]["hilbert_ok"]
+
+
+def test_c7_chords_ezd_witness_lifts_and_verifies(capsys, tmp_path):
+    """A non-bipartite graph: the partner of each candidate is its kernel
+    generator.  The witness is built, lifted through both steps and
+    verified through main()."""
+    path = write_graph(tmp_path, "c7.json", C7_CHORDS)
+    for field in FIELD_ARGS:
+        for seed in range(6):
+            code, rep = run_json(capsys, ["analyze", path, "--seed", str(seed), *field])
+            assert (code, rep["verdict"]) == (0, "admits (ezd witness)"), (field, seed)
+            assert rep["reduction"]["mode"] == "generic" and rep["ezd"]["pair"]["certified"]
+    for field in FIELD_ARGS[:2]:
+        built, lifted = tmp_path / "built.json", tmp_path / "lifted.json"
+        code, rep = run_json(capsys, ["build", path, "--mode", "ezd", "--out", str(built), *field])
+        assert (code, rep["status"]) == (0, "certified")
+        code, rep = run_json(capsys, ["lift", str(built), "--steps", "2", "--out", str(lifted)])
+        assert (code, rep["status"]) == (0, "certified")
+        code, rep = run_json(capsys, ["verify", str(lifted)])
+        assert code == 0 and rep["certified"] is True, field
 
 
 def test_analyze_error_exit(tmp_path, capsys):
@@ -1334,6 +1369,18 @@ def test_generic_reduction_resamples_a_zero_first_form(capsys, tmp_path, seed):
     code, rep = run_json(capsys, ["analyze", path, "--prime", "2", "--seed", seed])
     assert code == 0 and capsys.readouterr().err == ""
     assert rep["reduction"]["hilbert_ok"] and rep["verdict"] == "no-non-free-TR"
+
+
+@pytest.mark.parametrize("seed, reason", [
+    ("15", "first form is zero"),
+    ("8", "second form vanished in the quotient"),
+    ("0", "Hilbert function (1, 3, 1, 1) != (1, 3, 1, 0)"),
+])
+def test_generic_reduction_failure_messages(tmp_path, seed, reason):
+    """With one attempt over GF(2), each way a reduction fails names itself."""
+    path = write_graph(tmp_path, "c5.json", C5)
+    argv = ["analyze", path, "--prime", "2", "--retries", "1", "--seed", seed]
+    assert run_captured(argv) == (1, "", f"error: no regular reduction found ({reason})\n")
 
 
 @pytest.mark.parametrize(

@@ -64,6 +64,9 @@ def test_special_ring_rejects_bad_partition(ten_vertex_g):
     chain = reduction_chain(ten_vertex_g)
     with pytest.raises(FactoryError):
         SpecialRing(chain, ("x1", "x2", "y1", "y3"), ("x3", "x4", "y2", "y4"))
+    # y5 meets x1 and x2: their sides decompose R_1 and R_2 but do not annihilate
+    with pytest.raises(FactoryError, match="^the ideal product ab is nonzero$"):
+        SpecialRing(chain, ("x1", "x2", "y1", "y2"), ("x3", "x4", "y3", "y5"))
 
 
 def coefficient_layout_matrix(a, b, c, d):
@@ -199,6 +202,30 @@ def test_special_ring_pieces_match_the_greedy_list_products(p):
     assert all(list_product(R, ga, gb).is_zero() for ga in ring.a_gens for gb in ring.b_gens)
     overlap = Subspace.from_vectors(f, R.dims[2], a2).intersection(Subspace.from_vectors(f, R.dims[2], b2))
     assert ring.delta.coords == overlap.basis[0]
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, "QQ", 4294967311])
+def test_special_ring_multiplies_each_side_once(monkeypatch, ten_vertex_g, p):
+    """Construction takes one ``times`` per side, the products e_i g_k, and
+    reads the degree-two bases and ab = 0 off them: no ``matrix_product``."""
+    import totref.complexes as complexes
+    from totref import GradedAlgebra, SpecialRing, reduction_chain
+
+    chain = reduction_chain(ten_vertex_g, field=array_field(p))
+    calls, real = [], GradedAlgebra.times
+
+    def times(self, V, d, t, *args, **kwargs):
+        calls.append((V.shape[0], d, t))
+        return real(self, V, d, t, *args, **kwargs)
+
+    def no_product(*args):
+        raise AssertionError("matrix_product while a special ring is constructed")
+
+    monkeypatch.setattr(GradedAlgebra, "times", times)
+    monkeypatch.setattr(complexes, "structure_product", no_product)
+    ring = SpecialRing(chain, ("x1", "x2", "y1", "y2"), ("x3", "x4", "y3", "y4"))
+    assert calls == [(4, 1, 1), (4, 1, 1)]
+    assert ring.to_json() == special_ring_over(p).to_json()
 
 
 def side_element(ring, side, coords):

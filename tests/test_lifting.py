@@ -37,7 +37,7 @@ from conftest import ARRAY_FIELDS, array_field, element_rows, list_product
 def c4_setup(c4_chain5):
     chain = c4_chain5
     R = chain.bottom
-    pair = find_ezd(R, "bipartite-canonical", trials=32, rng=Random(1), x_labels={"x1", "x2"})
+    pair = find_ezd(R, trials=32, rng=Random(1), x_labels={"x1", "x2"})
     w = ezd_complex(R, pair, half_length=5)
     return chain, R, pair, w
 
@@ -58,21 +58,22 @@ def test_regularity_certificates(c4_setup):
     chain, R, _, _ = c4_setup
     q1, q2 = chain.steps
     assert certify_regular(q1) and certify_regular(q2)
-    assert ranked_regular(chain.top, q1.form) and ranked_regular(chain.mid, q2.form)
+    S = chain.ring(1)
+    assert ranked_regular(chain.top, q1.form) and ranked_regular(S, q2.form)
     # x1 is a zero divisor of the middle ring (x1 x2 = 0 and x2 = -x1 there),
     # and a map that no chain certified is refused even when its form is regular
-    x1 = chain.mid.generator("x1")
-    assert not ranked_regular(chain.mid, x1) and not ranked_regular(chain.mid, chain.mid.zero(1))
-    assert not certify_regular(QuotientMap(chain.mid, x1))
-    other = QuotientMap(chain.mid, q2.form + x1)
-    assert ranked_regular(chain.mid, other.form) and not certify_regular(other)
+    x1 = S.generator("x1")
+    assert not ranked_regular(S, x1) and not ranked_regular(S, S.zero(1))
+    assert not certify_regular(QuotientMap(S, x1))
+    other = QuotientMap(S, q2.form + x1)
+    assert ranked_regular(S, other.form) and not certify_regular(other)
 
 
 def test_lift_refuses_a_map_outside_the_chain(c4_setup):
     chain, _, _, _ = c4_setup
-    q = QuotientMap(chain.mid, chain.steps[1].form + chain.mid.generator("x1"))
+    q = QuotientMap(chain.ring(1), chain.steps[1].form + chain.ring(1).generator("x1"))
     R = q.target
-    pair = find_ezd(R, "random", trials=64, rng=Random(3))
+    pair = find_ezd(R, trials=64, rng=Random(3))
     w = ezd_complex(R, pair, half_length=3)
     with pytest.raises(LiftError, match="regular"):
         lift_complex(w, q)
@@ -84,7 +85,7 @@ def test_lift_matrix_section_round_trip(c4_setup):
     chain, R, pair, _ = c4_setup
     q2 = chain.steps[1]
     mat = [[pair.a, R.zero(1)], [pair.b, pair.a]]
-    lifted = element_rows(chain.mid, lift_matrix(linear_matrix(R, mat), q2))
+    lifted = element_rows(chain.ring(1), lift_matrix(linear_matrix(R, mat), q2))
     assert [[q2.project(e) for e in row] for row in lifted] == mat
     assert not lift_matrix(linear_matrix(R, [[R.zero(1)]]), q2).any()
 
@@ -92,7 +93,7 @@ def test_lift_matrix_section_round_trip(c4_setup):
 def test_correction_matrix_properties(c4_setup):
     chain, R, pair, w = c4_setup
     q2 = chain.steps[1]
-    S = chain.mid
+    S = chain.ring(1)
     x = q2.form
     xs = linear_matrix(S, [[x]])[0, 0]
     d1 = lift_matrix(w.diff(0), q2)
@@ -116,7 +117,7 @@ def test_correction_matrix_properties(c4_setup):
 def test_assemble_epsilon_shape_and_signs(c4_setup):
     chain, R, pair, w = c4_setup
     q2 = chain.steps[1]
-    S = chain.mid
+    S = chain.ring(1)
     x = q2.form
     xs = linear_matrix(S, [[x]])[0, 0]
     d_i = lift_matrix(w.diff(1), q2)
@@ -199,7 +200,7 @@ def test_two_step_lift_certifies_each_window_once(monkeypatch, name, p):
         w, rep = build_window(ring, random_blocks(ring, Random(0)), 4, 4)
         assert rep.certified
     else:
-        pair = find_ezd(R, "bipartite-canonical", trials=32, rng=Random(1), x_labels={"x1", "x2"})
+        pair = find_ezd(R, trials=32, rng=Random(1), x_labels={"x1", "x2"})
         w = ezd_complex(R, pair, half_length=4)
     calls = count_certification_work(monkeypatch)
     final, steps = lift_through_sequence(w, [chain.steps[1], chain.steps[0]])
@@ -219,7 +220,7 @@ def test_lift_c4_betti_doubles(c4_setup):
     assert step2.certified
     # reduction of the top-left block of epsilon recovers the source diff
     for i in step1.window.interior_indices():
-        eps = element_rows(chain.mid, step1.window.diff(i))
+        eps = element_rows(chain.ring(1), step1.window.diff(i))
         src = element_rows(R, w.diff(i))
         for r in range(len(src)):
             for c in range(len(src[0])):

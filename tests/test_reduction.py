@@ -48,7 +48,7 @@ def chain_windows(c4, c4_chain5, path4, ten_vertex_g, qq):
     """Every kind of window over a top or middle ring that the suite builds."""
     windows = {}
     R = c4_chain5.bottom
-    pair = find_ezd(R, "bipartite-canonical", trials=32, rng=Random(1), x_labels={"x1", "x2"})
+    pair = find_ezd(R, trials=32, rng=Random(1), x_labels={"x1", "x2"})
     windows["c4"] = _lifts(ezd_complex(R, pair, half_length=5), c4_chain5)
     special = SpecialRing(reduction_chain(ten_vertex_g, cutoff=4), *TEN_VERTEX_PARTITION)
     windows["ten_vertex"] = _lifts(canonical_window(special, 2, 1)[0], special.chain)
@@ -95,7 +95,7 @@ def test_reduction_commutes_with_the_dual(chain_windows, name):
 
 def test_reduction_reaches_the_bottom_ring(c4_chain5):
     assert c4_chain5.top.reduction is c4_chain5.steps[0]
-    assert c4_chain5.mid.reduction is c4_chain5.steps[1]
+    assert c4_chain5.ring(1).reduction is c4_chain5.steps[1]
     assert c4_chain5.bottom.reduction is None
 
 
