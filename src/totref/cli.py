@@ -131,9 +131,9 @@ def emit_report(report: dict, args, stream=None):
 
 def _partition_from_pair(graph: Graph, pair):
     """Vertex components after removing the disconnecting pair: first vs rest."""
-    sub = graph.induced_without(pair)
-    first = sub.components()[0]
-    return [v for v in sub.vertices if v in first], [v for v in sub.vertices if v not in first]
+    first = graph.components(removed=pair)[0]
+    rest = [v for v in graph.vertices if v not in first and v not in pair]
+    return [v for v in graph.vertices if v in first], rest
 
 
 def _reduce(graph: Graph, args):

@@ -12,12 +12,18 @@ one-dimensional overlap (delta) in degree two.  Pairs of 2x2 matrices
 
 Each side's linear algebra is built once per ring (``Side``), and a block is
 an array of linear-form coordinates (see ``complexes.linear_matrix``), so
-every induced map, every sampled or solved block and every composition check
-is one array product over the field.  Every step still
-re-verifies that each entry lies in its side and each product in the side's
-degree-two piece, the injectivity of all four induced maps and the
-vanishing of the composition, so a finished window certifies itself; the
-explicit even/odd block pair gives a genuinely periodic window, and random
+every sampled or solved block and every composition check is one array
+product over the field.  ``make_block`` forms one product of a side's four
+entries with ``Side.maps``, once per side: it checks that each entry lies in
+its side and each product in the side's degree-two piece, and it yields the
+side's induced maps of the matrix and of its transpose (the same four
+entries in another order, so a reshape of the same product), whose four
+ranks are the injectivity flags.  The block keeps those maps: the forward
+step solves its matrices' maps and the backward step its transposes', with
+no product of their own.  Every step still checks that the new block
+composes to zero with the old one (the solve is not trusted), so a finished
+window certifies itself; its blocks then drop their maps.  The explicit
+even/odd block pair gives a genuinely periodic window, and random
 coefficient choices give fresh ones (distinguished by their entry ideals).
 """
 
@@ -206,7 +212,12 @@ def build_special_ring(field=None, partition=TEN_VERTEX_PARTITION, graph=None, s
 @dataclass
 class PairBlock:
     """A pair of 2x2 matrices of linear forms (arrays, see
-    ``complexes.linear_matrix``) with entries in a_1 and b_1, plus their flags."""
+    ``complexes.linear_matrix``) with entries in a_1 and b_1, plus their flags.
+
+    maps holds each side's induced maps (M, Mt) of its matrix and of its
+    transpose (``induced_matrix``): ``extend_forward`` solves the Ms and
+    ``extend_backward`` the Mts.  A finished window's blocks drop them
+    (None), and an extension then builds them again."""
 
     index: int
     A: object
@@ -215,6 +226,7 @@ class PairBlock:
     inj_at: bool
     inj_b: bool
     inj_bt: bool
+    maps: dict | None = None
 
     @property
     def all_injective(self) -> bool:
@@ -224,21 +236,22 @@ class PairBlock:
         return field_reduce(field, self.A + self.B)
 
 
-def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False):
-    """The array of (f, g) -> mat * (f, g)^t on (side_1)^2 -> (side_2)^2.
+def induced_matrix(ring: SpecialRing, mat, side: str):
+    """(M, Mt): the arrays of (f, g) -> mat * (f, g)^t on (side_1)^2 ->
+    (side_2)^2 and of the same map for the transpose of mat.
 
     Since the two sides annihilate each other, a wrong-side component would
     act as zero and go unnoticed; membership is checked explicitly instead.
     The four entries' coordinates E (4 x n1) meet the side's maps in one
     product: its Res1 and Res2 parts must vanish (every entry in side_1,
-    every product with a g_k in side_2), and its Phi part B[r, slot, k, l]
-    is the entry at row r*m + l, column slot*m + k.
+    every product with a g_k in side_2), and its Phi part Phi[r, slot, k, l]
+    is the entry of M at row r*m + l, column slot*m + k.  The transpose has
+    the same four entries in the order [0, 2, 1, 3], so Mt is Phi with r and
+    slot swapped: the same product, checked once.
     """
     s = ring.side(side)
     R = ring.ring
     f, n1, n2, m = R.field, R.dims[1], R.dims[2], len(s.basis1)
-    if transpose:
-        mat = mat.transpose(1, 0, 2)
     P = field_matmul(f, mat.reshape(4, n1), s.maps)
     if (P[:, :n1] != 0).any():
         raise FactoryError(f"block entry lies outside side {side!r}")
@@ -246,25 +259,37 @@ def induced_matrix(ring: SpecialRing, mat, side: str, transpose: bool = False):
     if outside.size:
         r, slot = divmod(int(outside[0]), 2)
         raise FactoryError(f"block entry ({r},{slot}) lies outside side {side!r}")
-    B = P[:, n1 + m * n2 :].reshape(2, 2, m, m).transpose(0, 3, 1, 2)
-    return B.reshape(2 * m, 2 * m)
+    phi = P[:, n1 + m * n2 :].reshape(2, 2, m, m)
+    M = phi.transpose(0, 3, 1, 2).reshape(2 * m, 2 * m)
+    Mt = phi.transpose(1, 3, 0, 2).reshape(2 * m, 2 * m)
+    return M, Mt
 
 
-def injectivity_check(ring: SpecialRing, mat, side: str, transpose: bool = False) -> bool:
-    M = induced_matrix(ring, mat, side, transpose)
+def _injective(ring: SpecialRing, M) -> bool:
     return array_rank(ring.ring.field, M) == M.shape[1]
 
 
+def injectivity_check(ring: SpecialRing, mat, side: str, transpose: bool = False) -> bool:
+    return _injective(ring, induced_matrix(ring, mat, side)[transpose])
+
+
 def make_block(ring: SpecialRing, index: int, A, B) -> PairBlock:
-    return PairBlock(
-        index=index,
-        A=A,
-        B=B,
-        inj_a=injectivity_check(ring, A, "a"),
-        inj_at=injectivity_check(ring, A, "a", transpose=True),
-        inj_b=injectivity_check(ring, B, "b"),
-        inj_bt=injectivity_check(ring, B, "b", transpose=True),
-    )
+    """The pair with its four flags, from one ``induced_matrix`` per side;
+    the block keeps the induced maps for its extensions."""
+    maps = _induced_maps(ring, A, B)
+    (inj_a, inj_at), (inj_b, inj_bt) = ([_injective(ring, M) for M in maps[s]] for s in "ab")
+    return PairBlock(index, A, B, inj_a, inj_at, inj_b, inj_bt, maps)
+
+
+def _induced_maps(ring: SpecialRing, A, B) -> dict:
+    return {"a": induced_matrix(ring, A, "a"), "b": induced_matrix(ring, B, "b")}
+
+
+def _block_maps(ring: SpecialRing, block: PairBlock) -> dict:
+    """The block's induced maps, built again if a finished window dropped them."""
+    if block.maps is None:
+        block.maps = _induced_maps(ring, block.A, block.B)
+    return block.maps
 
 
 _EVEN_A = [
@@ -317,16 +342,15 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
     raise FactoryError(f"no injective block pair found in {max_retries} samples")
 
 
-def _solve_columns(ring: SpecialRing, mat, side: str):
-    """Columns c1, c2 with (induced mat) c_i = (delta, 0) resp. (0, delta),
-    both from one ``linalg.solve`` of M X = [rhs1 rhs2]; the b-side right-hand
-    sides carry -delta, baked into the side's delta.  The solution holds the
-    side coordinates of c1 and c2, whose forms are one product with the
-    side generators."""
+def _solve_columns(ring: SpecialRing, M, side: str):
+    """Columns c1, c2 with M c_i = (delta, 0) resp. (0, delta), M an induced
+    map of the side (``induced_matrix``), both from one ``linalg.solve`` of
+    M X = [rhs1 rhs2]; the b-side right-hand sides carry -delta, baked into
+    the side's delta.  The solution holds the side coordinates of c1 and c2,
+    whose forms are one product with the side generators."""
     s = ring.side(side)
     m = len(s.basis1)
     f = ring.ring.field
-    M = induced_matrix(ring, mat, side)
     zeros = [f.zero] * m
     rhs = field_array(f, [s.delta + zeros, zeros + s.delta]).T
     sol = solve(f, M, rhs)
@@ -338,11 +362,13 @@ def _solve_columns(ring: SpecialRing, mat, side: str):
 
 
 def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
-    """The successor pair: columns solving the two delta-column systems."""
+    """The successor pair: columns solving the two delta-column systems of
+    the block's induced maps."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    A_next = _solve_columns(ring, block.A, "a")
-    B_next = _solve_columns(ring, block.B, "b")
+    maps = _block_maps(ring, block)
+    A_next = _solve_columns(ring, maps["a"][0], "a")
+    B_next = _solve_columns(ring, maps["b"][0], "b")
     new = make_block(ring, block.index + 1, A_next, B_next)
     f = ring.ring.field
     if matrix_product(block.combined(f), new.combined(f), ring.ring).any():
@@ -351,11 +377,13 @@ def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
 
 
 def extend_backward(ring: SpecialRing, block: PairBlock) -> PairBlock:
-    """Run the forward step on the transposes, then transpose the result."""
+    """Run the forward step on the transposes (the block's transposed
+    induced maps), then transpose the result."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    C = _solve_columns(ring, block.A.transpose(1, 0, 2), "a")
-    D = _solve_columns(ring, block.B.transpose(1, 0, 2), "b")
+    maps = _block_maps(ring, block)
+    C = _solve_columns(ring, maps["a"][1], "a")
+    D = _solve_columns(ring, maps["b"][1], "b")
     new = make_block(ring, block.index - 1, C.transpose(1, 0, 2), D.transpose(1, 0, 2))
     f = ring.ring.field
     if matrix_product(new.combined(f), block.combined(f), ring.ring).any():
@@ -397,6 +425,11 @@ class FactoryReport:
 
 
 def _window_from_blocks(ring: SpecialRing, blocks, periodic=None) -> FreeComplexWindow:
+    """The window of the blocks' combined differentials.  The blocks are
+    extended no further, so they drop their induced maps: a report keeps
+    its blocks, not their maps."""
+    for block in blocks.values():
+        block.maps = None
     ns = sorted(blocks)
     lo, hi = ns[0] - 1, ns[-1]
     betti = [2] * (hi - lo + 1)
@@ -426,18 +459,13 @@ def build_window(ring: SpecialRing, start: PairBlock, forward: int, backward: in
     if not start.all_injective:
         raise PartialWindowError(start.index, "start block fails an injectivity check")
     blocks = {start.index: start}
-    cur = start
-    for _ in range(forward):
-        cur = extend_forward(ring, cur)
-        if not cur.all_injective:
-            raise PartialWindowError(cur.index, "extension lost injectivity")
-        blocks[cur.index] = cur
-    cur = start
-    for _ in range(backward):
-        cur = extend_backward(ring, cur)
-        if not cur.all_injective:
-            raise PartialWindowError(cur.index, "extension lost injectivity")
-        blocks[cur.index] = cur
+    for extend, steps in ((extend_forward, forward), (extend_backward, backward)):
+        cur = start
+        for _ in range(steps):
+            cur = extend(ring, cur)
+            if not cur.all_injective:
+                raise PartialWindowError(cur.index, "extension lost injectivity")
+            blocks[cur.index] = cur
     window = _window_from_blocks(ring, blocks)
     report = _certify(ring, blocks, window, mode="extended")
     return window, report

@@ -73,12 +73,14 @@ class Graph:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def components(self):
-        """Connected components by breadth-first search from each first unseen
-        vertex in declared order.  Each is a dict mapping a vertex to the
-        parity (0 or 1) of its distance from that start vertex."""
+    def components(self, removed=()):
+        """Connected components of the graph without the removed vertices, by
+        breadth-first search from each first unseen vertex in declared order.
+        Each is a dict mapping a vertex to the parity (0 or 1) of its
+        distance from that start vertex."""
         comps = []
-        seen = set()
+        removed = set(removed)
+        seen = set(removed)
         for start in self.vertices:
             if start in seen:
                 continue
@@ -86,7 +88,7 @@ class Graph:
             queue = [start]
             for u in queue:  # the queue grows while it is walked
                 for w in self._adj[u]:
-                    if w not in comp:
+                    if w not in comp and w not in removed:
                         comp[w] = 1 - comp[u]
                         queue.append(w)
             seen.update(comp)
@@ -109,12 +111,6 @@ class Graph:
 
     def is_bipartite(self) -> bool:
         return self.bipartition is not None
-
-    def induced_without(self, removed) -> "Graph":
-        removed = set(removed)
-        verts = [v for v in self.vertices if v not in removed]
-        edges = [e for e in self.edges if e[0] not in removed and e[1] not in removed]
-        return Graph(verts, edges)
 
     def to_json(self) -> dict:
         obj = {"vertices": list(self.vertices), "edges": [list(e) for e in self.edges]}
@@ -291,7 +287,6 @@ def disconnecting_pair(g: Graph):
     xs, ys = g.bipartition
     for x in xs:
         for y in ys:
-            sub = g.induced_without((x, y))
-            if sub.n > 1 and not sub.is_connected():
+            if len(g.components(removed=(x, y))) > 1:
                 return (x, y)
     return None

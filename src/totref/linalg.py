@@ -12,16 +12,18 @@ rationals) otherwise.  A matrix over the field is such an array, with no
 wrapper: ``field_array`` and ``identity`` build them, ``field_stack``
 stacks them (padded with zeros to one shape), ``field_matmul`` is their one
 product (of two matrices, or of each pair of two stacks with a leading
-batch axis), ``rref``/``array_rank`` eliminate them, and ``solve``,
-``kernel_basis`` and ``left_inverse`` are read off one RREF.  ``Subspace``
+batch axis), ``rref``/``array_rank`` eliminate them, ``kernel_basis`` and
+``left_inverse`` are read off one RREF, and ``solve`` off one elimination
+(an RREF, or below the pivots only and back-substituted).  ``Subspace``
 keeps its basis as one.  A sum of int64 products can still overflow:
 ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2) products before
 reducing.
 
-One choice (``_echelon``) decides how ``rref`` and every rank eliminate: a
-GF(p) array of ``_NP_CELL_THRESHOLD`` cells or more as the array itself
-(``_rref_array``), a smaller one, where numpy's per-call overhead would
-dominate, and every rational one as a list of int rows (``_rref_int``).
+One choice (``_echelon``, by ``_on_array``) decides how ``rref``, ``solve``
+and every rank eliminate: a GF(p) array of ``_NP_CELL_THRESHOLD`` cells or
+more as the array itself (``_rref_array``), a smaller one, where numpy's
+per-call overhead would dominate, and every rational one as a list of int
+rows (``_rref_int``).
 
 Over the rationals nothing is eliminated in Fractions.  A rational array A is
 N / d, N an integer array over one common denominator d (its integer form).
@@ -421,13 +423,19 @@ def _rref_int(rows, ncols, p=None, reduce_full=True):
     return rows, pivots
 
 
+def _on_array(field, A) -> bool:
+    """Whether ``_echelon`` eliminates A as the array itself: a GF(p) array
+    of ``_NP_CELL_THRESHOLD`` cells or more."""
+    return not isinstance(field, RationalField) and A.size >= _NP_CELL_THRESHOLD
+
+
 def _echelon(field, A, reduce_full=True):
     """(R, pivots) of a 2-D array over the field, A not modified: R is an
-    array from ``_rref_array`` at GF(p) sizes of ``_NP_CELL_THRESHOLD`` cells
-    or more, else the int rows of ``_rref_int``."""
+    array from ``_rref_array`` where ``_on_array`` holds, else the int rows
+    of ``_rref_int``."""
     if isinstance(field, RationalField):
         return _rref_int(_integer_rows(A), A.shape[1], None, reduce_full)
-    if A.size >= _NP_CELL_THRESHOLD:
+    if _on_array(field, A):
         return _rref_array(field, A.copy(), reduce_full)
     return _rref_int(A.tolist(), A.shape[1], field.p, reduce_full)
 
@@ -445,15 +453,58 @@ def rref(field, A):
 
 
 def solve(field, A, B):
-    """Some X with A @ X = B (2-D arrays over the field), or None when the
-    system is inconsistent: read off one RREF of [A | B]."""
+    """The X with A @ X = B (2-D arrays over the field) that is zero at the
+    free variables, or None when the system is inconsistent (a pivot of
+    [A | B] lies in B's columns).
+
+    On the list path (``_on_array`` fails) [A | B] is eliminated below the
+    pivots only and B's columns are back-substituted from the last pivot up
+    (``_back_substitute``): an RREF would also clear above the pivots in A's
+    columns, which are never read.  On the array path one RREF of [A | B]
+    is read, since one array step clears above and below a pivot together.
+    The solution with zero free variables is unique, so both give the same
+    X."""
     n = A.shape[1]
-    R, piv = rref(field, np.hstack([A, B]))
+    AB = np.hstack([A, B])
+    if _on_array(field, AB):
+        R, piv = rref(field, AB)
+    else:
+        R, piv = _echelon(field, AB, reduce_full=False)
     if piv and piv[-1] >= n:
-        return None  # a pivot in B's columns
+        return None
     X = field_zeros(field, (n, B.shape[1]))
-    X[piv] = R[:, n:]
+    if isinstance(R, np.ndarray):
+        X[piv] = R[:, n:]
+    else:
+        _back_substitute(field, R[: len(piv)], piv, n, X)
     return X
+
+
+def _back_substitute(field, rows, piv, n, X):
+    """Fill X[piv] from the echelon rows of [A | B] (``_rref_int`` below the
+    pivots only, A with n columns), last pivot first: with the free
+    variables 0, row i reads a_i x_i = b_i - sum over later pivots c of
+    row_i[c] x_c, a_i the pivot entry (1 over GF(p)).  Over the rationals a
+    solved x_c is kept as an integer row v_c over a denominator e_c: row i,
+    times the lcm L of the e_c it reads, is the integer row
+    (L a_i, L b_i - sum of row_i[c] (L / e_c) v_c), whose primitive part
+    gives e_i and v_i.  Only X's nonzero entries become Fractions."""
+    p = field.p if isinstance(field, PrimeField) else None
+    solved = []  # (pivot column, the numerators of its row of X, their denominator)
+    for row, c in zip(reversed(rows), reversed(piv)):
+        terms = [(row[d], v, e) for d, v, e in solved if row[d]]
+        L = lcm(*(e for _, _, e in terms))  # 1 over GF(p)
+        x = row[n:] if L == 1 else [L * u for u in row[n:]]
+        for b, v, e in terms:
+            b *= L // e
+            x = [u - b * w for u, w in zip(x, v)]
+        if p is not None:
+            solved.append((c, [u % p for u in x], 1))
+        else:
+            e, *x = _primitive([L * row[c]] + x)
+            solved.append((c, x, e))
+    for c, v, e in solved:
+        X[c] = v if p is not None else [Fraction(u, e) if u else field.zero for u in v]
 
 
 def rank_bound(field, image):

@@ -108,14 +108,14 @@ def test_injectivity_canonical_blocks_all_four(special_ring):
         for side, mat in (("a", blk.A), ("b", blk.B)):
             assert injectivity_check(special_ring, mat, side)
             assert injectivity_check(special_ring, mat, side, transpose=True)
-            m8 = induced_matrix(special_ring, mat, side)
+            m8 = induced_matrix(special_ring, mat, side)[0]
             assert linalg.array_rank(special_ring.ring.field, m8) == 8
 
 
 def test_induced_matrix_det_matches_independent_oracle(special_ring):
     # rank-8 over GF(p) agrees with a nonzero exact determinant over Q
     blk = canonical_blocks(special_ring, 0)
-    m8 = induced_matrix(special_ring, blk.A, "a")
+    m8 = induced_matrix(special_ring, blk.A, "a")[0]
     p = special_ring.ring.field.p
     # entries live in {0, 1, p-1}: map back to signed integers for the oracle
     signed = [[x if x <= 1 else x - p for x in row] for row in m8.tolist()]
@@ -265,10 +265,10 @@ def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stra
         with pytest.raises(FactoryError):
             induced_matrix_oracle(ring, mat, side, transpose)
         with pytest.raises(FactoryError):
-            induced_matrix(ring, linear_matrix(R, mat), side, transpose)
+            induced_matrix(ring, linear_matrix(R, mat), side)
     else:
         assert np.array_equal(
-            induced_matrix(ring, linear_matrix(R, mat), side, transpose),
+            induced_matrix(ring, linear_matrix(R, mat), side)[transpose],
             induced_matrix_oracle(ring, mat, side, transpose),
         )
 
@@ -317,7 +317,7 @@ def test_extension_kernel_dimension_two(special_ring):
 def test_extension_solution_unique(special_ring):
     # the A-side system is invertible, so the column solves are unique
     even = canonical_blocks(special_ring, 0)
-    m8 = induced_matrix(special_ring, even.A, "a")
+    m8 = induced_matrix(special_ring, even.A, "a")[0]
     assert linalg.kernel_basis(special_ring.ring.field, m8).dim == 0
 
 
@@ -363,6 +363,79 @@ def test_build_window_random_certified(special_ring):
     assert w.lo == -3 and w.hi == 2
 
 
+def _callers():
+    """The names of the functions on the stack above the caller's caller."""
+    frame, names = sys._getframe(2), set()
+    while frame is not None:
+        names.add(frame.f_code.co_name)
+        frame = frame.f_back
+    return names
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, "QQ"])
+def test_window_builds_each_induced_map_once(monkeypatch, p):
+    """build_window from the canonical start block, 4 steps each way: 9
+    blocks, each with one product of its entries with Side.maps per side (18
+    in all, none while a column system is solved: the extensions solve the
+    maps their block kept), 16 solves (two per step) and 36 injectivity
+    ranks (four per block)."""
+    ring = special_ring_over(p)
+    side_maps = [ring.side(s).maps for s in "ab"]
+    products, solves, ranks = [], [], []
+    real_matmul, real_solve, real_rank = factory.field_matmul, factory.solve, factory.array_rank
+
+    def matmul(field, A, B):
+        if any(B is S for S in side_maps):
+            products.append(_callers())
+        return real_matmul(field, A, B)
+
+    def solve(field, A, B):
+        solves.append(A.shape)
+        return real_solve(field, A, B)
+
+    def rank(field, A):
+        if "_certify" not in _callers():
+            ranks.append(A.shape)
+        return real_rank(field, A)
+
+    monkeypatch.setattr(factory, "field_matmul", matmul)
+    monkeypatch.setattr(factory, "solve", solve)
+    monkeypatch.setattr(factory, "array_rank", rank)
+    _, rep = build_window(ring, canonical_blocks(ring, 0), 4, 4)
+    assert rep.certified and len(rep.blocks) == 9
+    assert len(products) == 18 and all("make_block" in names for names in products)
+    assert not any("_solve_columns" in names for names in products)
+    assert solves == [(8, 8)] * 16
+    assert ranks == [(8, 8)] * 36
+    assert all(block.maps is None for block in rep.blocks.values())
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, "QQ"])
+def test_corrupted_solve_fails_the_composition_check(monkeypatch, p):
+    """One entry of one column solve off by one: the step's composition
+    check refuses the block, in either direction, so the kept induced maps
+    do not let a wrong solution through."""
+    ring = special_ring_over(p)
+    f = ring.ring.field
+    start = random_blocks(ring, Random(3))
+    real, calls = factory.solve, []
+
+    def corrupt(field, A, B):
+        X = real(field, A, B)
+        if not calls:
+            X[0, 0] = f.add(X[0, 0], f.one)
+        calls.append(1)
+        return X
+
+    monkeypatch.setattr(factory, "solve", corrupt)
+    for extend in (extend_forward, extend_backward):
+        calls.clear()
+        with pytest.raises(ExtensionError, match="does not compose to zero"):
+            extend(ring, start)
+    monkeypatch.setattr(factory, "solve", real)
+    assert extend_forward(ring, start).all_injective and extend_backward(ring, start).all_injective
+
+
 def test_rational_factory_ranks_no_full_rank_block_in_fractions(monkeypatch):
     """Every block a rational factory window ranks is full rank (the 8 x 8
     induced maps of the sampled and extended blocks, and the window blocks),
@@ -385,7 +458,7 @@ def test_certify_reads_kernel_dims_off_the_exactness_records(monkeypatch, p):
     calls = []
 
     def counting(field, A):
-        # injectivity_check ranks each induced matrix through the same name
+        # make_block ranks each induced matrix through the same name
         if sys._getframe(1).f_code.co_name == "_certify":
             calls.append(A.shape)
         return linalg.array_rank(field, A)

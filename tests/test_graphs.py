@@ -245,10 +245,46 @@ def test_disconnecting_pair_ten_vertex_first_in_lex_order(ten_vertex_g):
     found = []
     for x in xs:
         for y in ys:
-            G = to_networkx(ten_vertex_g.induced_without((x, y)))
+            G = to_networkx(ten_vertex_g)
+            G.remove_nodes_from((x, y))
             if len(G) > 1 and not nx.is_connected(G):
                 found.append((x, y))
     assert found == [("x5", "y5")]
+
+
+def test_disconnecting_pair_and_partition_match_networkx():
+    """The first cross pair in declared order whose removal disconnects, and
+    the CLI's partition from it (the component of the first remaining vertex
+    in declared order, then the rest), against networkx on random bipartite
+    graphs with shuffled declared orders, sparse ones among them."""
+    import networkx as nx
+
+    from totref.cli import _partition_from_pair
+
+    rng = Random(26)
+    pairs = 0
+    for _ in range(60):
+        g0 = random_bipartite_connected(rng, 4, 12, edge_count=rng.randrange(3, 16))
+        xs, ys, verts, edges = (list(t) for t in (*g0.bipartition, g0.vertices, g0.edges))
+        for t in (xs, ys, verts, edges):
+            rng.shuffle(t)
+        g = Graph(verts, edges, bipartition=(xs, ys))
+        without = lambda pair: to_networkx(g).subgraph(v for v in verts if v not in pair)
+        cuts = [
+            (x, y) for x in xs for y in ys
+            if len(without((x, y))) > 1 and not nx.is_connected(without((x, y)))
+        ]
+        expected = cuts[0] if cuts else None
+        assert disconnecting_pair(g) == expected
+        if expected is None:
+            continue
+        pairs += 1
+        rest = [v for v in verts if v not in expected]
+        first = nx.node_connected_component(without(expected), rest[0])
+        assert _partition_from_pair(g, expected) == (
+            [v for v in rest if v in first], [v for v in rest if v not in first]
+        )
+    assert pairs >= 10
 
 
 def test_disconnecting_pair_c4_and_star(c4):

@@ -285,6 +285,78 @@ def test_rref_backends_match_sympy(p, data):
     assert (R.tolist(), piv) == expected
 
 
+@st.composite
+def solve_cases(draw):
+    """(field, A, B, kind) over a field of ARRAY_FIELDS: a square invertible
+    A = L U (L unit lower triangular, U upper with a nonzero diagonal), an A
+    of rank below its column count with B in its column space (free
+    variables), or T [A0; 0] against T [B0; c] with T invertible and c != 0
+    (inconsistent); rows shuffled.  [A | B] has under 48 cells when small,
+    at least 110 when not: both sides of ``_NP_CELL_THRESHOLD``.  The shapes
+    are drawn and the entries seeded: each is 0, -1 or ``field.rand``."""
+    field = array_field(draw(st.sampled_from(ARRAY_FIELDS)))
+    kind = draw(st.sampled_from(["invertible", "free", "inconsistent"]))
+    big = draw(st.booleans())
+    lo, hi = (10, 12) if big else (1, 6)
+    n, k = draw(st.integers(lo, hi)), draw(st.integers(1, 2))
+    rng = Random(draw(st.integers(0, 2**32)))
+    zero, one = field.zero, field.one
+
+    def elt(nonzero=False):
+        x = rng.choice([zero, field.neg(one), field.rand(rng)])
+        return elt(nonzero) if nonzero and not x else x
+
+    def mat(rows, cols):
+        return [[elt() for _ in range(cols)] for _ in range(rows)]
+
+    def unit_lower(size):
+        return [[elt() if c < r else one if c == r else zero for c in range(size)] for r in range(size)]
+
+    if kind == "invertible":
+        m = n
+        U = [[zero] * r + [elt(True)] + [elt() for _ in range(n - r - 1)] for r in range(n)]
+        A, B = list_product(field, unit_lower(n), U, n), mat(n, k)
+    elif kind == "free":
+        m, r = draw(st.integers(lo, hi)), draw(st.integers(0, n - 1))
+        A = list_product(field, mat(m, r), mat(r, n), n)
+        B = list_product(field, A, mat(n, k), k)
+    else:
+        m = draw(st.integers(lo, hi))
+        r = draw(st.integers(0, min(m - 1, n)))
+        A0 = list_product(field, mat(m - 1, r), mat(r, n), n) + [[zero] * n]
+        B0 = mat(m - 1, k) + [[elt(True)] + [elt() for _ in range(k - 1)]]
+        T = unit_lower(m)
+        A, B = list_product(field, T, A0, n), list_product(field, T, B0, k)
+    order = draw(st.permutations(range(m)))
+    A = field_array(field, [A[i] for i in order]).reshape(m, n)
+    return field, A, field_array(field, [B[i] for i in order]), kind
+
+
+@settings(max_examples=150, deadline=None)
+@given(solve_cases())
+def test_solve_matches_sympy_rref(case):
+    """linalg.solve against the solution read off sympy's RREF of [A | B]:
+    None exactly when a pivot lies in B's columns, else X[pivots] = the RREF
+    rows' B part and X = 0 at the free variables, entry by entry, on every
+    field and on both sides of the cell threshold (the list path's
+    back-substitution and the array path's RREF)."""
+    field, A, B, kind = case
+    (m, n), k = A.shape, B.shape[1]
+    AB = np.hstack([A, B])
+    assert linalg._on_array(field, AB) == (AB.size >= 100 and field.kind != "qq")
+    rows, piv = _sympy_rref(field, AB.tolist(), n + k)
+    X = linalg.solve(field, A, B)
+    if kind == "inconsistent":
+        assert piv[-1] >= n and X is None
+        return
+    assert (piv == list(range(n))) if kind == "invertible" else (len(piv) < n)
+    expected = [[field.zero] * k for _ in range(n)]
+    for row, c in zip(rows, piv):
+        expected[c] = row[n:]
+    assert X.shape == (n, k) and X.tolist() == expected
+    assert list_product(field, A.tolist(), X.tolist(), k) == B.tolist()
+
+
 def test_rational_array_elimination_above_threshold():
     # above the cell threshold, where GF(p) would take the array kernel, an
     # object array of Fractions is eliminated fraction-free as integer rows
