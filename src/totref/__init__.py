@@ -57,7 +57,6 @@ from .factory import (
     distinct_modules,
     extend_backward,
     extend_forward,
-    injectivity_check,
     random_blocks,
     ten_vertex_graph,
 )

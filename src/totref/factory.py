@@ -22,7 +22,7 @@ ranks are the injectivity flags.  The block keeps those maps: the forward
 step solves its matrices' maps and the backward step its transposes', with
 no product of their own.  Every step still checks that the new block
 composes to zero with the old one (the solve is not trusted), so a finished
-window certifies itself; its blocks then drop their maps.  The explicit
+window certifies itself.  The explicit
 even/odd block pair gives a genuinely periodic window, and random
 coefficient choices give fresh ones (distinguished by their entry ideals).
 """
@@ -216,8 +216,7 @@ class PairBlock:
 
     maps holds each side's induced maps (M, Mt) of its matrix and of its
     transpose (``induced_matrix``): ``extend_forward`` solves the Ms and
-    ``extend_backward`` the Mts.  A finished window's blocks drop them
-    (None), and an extension then builds them again."""
+    ``extend_backward`` the Mts."""
 
     index: int
     A: object
@@ -226,7 +225,7 @@ class PairBlock:
     inj_at: bool
     inj_b: bool
     inj_bt: bool
-    maps: dict | None = None
+    maps: dict
 
     @property
     def all_injective(self) -> bool:
@@ -269,27 +268,12 @@ def _injective(ring: SpecialRing, M) -> bool:
     return array_rank(ring.ring.field, M) == M.shape[1]
 
 
-def injectivity_check(ring: SpecialRing, mat, side: str, transpose: bool = False) -> bool:
-    return _injective(ring, induced_matrix(ring, mat, side)[transpose])
-
-
 def make_block(ring: SpecialRing, index: int, A, B) -> PairBlock:
     """The pair with its four flags, from one ``induced_matrix`` per side;
     the block keeps the induced maps for its extensions."""
-    maps = _induced_maps(ring, A, B)
+    maps = {"a": induced_matrix(ring, A, "a"), "b": induced_matrix(ring, B, "b")}
     (inj_a, inj_at), (inj_b, inj_bt) = ([_injective(ring, M) for M in maps[s]] for s in "ab")
     return PairBlock(index, A, B, inj_a, inj_at, inj_b, inj_bt, maps)
-
-
-def _induced_maps(ring: SpecialRing, A, B) -> dict:
-    return {"a": induced_matrix(ring, A, "a"), "b": induced_matrix(ring, B, "b")}
-
-
-def _block_maps(ring: SpecialRing, block: PairBlock) -> dict:
-    """The block's induced maps, built again if a finished window dropped them."""
-    if block.maps is None:
-        block.maps = _induced_maps(ring, block.A, block.B)
-    return block.maps
 
 
 _EVEN_A = [
@@ -366,9 +350,8 @@ def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     the block's induced maps."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    maps = _block_maps(ring, block)
-    A_next = _solve_columns(ring, maps["a"][0], "a")
-    B_next = _solve_columns(ring, maps["b"][0], "b")
+    A_next = _solve_columns(ring, block.maps["a"][0], "a")
+    B_next = _solve_columns(ring, block.maps["b"][0], "b")
     new = make_block(ring, block.index + 1, A_next, B_next)
     f = ring.ring.field
     if matrix_product(block.combined(f), new.combined(f), ring.ring).any():
@@ -381,9 +364,8 @@ def extend_backward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     induced maps), then transpose the result."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    maps = _block_maps(ring, block)
-    C = _solve_columns(ring, maps["a"][1], "a")
-    D = _solve_columns(ring, maps["b"][1], "b")
+    C = _solve_columns(ring, block.maps["a"][1], "a")
+    D = _solve_columns(ring, block.maps["b"][1], "b")
     new = make_block(ring, block.index - 1, C.transpose(1, 0, 2), D.transpose(1, 0, 2))
     f = ring.ring.field
     if matrix_product(new.combined(f), block.combined(f), ring.ring).any():
@@ -425,11 +407,6 @@ class FactoryReport:
 
 
 def _window_from_blocks(ring: SpecialRing, blocks, periodic=None) -> FreeComplexWindow:
-    """The window of the blocks' combined differentials.  The blocks are
-    extended no further, so they drop their induced maps: a report keeps
-    its blocks, not their maps."""
-    for block in blocks.values():
-        block.maps = None
     ns = sorted(blocks)
     lo, hi = ns[0] - 1, ns[-1]
     betti = [2] * (hi - lo + 1)

@@ -461,20 +461,18 @@ def solve(field, A, B):
     pivots only and B's columns are back-substituted from the last pivot up
     (``_back_substitute``): an RREF would also clear above the pivots in A's
     columns, which are never read.  On the array path one RREF of [A | B]
-    is read, since one array step clears above and below a pivot together.
-    The solution with zero free variables is unique, so both give the same
+    is read: one array step clears above and below a pivot together, and
+    on the lift's array-path solves that is faster than an echelon form
+    plus back-substitution of its rows.  The solution with zero free variables is unique, so both give the same
     X."""
     n = A.shape[1]
     AB = np.hstack([A, B])
-    if _on_array(field, AB):
-        R, piv = rref(field, AB)
-    else:
-        R, piv = _echelon(field, AB, reduce_full=False)
+    R, piv = _echelon(field, AB, reduce_full=_on_array(field, AB))
     if piv and piv[-1] >= n:
         return None
     X = field_zeros(field, (n, B.shape[1]))
     if isinstance(R, np.ndarray):
-        X[piv] = R[:, n:]
+        X[piv] = R[: len(piv), n:]
     else:
         _back_substitute(field, R[: len(piv)], piv, n, X)
     return X

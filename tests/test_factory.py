@@ -22,11 +22,10 @@ from totref import (
     extend_backward,
     extend_forward,
     full_certification,
-    injectivity_check,
     linear_matrix,
     random_blocks,
 )
-from totref.factory import ExtensionError, PartialWindowError, induced_matrix, make_block
+from totref.factory import ExtensionError, PartialWindowError, _injective, induced_matrix, make_block
 
 from conftest import (
     ARRAY_FIELDS, array_field, count_eliminations, element_rows, fraction_det, list_product,
@@ -106,9 +105,8 @@ def test_injectivity_canonical_blocks_all_four(special_ring):
         assert blk.all_injective
         # cross-check the flags against direct rank computations
         for side, mat in (("a", blk.A), ("b", blk.B)):
-            assert injectivity_check(special_ring, mat, side)
-            assert injectivity_check(special_ring, mat, side, transpose=True)
-            m8 = induced_matrix(special_ring, mat, side)[0]
+            m8, m8t = induced_matrix(special_ring, mat, side)
+            assert _injective(special_ring, m8) and _injective(special_ring, m8t)
             assert linalg.array_rank(special_ring.ring.field, m8) == 8
 
 
@@ -128,7 +126,7 @@ def test_injectivity_fails_for_equal_columns(special_ring):
     R = special_ring.ring
     col = [R.generator("x1") + R.generator("y1"), R.generator("x2")]
     A = linear_matrix(R, [[col[0], col[0]], [col[1], col[1]]])
-    assert not injectivity_check(special_ring, A, "a")
+    assert not _injective(special_ring, induced_matrix(special_ring, A, "a")[0])
 
 
 def test_injectivity_rejects_wrong_side_entry(special_ring):
@@ -138,11 +136,11 @@ def test_injectivity_rejects_wrong_side_entry(special_ring):
         [R.generator("x3"), R.generator("x4")],
         [R.generator("y3") + R.generator("y1"), R.generator("y4")],
     ])
-    for transpose in (False, True):
-        with pytest.raises(FactoryError):
-            injectivity_check(special_ring, A, "a", transpose)  # x3 is a b-side generator
-        with pytest.raises(FactoryError):
-            injectivity_check(special_ring, B, "b", transpose)  # y1 is an a-side generator
+    # one check serves the matrix and its transpose (the same four entries)
+    with pytest.raises(FactoryError):
+        induced_matrix(special_ring, A, "a")  # x3 is a b-side generator
+    with pytest.raises(FactoryError):
+        induced_matrix(special_ring, B, "b")  # y1 is an a-side generator
 
 
 def induced_matrix_oracle(ring, mat, side, transpose=False):
@@ -407,7 +405,6 @@ def test_window_builds_each_induced_map_once(monkeypatch, p):
     assert not any("_solve_columns" in names for names in products)
     assert solves == [(8, 8)] * 16
     assert ranks == [(8, 8)] * 36
-    assert all(block.maps is None for block in rep.blocks.values())
 
 
 @pytest.mark.parametrize("p", [DEFAULT_PRIME, "QQ"])
