@@ -14,7 +14,6 @@ which is computed independently as a cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from random import Random
 from typing import Optional
 
@@ -24,8 +23,8 @@ from .algebra import AlgebraElement, AlgebraError, GradedAlgebra
 from .complexes import fitting_support, linear_matrix, matrix_product
 from .graphs import Graph
 from .linalg import (
-    Subspace, array_rank, field_array, field_reduce, field_zeros, kernel_basis,
-    rank_reaches, reduce_rref,
+    Subspace, array_rank, check_image, field_array, field_reduce, field_zeros, freeze,
+    kernel_basis, rank_bounds, rank_reaches, reduce_rref,
 )
 
 
@@ -115,7 +114,7 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
         # the image of Sym^3 is spanned by the products b * x_i, b in A_2
         r3 = array_rank(f, R.times(image2.rows, 2, 1).reshape(-1, R.dims[3]))
     target = m * image2.dim - r3
-    return rank_reaches(f, _relation_rows(R), target)
+    return rank_reaches(f, sorted(_relation_rows(R), key=len), target)
 
 
 def _relation_rows(R: GradedAlgebra):
@@ -396,6 +395,13 @@ def find_ezd(
     graph, reduced by its canonical forms) the partner is the X/Y sign flip
     of z: z = x + y becomes x - y.  Without them it is the generator of that
     kernel.  A pair is returned only once ``verify_ezd`` certifies it.
+
+    The generators are ranked one by one; the random forms are drawn in
+    chunks of d, 2d, 4d, ... forms (d = dim R_1, the last chunk cut at
+    ``trials``), each chunk ranked together (``_ezd_candidates``) and then
+    walked in draw order, so the pair found is the one a walk of single
+    forms finds.  rng may therefore advance up to one chunk past the
+    winner; when nothing is found it has drawn exactly ``trials`` forms.
     """
     _require_artinian(R)
     if R.dims[1] == 0 or R.dims[2] == 0:
@@ -404,20 +410,38 @@ def find_ezd(
         rng = Random(0)
     f = R.field
     on_x = None if x_labels is None else np.array([lab in x_labels for lab in R.basis[1]])
-    for z in chain(R.generators(), (R.random_linear(rng) for _ in range(trials))):
-        if z.is_zero():
-            continue
-        mm = R.mult_map_array(z.coords, z.degree, 1)
-        if mm.shape[1] - array_rank(f, mm) != 1:
+    for z, r in _ezd_candidates(R, trials, rng):
+        if z.is_zero() or R.dims[1] - r != 1:
             continue
         if on_x is None:
-            partner = AlgebraElement(R, 1, kernel_basis(f, mm).basis[0])
+            partner = AlgebraElement(R, 1, kernel_basis(f, R.mult_map_array(z.coords, 1, 1)).basis[0])
         else:
             coords = field_array(f, z.coords)
             partner = AlgebraElement(R, 1, np.where(on_x, coords, field_reduce(f, -coords)).tolist())
         if verify_ezd(R, z, partner):
             return EzdPair(a=z, b=partner, certified=True)
     return None
+
+
+def _ezd_candidates(R: GradedAlgebra, trials, rng):
+    """(z, rank of z * R_1 -> R_2) for the candidates of ``find_ezd`` in
+    order: each generator, ranked alone, then ``trials`` random linear
+    forms, drawn in chunks whose size doubles from the generator count.  A
+    chunk's maps are one ``times`` product, ranked by one ``rank_bounds``
+    call (a map has the rank of its transpose); a bound that is not exact
+    is replaced by the map's ``array_rank``.  The maps are frozen, so over
+    the rationals each integer form is computed once for both."""
+    f = R.field
+    for z in R.generators():
+        yield z, array_rank(f, R.mult_map_array(z.coords, 1, 1))
+    drawn, size = 0, R.dims[1]
+    while drawn < trials:
+        zs = [R.random_linear(rng) for _ in range(min(size, trials - drawn))]
+        drawn, size = drawn + len(zs), 2 * size
+        maps = [freeze(M) for M in R.times(field_array(f, [z.coords for z in zs]), 1, 1)]
+        bounds = rank_bounds(f, [check_image(f, M) for M in maps])
+        for z, M, (r, exact) in zip(zs, maps, bounds):
+            yield z, r if exact else array_rank(f, M)
 
 
 # -- ideal pair analysis -----------------------------------------------------------

@@ -216,7 +216,9 @@ class PairBlock:
 
     maps holds each side's induced maps (M, Mt) of its matrix and of its
     transpose (``induced_matrix``): ``extend_forward`` solves the Ms and
-    ``extend_backward`` the Mts."""
+    ``extend_backward`` the Mts.  combined is A + B, frozen: the
+    differential the block contributes to a window, which the composition
+    checks of the extensions read too."""
 
     index: int
     A: object
@@ -226,13 +228,11 @@ class PairBlock:
     inj_b: bool
     inj_bt: bool
     maps: dict
+    combined: object
 
     @property
     def all_injective(self) -> bool:
         return self.inj_a and self.inj_at and self.inj_b and self.inj_bt
-
-    def combined(self, field):
-        return field_reduce(field, self.A + self.B)
 
 
 def induced_matrix(ring: SpecialRing, mat, side: str):
@@ -270,10 +270,11 @@ def _injective(ring: SpecialRing, M) -> bool:
 
 def make_block(ring: SpecialRing, index: int, A, B) -> PairBlock:
     """The pair with its four flags, from one ``induced_matrix`` per side;
-    the block keeps the induced maps for its extensions."""
+    the block keeps the induced maps for its extensions and A + B."""
     maps = {"a": induced_matrix(ring, A, "a"), "b": induced_matrix(ring, B, "b")}
     (inj_a, inj_at), (inj_b, inj_bt) = ([_injective(ring, M) for M in maps[s]] for s in "ab")
-    return PairBlock(index, A, B, inj_a, inj_at, inj_b, inj_bt, maps)
+    combined = freeze(field_reduce(ring.ring.field, A + B))
+    return PairBlock(index, A, B, inj_a, inj_at, inj_b, inj_bt, maps, combined)
 
 
 _EVEN_A = [
@@ -353,8 +354,7 @@ def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     A_next = _solve_columns(ring, block.maps["a"][0], "a")
     B_next = _solve_columns(ring, block.maps["b"][0], "b")
     new = make_block(ring, block.index + 1, A_next, B_next)
-    f = ring.ring.field
-    if matrix_product(block.combined(f), new.combined(f), ring.ring).any():
+    if matrix_product(block.combined, new.combined, ring.ring).any():
         raise ExtensionError("extension does not compose to zero")
     return new
 
@@ -367,8 +367,7 @@ def extend_backward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     C = _solve_columns(ring, block.maps["a"][1], "a")
     D = _solve_columns(ring, block.maps["b"][1], "b")
     new = make_block(ring, block.index - 1, C.transpose(1, 0, 2), D.transpose(1, 0, 2))
-    f = ring.ring.field
-    if matrix_product(new.combined(f), block.combined(f), ring.ring).any():
+    if matrix_product(new.combined, block.combined, ring.ring).any():
         raise ExtensionError("backward extension does not compose to zero")
     return new
 
@@ -410,7 +409,7 @@ def _window_from_blocks(ring: SpecialRing, blocks, periodic=None) -> FreeComplex
     ns = sorted(blocks)
     lo, hi = ns[0] - 1, ns[-1]
     betti = [2] * (hi - lo + 1)
-    diffs = [blocks[n].combined(ring.ring.field) for n in ns]
+    diffs = [blocks[n].combined for n in ns]
     return FreeComplexWindow(ring.ring, lo, hi, betti, diffs, base_twist=lo, periodic=periodic)
 
 

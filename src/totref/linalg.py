@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over a field: rank, kernels, solving, subspaces.
+"""Exact linear algebra over a field: rank, kernels, solving, subspaces.
 
 Everything is computed by exact Gaussian elimination; there is no tolerance
 anywhere.  Subspaces are kept in reduced row-echelon form, so two equal
@@ -19,16 +19,30 @@ keeps its basis as one.  A sum of int64 products can still overflow:
 ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2) products before
 reducing.
 
-One choice (``_echelon``, by ``_on_array``) decides how ``rref``, ``solve``
-and every rank eliminate: a GF(p) array of ``_NP_CELL_THRESHOLD`` cells or
-more as the array itself (``_rref_array``), a smaller one, where numpy's
-per-call overhead would dominate, and every rational one as a list of int
-rows (``_rref_int``).
+One choice (``_echelon``, by ``_on_array`` and ``_on_sparse_rows``) decides
+how ``rref``, ``solve`` and every rank eliminate, by what each elimination
+pays for:
+- a GF(p) array under ``_NP_CELL_THRESHOLD`` cells, where numpy's per-call
+  overhead would dominate, and every exact rational elimination run as a
+  list of int rows (``_rref_int``);
+- a larger ``object`` array (p >= 2**31), or a larger int64 one with fewer
+  than a quarter of its cells nonzero, as sparse rows (``_rref_sparse``),
+  which pay for their nonzero entries only.  The rings' tables and maps
+  are of this kind: in the Stanley-Reisner ring of a graph a product of
+  monomials is a monomial, and the quotient maps and their RREFs keep
+  them sparse (K_{2,22}'s (1, 1) table has 82 nonzeros in 10,164 cells);
+  Python ints also beat numpy's ``object`` arithmetic on any array;
+- any other int64 array as the array itself (``_rref_array``), a pivot's
+  whole column cleared in one step.
+``_stacked_ranks`` is the one elimination outside this choice (below): the
+stacks it ranks are dense (the ``lift-chain`` benchmark's are 53% nonzero,
+and ranked as sparse rows they took 3.8 times as long).
 
 Over the rationals nothing is eliminated in Fractions.  A rational array A is
 N / d, N an integer array over one common denominator d (its integer form).
-``rref`` and exact ranks scale each row to a primitive integer row, which
-keeps the row space, and eliminate fraction-free (``_rref_int``): a row
+``rref`` and exact ranks scale each row, over the lcm of its own
+denominators (``_integer_rows``), to a primitive integer row, which keeps
+the row space, and eliminate fraction-free (``_rref_int``): a row
 operation replaces a row by the primitive part of an integer combination, so
 entries stay integers and their contents are divided out as they appear.
 Fractions are built only for what leaves this module: the RREF rows (each
@@ -53,9 +67,12 @@ N_A N_B = d_A d_B (A @ B), so the same argument holds without assembling
 A @ B in Fractions.  ``rank_bound`` hands the lower bound itself to callers
 that can certify it otherwise.
 
-``rank_reaches`` eliminates a stream of sparse rows (dicts from column to
-nonzero entry) on Python ints, one row at a time, so a row costs only its
-nonzero entries; over the rationals they are primitive integer rows.
+``_rref_sparse`` keeps rows as dicts from column to nonzero entry and one
+row per leading column, each new row cleared by the kept ones as it
+arrives; the RREF then clears each kept row at the later pivots, last
+pivot first.  ``rank_reaches`` is that elimination of a stream of sparse
+rows, stopped once it reaches a target rank; over the rationals its rows
+are primitive integer rows, cleared fraction-free.
 
 ``rank_bounds`` gives the bounds of many images at once, as a window's
 exactness check needs them: the int64 images of one shape (GF(p) with
@@ -360,8 +377,21 @@ def _rref_array(field, A, reduce_full=True):
 
 def _integer_rows(A):
     """The rows of a rational array as primitive integer rows (lists of
-    ints), each with the row space of the original row."""
-    return [_primitive(row) for row in _integer_form(A)[0].tolist()]
+    ints), each with the row space of the original row (``_row_numerators``
+    divided by the gcd of each row's entries)."""
+    return [_primitive(row) for row in _row_numerators(A).tolist()]
+
+
+def _row_numerators(A):
+    """The integer array of a rational array with each row times the lcm of
+    its own denominators, read array-wise: not one denominator for the
+    whole array (``_numerators``), which may be far larger."""
+    den = _DENOMINATORS(A)
+    N = _NUMERATORS(A)
+    if set(den.flat) - {1}:
+        m = [lcm(*set(row)) for row in den.tolist()]
+        N = N * (np.array(m, dtype=object).reshape(-1, 1) // den)
+    return N
 
 
 def _primitive(row):
@@ -423,21 +453,111 @@ def _rref_int(rows, ncols, p=None, reduce_full=True):
     return rows, pivots
 
 
+def _sparse_rows(A):
+    """The rows of a 2-D array as sparse rows: dicts from column to nonzero
+    entry (Python ints), read off one ``np.nonzero``."""
+    rows = [{} for _ in range(A.shape[0])]
+    r, c = np.nonzero(A)
+    for i, j, v in zip(r.tolist(), c.tolist(), A[r, c].tolist()):
+        rows[i][j] = v
+    return rows
+
+
+def _rref_sparse(rows, p=None, reduce_full=True, target=None):
+    """Elimination of a stream of sparse rows (dicts from column to nonzero
+    int entry) over GF(p), or fraction-free over Q when p is None; returns
+    (rows, pivot columns), the rows in pivot order, as ``_rref_int``.  A
+    row costs only its nonzero entries.
+
+    One row is kept per leading (smallest) column: a new row is cleared on
+    its leading column by the kept row there until no kept row has that
+    column, and is then kept there, so the kept rows are a row echelon form
+    of the rows read.  With a target the stream stops at the first row
+    after which target rows are kept.  Over GF(p) kept rows are monic and a
+    row u with entry b over a kept row v becomes (u - b * v) % p; over Q
+    the rows are primitive integer rows, cleared as in ``_rref_int``.  When
+    reduce_full, each kept row is then cleared at the later pivots, last
+    pivot first, so the rows it is cleared by are reduced already: the RREF
+    over GF(p), and over Q once each row is divided by its pivot entry."""
+    kept = {}  # leading column -> the kept row there
+    for row in rows:
+        row = dict(row) if p is not None else _primitive_sparse(row)
+        while row:
+            c = min(row)
+            top = kept.get(c)
+            if top is None:
+                if p is not None:
+                    inv = pow(row[c], -1, p)
+                    row = {k: u * inv % p for k, u in row.items()}
+                kept[c] = row
+                break
+            row = _clear(row, top, c, p)
+        if len(kept) == target:
+            break
+    pivots = sorted(kept)
+    if reduce_full:
+        for i in range(len(pivots) - 2, -1, -1):
+            row = kept[pivots[i]]
+            for c in [k for k in row if k in kept and k != pivots[i]]:
+                row = _clear(row, kept[c], c, p)
+            kept[pivots[i]] = row
+    return [kept[c] for c in pivots], pivots
+
+
+def _clear(row, top, c, p):
+    """The sparse row with column c cleared by the kept row top (entry a at
+    c; monic over GF(p)): row - b * top mod p, b = row[c], or over Q the
+    primitive part of x * row - y * top, y / x = b / a in lowest terms."""
+    b = row[c]
+    if p is None:
+        a = top[c]
+        g = gcd(a, b)
+        row = {k: a // g * u for k, u in row.items()}
+        b //= g
+    for k, v in top.items():
+        u = row.get(k, 0) - b * v
+        if p is not None:
+            u %= p
+        if u:
+            row[k] = u
+        else:
+            del row[k]  # u = 0 only where row had an entry
+    return row if p is not None else _primitive_sparse(row)
+
+
 def _on_array(field, A) -> bool:
     """Whether ``_echelon`` eliminates A as the array itself: a GF(p) array
     of ``_NP_CELL_THRESHOLD`` cells or more."""
     return not isinstance(field, RationalField) and A.size >= _NP_CELL_THRESHOLD
 
 
+def _on_sparse_rows(A) -> bool:
+    """Whether ``_echelon`` eliminates a GF(p) array that ``_on_array``
+    admits as sparse rows (``_rref_sparse``): an ``object`` array, or one
+    with fewer than a quarter of its cells nonzero."""
+    return A.dtype == object or 4 * np.count_nonzero(A) < A.size
+
+
 def _echelon(field, A, reduce_full=True):
-    """(R, pivots) of a 2-D array over the field, A not modified: R is an
-    array from ``_rref_array`` where ``_on_array`` holds, else the int rows
-    of ``_rref_int``."""
+    """(R, pivots) of a 2-D array over the field, A not modified.  Where
+    ``_on_array`` holds R is an array: from ``_rref_array``, or the rows of
+    ``_rref_sparse`` scattered into one (``_on_sparse_rows``; None unless
+    reduce_full).  Otherwise R is the int rows of ``_rref_int``."""
     if isinstance(field, RationalField):
         return _rref_int(_integer_rows(A), A.shape[1], None, reduce_full)
-    if _on_array(field, A):
+    if not _on_array(field, A):
+        return _rref_int(A.tolist(), A.shape[1], field.p, reduce_full)
+    if not _on_sparse_rows(A):
         return _rref_array(field, A.copy(), reduce_full)
-    return _rref_int(A.tolist(), A.shape[1], field.p, reduce_full)
+    rows, piv = _rref_sparse(_sparse_rows(A), field.p, reduce_full)
+    if not reduce_full:
+        return None, piv
+    R = field_zeros(field, (len(piv), A.shape[1]))
+    at = [(i, k, u) for i, row in enumerate(rows) for k, u in row.items()]
+    if at:
+        i, k, u = zip(*at)
+        R[list(i), list(k)] = u
+    return R, piv
 
 
 def rref(field, A):
@@ -463,8 +583,10 @@ def solve(field, A, B):
     columns, which are never read.  On the array path one RREF of [A | B]
     is read: one array step clears above and below a pivot together, and
     on the lift's array-path solves that is faster than an echelon form
-    plus back-substitution of its rows.  The solution with zero free variables is unique, so both give the same
-    X."""
+    plus back-substitution of its rows.  As sparse rows the RREF is itself
+    a back-substitution (each kept row cleared at the later pivots, last
+    first) that costs only the nonzeros.  The solution with zero free
+    variables is unique, so all give the same X."""
     n = A.shape[1]
     AB = np.hstack([A, B])
     R, piv = _echelon(field, AB, reduce_full=_on_array(field, AB))
@@ -605,50 +727,13 @@ def _elimination_rank(field, A) -> int:
 
 
 def rank_reaches(field, rows, target):
-    """Whether the sparse rows span a space of dimension >= target.
-
-    Rows are dicts from column to nonzero entry over the field.  One row is
-    kept per leading (smallest) column: a new row is cleared on its leading
-    column by the kept row there until no kept row has that column, and is
-    then kept there, so the kept rows are a row-echelon form of the rows
-    read.  The stream stops at the first row after which target rows are
-    kept.  Over GF(p) kept rows are monic and a row u with entry b over a
-    kept row v becomes (u - b * v) % p; over the rationals the rows are
-    primitive integer rows, cleared fraction-free as in ``_rref_int``.
-    """
+    """Whether the sparse rows (dicts from column to nonzero entry over the
+    field) span a space of dimension >= target: the sparse echelon
+    (``_rref_sparse``) of the stream, stopped once target rows are kept."""
     if target <= 0:
         return True
     p = field.p if isinstance(field, PrimeField) else None
-    kept = {}  # leading column -> the kept row there
-    for row in rows:
-        row = dict(row) if p is not None else _primitive_sparse(row)
-        while row:
-            c = min(row)
-            top = kept.get(c)
-            if top is None:
-                if p is not None:
-                    inv = pow(row[c], -1, p)
-                    row = {k: u * inv % p for k, u in row.items()}
-                kept[c] = row
-                if len(kept) >= target:
-                    return True
-                break
-            a, b = top[c], row[c]
-            if p is None:  # x * row - y * top, y / x = b / a in lowest terms
-                g = gcd(a, b)
-                row = {k: a // g * u for k, u in row.items()}
-                b //= g
-            for k, v in top.items():
-                u = row.get(k, 0) - b * v
-                if p is not None:
-                    u %= p
-                if u:
-                    row[k] = u
-                else:
-                    del row[k]  # u = 0 only where row had an entry
-            if p is None:
-                row = _primitive_sparse(row)
-    return False
+    return len(_rref_sparse(rows, p, reduce_full=False, target=target)[1]) >= target
 
 
 def reduce_rref(field, rows, pivots, V):

@@ -139,22 +139,24 @@ def fraction_det(rows):
 
 def count_eliminations(monkeypatch, rational_ranks_only=False):
     """A list that grows by one per elimination (``_rref_array``, and
-    ``_rref_int`` on every field) and by one per matrix of a stacked
-    elimination (``_stacked_ranks``); with rational_ranks_only, per exact
-    elimination over Q (``_rref_int`` without a modulus) run by
-    ``array_rank`` (not its mod-p bound, nor ``rref``)."""
+    ``_rref_int`` and the sparse-row kernel ``_rref_sparse`` on every field)
+    and by one per matrix of a stacked elimination (``_stacked_ranks``);
+    with rational_ranks_only, per exact elimination over Q (``_rref_int``
+    or ``_rref_sparse`` without a modulus) run by ``array_rank`` (not its
+    mod-p bound, nor ``rref``)."""
     import totref.linalg as linalg
 
     calls = []
-    for name in ("_rref_array", "_rref_int"):
+    # the position of the modulus p among each kernel's arguments
+    for name, at in (("_rref_array", None), ("_rref_int", 2), ("_rref_sparse", 1)):
         real = getattr(linalg, name)
 
-        def counted(*args, _real=real, _name=name, **kwargs):
+        def counted(*args, _real=real, _at=at, **kwargs):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code.co_name != "array_rank":
                 frame = frame.f_back
-            p = args[2] if len(args) > 2 else kwargs.get("p")
-            rational = _name == "_rref_int" and p is None
+            p = args[_at] if _at is not None and len(args) > _at else kwargs.get("p")
+            rational = _at is not None and p is None
             if not rational_ranks_only or (rational and frame is not None):
                 calls.append(1)
             return _real(*args, **kwargs)

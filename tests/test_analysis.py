@@ -2,7 +2,7 @@ import re
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, product
 from pathlib import Path
 from random import Random
 
@@ -40,7 +40,7 @@ from totref.analysis import (
     quadratic_presentation,
     ring_length,
 )
-from totref.linalg import array_rank, field_array, field_reduce, kernel_basis
+from totref.linalg import array_rank, field_array, field_reduce, kernel_basis, rank_reaches
 
 from conftest import (
     ARRAY_FIELDS, EXAMPLE_RING_RELATIONS, array_field, list_product, random_bipartite_connected,
@@ -363,6 +363,48 @@ def test_relation_rows_are_the_nonzero_dense_rows(c4, kind, seed):
         assert all(type(x) is entry for row in rows for x in row.values())
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["generic", "random"]), st.integers(0, 2**32))
+@example("c4", 0)
+@example("ten_vertex", 0)
+def test_quadratic_presentation_same_in_natural_and_shortest_first_order(c4, kind, seed):
+    """quadratic_presentation streams the relation rows shortest first (ties
+    in their natural order); the rank reached, and so the verdict, is the
+    same as in the natural order of ``_relation_rows``, at its target and
+    one either side of it."""
+    import totref.analysis as analysis
+
+    rng = Random(seed)
+    for f in FIELDS:
+        if kind == "c4":
+            R = artinian_reduction(c4, field=f)
+        elif kind == "ten_vertex":
+            R = artinian_reduction(ten_vertex_graph(), field=f)
+        elif kind == "generic":
+            g = random_bipartite_connected(rng, 4, 7)
+            R = artinian_reduction(g, mode="generic", seed=rng.randrange(100), field=f)
+        else:
+            R = _random_relation_ring(rng, f)
+        seen = []
+
+        def spy(field, rows, target):
+            seen.append((list(rows), target))
+            return rank_reaches(field, seen[-1][0], target)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis, "rank_reaches", spy)
+            verdict = quadratic_presentation(R)
+        natural = list(_relation_rows(R))
+        if R.dims[1] == 0:
+            assert verdict and not seen
+            continue
+        [(rows, target)] = seen
+        assert rows == sorted(natural, key=len)
+        assert verdict == rank_reaches(f, iter(natural), target)
+        for t in (target - 1, target, target + 1):
+            assert rank_reaches(f, iter(rows), t) == rank_reaches(f, iter(natural), t)
+
+
 def test_wlp_example_ring(example_ring, gf):
     R = example_ring
     assert wlp_check(R, R.linear_form({"X": 1, "Y": 1}))
@@ -465,6 +507,86 @@ def test_find_ezd_partner_rule(monkeypatch, p):
     seen.clear()
     assert find_ezd(R, trials=16, rng=Random(1)) is None and len(seen) == 18
     assert all((a * b).is_zero() and not b.is_zero() for a, b in seen)
+
+
+class CountingRandom(Random):
+    """A Random that counts its ``randrange`` calls: the field elements of
+    the random forms drawn (one per coordinate, two over Q)."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def one_at_a_time_ezd(R, trials, rng, x_labels):
+    """Reference walk of ``find_ezd``: each candidate (the generators, then
+    ``trials`` random forms, drawn one at a time) ranked alone by
+    ``array_rank``; (a, b) of the first certified pair, or None."""
+    f = R.field
+    for z in chain(R.generators(), (R.random_linear(rng) for _ in range(trials))):
+        if z.is_zero():
+            continue
+        mm = R.mult_map_array(z.coords, 1, 1)
+        if mm.shape[1] - array_rank(f, mm) != 1:
+            continue
+        if x_labels is None:
+            partner = AlgebraElement(R, 1, kernel_basis(f, mm).basis[0])
+        else:
+            partner = AlgebraElement(
+                R, 1, [c if lab in x_labels else f.neg(c) for c, lab in zip(z.coords, R.basis[1])]
+            )
+        if verify_ezd(R, z, partner):
+            return z, partner
+    return None
+
+
+C7_CHORDS = Graph(
+    [str(i) for i in range(1, 8)],
+    [(str(i), str(i % 7 + 1)) for i in range(1, 8)] + [("1", "4"), ("2", "5"), ("3", "6")],
+)
+
+
+def _k2m(m):
+    hubs, rim = ["u1", "u2"], [f"w{j}" for j in range(1, m + 1)]
+    return Graph(hubs + rim, [(u, w) for u in hubs for w in rim], bipartition=(hubs, rim))
+
+
+@pytest.mark.parametrize("p", [5, 7, DEFAULT_PRIME, 4294967311, "QQ"])
+def test_find_ezd_chunks_match_one_at_a_time(c4, ten_vertex_g, p):
+    """The chunked search returns the pair of the one-at-a-time walk, with
+    and without the X side, on seeded c4, c7-with-chords, K_{2,5} and
+    ten-vertex rings; its Random draws the forms up to the end of the
+    winner's chunk (chunks of d, 2d, 4d, ... forms, d = dim R_1), so at
+    most one chunk past the winner, and every form when nothing is found,
+    leaving the Random where the walk leaves it."""
+    field = array_field(p)
+    won_late = 0
+    for g in (c4, C7_CHORDS, _k2m(5), ten_vertex_g):
+        mode = "canonical" if g.is_bipartite() else "generic"
+        R = reduction_chain(g, mode=mode, seed=1, cutoff=3, field=field).bottom
+        per_form = R.dims[1] * (2 if field.kind == "qq" else 1)
+        sides = (set(g.bipartition[0]), None) if g.is_bipartite() else (None,)
+        for x_labels, seed in product(sides, range(3)):
+            ref_rng, rng = CountingRandom(seed), CountingRandom(seed)
+            ref = one_at_a_time_ezd(R, 40, ref_rng, x_labels)
+            pair = find_ezd(R, trials=40, rng=rng, x_labels=x_labels)
+            assert (pair is None) == (ref is None), (g.vertices, seed)
+            if pair is None:
+                assert rng.draws == ref_rng.draws == 40 * per_form
+                assert rng.getstate() == ref_rng.getstate()
+                continue
+            assert (pair.a.coords, pair.b.coords) == (ref[0].coords, ref[1].coords)
+            winner, end, size = ref_rng.draws // per_form, 0, R.dims[1]
+            while end < winner:
+                end, size = min(end + size, 40), 2 * size
+            assert rng.draws == end * per_form
+            won_late += end > R.dims[1]
+    if p in (5, 7):
+        assert won_late  # a winner in the second chunk or later
 
 
 def test_readme_library_example_runs(monkeypatch):

@@ -357,6 +357,85 @@ def test_solve_matches_sympy_rref(case):
     assert list_product(field, A.tolist(), X.tolist(), k) == B.tolist()
 
 
+@st.composite
+def sparse_kernel_cases(draw):
+    """(field, A, B) over GF(5), the default prime or GF(4294967311): A is
+    m x n (1 to 9 each, or 8 to 14: both sides of ``_NP_CELL_THRESHOLD``)
+    with a drawn share of nonzero cells (sparse, under a quarter, or
+    dense), then some rows and columns zeroed and some rows replaced by a
+    combination of two others (dependent rows, fill-in); B is m x k, A X0
+    for a sparse X0 (consistent) or drawn like A.  The shapes are drawn and
+    the entries seeded: 1, -1 or ``field.rand``."""
+    field = PrimeField(draw(st.sampled_from([5, DEFAULT_PRIME, 4294967311])))
+    lo, hi = (8, 14) if draw(st.booleans()) else (1, 9)
+    m, n, k = draw(st.integers(lo, hi)), draw(st.integers(lo, hi)), draw(st.integers(1, 2))
+    density = draw(st.sampled_from([0.05, 0.15, 0.6, 1.0]))
+    rng = Random(draw(st.integers(0, 2**32)))
+    p = field.p
+
+    def mat(rows, cols, share):
+        pick = lambda: rng.choice([1, p - 1, field.rand(rng)])
+        return [[pick() if rng.random() < share else 0 for _ in range(cols)] for _ in range(rows)]
+
+    A = mat(m, n, density)
+    for i in rng.sample(range(m), rng.randrange(m // 3 + 1)):
+        A[i] = [0] * n
+    for c in rng.sample(range(n), rng.randrange(n // 3 + 1)):
+        for row in A:
+            row[c] = 0
+    for i in range(m):
+        if m >= 3 and rng.random() < 0.25:
+            j, l = rng.sample([r for r in range(m) if r != i], 2)
+            a, b = field.rand(rng), field.rand(rng)
+            A[i] = [(a * x + b * y) % p for x, y in zip(A[j], A[l])]
+    B = list_product(field, A, mat(n, k, 0.3), k) if draw(st.booleans()) else mat(m, k, density)
+    return field, field_array(field, A).reshape(m, n), field_array(field, B).reshape(m, k)
+
+
+def _dense(rows, cols):
+    return [[row.get(c, 0) for c in range(cols)] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_kernel_cases())
+@example((PrimeField(4294967311), field_zeros(PrimeField(4294967311), (10, 12)),
+          field_zeros(PrimeField(4294967311), (10, 1))))
+def test_sparse_kernel_matches_rref_int_and_sympy(case):
+    """The sparse-row kernel (``_rref_sparse``) against ``_rref_int`` and
+    sympy's DomainMatrix RREF: the RREF rows, pivots and rank, also below
+    the pivots only and over Q on the same integer entries (rows divided by
+    their pivot entries).  ``_echelon`` sends it exactly the arrays of at
+    least ``_NP_CELL_THRESHOLD`` cells that are ``object`` arrays or under
+    a quarter nonzero, and ``rref``, ``array_rank`` and ``solve`` (X, or
+    None for an inconsistent system) match sympy on every route."""
+    field, A, B = case
+    (m, n), k, p = A.shape, B.shape[1], field.p
+    expected = _sympy_rref(field, A.tolist(), n)
+    rows, piv = linalg._rref_sparse(linalg._sparse_rows(A), p)
+    assert (_dense(rows, n), piv) == expected
+    int_rows, int_piv = _rref_int(A.tolist(), n, p)
+    assert (int_rows[: len(int_piv)], int_piv) == expected
+    assert linalg._rref_sparse(linalg._sparse_rows(A), p, reduce_full=False)[1] == piv
+    q_rows, q_piv = linalg._rref_sparse(linalg._sparse_rows(A))
+    q_rows = [[Fraction(u, row[c]) for u in row] for row, c in zip(_dense(q_rows, n), q_piv)]
+    assert (q_rows, q_piv) == _sympy_rref(QQ, A.tolist(), n)
+    for M in (A, np.hstack([A, B])):
+        sparse = M.size >= 100 and (p >= 2**31 or 4 * np.count_nonzero(M) < M.size)
+        assert (linalg._on_array(field, M) and linalg._on_sparse_rows(M)) == sparse
+    R, rpiv = rref(field, A)
+    assert (R.tolist(), rpiv) == expected and R.dtype == A.dtype
+    assert array_rank(field, A) == len(piv)
+    ab_rows, ab_piv = _sympy_rref(field, np.hstack([A, B]).tolist(), n + k)
+    X = linalg.solve(field, A, B)
+    if ab_piv and ab_piv[-1] >= n:
+        assert X is None
+        return
+    expected_x = [[0] * k for _ in range(n)]
+    for row, c in zip(ab_rows, ab_piv):
+        expected_x[c] = row[n:]
+    assert X.tolist() == expected_x and X.dtype == A.dtype
+
+
 def test_rational_array_elimination_above_threshold():
     # above the cell threshold, where GF(p) would take the array kernel, an
     # object array of Fractions is eliminated fraction-free as integer rows
@@ -868,12 +947,13 @@ def test_rank_bounds_at_the_int64_edge_and_for_unlucky_primes(monkeypatch):
 
 def test_only_linalg_names_the_int64_decision():
     """np_modulus and mod_matmul, which choose and use the int64 arrays, the
-    list-or-array elimination choice (_echelon, _NP_CELL_THRESHOLD, _rref_int,
-    _rref_array) and the check prime of rational ranks (_CHECK_FIELD) are
+    choice among the list, array and sparse-row eliminations (_echelon,
+    _NP_CELL_THRESHOLD, _on_sparse_rows, _rref_int, _rref_array,
+    _rref_sparse) and the check prime of rational ranks (_CHECK_FIELD) are
     imported or named in linalg.py only."""
     decision = {
-        "np_modulus", "mod_matmul", "_echelon", "_NP_CELL_THRESHOLD", "_rref_int", "_rref_array",
-        "_CHECK_FIELD",
+        "np_modulus", "mod_matmul", "_echelon", "_NP_CELL_THRESHOLD", "_on_sparse_rows",
+        "_rref_int", "_rref_array", "_rref_sparse", "_CHECK_FIELD",
     }
     seen = {}
     for path in sorted(Path(totref.__file__).parent.glob("*.py")):
