@@ -70,9 +70,15 @@ that can certify it otherwise.
 ``_rref_sparse`` keeps rows as dicts from column to nonzero entry and one
 row per leading column, each new row cleared by the kept ones as it
 arrives; the RREF then clears each kept row at the later pivots, last
-pivot first.  ``rank_reaches`` is that elimination of a stream of sparse
-rows, stopped once it reaches a target rank; over the rationals its rows
-are primitive integer rows, cleared fraction-free.
+pivot first.  ``_echelon`` hands it an array's rows shortest first: the
+result does not depend on the order (the RREF is unique, and so are the
+pivot columns of any echelon form), and short rows kept early fill in
+less.  The 54 ``object`` blocks that ``verify --degree-bound 4`` ranks for
+the two-step lift of the ten-vertex window at p = 4294967311 took 1.1 s
+in the order of their rows and 0.25 s shortest first (2-vCPU host).
+``rank_reaches`` is the same elimination of a stream of sparse rows,
+stopped once it reaches a target rank; over the rationals its rows are
+primitive integer rows, cleared fraction-free.
 
 ``rank_bounds`` gives the bounds of many images at once, as a window's
 exactness check needs them: the int64 images of one shape (GF(p) with
@@ -384,14 +390,26 @@ def _integer_rows(A):
 
 def _row_numerators(A):
     """The integer array of a rational array with each row times the lcm of
-    its own denominators, read array-wise: not one denominator for the
-    whole array (``_numerators``), which may be far larger."""
+    its own denominators, read array-wise, where one denominator for the
+    whole array (``_numerators``) may be far larger: in a correction solve
+    of the rational ten-vertex lift the denominators have up to 722 bits
+    and their lcm 3,982.  While the common one has at most twice the bits
+    of the largest denominator, as in a factory solve, whose rows share
+    their denominators, it scales every row: one lcm in place of one per
+    row, and the same primitive rows."""
     den = _DENOMINATORS(A)
     N = _NUMERATORS(A)
-    if set(den.flat) - {1}:
-        m = [lcm(*set(row)) for row in den.tolist()]
-        N = N * (np.array(m, dtype=object).reshape(-1, 1) // den)
-    return N
+    ds = set(den.flat) - {1}
+    if not ds:
+        return N
+    top = 2 * max(ds).bit_length()
+    d = 1
+    for e in ds:
+        d = lcm(d, e)
+        if d.bit_length() > top:
+            m = [lcm(*set(row)) for row in den.tolist()]
+            return N * (np.array(m, dtype=object).reshape(-1, 1) // den)
+    return N * (d // den)
 
 
 def _primitive(row):
@@ -486,7 +504,7 @@ def _rref_sparse(rows, p=None, reduce_full=True, target=None):
             c = min(row)
             top = kept.get(c)
             if top is None:
-                if p is not None:
+                if p is not None and row[c] != 1:
                     inv = pow(row[c], -1, p)
                     row = {k: u * inv % p for k, u in row.items()}
                 kept[c] = row
@@ -509,20 +527,26 @@ def _clear(row, top, c, p):
     c; monic over GF(p)): row - b * top mod p, b = row[c], or over Q the
     primitive part of x * row - y * top, y / x = b / a in lowest terms."""
     b = row[c]
-    if p is None:
-        a = top[c]
-        g = gcd(a, b)
-        row = {k: a // g * u for k, u in row.items()}
-        b //= g
+    if p is not None:
+        get = row.get
+        for k, v in top.items():
+            u = (get(k, 0) - b * v) % p
+            if u:
+                row[k] = u
+            else:
+                del row[k]  # u = 0 only where row had an entry
+        return row
+    a = top[c]
+    g = gcd(a, b)
+    row = {k: a // g * u for k, u in row.items()}
+    b //= g
     for k, v in top.items():
         u = row.get(k, 0) - b * v
-        if p is not None:
-            u %= p
         if u:
             row[k] = u
         else:
-            del row[k]  # u = 0 only where row had an entry
-    return row if p is not None else _primitive_sparse(row)
+            del row[k]
+    return _primitive_sparse(row)
 
 
 def _on_array(field, A) -> bool:
@@ -541,15 +565,16 @@ def _on_sparse_rows(A) -> bool:
 def _echelon(field, A, reduce_full=True):
     """(R, pivots) of a 2-D array over the field, A not modified.  Where
     ``_on_array`` holds R is an array: from ``_rref_array``, or the rows of
-    ``_rref_sparse`` scattered into one (``_on_sparse_rows``; None unless
-    reduce_full).  Otherwise R is the int rows of ``_rref_int``."""
+    ``_rref_sparse``, fed shortest first, scattered into one
+    (``_on_sparse_rows``; None unless reduce_full).  Otherwise R is the int
+    rows of ``_rref_int``."""
     if isinstance(field, RationalField):
         return _rref_int(_integer_rows(A), A.shape[1], None, reduce_full)
     if not _on_array(field, A):
         return _rref_int(A.tolist(), A.shape[1], field.p, reduce_full)
     if not _on_sparse_rows(A):
         return _rref_array(field, A.copy(), reduce_full)
-    rows, piv = _rref_sparse(_sparse_rows(A), field.p, reduce_full)
+    rows, piv = _rref_sparse(sorted(_sparse_rows(A), key=len), field.p, reduce_full)
     if not reduce_full:
         return None, piv
     R = field_zeros(field, (len(piv), A.shape[1]))

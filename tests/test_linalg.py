@@ -1,5 +1,6 @@
 import ast
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -403,8 +404,8 @@ def _dense(rows, cols):
 def test_sparse_kernel_matches_rref_int_and_sympy(case):
     """The sparse-row kernel (``_rref_sparse``) against ``_rref_int`` and
     sympy's DomainMatrix RREF: the RREF rows, pivots and rank, also below
-    the pivots only and over Q on the same integer entries (rows divided by
-    their pivot entries).  ``_echelon`` sends it exactly the arrays of at
+    the pivots only, in reversed and shortest-first row order, and over Q
+    on the same integer entries (rows divided by their pivot entries).  ``_echelon`` sends it exactly the arrays of at
     least ``_NP_CELL_THRESHOLD`` cells that are ``object`` arrays or under
     a quarter nonzero, and ``rref``, ``array_rank`` and ``solve`` (X, or
     None for an inconsistent system) match sympy on every route."""
@@ -416,6 +417,10 @@ def test_sparse_kernel_matches_rref_int_and_sympy(case):
     int_rows, int_piv = _rref_int(A.tolist(), n, p)
     assert (int_rows[: len(int_piv)], int_piv) == expected
     assert linalg._rref_sparse(linalg._sparse_rows(A), p, reduce_full=False)[1] == piv
+    # the same in any row order: _echelon feeds the rows shortest first
+    for order in (sorted(linalg._sparse_rows(A), key=len), linalg._sparse_rows(A)[::-1]):
+        assert linalg._rref_sparse(order, p) == (rows, piv)
+        assert linalg._rref_sparse(order, p, reduce_full=False)[1] == piv
     q_rows, q_piv = linalg._rref_sparse(linalg._sparse_rows(A))
     q_rows = [[Fraction(u, row[c]) for u in row] for row, c in zip(_dense(q_rows, n), q_piv)]
     assert (q_rows, q_piv) == _sympy_rref(QQ, A.tolist(), n)
@@ -434,6 +439,40 @@ def test_sparse_kernel_matches_rref_int_and_sympy(case):
     for row, c in zip(ab_rows, ab_piv):
         expected_x[c] = row[n:]
     assert X.tolist() == expected_x and X.dtype == A.dtype
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.sampled_from(["shared", "unrelated"]),
+       st.integers(0, 2**32))
+@example(4, 5, "unrelated", 0)
+@example(4, 5, "shared", 0)
+def test_integer_rows_match_one_common_denominator(m, n, kind, seed):
+    """``_integer_rows`` scales each row by the lcm of its own denominators
+    (rows with unrelated denominators of 60 to 120 bits) or every row by
+    one common denominator (rows that share theirs): either way its rows
+    are the primitive rows of the whole array over its common denominator
+    (``_integer_form``), each a positive multiple of the row it comes
+    from, zero rows and integer rows included."""
+    rng = Random(seed)
+    base = rng.randrange(2, 2**40)
+    rows = []
+    for _ in range(m):
+        d = base * rng.choice([1, 2, 3]) if kind == "shared" else rng.randrange(2**60, 2**120)
+        share = rng.choice([0.0, 0.5, 1.0])
+        rows.append([
+            Fraction(rng.randrange(-50, 51), d * rng.choice([1, 1, 2, 5]))
+            if rng.random() < share else Fraction(0) for _ in range(n)
+        ])
+    A = field_array(QQ, rows).reshape(m, n)
+    got = linalg._integer_rows(A)
+    assert got == [linalg._primitive(row) for row in linalg._integer_form(A)[0].tolist()]
+    for row, ints in zip(rows, got):
+        nonzero = [(x, u) for x, u in zip(row, ints) if x]
+        assert [c for c, x in enumerate(row) if x] == [c for c, u in enumerate(ints) if u]
+        if nonzero:
+            scale = nonzero[0][1] / nonzero[0][0]
+            assert scale > 0 and all(u == scale * x for x, u in nonzero)
+            assert gcd(*ints) == 1
 
 
 def test_rational_array_elimination_above_threshold():
