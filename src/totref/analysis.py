@@ -114,7 +114,7 @@ def quadratic_presentation(R: GradedAlgebra) -> bool:
         # the image of Sym^3 is spanned by the products b * x_i, b in A_2
         r3 = array_rank(f, R.times(image2.rows, 2, 1).reshape(-1, R.dims[3]))
     target = m * image2.dim - r3
-    return rank_reaches(f, sorted(_relation_rows(R), key=len), target)
+    return rank_reaches(f, _relation_rows(R), target)
 
 
 def _relation_rows(R: GradedAlgebra):

@@ -19,21 +19,21 @@ keeps its basis as one.  A sum of int64 products can still overflow:
 ``mod_matmul`` sums at most floor((2**63 - 1) / (p - 1)**2) products before
 reducing.
 
-One choice (``_echelon``, by ``_on_array`` and ``_on_sparse_rows``) decides
-how ``rref``, ``solve`` and every rank eliminate, by what each elimination
-pays for:
-- a GF(p) array under ``_NP_CELL_THRESHOLD`` cells, where numpy's per-call
-  overhead would dominate, and every exact rational elimination run as a
-  list of int rows (``_rref_int``);
-- a larger ``object`` array (p >= 2**31), or a larger int64 one with fewer
-  than a quarter of its cells nonzero, as sparse rows (``_rref_sparse``),
-  which pay for their nonzero entries only.  The rings' tables and maps
-  are of this kind: in the Stanley-Reisner ring of a graph a product of
-  monomials is a monomial, and the quotient maps and their RREFs keep
-  them sparse (K_{2,22}'s (1, 1) table has 82 nonzeros in 10,164 cells);
-  Python ints also beat numpy's ``object`` arithmetic on any array;
-- any other int64 array as the array itself (``_rref_array``), a pivot's
-  whole column cleared in one step.
+One choice (``_echelon``, by ``_on_array``) decides how ``rref``, ``solve``
+and every rank eliminate, by what each elimination pays for:
+- a GF(p) array under ``_NP_CELL_THRESHOLD`` cells, where a dict per row
+  costs more than a list of a few entries, and every exact rational
+  elimination run as a list of int rows (``_rref_int``);
+- any larger GF(p) array, int64 or ``object``, as sparse rows
+  (``_rref_sparse``), which pay for their nonzero entries only.  The rings'
+  tables and maps are sparse: in the Stanley-Reisner ring of a graph a
+  product of monomials is a monomial, and the quotient maps and their RREFs
+  keep them sparse (K_{2,22}'s (1, 1) table has 82 nonzeros in 10,164
+  cells).  The few with a quarter of their cells or more nonzero are
+  small (17 x 31 and 4 x 126 the largest the CLI meets), and on each
+  benchmark workload sparse rows eliminated them in less time in all than
+  a numpy step per pivot column did; Python ints also beat numpy's
+  ``object`` arithmetic on any array.
 ``_stacked_ranks`` is the one elimination outside this choice (below): the
 stacks it ranks are dense (the ``lift-chain`` benchmark's are 53% nonzero,
 and ranked as sparse rows they took 3.8 times as long).
@@ -106,9 +106,9 @@ import numpy as np
 
 from .fields import DEFAULT_PRIME, PrimeField, RationalField
 
-# below this many cells list elimination wins on numpy's per-call overhead (an
-# 8x8 GF(p) rank on 2 vCPUs: 50-70 us as lists, 130-150 us as an array); from
-# about 16x16 on the array is as fast or faster
+# below this many cells a GF(p) elimination runs on lists of int rows: an 8x8
+# rank on 2 vCPUs took 107 us as lists and 147 us as sparse rows when dense,
+# 77 and 79 us when 30% nonzero; a 16x16 one 30% nonzero 188 and 151 us
 _NP_CELL_THRESHOLD = 100
 _NP_PRIME_BOUND = 2**31
 # the modulus of the rational rank bound in ``rank_bound``
@@ -353,34 +353,6 @@ def _most_nonzeros(A, axis) -> int:
     return counts[key]
 
 
-def _rref_array(field, A, reduce_full=True):
-    """In-place RREF of a 2-D array over the field (canonical entries), int64
-    or ``object`` alike; returns (A, pivot columns)."""
-    m, n = A.shape
-    pivots = []
-    r = 0
-    for c in range(n):
-        nz = np.nonzero(A[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        A[r] = field_reduce(field, A[r] * field.inv(A[r, c]))
-        if reduce_full:
-            sel = np.nonzero(A[:, c])[0]
-            sel = sel[sel != r]
-        else:
-            sel = r + 1 + np.nonzero(A[r + 1 :, c])[0]
-        if sel.size:
-            A[sel] = field_reduce(field, A[sel] - np.outer(A[sel, c], A[r]))
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return A, pivots
-
-
 def _integer_rows(A):
     """The rows of a rational array as primitive integer rows (lists of
     ints), each with the row space of the original row (``_row_numerators``
@@ -393,23 +365,13 @@ def _row_numerators(A):
     its own denominators, read array-wise, where one denominator for the
     whole array (``_numerators``) may be far larger: in a correction solve
     of the rational ten-vertex lift the denominators have up to 722 bits
-    and their lcm 3,982.  While the common one has at most twice the bits
-    of the largest denominator, as in a factory solve, whose rows share
-    their denominators, it scales every row: one lcm in place of one per
-    row, and the same primitive rows."""
+    and their lcm 3,982."""
     den = _DENOMINATORS(A)
+    m = [lcm(*set(row)) for row in den.tolist()]
     N = _NUMERATORS(A)
-    ds = set(den.flat) - {1}
-    if not ds:
+    if max(m, default=1) == 1:
         return N
-    top = 2 * max(ds).bit_length()
-    d = 1
-    for e in ds:
-        d = lcm(d, e)
-        if d.bit_length() > top:
-            m = [lcm(*set(row)) for row in den.tolist()]
-            return N * (np.array(m, dtype=object).reshape(-1, 1) // den)
-    return N * (d // den)
+    return N * (np.array(m, dtype=object).reshape(-1, 1) // den)
 
 
 def _primitive(row):
@@ -550,30 +512,21 @@ def _clear(row, top, c, p):
 
 
 def _on_array(field, A) -> bool:
-    """Whether ``_echelon`` eliminates A as the array itself: a GF(p) array
-    of ``_NP_CELL_THRESHOLD`` cells or more."""
+    """Whether ``_echelon`` eliminates A as an array, read into sparse rows
+    and its RREF written back into one: a GF(p) array of
+    ``_NP_CELL_THRESHOLD`` cells or more."""
     return not isinstance(field, RationalField) and A.size >= _NP_CELL_THRESHOLD
-
-
-def _on_sparse_rows(A) -> bool:
-    """Whether ``_echelon`` eliminates a GF(p) array that ``_on_array``
-    admits as sparse rows (``_rref_sparse``): an ``object`` array, or one
-    with fewer than a quarter of its cells nonzero."""
-    return A.dtype == object or 4 * np.count_nonzero(A) < A.size
 
 
 def _echelon(field, A, reduce_full=True):
     """(R, pivots) of a 2-D array over the field, A not modified.  Where
-    ``_on_array`` holds R is an array: from ``_rref_array``, or the rows of
-    ``_rref_sparse``, fed shortest first, scattered into one
-    (``_on_sparse_rows``; None unless reduce_full).  Otherwise R is the int
-    rows of ``_rref_int``."""
+    ``_on_array`` holds R is an array, the rows of ``_rref_sparse``, fed
+    shortest first, scattered into one (None unless reduce_full).
+    Otherwise R is the int rows of ``_rref_int``."""
     if isinstance(field, RationalField):
         return _rref_int(_integer_rows(A), A.shape[1], None, reduce_full)
     if not _on_array(field, A):
         return _rref_int(A.tolist(), A.shape[1], field.p, reduce_full)
-    if not _on_sparse_rows(A):
-        return _rref_array(field, A.copy(), reduce_full)
     rows, piv = _rref_sparse(sorted(_sparse_rows(A), key=len), field.p, reduce_full)
     if not reduce_full:
         return None, piv
@@ -605,13 +558,11 @@ def solve(field, A, B):
     On the list path (``_on_array`` fails) [A | B] is eliminated below the
     pivots only and B's columns are back-substituted from the last pivot up
     (``_back_substitute``): an RREF would also clear above the pivots in A's
-    columns, which are never read.  On the array path one RREF of [A | B]
-    is read: one array step clears above and below a pivot together, and
-    on the lift's array-path solves that is faster than an echelon form
-    plus back-substitution of its rows.  As sparse rows the RREF is itself
-    a back-substitution (each kept row cleared at the later pivots, last
-    first) that costs only the nonzeros.  The solution with zero free
-    variables is unique, so all give the same X."""
+    columns, which are never read.  Otherwise X is read off the RREF of
+    [A | B] as sparse rows, which is itself a back-substitution (each kept
+    row cleared at the later pivots, last first) that costs only the
+    nonzeros.  The solution with zero free variables is unique, so both
+    give the same X."""
     n = A.shape[1]
     AB = np.hstack([A, B])
     R, piv = _echelon(field, AB, reduce_full=_on_array(field, AB))

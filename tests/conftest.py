@@ -138,9 +138,9 @@ def fraction_det(rows):
 
 
 def count_eliminations(monkeypatch, rational_ranks_only=False):
-    """A list that grows by one per elimination (``_rref_array``, and
-    ``_rref_int`` and the sparse-row kernel ``_rref_sparse`` on every field)
-    and by one per matrix of a stacked elimination (``_stacked_ranks``);
+    """A list that grows by one per elimination (``_rref_int`` and the
+    sparse-row kernel ``_rref_sparse``, on every field) and by one per
+    matrix of a stacked elimination (``_stacked_ranks``);
     with rational_ranks_only, per exact elimination over Q (``_rref_int``
     or ``_rref_sparse`` without a modulus) run by ``array_rank`` (not its
     mod-p bound, nor ``rref``)."""
@@ -148,16 +148,15 @@ def count_eliminations(monkeypatch, rational_ranks_only=False):
 
     calls = []
     # the position of the modulus p among each kernel's arguments
-    for name, at in (("_rref_array", None), ("_rref_int", 2), ("_rref_sparse", 1)):
+    for name, at in (("_rref_int", 2), ("_rref_sparse", 1)):
         real = getattr(linalg, name)
 
         def counted(*args, _real=real, _at=at, **kwargs):
             frame = sys._getframe(1)
             while frame is not None and frame.f_code.co_name != "array_rank":
                 frame = frame.f_back
-            p = args[_at] if _at is not None and len(args) > _at else kwargs.get("p")
-            rational = _at is not None and p is None
-            if not rational_ranks_only or (rational and frame is not None):
+            p = args[_at] if len(args) > _at else kwargs.get("p")
+            if not rational_ranks_only or (p is None and frame is not None):
                 calls.append(1)
             return _real(*args, **kwargs)
 

@@ -11,7 +11,6 @@ import totref
 import totref.linalg as linalg
 from totref import DEFAULT_PRIME, PrimeField, RationalField, Subspace
 from totref.linalg import (
-    _rref_array,
     _rref_int,
     array_rank,
     field_array,
@@ -151,15 +150,16 @@ def test_kernel_vectors_annihilate():
 
 
 def test_np_and_py_elimination_agree():
+    # the sparse rows of an int64 array (the path of arrays above the cell
+    # threshold) and the list rows give one RREF
     rng = Random(11)
     for _ in range(20):
         rows, cols = rng.randrange(1, 9), rng.randrange(1, 9)
         entries = [[GF.rand(rng) for _ in range(cols)] for _ in range(rows)]
-        np_arr, np_piv = _rref_array(GF, np.array(entries, dtype=np.int64))
+        sp_rows, sp_piv = linalg._rref_sparse(linalg._sparse_rows(np.array(entries, dtype=np.int64)), GF.p)
         py_rows, py_piv = _rref_int(entries, cols, GF.p)
-        assert py_piv == np_piv
-        for i in range(len(py_piv)):
-            assert py_rows[i] == [int(x) for x in np_arr[i]]
+        assert py_piv == sp_piv
+        assert py_rows[: len(py_piv)] == _dense(sp_rows, cols)
 
 
 def test_large_matrix_uses_fast_path():
@@ -263,9 +263,10 @@ def field_elements(field):
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(ARRAY_FIELDS), st.data())
 def test_rref_backends_match_sympy(p, data):
-    """Both eliminations, the array one and the list kernel (its rows over Q
-    fraction-free, divided by their pivot entries here), and linalg.rref
-    against sympy on every field: int64 and object arrays alike."""
+    """Both eliminations, the sparse-row one and the list kernel (their rows
+    over Q fraction-free, divided by their pivot entries here), and
+    linalg.rref against sympy on every field: int64 and object arrays
+    alike."""
     field = array_field(p)
     rows, cols = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
     rank = data.draw(st.integers(0, min(rows, cols)))
@@ -274,8 +275,12 @@ def test_rref_backends_match_sympy(p, data):
     right = [data.draw(st.lists(elt, min_size=cols, max_size=cols)) for _ in range(rank)]
     entries = list_product(field, left, right, cols)
     expected = _sympy_rref(field, entries, cols)
-    A, np_piv = _rref_array(field, field_array(field, entries))
-    assert (A[: len(np_piv)].tolist(), np_piv) == expected
+    p = None if field.kind == "qq" else field.p
+    sp_rows, sp_piv = linalg._rref_sparse(linalg._sparse_rows(field_array(field, entries)), p)
+    sp_rows = _dense(sp_rows, cols)
+    if p is None:
+        sp_rows = [[Fraction(u, row[c]) for u in row] for row, c in zip(sp_rows, sp_piv)]
+    assert (sp_rows, sp_piv) == expected
     if field.kind == "qq":
         py_rows, py_piv = _rref_int(linalg._integer_rows(field_array(field, entries)), cols)
         py_rows = [[Fraction(u, row[c]) for u in row] for row, c in zip(py_rows, py_piv)]
@@ -340,7 +345,7 @@ def test_solve_matches_sympy_rref(case):
     None exactly when a pivot lies in B's columns, else X[pivots] = the RREF
     rows' B part and X = 0 at the free variables, entry by entry, on every
     field and on both sides of the cell threshold (the list path's
-    back-substitution and the array path's RREF)."""
+    back-substitution and the RREF of its sparse rows)."""
     field, A, B, kind = case
     (m, n), k = A.shape, B.shape[1]
     AB = np.hstack([A, B])
@@ -405,10 +410,10 @@ def test_sparse_kernel_matches_rref_int_and_sympy(case):
     """The sparse-row kernel (``_rref_sparse``) against ``_rref_int`` and
     sympy's DomainMatrix RREF: the RREF rows, pivots and rank, also below
     the pivots only, in reversed and shortest-first row order, and over Q
-    on the same integer entries (rows divided by their pivot entries).  ``_echelon`` sends it exactly the arrays of at
-    least ``_NP_CELL_THRESHOLD`` cells that are ``object`` arrays or under
-    a quarter nonzero, and ``rref``, ``array_rank`` and ``solve`` (X, or
-    None for an inconsistent system) match sympy on every route."""
+    on the same integer entries (rows divided by their pivot entries).
+    ``_echelon`` sends it exactly the GF(p) arrays of at least
+    ``_NP_CELL_THRESHOLD`` cells, and ``rref``, ``array_rank`` and ``solve``
+    (X, or None for an inconsistent system) match sympy on every route."""
     field, A, B = case
     (m, n), k, p = A.shape, B.shape[1], field.p
     expected = _sympy_rref(field, A.tolist(), n)
@@ -425,8 +430,7 @@ def test_sparse_kernel_matches_rref_int_and_sympy(case):
     q_rows = [[Fraction(u, row[c]) for u in row] for row, c in zip(_dense(q_rows, n), q_piv)]
     assert (q_rows, q_piv) == _sympy_rref(QQ, A.tolist(), n)
     for M in (A, np.hstack([A, B])):
-        sparse = M.size >= 100 and (p >= 2**31 or 4 * np.count_nonzero(M) < M.size)
-        assert (linalg._on_array(field, M) and linalg._on_sparse_rows(M)) == sparse
+        assert linalg._on_array(field, M) == (M.size >= 100)
     R, rpiv = rref(field, A)
     assert (R.tolist(), rpiv) == expected and R.dtype == A.dtype
     assert array_rank(field, A) == len(piv)
@@ -447,12 +451,11 @@ def test_sparse_kernel_matches_rref_int_and_sympy(case):
 @example(4, 5, "unrelated", 0)
 @example(4, 5, "shared", 0)
 def test_integer_rows_match_one_common_denominator(m, n, kind, seed):
-    """``_integer_rows`` scales each row by the lcm of its own denominators
-    (rows with unrelated denominators of 60 to 120 bits) or every row by
-    one common denominator (rows that share theirs): either way its rows
-    are the primitive rows of the whole array over its common denominator
-    (``_integer_form``), each a positive multiple of the row it comes
-    from, zero rows and integer rows included."""
+    """``_integer_rows`` scales each row by the lcm of its own denominators,
+    whether the rows have unrelated denominators of 60 to 120 bits or share
+    theirs: its rows are the primitive rows of the whole array over its
+    common denominator (``_integer_form``), each a positive multiple of the
+    row it comes from, zero rows and integer rows included."""
     rng = Random(seed)
     base = rng.randrange(2, 2**40)
     rows = []
@@ -476,7 +479,7 @@ def test_integer_rows_match_one_common_denominator(m, n, kind, seed):
 
 
 def test_rational_array_elimination_above_threshold():
-    # above the cell threshold, where GF(p) would take the array kernel, an
+    # above the cell threshold, where GF(p) would take the sparse rows, an
     # object array of Fractions is eliminated fraction-free as integer rows
     rng = Random(29)
     small = lambda: Fraction(rng.randrange(-3, 4), rng.randrange(1, 3))
@@ -853,7 +856,7 @@ def test_rational_rank_falls_back_when_the_check_prime_drops_it():
 def test_rational_rank_falls_back_when_the_check_prime_divides_a_denominator():
     entries = [[Fraction(1, P), Fraction(0)], [Fraction(0), Fraction(1)]]
     assert array_rank(QQ, _rational_array(entries, 2)) == 2
-    # the same on the array path, one entry 1/P in an otherwise unimodular matrix
+    # the same above the cell threshold, one entry 1/P in an otherwise unimodular matrix
     n = 12
     entries = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
     entries[3][3] = Fraction(1, P)
@@ -986,13 +989,13 @@ def test_rank_bounds_at_the_int64_edge_and_for_unlucky_primes(monkeypatch):
 
 def test_only_linalg_names_the_int64_decision():
     """np_modulus and mod_matmul, which choose and use the int64 arrays, the
-    choice among the list, array and sparse-row eliminations (_echelon,
-    _NP_CELL_THRESHOLD, _on_sparse_rows, _rref_int, _rref_array,
-    _rref_sparse) and the check prime of rational ranks (_CHECK_FIELD) are
-    imported or named in linalg.py only."""
+    choice between the list and sparse-row eliminations (_echelon,
+    _NP_CELL_THRESHOLD, _on_array, _rref_int, _rref_sparse) and the check
+    prime of rational ranks (_CHECK_FIELD) are imported or named in
+    linalg.py only."""
     decision = {
-        "np_modulus", "mod_matmul", "_echelon", "_NP_CELL_THRESHOLD", "_on_sparse_rows",
-        "_rref_int", "_rref_array", "_rref_sparse", "_CHECK_FIELD",
+        "np_modulus", "mod_matmul", "_echelon", "_NP_CELL_THRESHOLD", "_on_array",
+        "_rref_int", "_rref_sparse", "_CHECK_FIELD",
     }
     seen = {}
     for path in sorted(Path(totref.__file__).parent.glob("*.py")):
