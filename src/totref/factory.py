@@ -18,18 +18,22 @@ entries with ``Side.maps``, once per side: it checks that each entry lies in
 its side and each product in the side's degree-two piece, and it yields the
 side's induced maps of the matrix and of its transpose (the same four
 entries in another order, so a reshape of the same product), whose four
-ranks are the injectivity flags.  The block keeps those maps: the forward
-step solves its matrices' maps and the backward step its transposes', with
-no product of their own.  Every step still checks that the new block
-composes to zero with the old one (the solve is not trusted), so a finished
-window certifies itself.  The explicit
-even/odd block pair gives a genuinely periodic window, and random
+ranks are the injectivity flags.  That product is taken over one scale
+(``linalg.scaled_matmul``): over the rationals each map is an integer
+array N over a scale s (the map is N / s), so no induced map is assembled
+in Fractions; over GF(p) N is the map itself and s = 1.  The block
+keeps those maps with their scale: the forward step solves its matrices'
+maps and the backward step its transposes', with no product of their own.
+Every step still checks that the new block composes to zero with the old
+one (the solve is not trusted), so a finished window certifies itself.  The
+explicit even/odd block pair gives a genuinely periodic window, and random
 coefficient choices give fresh ones (distinguished by their entry ideals).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 from random import Random
 
 import numpy as np
@@ -46,8 +50,8 @@ from .complexes import (
 )
 from .graphs import Graph
 from .linalg import (
-    Subspace, array_rank, field_array, field_matmul, field_reduce, freeze, identity, left_inverse,
-    rref, solve,
+    Subspace, array_rank, field_array, field_matmul, field_reduce, freeze, image_matmul,
+    left_inverse, rank_bound, rref, scaled_matmul, solve,
 )
 
 
@@ -88,7 +92,9 @@ class Side:
     basis1 holds the generators g_1..g_m of side_1 (their coordinates are
     the rows of coords, an m x n1 array over the field) and cols2 the side_2
     basis as the columns of an n2 x m array C2.  maps is the n1-row array
-    [Res1 | Res2 | Phi]: for an entry e of R_1,
+    [Res1 | Res2 | Phi] times scale (``linalg.scaled_matmul``: an integer
+    array over the rationals, the array itself and scale 1 over GF(p)): for
+    an entry e of R_1,
       * e . Res1 = 0 iff e lies in side_1 (Res1 = I - X G, X a right inverse
         of G = coords);
       * e . Res2 = 0 iff every product e g_k lies in side_2 (Res2 = Psi -
@@ -103,6 +109,7 @@ class Side:
     cols2: np.ndarray
     coords: object
     maps: object
+    scale: int
     delta: list
 
 
@@ -164,20 +171,27 @@ class SpecialRing:
     def _side(self, gens, coords, psi, basis2, delta) -> Side:
         """The arrays of ``Side`` from the generators' coordinates (m x n1),
         their products psi (n1 x m n2) and the side_2 basis (m x n2); coords
-        and basis2 have full rank, checked above."""
+        and basis2 have full rank, checked above.  Every piece is an integer
+        array over its own scale (``linalg.scaled_matmul``): Res1 = I - X G,
+        Res2 = Psi - Phi C2^t = Psi (I - L2^t C2^t) and Phi = Psi L2^t; maps
+        holds them over the lcm of the three scales."""
         R = self.ring
         f = R.field
         n1, n2, m = R.dims[1], R.dims[2], len(gens)
         cols2 = basis2.T
+        # frozen, each factor is read into its integer form once
+        coords, psi = freeze(coords), freeze(psi.reshape(n1 * m, n2))
         X = left_inverse(f, coords.T).T
-        L2 = left_inverse(f, cols2)
-        psi = psi.reshape(n1 * m, n2)
-        phi = field_matmul(f, psi, L2.T)
-        res1 = field_reduce(f, identity(f, n1) - field_matmul(f, X, coords))
-        res2 = field_reduce(f, psi - field_matmul(f, phi, cols2.T))
-        maps = np.hstack([res1, res2.reshape(n1, m * n2), phi.reshape(n1, m * m)])
+        L2t = freeze(left_inverse(f, cols2).T)
+        res1, s1 = _complement(f, X, coords)
+        q, s_q = _complement(f, L2t, cols2.T)
+        res2, s2 = scaled_matmul(f, psi, q)
+        phi, s3 = scaled_matmul(f, psi, L2t)
+        pieces = ((res1, s1), (res2.reshape(n1, m * n2), s2 * s_q), (phi.reshape(n1, m * m), s3))
+        scale = lcm(*(s for _, s in pieces))
+        maps = np.hstack([N * (scale // s) for N, s in pieces])
         d = solve(f, cols2, field_array(f, [delta.coords]).T)
-        return Side(gens, cols2, freeze(coords), freeze(maps), d if d is None else d[:, 0].tolist())
+        return Side(gens, cols2, coords, freeze(maps), scale, d if d is None else d[:, 0].tolist())
 
     def side(self, which) -> Side:
         if which not in self._sides:
@@ -202,6 +216,12 @@ class SpecialRing:
         }
 
 
+def _complement(field, A, B):
+    """(N, s) with I - A @ B = N / s (``linalg.scaled_matmul``)."""
+    N, s = scaled_matmul(field, A, B)
+    return field_reduce(field, s * np.eye(len(N), dtype=N.dtype) - N), s
+
+
 def build_special_ring(field=None, partition=TEN_VERTEX_PARTITION, graph=None, seed=0) -> SpecialRing:
     """The ring of the ten-vertex construction (or a compatible custom graph)."""
     g = graph if graph is not None else ten_vertex_graph()
@@ -214,11 +234,11 @@ class PairBlock:
     """A pair of 2x2 matrices of linear forms (arrays, see
     ``complexes.linear_matrix``) with entries in a_1 and b_1, plus their flags.
 
-    maps holds each side's induced maps (M, Mt) of its matrix and of its
-    transpose (``induced_matrix``): ``extend_forward`` solves the Ms and
-    ``extend_backward`` the Mts.  combined is A + B, frozen: the
-    differential the block contributes to a window, which the composition
-    checks of the extensions read too."""
+    maps holds each side's induced maps of its matrix and of its transpose
+    with their scale, ((M, Mt), s) (``induced_matrix``): ``extend_forward``
+    solves the Ms and ``extend_backward`` the Mts.  combined is A + B,
+    frozen: the differential the block contributes to a window, which the
+    composition checks of the extensions read too."""
 
     index: int
     A: object
@@ -236,22 +256,25 @@ class PairBlock:
 
 
 def induced_matrix(ring: SpecialRing, mat, side: str):
-    """(M, Mt): the arrays of (f, g) -> mat * (f, g)^t on (side_1)^2 ->
-    (side_2)^2 and of the same map for the transpose of mat.
+    """((M, Mt), s): the arrays of (f, g) -> mat * (f, g)^t on (side_1)^2 ->
+    (side_2)^2 and of the same map for the transpose of mat, both times s.
+    Over the rationals M and Mt are integer arrays, over GF(p) s = 1.
 
     Since the two sides annihilate each other, a wrong-side component would
     act as zero and go unnoticed; membership is checked explicitly instead.
     The four entries' coordinates E (4 x n1) meet the side's maps in one
-    product: its Res1 and Res2 parts must vanish (every entry in side_1,
-    every product with a g_k in side_2), and its Phi part Phi[r, slot, k, l]
-    is the entry of M at row r*m + l, column slot*m + k.  The transpose has
-    the same four entries in the order [0, 2, 1, 3], so Mt is Phi with r and
+    product over one scale, P / scale = E @ maps / s.scale
+    (``linalg.scaled_matmul``): its Res1 and Res2 parts must vanish (every
+    entry in side_1, every product with a g_k in side_2), which the integers
+    P show as well as the quotient, and its Phi part Phi[r, slot, k, l] is
+    the entry of M at row r*m + l, column slot*m + k.  The transpose has the
+    same four entries in the order [0, 2, 1, 3], so Mt is Phi with r and
     slot swapped: the same product, checked once.
     """
     s = ring.side(side)
     R = ring.ring
     f, n1, n2, m = R.field, R.dims[1], R.dims[2], len(s.basis1)
-    P = field_matmul(f, mat.reshape(4, n1), s.maps)
+    P, scale = scaled_matmul(f, mat.reshape(4, n1), s.maps)
     if (P[:, :n1] != 0).any():
         raise FactoryError(f"block entry lies outside side {side!r}")
     outside = (P[:, n1 : n1 + m * n2] != 0).any(axis=1).nonzero()[0]
@@ -261,18 +284,22 @@ def induced_matrix(ring: SpecialRing, mat, side: str):
     phi = P[:, n1 + m * n2 :].reshape(2, 2, m, m)
     M = phi.transpose(0, 3, 1, 2).reshape(2 * m, 2 * m)
     Mt = phi.transpose(1, 3, 0, 2).reshape(2 * m, 2 * m)
-    return M, Mt
+    return (M, Mt), scale * s.scale
 
 
 def _injective(ring: SpecialRing, M) -> bool:
+    """Whether an induced map, over any nonzero scale, is injective: the rank
+    of s M is that of M, and ``array_rank`` is exact (a rank bound that is
+    not full, as when the check prime divides s, is eliminated exactly)."""
     return array_rank(ring.ring.field, M) == M.shape[1]
 
 
 def make_block(ring: SpecialRing, index: int, A, B) -> PairBlock:
     """The pair with its four flags, from one ``induced_matrix`` per side;
-    the block keeps the induced maps for its extensions and A + B."""
+    the block keeps the induced maps and their scales for its extensions,
+    and A + B."""
     maps = {"a": induced_matrix(ring, A, "a"), "b": induced_matrix(ring, B, "b")}
-    (inj_a, inj_at), (inj_b, inj_bt) = ([_injective(ring, M) for M in maps[s]] for s in "ab")
+    (inj_a, inj_at), (inj_b, inj_bt) = ([_injective(ring, M) for M in maps[s][0]] for s in "ab")
     combined = freeze(field_reduce(ring.ring.field, A + B))
     return PairBlock(index, A, B, inj_a, inj_at, inj_b, inj_bt, maps, combined)
 
@@ -327,18 +354,21 @@ def random_blocks(ring: SpecialRing, rng: Random, index: int = 0, max_retries: i
     raise FactoryError(f"no injective block pair found in {max_retries} samples")
 
 
-def _solve_columns(ring: SpecialRing, M, side: str):
+def _solve_columns(ring: SpecialRing, maps, side: str, transpose: bool):
     """Columns c1, c2 with M c_i = (delta, 0) resp. (0, delta), M an induced
-    map of the side (``induced_matrix``), both from one ``linalg.solve`` of
-    M X = [rhs1 rhs2]; the b-side right-hand sides carry -delta, baked into
-    the side's delta.  The solution holds the side coordinates of c1 and c2,
-    whose forms are one product with the side generators."""
+    map of the side, or its transpose's (maps as ``induced_matrix`` gives
+    them, over a scale s), both from one ``linalg.solve`` of
+    (s M) X = s [rhs1 rhs2]: the same unique X, zero at the free variables;
+    the b-side right-hand sides carry -delta, baked into the side's delta.
+    The solution holds the side coordinates of c1 and c2, whose forms are
+    one product with the side generators."""
     s = ring.side(side)
     m = len(s.basis1)
     f = ring.ring.field
+    (M, Mt), scale = maps
     zeros = [f.zero] * m
     rhs = field_array(f, [s.delta + zeros, zeros + s.delta]).T
-    sol = solve(f, M, rhs)
+    sol = solve(f, Mt if transpose else M, field_reduce(f, scale * rhs))
     if sol is None:
         raise ExtensionError(f"side {side!r} system is singular")
     # sol.T[slot, r*m:(r+1)*m] are the coordinates of the entry (r, slot)
@@ -351,8 +381,8 @@ def extend_forward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     the block's induced maps."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    A_next = _solve_columns(ring, block.maps["a"][0], "a")
-    B_next = _solve_columns(ring, block.maps["b"][0], "b")
+    A_next = _solve_columns(ring, block.maps["a"], "a", transpose=False)
+    B_next = _solve_columns(ring, block.maps["b"], "b", transpose=False)
     new = make_block(ring, block.index + 1, A_next, B_next)
     if matrix_product(block.combined, new.combined, ring.ring).any():
         raise ExtensionError("extension does not compose to zero")
@@ -364,8 +394,8 @@ def extend_backward(ring: SpecialRing, block: PairBlock) -> PairBlock:
     induced maps), then transpose the result."""
     if not block.all_injective:
         raise ExtensionError("all four injectivity flags must hold before extending")
-    C = _solve_columns(ring, block.maps["a"][1], "a")
-    D = _solve_columns(ring, block.maps["b"][1], "b")
+    C = _solve_columns(ring, block.maps["a"], "a", transpose=True)
+    D = _solve_columns(ring, block.maps["b"], "b", transpose=True)
     new = make_block(ring, block.index - 1, C.transpose(1, 0, 2), D.transpose(1, 0, 2))
     if matrix_product(new.combined, block.combined, ring.ring).any():
         raise ExtensionError("backward extension does not compose to zero")
@@ -417,15 +447,23 @@ def _certify(ring: SpecialRing, blocks, window, mode) -> FactoryReport:
     """The window's certificate and dim ker of each block (n, 1).  For an
     interior n that kernel is the primal exactness record at degree
     twist(n) + 1 (the Artinian ring has no reduction, so the records are the
-    window's own); only the others, n = hi among them, are ranked here."""
+    window's own); only the others, n = hi among them, are ranked here, as
+    ``complexes.exactness_reports`` ranks a block: by ``linalg.rank_bound``
+    of its image (``graded_block`` with ``image_matmul``), and only when that
+    bound is not the rank is the block assembled over the field and ranked
+    exactly."""
+    f = ring.ring.field
     cert = full_certification(window)
     kernels = {(r.index, r.degree): r.kernel_dim for r in cert.exactness.records}
     kernel_dims = {}
     for n in sorted(blocks):
         ker = kernels.get((n, window.twist(n) + 1))
         if ker is None:
-            blk = window._block_array(n, 1)
-            ker = blk.shape[1] - array_rank(ring.ring.field, blk)
+            image = window._block_array(n, 1, image_matmul)
+            rank, exact = rank_bound(f, image)
+            if not exact:
+                rank = array_rank(f, window._block_array(n, 1))
+            ker = image.shape[1] - rank
         kernel_dims[n] = ker
     return FactoryReport(blocks=blocks, certificate=cert, kernel_dims=kernel_dims, mode=mode)
 

@@ -12,7 +12,8 @@ rationals) otherwise.  A matrix over the field is such an array, with no
 wrapper: ``field_array`` and ``identity`` build them, ``field_stack``
 stacks them (padded with zeros to one shape), ``field_matmul`` is their one
 product (of two matrices, or of each pair of two stacks with a leading
-batch axis), ``rref``/``array_rank`` eliminate them, ``kernel_basis`` and
+batch axis; ``scaled_matmul`` gives it over one scale, see below),
+``rref``/``array_rank`` eliminate them, ``kernel_basis`` and
 ``left_inverse`` are read off one RREF, and ``solve`` off one elimination
 (an RREF, or below the pivots only and back-substituted).  ``Subspace``
 keeps its basis as one.  A sum of int64 products can still overflow:
@@ -49,8 +50,11 @@ Fractions are built only for what leaves this module: the RREF rows (each
 fraction-free row over its pivot entry; the RREF is unique) and the nonzero
 entries of a product (``field_matmul`` multiplies the integer forms, each
 matrix of a stack over its own common denominator, never one for the
-stack: entry sizes within one stack may differ by hundreds of bits).  An
-owner freezes an array it keeps for its lifetime (``freeze``: tables,
+stack: entry sizes within one stack may differ by hundreds of bits).
+``scaled_matmul`` builds none: it returns the integer product with its
+scale, (N, d_A d_B), for a caller that only tests, ranks or solves the
+product (a factory window's induced maps and side maps).  An owner
+freezes an array it keeps for its lifetime (``freeze``: tables,
 projections); the integer form and check image of a frozen array are
 computed once and dropped with the array.
 
@@ -165,6 +169,20 @@ def field_matmul(field, A, B):
         return _fractions(field, NA @ NB, da * db)
     (NA, da), (NB, db) = _stack_forms(A), _stack_forms(B)
     return _stack_fractions(field, NA @ NB, [a * b for a, b in zip(da, db)])
+
+
+def scaled_matmul(field, A, B):
+    """(N, s) with A @ B = N / s, for two 2-D arrays over the field: over the
+    rationals the product of their integer forms (kept for a frozen array,
+    ``freeze``) and s = d_A d_B, so no Fraction is built; over GF(p) the
+    product itself and s = 1.  An array of Python ints is a rational array
+    over d = 1, so N can be a factor of the next such product, and of
+    ``array_rank`` and ``solve``: scaling a matrix by s != 0 keeps its rank,
+    and A X = s B has the solutions of (A / s) X = B."""
+    if isinstance(field, RationalField):
+        (NA, da), (NB, db) = _integer_form(A), _integer_form(B)
+        return NA @ NB, da * db
+    return field_matmul(field, A, B), 1
 
 
 def _fractions(field, N, den):

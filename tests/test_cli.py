@@ -561,6 +561,12 @@ FACTORY_RANDOM_SHA256 = {
     "rational_4x4": (["--rational", "--seed", "3", "--forward", "4", "--backward", "4"],
                      "42805bf10391404b5b9f904e1afe2c704df6020a12d18594a71213cdd295ce3c",
                      "95fb3f8b2f9390d4334c05f6c9f1c9cfc009fea89336c00fd6f8420000d400f2"),
+    # the canonical window over Q, recorded while the induced maps were still
+    # products in Fractions: its blocks come from vertex labels, so its
+    # membership check (each entry in its side) is the one that can fail
+    "rational_canonical": (["--rational", "--canonical", "--forward", "2", "--backward", "2"],
+                           "33e504d574b552d162846aa9ef0405e038ac26989cb4105f72d61f5b39fc4982",
+                           "902b3038fbbd0529621ec73ef769d2c21693219717008b4acd2a9bc5b0e1d3c4"),
 }
 
 

@@ -12,6 +12,7 @@ import totref.linalg as linalg
 from totref import (
     DEFAULT_PRIME,
     FactoryError,
+    PrimeField,
     RationalField,
     Subspace,
     build_special_ring,
@@ -105,7 +106,8 @@ def test_injectivity_canonical_blocks_all_four(special_ring):
         assert blk.all_injective
         # cross-check the flags against direct rank computations
         for side, mat in (("a", blk.A), ("b", blk.B)):
-            m8, m8t = induced_matrix(special_ring, mat, side)
+            (m8, m8t), scale = induced_matrix(special_ring, mat, side)
+            assert scale == 1  # over GF(p) the maps themselves
             assert _injective(special_ring, m8) and _injective(special_ring, m8t)
             assert linalg.array_rank(special_ring.ring.field, m8) == 8
 
@@ -113,7 +115,7 @@ def test_injectivity_canonical_blocks_all_four(special_ring):
 def test_induced_matrix_det_matches_independent_oracle(special_ring):
     # rank-8 over GF(p) agrees with a nonzero exact determinant over Q
     blk = canonical_blocks(special_ring, 0)
-    m8 = induced_matrix(special_ring, blk.A, "a")[0]
+    (m8, _), _ = induced_matrix(special_ring, blk.A, "a")
     p = special_ring.ring.field.p
     # entries live in {0, 1, p-1}: map back to signed integers for the oracle
     signed = [[x if x <= 1 else x - p for x in row] for row in m8.tolist()]
@@ -126,21 +128,30 @@ def test_injectivity_fails_for_equal_columns(special_ring):
     R = special_ring.ring
     col = [R.generator("x1") + R.generator("y1"), R.generator("x2")]
     A = linear_matrix(R, [[col[0], col[0]], [col[1], col[1]]])
-    assert not _injective(special_ring, induced_matrix(special_ring, A, "a")[0])
+    (M, _), _ = induced_matrix(special_ring, A, "a")
+    assert not _injective(special_ring, M)
 
 
-def test_injectivity_rejects_wrong_side_entry(special_ring):
-    R = special_ring.ring
-    A = linear_matrix(R, [[R.generator("x3"), R.generator("x1")], [R.generator("y1"), R.generator("y2")]])
-    B = linear_matrix(R, [
-        [R.generator("x3"), R.generator("x4")],
-        [R.generator("y3") + R.generator("y1"), R.generator("y4")],
-    ])
-    # one check serves the matrix and its transpose (the same four entries)
-    with pytest.raises(FactoryError):
-        induced_matrix(special_ring, A, "a")  # x3 is a b-side generator
-    with pytest.raises(FactoryError):
-        induced_matrix(special_ring, B, "b")  # y1 is an a-side generator
+def test_injectivity_rejects_wrong_side_entry():
+    """The membership check on the side maps' product: over the rationals it
+    reads the integer product (``linalg.scaled_matmul``), whose zeros are
+    the quotient's."""
+    for p in (DEFAULT_PRIME, "QQ"):
+        ring = special_ring_over(p)
+        R = ring.ring
+        x1, x2, x3, x4, y1, y2, y3, y4 = (
+            R.generator(v) for v in ("x1", "x2", "x3", "x4", "y1", "y2", "y3", "y4")
+        )
+        A = linear_matrix(R, [[x3, x1], [y1, y2]])
+        B = linear_matrix(R, [[x3, x4], [y3 + y1, y4]])
+        # one check serves the matrix and its transpose (the same four entries)
+        with pytest.raises(FactoryError):
+            induced_matrix(ring, A, "a")  # x3 is a b-side generator
+        with pytest.raises(FactoryError):
+            induced_matrix(ring, B, "b")  # y1 is an a-side generator
+        # with x2 in place of x3 every entry of A lies in side a
+        (M, Mt), scale = induced_matrix(ring, linear_matrix(R, [[x2, x1], [y1, y2]]), "a")
+        assert M.shape == Mt.shape == (8, 8) and scale >= 1
 
 
 def induced_matrix_oracle(ring, mat, side, transpose=False):
@@ -245,7 +256,8 @@ def side_element(ring, side, coords):
 def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stray):
     """Random side elements, on both sides, with and without transpose; with
     stray set, that entry also gets a component on the other side, which
-    both constructions must refuse."""
+    both constructions must refuse.  induced_matrix gives the maps over a
+    scale s (integer arrays over the rationals): M / s is the oracle's."""
     ring = special_ring_over(p)
     R = ring.ring
     f, rng = R.field, Random(seed)
@@ -265,9 +277,11 @@ def test_induced_matrix_matches_per_column_solves(p, side, transpose, seed, stra
         with pytest.raises(FactoryError):
             induced_matrix(ring, linear_matrix(R, mat), side)
     else:
+        maps, scale = induced_matrix(ring, linear_matrix(R, mat), side)
+        inv = f.inv(f.coerce(scale))
+        quotient = [[f.mul(u, inv) for u in row] for row in maps[transpose].tolist()]
         assert np.array_equal(
-            induced_matrix(ring, linear_matrix(R, mat), side)[transpose],
-            induced_matrix_oracle(ring, mat, side, transpose),
+            linalg.field_array(f, quotient), induced_matrix_oracle(ring, mat, side, transpose)
         )
 
 
@@ -314,7 +328,7 @@ def test_extension_kernel_dimension_two(special_ring):
 def test_extension_solution_unique(special_ring):
     # the A-side system is invertible, so the column solves are unique
     even = canonical_blocks(special_ring, 0)
-    m8 = induced_matrix(special_ring, even.A, "a")[0]
+    (m8, _), _ = induced_matrix(special_ring, even.A, "a")
     assert linalg.kernel_basis(special_ring.ring.field, m8).dim == 0
 
 
@@ -373,13 +387,13 @@ def _callers():
 def test_window_builds_each_induced_map_once(monkeypatch, p):
     """build_window from the canonical start block, 4 steps each way: 9
     blocks, each with one product of its entries with Side.maps per side (18
-    in all, none while a column system is solved: the extensions solve the
-    maps their block kept), 16 solves (two per step) and 36 injectivity
-    ranks (four per block)."""
+    in all, over one scale, none while a column system is solved: the
+    extensions solve the maps their block kept), 16 solves (two per step)
+    and 36 injectivity ranks (four per block)."""
     ring = special_ring_over(p)
     side_maps = [ring.side(s).maps for s in "ab"]
     products, solves, ranks = [], [], []
-    real_matmul, real_solve, real_rank = factory.field_matmul, factory.solve, factory.array_rank
+    real_matmul, real_solve, real_rank = factory.scaled_matmul, factory.solve, factory.array_rank
 
     def matmul(field, A, B):
         if any(B is S for S in side_maps):
@@ -395,7 +409,7 @@ def test_window_builds_each_induced_map_once(monkeypatch, p):
             ranks.append(A.shape)
         return real_rank(field, A)
 
-    monkeypatch.setattr(factory, "field_matmul", matmul)
+    monkeypatch.setattr(factory, "scaled_matmul", matmul)
     monkeypatch.setattr(factory, "solve", solve)
     monkeypatch.setattr(factory, "array_rank", rank)
     _, rep = build_window(ring, canonical_blocks(ring, 0), 4, 4)
@@ -446,33 +460,81 @@ def test_rational_factory_ranks_no_full_rank_block_in_fractions(monkeypatch):
 
 @pytest.mark.parametrize("p", [7, DEFAULT_PRIME, "QQ"])
 def test_certify_reads_kernel_dims_off_the_exactness_records(monkeypatch, p):
-    """kernel_dims equal the rank of every block (n, 1), with one array_rank
-    call in _certify: the block of the last differential, the only one that
-    no exactness record ranked."""
+    """kernel_dims equal the rank of every block (n, 1), with one rank bound
+    in _certify: the image of the block of the last differential, the only
+    one that no exactness record ranked.  The bound is full, so no block is
+    assembled over the field for an exact rank."""
     ring = special_ring_over(p)
     f = ring.ring.field
-    calls = []
+    bounds, exact = [], []
 
-    def counting(field, A):
-        # make_block ranks each induced matrix through the same name
-        if sys._getframe(1).f_code.co_name == "_certify":
-            calls.append(A.shape)
-        return linalg.array_rank(field, A)
+    def spy(calls, real):
+        def counting(field, A):
+            # make_block ranks each induced matrix through array_rank too
+            if sys._getframe(1).f_code.co_name == "_certify":
+                calls.append(A.shape)
+            return real(field, A)
+        return counting
 
-    monkeypatch.setattr(factory, "array_rank", counting)
+    monkeypatch.setattr(factory, "rank_bound", spy(bounds, linalg.rank_bound))
+    monkeypatch.setattr(factory, "array_rank", spy(exact, linalg.array_rank))
     for make in (
         lambda: canonical_window(ring, 2, 2),
         lambda: build_window(ring, random_blocks(ring, Random(14)), 2, 1),
         lambda: build_window(ring, random_blocks(ring, Random(15)), 1, 3),
     ):
-        calls.clear()
+        bounds.clear()
         w, rep = make()
-        assert len(calls) == 1
+        assert bounds == [(14, 16)] and exact == []
         expected = {}
         for n in range(w.lo + 1, w.hi + 1):
             blk = w._block_array(n, 1)
             expected[n] = blk.shape[1] - linalg.array_rank(f, blk)
         assert rep.kernel_dims == expected
+
+
+def _window_outcome(window, report):
+    flags = {n: (b.inj_a, b.inj_at, b.inj_b, b.inj_bt) for n, b in report.blocks.items()}
+    return flags, report.kernel_dims, window.to_json(), report.to_json()
+
+
+@pytest.mark.parametrize("check_prime", [2, 3])
+def test_rational_windows_same_through_the_exact_fallbacks(monkeypatch, check_prime):
+    """With a tiny check prime many rank bounds of a rational window are not
+    full (the prime divides a maximal minor, or the scale of an integer
+    induced map), so the injectivity ranks and _certify's uncovered block
+    fall back to exact elimination: the flags, kernel dims, window and
+    report are those at the default check prime.  The rings are built fresh
+    on each side, since the check images of frozen arrays are kept."""
+    makes = {
+        "random": lambda ring: build_window(ring, random_blocks(ring, Random(7)), 2, 2),
+        "canonical": lambda ring: canonical_window(ring, 2, 2),
+    }
+    expected = {
+        name: _window_outcome(*make(build_special_ring(field=RationalField())))
+        for name, make in makes.items()
+    }
+    monkeypatch.setattr(linalg, "_CHECK_FIELD", PrimeField(check_prime))
+    exact, real = [], linalg._elimination_rank
+
+    def spy(field, A):
+        if field.kind == "qq":
+            exact.append(sys._getframe(2).f_code.co_name)  # array_rank's caller
+        return real(field, A)
+
+    monkeypatch.setattr(linalg, "_elimination_rank", spy)
+    for name, make in makes.items():
+        exact.clear()
+        ring = build_special_ring(field=RationalField())
+        assert _window_outcome(*make(ring)) == expected[name]
+        if name == "random" or check_prime == 2:  # GF(3) divides no canonical minor
+            assert "_injective" in exact and "_certify" in exact
+    # negative control: two equal columns, not injective through the fallback
+    R = ring.ring
+    col = [R.generator("x1") + R.generator("y1"), R.generator("x2")]
+    (M, _), _ = induced_matrix(ring, linear_matrix(R, [[col[0], col[0]], [col[1], col[1]]]), "a")
+    exact.clear()
+    assert not _injective(ring, M) and exact == ["_injective"]
 
 
 def test_distinct_modules(special_ring):
